@@ -17,9 +17,8 @@ from .metrology import (QfiEstimate, drho_domega, qfi_eigen, qfi_fidelity,
 from .optimizer import OptimizerOptions, multi_start, nelder_mead
 from .propagation import (ControlSchedule, PropagationError, SlicedDynamics,
                           evolve, evolve_trajectory, slice_propagator)
-from .schemes import (MetrologyResult, SchemeConfig, run_ancilla_assisted,
-                      run_control_enhanced, run_scheme, run_standard,
-                      run_theoretical_optimal)
+from .schemes import (MetrologyResult, SchemeConfig, run_control_enhanced,
+                      run_scheme)
 
 __version__ = "0.1.0"
 
@@ -35,6 +34,5 @@ __all__ = [
     "uhlmann_fidelity", "OptimizerOptions", "multi_start", "nelder_mead",
     "ControlSchedule", "PropagationError", "SlicedDynamics", "evolve",
     "evolve_trajectory", "slice_propagator", "MetrologyResult", "SchemeConfig",
-    "run_ancilla_assisted", "run_control_enhanced", "run_scheme",
-    "run_standard", "run_theoretical_optimal",
+    "run_control_enhanced", "run_scheme",
 ]

@@ -10,6 +10,7 @@ channel and a fixed set of control Hamiltonians:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,16 @@ SCENARIOS = (
 
 def _require_rate(value: float, name: str) -> float:
     value = float(value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
     return value
+
+
+def t2_from_linewidth(linewidth_hz: float) -> float:
+    """Coherence time from the spectral width at half height: T2 = 1/(pi*linewidth)."""
+    if not 0 < linewidth_hz < math.inf:
+        raise ValueError(f"linewidth must be positive and finite, got {linewidth_hz}")
+    return 1.0 / (math.pi * linewidth_hz)
 
 
 def parallel_dephasing(gamma: float) -> NoiseChannel:

@@ -52,24 +52,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "t2":
-            if args.linewidth_hz <= 0:
-                print("error: linewidth must be positive", file=sys.stderr)
-                return EXIT_CONFIG
-            print(f"{t2_from_linewidth(args.linewidth_hz):.17g}")
+            try:
+                print(f"{t2_from_linewidth(args.linewidth_hz):.17g}")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             return EXIT_OK
-        if args.command == "run":
-            config = load_run_config(args.config)
-            if args.seed is not None:
-                config = replace(config, seed=args.seed,
-                                 optimizer=replace(config.optimizer, seed=args.seed))
-            path = run_experiment(config, out=args.out, plot_data=args.plot_data)
-            print(f"wrote {path}")
-            return EXIT_OK
-        config = load_nmr_config(args.config)
+        config = (load_run_config if args.command == "run" else load_nmr_config)(args.config)
         if args.seed is not None:
-            config = replace(config, seed=args.seed,
-                             optimizer=replace(config.optimizer, seed=args.seed))
-        path = run_nmr_protocol(config, out=args.out)
+            config = replace(config, optimizer=replace(config.optimizer, seed=args.seed))
+        if args.command == "run":
+            path = run_experiment(config, out=args.out, plot_data=args.plot_data)
+        else:
+            path = run_nmr_protocol(config, out=args.out)
         print(f"wrote {path}")
         return EXIT_OK
     except ConfigError as exc:

@@ -1,21 +1,28 @@
 """Flat key = value run configuration with bracketed sections.
 
-Every physical quantity is SI (seconds, 1/s, rad/s). Loading resolves all
-defaults immediately, and :func:`dump_config` renders the fully resolved form
-that gets echoed into result files, so any output can be re-run verbatim.
+Every physical quantity is SI (seconds, 1/s, rad/s). One field table per
+command names each key once, with its section, the attribute it sets, its
+parser and its default; the table drives the unknown-key check, loading and
+:func:`dump_run_config` / :func:`dump_nmr_config`, which render the fully
+resolved form echoed into result files, so any output can be re-run verbatim.
+Loading also builds the scenario model and the scheme configs a run will use,
+so every invalid value fails here with :class:`ConfigError`.
 """
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+from functools import reduce
+from typing import Any, Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .channels import DEFAULT_RATES, SCENARIOS, build_scenario
+from .channels import DEFAULT_RATES, SCENARIOS, t2_from_linewidth
 from .metrology import default_delta
-from .optimizer import OptimizerOptions
-from .schemes import PROBES, SCHEMES, SchemeConfig
+from .optimizer import OptimizerOptions, _resolve
+from .schemes import SchemeConfig
 
 
 class ConfigError(Exception):
@@ -47,7 +54,7 @@ class TimeGridSpec:
     def __post_init__(self):
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"time grid spacing must be linear or log, got {self.spacing!r}")
-        if self.start <= 0 or self.stop <= self.start:
+        if not 0 < self.start < self.stop:
             raise ConfigError("time grid requires 0 < start < stop")
         if self.points < 1:
             raise ConfigError("time grid needs at least one point")
@@ -67,17 +74,16 @@ class RunConfig:
     scenario: str
     schemes: tuple
     grid: TimeGridSpec
-    omega0: float = 2.0 * np.pi
-    rates: tuple = ()
-    K: int = 20
-    probe: str = "default"
-    u_max: float | None = None
-    gamma_c: float = 1.0
-    delta_omega: float | None = None
-    warm_start: bool = False
-    optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
-    seed: int = 0
-    out: str = "results.csv"
+    omega0: float
+    rates: tuple
+    K: int
+    probe: str
+    u_max: float
+    gamma_c: float
+    delta_omega: float
+    warm_start: bool
+    optimizer: OptimizerOptions
+    out: str
 
     def scheme_config(self, scheme: str) -> SchemeConfig:
         return SchemeConfig(
@@ -92,7 +98,7 @@ class RunConfig:
             gamma_c=self.gamma_c,
             delta_omega=self.delta_omega,
             warm_start=self.warm_start,
-            optimizer=replace(self.optimizer, seed=self.seed),
+            optimizer=self.optimizer,
         )
 
 
@@ -106,266 +112,256 @@ class NmrConfig:
     reported per encoding time.
     """
 
-    linewidth_hz: float = 2.13
-    omega0: float = 120.0 * np.pi
-    K: int = 5
-    delta_omega_fidelity: float = 2.0 * np.pi
-    t2_factor_max: float = 2.5
-    points: int = 10
-    u_max: float = 100.0
-    gamma_c: float = 1.0
-    optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
-    seed: int = 0
-    out: str = "nmr_results.csv"
+    schemes: ClassVar[tuple] = ("standard", "control_enhanced")
+
+    linewidth_hz: float
+    omega0: float
+    K: int
+    delta_omega_fidelity: float
+    t2_factor_max: float
+    points: int
+    u_max: float
+    gamma_c: float
+    optimizer: OptimizerOptions
+    out: str
+
+    def __post_init__(self):
+        if self.points < 1:
+            raise ConfigError(f"points must be at least 1, got {self.points}")
+        if not 0 < self.delta_omega_fidelity < math.inf:
+            raise ConfigError("delta_omega_fidelity must be positive and finite, "
+                              f"got {self.delta_omega_fidelity}")
+
+    def scheme_config(self, scheme: str) -> SchemeConfig:
+        gamma = 1.0 / t2_from_linewidth(self.linewidth_hz)
+        t2 = 1.0 / gamma  # the rate's own T2: may differ from the linewidth's in the last bit
+        dt = t2 * self.t2_factor_max / self.points
+        return SchemeConfig(
+            scheme=scheme,
+            scenario="parallel-dephasing-1q",
+            time_grid=tuple((i + 1) * dt for i in range(self.points)),
+            omega0=self.omega0,
+            rates=(("gamma", gamma),),
+            K=self.K,
+            probe="random_seeded" if scheme == "control_enhanced" else "plus",
+            u_max=self.u_max,
+            gamma_c=self.gamma_c,
+            optimizer=self.optimizer,
+        )
 
 
-def _parser() -> configparser.ConfigParser:
+# --- value parsers: raw config text -> value, ValueError when malformed ---
+
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+def _optional(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    return lambda raw: None if raw.strip().lower() == "none" else parse(raw)
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{raw!r} is neither true nor false") from None
+
+
+def _scenario(raw: str) -> str:
+    if raw not in SCENARIOS:
+        raise ValueError(f"unknown scenario {raw!r}; valid scenarios: {', '.join(SCENARIOS)}")
+    return raw
+
+
+def _schemes(raw: str) -> tuple:
+    return tuple(s.strip() for s in raw.split(","))
+
+
+def _format(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, tuple):
+        return ", ".join(value)
+    return str(value)
+
+
+class _Field(NamedTuple):
+    """One config key and the attribute it sets: ``attr`` (dotted for nested
+    options, "optimizer.seed") or else an attribute named like the key.
+    ``default`` may be a function of the attributes loaded by earlier rows. A
+    ``key`` of None takes every key of the section as a (name, value) entry of
+    ``attr``, on top of the default mapping."""
+
+    section: str
+    key: str | None
+    parse: Callable[[str], Any]
+    default: Any
+    attr: str | None = None
+
+    @property
+    def target(self) -> str:
+        return self.attr or self.key
+
+
+_REQUIRED = object()
+_OPT_DEFAULTS = OptimizerOptions()
+
+_OPTIMIZER_FIELDS = tuple(
+    _Field("optimizer", key, parse, getattr(_OPT_DEFAULTS, key), f"optimizer.{key}")
+    for key, parse in (
+        ("restarts", int), ("max_evals", _optional(int)), ("x_tol", _optional(_float)),
+        ("f_tol", _float), ("reflection", _float), ("expansion", _float),
+        ("contraction", _float), ("shrink", _float), ("initial_step", _optional(_float)),
+    ))
+
+RUN_FIELDS = (
+    _Field("run", "scenario", _scenario, _REQUIRED),
+    _Field("run", "schemes", _schemes, ("standard",)),
+    _Field("run", "probe", str, "default"),
+    _Field("run", "omega0", _float, 2.0 * np.pi),
+    _Field("run", "gamma_c", _float, 1.0),
+    _Field("run", "delta_omega", _float, lambda v: default_delta(v["omega0"])),
+    _Field("run", "seed", int, _OPT_DEFAULTS.seed, "optimizer.seed"),
+    _Field("run", "out", str, "results.csv"),
+    _Field("channel", None, _float, lambda v: DEFAULT_RATES[v["scenario"]], "rates"),
+    _Field("time_grid", "start", _float, lambda v: DEFAULT_GRIDS[v["scenario"]][0], "grid.start"),
+    _Field("time_grid", "stop", _float, lambda v: DEFAULT_GRIDS[v["scenario"]][1], "grid.stop"),
+    _Field("time_grid", "points", int, lambda v: DEFAULT_GRIDS[v["scenario"]][2], "grid.points"),
+    _Field("time_grid", "spacing", str, lambda v: DEFAULT_GRIDS[v["scenario"]][3], "grid.spacing"),
+    _Field("control", "K", int, 20),
+    _Field("control", "u_max", _float, lambda v: 20.0 * max(abs(v["omega0"]), 1.0)),
+    _Field("control", "warm_start", _bool, False),
+) + _OPTIMIZER_FIELDS
+
+NMR_FIELDS = (
+    _Field("nmr", "linewidth_hz", _float, 2.13),
+    _Field("nmr", "omega0", _float, 120.0 * np.pi),
+    _Field("nmr", "K", int, 5),
+    _Field("nmr", "delta_omega_fidelity", _float, 2.0 * np.pi),
+    _Field("nmr", "t2_factor_max", _float, 2.5),
+    _Field("nmr", "points", int, 10),
+    _Field("nmr", "u_max", _float, 100.0),
+    _Field("nmr", "gamma_c", _float, 1.0),
+    _Field("nmr", "seed", int, _OPT_DEFAULTS.seed, "optimizer.seed"),
+    _Field("nmr", "out", str, "nmr_results.csv"),
+) + _OPTIMIZER_FIELDS
+
+
+def _read(text_or_path: str, is_path: bool) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # preserve key case (K vs k)
+    try:
+        if is_path:
+            with open(text_or_path) as fh:
+                parser.read_file(fh)
+        else:
+            parser.read_file(io.StringIO(text_or_path))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config: {exc}") from exc
     return parser
 
 
-def _get(section, key, cast, default):
-    if key not in section:
-        return default
-    raw = section[key]
-    try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-
-def _check_keys(parser, allowed: dict) -> None:
+def _check_keys(parser: configparser.ConfigParser, fields) -> None:
+    allowed: dict[str, set] = {}
+    for f in fields:
+        allowed.setdefault(f.section, set()).add(f.key)
     for section in parser.sections():
         if section not in allowed:
             raise ConfigError(f"unknown config section [{section}]; "
                               f"expected {sorted(allowed)}")
+        if None in allowed[section]:
+            continue
         for key in parser[section]:
             if key not in allowed[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]; "
                                   f"expected {sorted(allowed[section])}")
 
 
-_OPT_KEYS = ("restarts", "max_evals", "x_tol", "f_tol", "reflection",
-             "expansion", "contraction", "shrink", "initial_step")
+def _parse(f: _Field, key: str, raw: str):
+    try:
+        return f.parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key} in [{f.section}]: {exc}") from exc
 
 
-def _resolve_optimizer(opt: OptimizerOptions, n_vars: int, u_max: float) -> OptimizerOptions:
-    """Fill scale-dependent defaults so the echoed config is fully explicit."""
-    return replace(
-        opt,
-        max_evals=opt.max_evals if opt.max_evals is not None else 200 * n_vars,
-        x_tol=opt.x_tol if opt.x_tol is not None else 1e-6 * u_max,
-        initial_step=opt.initial_step if opt.initial_step is not None else 0.05 * u_max,
-    )
+def _load_values(parser: configparser.ConfigParser, fields) -> dict:
+    """Attribute -> value for every row, in table order; a dotted attribute
+    goes into a keyword dict under its prefix."""
+    values: dict[str, Any] = {}
+    for f in fields:
+        section = parser[f.section] if parser.has_section(f.section) else {}
+        default = f.default(values) if callable(f.default) else f.default
+        if f.key is None:
+            entries = {**default, **{key: _parse(f, key, raw) for key, raw in section.items()}}
+            value = tuple(sorted(entries.items()))
+        elif f.key in section:
+            value = _parse(f, f.key, section[f.key])
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {f.key!r} in [{f.section}]")
+        else:
+            value = default
+        head, _, rest = f.target.partition(".")
+        (values.setdefault(head, {}) if rest else values)[rest or head] = value
+    return values
 
 
-def _load_optimizer(parser, seed: int) -> OptimizerOptions:
-    sec = parser["optimizer"] if parser.has_section("optimizer") else {}
-    none_or_float = lambda raw: None if raw.strip().lower() == "none" else float(raw)
-    none_or_int = lambda raw: None if raw.strip().lower() == "none" else int(raw)
-    return OptimizerOptions(
-        max_evals=_get(sec, "max_evals", none_or_int, None),
-        x_tol=_get(sec, "x_tol", none_or_float, None),
-        f_tol=_get(sec, "f_tol", float, 1e-8),
-        restarts=_get(sec, "restarts", int, 20),
-        seed=seed,
-        reflection=_get(sec, "reflection", float, 1.0),
-        expansion=_get(sec, "expansion", float, 2.0),
-        contraction=_get(sec, "contraction", float, 0.5),
-        shrink=_get(sec, "shrink", float, 0.5),
-        initial_step=_get(sec, "initial_step", none_or_float, None),
-    )
+def _load(text_or_path: str, is_path: bool, fields, build):
+    """Read, check and load ``fields``, then build everything a run uses.
+
+    ``build`` turns the grouped values into the config; a ValueError raised
+    by any constructor on the way becomes a ConfigError. The optimizer's
+    scale-dependent defaults are resolved against the search dimension.
+    """
+    parser = _read(text_or_path, is_path)
+    _check_keys(parser, fields)
+    values = _load_values(parser, fields)
+    try:
+        values["optimizer"] = OptimizerOptions(**values["optimizer"])
+        cfg = build(values)
+        scheme_configs = [cfg.scheme_config(s) for s in cfg.schemes]
+        n_vars = cfg.K * scheme_configs[0].build_model().n_controls
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return replace(cfg, optimizer=_resolve(cfg.optimizer, n_vars, cfg.u_max))
 
 
 def load_run_config(text_or_path: str, is_path: bool = True) -> RunConfig:
     """Parse and resolve a `run` configuration."""
-    parser = _parser()
-    try:
-        if is_path:
-            with open(text_or_path) as fh:
-                parser.read_file(fh)
-        else:
-            parser.read_file(io.StringIO(text_or_path))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
-
-    _check_keys(parser, {
-        "run": ("scenario", "schemes", "probe", "omega0", "gamma_c",
-                "delta_omega", "seed", "out"),
-        "channel": tuple(set().union(*(d.keys() for d in DEFAULT_RATES.values()))),
-        "time_grid": ("start", "stop", "points", "spacing"),
-        "control": ("K", "u_max", "warm_start"),
-        "optimizer": _OPT_KEYS,
-    })
-    if not parser.has_section("run"):
-        raise ConfigError("config must contain a [run] section")
-    run = parser["run"]
-    scenario = _get(run, "scenario", str, None)
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; valid scenarios: "
-                          f"{', '.join(SCENARIOS)}")
-
-    schemes = tuple(s.strip() for s in _get(run, "schemes", str, "standard").split(","))
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r}; valid schemes: {', '.join(SCHEMES)}")
-    probe = _get(run, "probe", str, "default")
-    if probe not in PROBES:
-        raise ConfigError(f"unknown probe {probe!r}; valid probes: {', '.join(PROBES)}")
-
-    rates = dict(DEFAULT_RATES[scenario])
-    if parser.has_section("channel"):
-        for key in parser["channel"]:
-            if key not in rates:
-                raise ConfigError(f"scenario {scenario!r} does not accept rate {key!r}; "
-                                  f"expected one of {sorted(rates)}")
-            rates[key] = _get(parser["channel"], key, float, None)
-
-    g_start, g_stop, g_points, g_spacing = DEFAULT_GRIDS[scenario]
-    sec = parser["time_grid"] if parser.has_section("time_grid") else {}
-    grid = TimeGridSpec(
-        start=_get(sec, "start", float, g_start),
-        stop=_get(sec, "stop", float, g_stop),
-        points=_get(sec, "points", int, g_points),
-        spacing=_get(sec, "spacing", str, g_spacing),
-    )
-
-    omega0 = _get(run, "omega0", float, 2.0 * np.pi)
-    sec = parser["control"] if parser.has_section("control") else {}
-    K = _get(sec, "K", int, 20)
-    u_max = _get(sec, "u_max", float, 20.0 * max(abs(omega0), 1.0))
-    seed = _get(run, "seed", int, 0)
-
-    n_vars = K * build_scenario(scenario, omega0, rates).n_controls
-    return RunConfig(
-        scenario=scenario,
-        schemes=schemes,
-        grid=grid,
-        omega0=omega0,
-        rates=tuple(sorted(rates.items())),
-        K=K,
-        probe=probe,
-        u_max=u_max,
-        gamma_c=_get(run, "gamma_c", float, 1.0),
-        delta_omega=_get(run, "delta_omega", float, default_delta(omega0)),
-        warm_start=_get(sec, "warm_start", bool, False),
-        optimizer=_resolve_optimizer(_load_optimizer(parser, seed), n_vars, u_max),
-        seed=seed,
-        out=_get(run, "out", str, "results.csv"),
-    )
+    return _load(text_or_path, is_path, RUN_FIELDS,
+                 lambda v: RunConfig(**{**v, "grid": TimeGridSpec(**v["grid"])}))
 
 
 def load_nmr_config(text_or_path: str, is_path: bool = True) -> NmrConfig:
     """Parse and resolve an `nmr` protocol configuration."""
-    parser = _parser()
-    try:
-        if is_path:
-            with open(text_or_path) as fh:
-                parser.read_file(fh)
+    return _load(text_or_path, is_path, NMR_FIELDS, lambda v: NmrConfig(**v))
+
+
+def _dump(cfg, fields) -> str:
+    blocks: dict[str, list[str]] = {}
+    for f in fields:
+        value = reduce(getattr, f.target.split("."), cfg)
+        lines = blocks.setdefault(f.section, [f"[{f.section}]"])
+        if f.key is None:
+            lines += [f"{k} = {_format(v)}" for k, v in value]
         else:
-            parser.read_file(io.StringIO(text_or_path))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
-
-    _check_keys(parser, {
-        "nmr": ("linewidth_hz", "omega0", "K", "delta_omega_fidelity",
-                "t2_factor_max", "points", "u_max", "gamma_c", "seed", "out"),
-        "optimizer": _OPT_KEYS,
-    })
-    sec = parser["nmr"] if parser.has_section("nmr") else {}
-    seed = _get(sec, "seed", int, 0)
-    linewidth = _get(sec, "linewidth_hz", float, 2.13)
-    if linewidth <= 0:
-        raise ConfigError(f"linewidth must be positive, got {linewidth}")
-    K = _get(sec, "K", int, 5)
-    u_max = _get(sec, "u_max", float, 100.0)
-    return NmrConfig(
-        linewidth_hz=linewidth,
-        omega0=_get(sec, "omega0", float, 120.0 * np.pi),
-        K=K,
-        delta_omega_fidelity=_get(sec, "delta_omega_fidelity", float, 2.0 * np.pi),
-        t2_factor_max=_get(sec, "t2_factor_max", float, 2.5),
-        points=_get(sec, "points", int, 10),
-        u_max=u_max,
-        gamma_c=_get(sec, "gamma_c", float, 1.0),
-        optimizer=_resolve_optimizer(_load_optimizer(parser, seed), 2 * K, u_max),
-        seed=seed,
-        out=_get(sec, "out", str, "nmr_results.csv"),
-    )
-
-
-def _optimizer_lines(opt: OptimizerOptions) -> list[str]:
-    fmt = lambda v: "none" if v is None else (str(v) if isinstance(v, int) else format_float(v))
-    return [
-        "[optimizer]",
-        f"restarts = {opt.restarts}",
-        f"max_evals = {fmt(opt.max_evals)}",
-        f"x_tol = {fmt(opt.x_tol)}",
-        f"f_tol = {format_float(opt.f_tol)}",
-        f"reflection = {format_float(opt.reflection)}",
-        f"expansion = {format_float(opt.expansion)}",
-        f"contraction = {format_float(opt.contraction)}",
-        f"shrink = {format_float(opt.shrink)}",
-        f"initial_step = {fmt(opt.initial_step)}",
-    ]
+            lines.append(f"{f.key} = {_format(value)}")
+    return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
 
 
 def dump_run_config(cfg: RunConfig) -> str:
     """Serialize a resolved run config as reloadable text."""
-    lines = [
-        "[run]",
-        f"scenario = {cfg.scenario}",
-        f"schemes = {', '.join(cfg.schemes)}",
-        f"probe = {cfg.probe}",
-        f"omega0 = {format_float(cfg.omega0)}",
-        f"gamma_c = {format_float(cfg.gamma_c)}",
-        f"delta_omega = {format_float(cfg.delta_omega)}",
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out}",
-        "",
-        "[channel]",
-    ]
-    lines += [f"{k} = {format_float(v)}" for k, v in cfg.rates]
-    lines += [
-        "",
-        "[time_grid]",
-        f"start = {format_float(cfg.grid.start)}",
-        f"stop = {format_float(cfg.grid.stop)}",
-        f"points = {cfg.grid.points}",
-        f"spacing = {cfg.grid.spacing}",
-        "",
-        "[control]",
-        f"K = {cfg.K}",
-        f"u_max = {format_float(cfg.u_max)}",
-        f"warm_start = {'true' if cfg.warm_start else 'false'}",
-        "",
-    ]
-    lines += _optimizer_lines(cfg.optimizer)
-    return "\n".join(lines) + "\n"
+    return _dump(cfg, RUN_FIELDS)
 
 
 def dump_nmr_config(cfg: NmrConfig) -> str:
     """Serialize a resolved NMR protocol config as reloadable text."""
-    lines = [
-        "[nmr]",
-        f"linewidth_hz = {format_float(cfg.linewidth_hz)}",
-        f"omega0 = {format_float(cfg.omega0)}",
-        f"K = {cfg.K}",
-        f"delta_omega_fidelity = {format_float(cfg.delta_omega_fidelity)}",
-        f"t2_factor_max = {format_float(cfg.t2_factor_max)}",
-        f"points = {cfg.points}",
-        f"u_max = {format_float(cfg.u_max)}",
-        f"gamma_c = {format_float(cfg.gamma_c)}",
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out}",
-        "",
-    ]
-    lines += _optimizer_lines(cfg.optimizer)
-    return "\n".join(lines) + "\n"
+    return _dump(cfg, NMR_FIELDS)

@@ -6,11 +6,11 @@ reproduces the data exactly (same seed, same backend).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from pathlib import Path
 
 from . import _kern
+from .channels import t2_from_linewidth
 from .config import (NmrConfig, RunConfig, dump_nmr_config, dump_run_config,
                      format_float, load_nmr_config, load_run_config)
 from .metrology import qfi_fidelity
@@ -19,13 +19,6 @@ from .schemes import MetrologyResult, SchemeConfig, resolve_probe, run_scheme
 
 CSV_HEADER = "scheme,T_s,qfi_s2,sensitivity,evals,seed,converged"
 NMR_CSV_HEADER = "scheme,T_s,qfi_s2,qfi_fidelity_s2,sensitivity,evals,seed,converged"
-
-
-def t2_from_linewidth(linewidth_hz: float) -> float:
-    """Coherence time from the spectral width at half height: T2 = 1/(pi*linewidth)."""
-    if linewidth_hz <= 0:
-        raise ValueError(f"linewidth must be positive, got {linewidth_hz}")
-    return 1.0 / (math.pi * linewidth_hz)
 
 
 def _result_row(scheme: str, r: MetrologyResult, with_fidelity: bool) -> str:
@@ -86,25 +79,6 @@ def run_experiment(config: RunConfig, out: str | None = None,
     return path
 
 
-def _nmr_scheme_config(cfg: NmrConfig, scheme: str, gamma: float) -> SchemeConfig:
-    t2 = 1.0 / gamma
-    dt = t2 * cfg.t2_factor_max / cfg.points
-    grid = tuple((i + 1) * dt for i in range(cfg.points))
-    return SchemeConfig(
-        scheme=scheme,
-        scenario="parallel-dephasing-1q",
-        time_grid=grid,
-        omega0=cfg.omega0,
-        rates=(("gamma", gamma),),
-        K=cfg.K,
-        probe="random_seeded" if scheme == "control_enhanced" else "plus",
-        u_max=cfg.u_max,
-        gamma_c=cfg.gamma_c,
-        delta_omega=None,
-        optimizer=replace(cfg.optimizer, seed=cfg.seed),
-    )
-
-
 def _attach_fidelity_estimates(config: SchemeConfig,
                                results: list[MetrologyResult],
                                delta: float) -> list[MetrologyResult]:
@@ -131,8 +105,8 @@ def run_nmr_protocol(config: NmrConfig, out: str | None = None) -> Path:
     gamma = 1.0 / t2
     rows = []
     metadata = [f"T2_s = {format_float(t2)}", f"gamma_per_s = {format_float(gamma)}"]
-    for scheme in ("standard", "control_enhanced"):
-        scheme_cfg = _nmr_scheme_config(config, scheme, gamma)
+    for scheme in config.schemes:
+        scheme_cfg = config.scheme_config(scheme)
         probe = resolve_probe(scheme_cfg, 2)
         metadata.append(
             f"probe_{scheme} = " + " ".join(format(z, ".17g")

@@ -45,6 +45,8 @@ class OptimizerOptions:
             raise ValueError("shrink coefficient must be in (0, 1)")
         if self.restarts < 1:
             raise ValueError("at least one start is required")
+        if self.max_evals is not None and self.max_evals < 1:
+            raise ValueError(f"max_evals must be at least 1, got {self.max_evals}")
 
 
 @dataclass(frozen=True)

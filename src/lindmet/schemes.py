@@ -11,6 +11,7 @@ schedule that produced them:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,18 +50,33 @@ class SchemeConfig:
         if self.probe not in PROBES:
             raise ValueError(f"unknown probe {self.probe!r}; valid probes: {', '.join(PROBES)}")
         grid = tuple(float(t) for t in self.time_grid)
-        if not grid or any(t <= 0 for t in grid):
-            raise ValueError("time grid must be non-empty with positive times")
+        if not grid or not all(0 < t < math.inf for t in grid):
+            raise ValueError("time grid must be non-empty with positive finite times")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("time grid must be strictly increasing")
         if self.K < 1:
             raise ValueError("slice count K must be positive")
+        if not math.isfinite(self.omega0):
+            raise ValueError(f"omega0 must be finite, got {self.omega0}")
+        for name in ("u_max", "gamma_c", "delta_omega"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.scheme == "ancilla" and self.build_model().dim != 2:
+            raise ValueError("the ancilla-assisted scheme supports 1-qubit scenarios only")
+        if self.scheme == "theoretical_optimal" and self.scenario != "transverse-dephasing":
+            raise ValueError("the theoretical-optimal control law applies to "
+                             "the transverse-dephasing scenario only")
         object.__setattr__(self, "time_grid", grid)
         object.__setattr__(self, "rates", tuple(self.rates))
 
     @property
     def resolved_u_max(self) -> float:
         return self.u_max if self.u_max is not None else 20.0 * max(abs(self.omega0), 1.0)
+
+    @property
+    def resolved_delta_omega(self) -> float:
+        return self.delta_omega if self.delta_omega is not None else default_delta(self.omega0)
 
     def build_model(self) -> EncodingModel:
         return build_scenario(self.scenario, self.omega0, dict(self.rates))
@@ -165,58 +181,26 @@ def _spawned_seeds(master_seed: int, count: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def run_standard(config: SchemeConfig) -> list[MetrologyResult]:
-    """Fixed optimal probe, free (uncontrolled) noisy encoding."""
-    model = config.build_model()
-    dyn = SlicedDynamics(model)
-    rho0 = resolve_probe(config, model.dim)
-    delta = config.delta_omega if config.delta_omega is not None else default_delta(config.omega0)
-    out = []
-    for T in config.time_grid:
-        sched = ControlSchedule.zero(config.K, model.n_controls, T)
-        qfi = _checked_qfi(dyn, sched, rho0, delta)
-        out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c),
-                                   sched, 0, config.optimizer.seed, True))
-    return out
+def run_fixed_schedule(config: SchemeConfig) -> list[MetrologyResult]:
+    """Uncontrolled encoding, or the constant u_z = -omega0 drift cancellation.
 
-
-def run_ancilla_assisted(config: SchemeConfig) -> list[MetrologyResult]:
-    """Bell probe on system tensor noiseless ancilla, uncontrolled encoding."""
-    model = config.build_model()
-    if model.dim != 2:
-        raise ValueError("the ancilla-assisted scheme supports 1-qubit scenarios only")
-    ext = ancilla_extend(model)
-    dyn = SlicedDynamics(ext)
-    rho0 = resolve_probe(config, ext.dim)
-    delta = config.delta_omega if config.delta_omega is not None else default_delta(config.omega0)
-    out = []
-    for T in config.time_grid:
-        sched = ControlSchedule.zero(config.K, ext.n_controls, T)
-        qfi = _checked_qfi(dyn, sched, rho0, delta)
-        out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c),
-                                   sched, 0, config.optimizer.seed, True))
-    return out
-
-
-def run_theoretical_optimal(config: SchemeConfig) -> list[MetrologyResult]:
-    """Constant u_z = -omega0, cancelling the drift exactly.
-
-    Only meaningful for transverse dephasing, where this control law is the
-    known long-time optimum at small noise rates. The QFI stays nonzero: the
-    frequency derivative probes the cancelled drift's dependence on omega0.
+    ``standard`` evolves the fixed probe freely, ``ancilla`` evolves a Bell
+    probe on the system tensor a noiseless ancilla, and ``theoretical_optimal``
+    holds u_z = -omega0, cancelling the drift exactly: the known long-time
+    optimum for transverse dephasing at small noise rates. Its QFI stays
+    nonzero because the frequency derivative probes the cancelled drift's
+    dependence on omega0.
     """
-    if config.scenario != "transverse-dephasing":
-        raise ValueError("the theoretical-optimal control law applies to "
-                         "the transverse-dephasing scenario only")
     model = config.build_model()
+    if config.scheme == "ancilla":
+        model = ancilla_extend(model)
     dyn = SlicedDynamics(model)
     rho0 = resolve_probe(config, model.dim)
-    delta = config.delta_omega if config.delta_omega is not None else default_delta(config.omega0)
+    amplitude = -config.omega0 if config.scheme == "theoretical_optimal" else 0.0
     out = []
     for T in config.time_grid:
-        amps = np.full((config.K, 1), -config.omega0)
-        sched = ControlSchedule(amps, T)
-        qfi = _checked_qfi(dyn, sched, rho0, delta)
+        sched = ControlSchedule(np.full((config.K, model.n_controls), amplitude), T)
+        qfi = _checked_qfi(dyn, sched, rho0, config.resolved_delta_omega)
         out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c),
                                    sched, 0, config.optimizer.seed, True))
     return out
@@ -233,7 +217,7 @@ def run_control_enhanced(config: SchemeConfig) -> list[MetrologyResult]:
     model = config.build_model()
     dyn = SlicedDynamics(model)
     rho0 = resolve_probe(config, model.dim)
-    delta = config.delta_omega if config.delta_omega is not None else default_delta(config.omega0)
+    delta = config.resolved_delta_omega
     u_max = config.resolved_u_max
     K, L = config.K, model.n_controls
     seeds = _spawned_seeds(config.optimizer.seed, len(config.time_grid))
@@ -256,14 +240,8 @@ def run_control_enhanced(config: SchemeConfig) -> list[MetrologyResult]:
     return out
 
 
-_RUNNERS = {
-    "standard": run_standard,
-    "ancilla": run_ancilla_assisted,
-    "theoretical_optimal": run_theoretical_optimal,
-    "control_enhanced": run_control_enhanced,
-}
-
-
 def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     """Dispatch on config.scheme."""
-    return _RUNNERS[config.scheme](config)
+    if config.scheme == "control_enhanced":
+        return run_control_enhanced(config)
+    return run_fixed_schedule(config)

@@ -11,16 +11,14 @@ import time
 import numpy as np
 
 from lindmet.channels import build_scenario
-from lindmet.config import NmrConfig
-from lindmet.harness import _nmr_scheme_config, t2_from_linewidth
+from lindmet.config import load_nmr_config
 from lindmet.liouville import lindbladian, vectorize
 from lindmet.metrology import (default_fidelity_delta, drho_domega,
                                qfi_eigen, qfi_fidelity)
 from lindmet.optimizer import OptimizerOptions, multi_start, nelder_mead
 from lindmet.propagation import ControlSchedule, SlicedDynamics
 from lindmet.schemes import (SchemeConfig, ghz_state, haar_random_state,
-                             plus_state, run_control_enhanced, run_standard,
-                             run_theoretical_optimal)
+                             plus_state, run_control_enhanced, run_scheme)
 
 from bloch_oracle import max_qfi
 
@@ -41,7 +39,7 @@ def test_criterion_1_analytic_qfi_oracle():
     t0 = time.time()
     gamma = 10.0
     grid = np.geomspace(0.01, 0.5, 30)
-    res = run_standard(cfg("standard", "parallel-dephasing-1q", grid))
+    res = run_scheme(cfg("standard", "parallel-dephasing-1q", grid))
     rel = max(abs(r.qfi - r.T**2 * np.exp(-2 * gamma * r.T))
               / (r.T**2 * np.exp(-2 * gamma * r.T)) for r in res)
     elapsed = time.time() - t0
@@ -54,19 +52,19 @@ def test_criterion_2_optimal_time_relations():
     t0 = time.time()
     # (a) amplitude damping, gamma = 0.2: T_opt = 10 s on a 0.25 s grid
     grid_a = np.arange(0.25, 20.0 + 1e-9, 0.25)
-    res_a = run_standard(cfg("standard", "amplitude-damping", grid_a))
+    res_a = run_scheme(cfg("standard", "amplitude-damping", grid_a))
     t_opt_a = max(res_a, key=lambda r: r.qfi).T
     ok_a = abs(t_opt_a - 10.0) <= 0.25 + 1e-12
 
     # (b) transverse dephasing, gamma = 0.1: T_opt in [18, 22]
     grid_b = np.arange(1.0, 30.0 + 1e-9, 0.5)
-    res_b = run_standard(cfg("standard", "transverse-dephasing", grid_b))
+    res_b = run_scheme(cfg("standard", "transverse-dephasing", grid_b))
     t_opt_b = max(res_b, key=lambda r: r.qfi).T
     ok_b = 18.0 <= t_opt_b <= 22.0
 
     # (c) parallel dephasing: QFI peak at 1/gamma on a 0.01 s grid
     grid_c = np.arange(0.02, 0.30 + 1e-9, 0.01)
-    res_c = run_standard(cfg("standard", "parallel-dephasing-1q", grid_c))
+    res_c = run_scheme(cfg("standard", "parallel-dephasing-1q", grid_c))
     t_opt_c = max(res_c, key=lambda r: r.qfi).T
     ok_c = abs(t_opt_c - 0.1) <= 0.01 + 1e-12
 
@@ -115,7 +113,7 @@ def test_criterion_4_control_enhanced_dominance():
     opts = OptimizerOptions(restarts=2, max_evals=200, seed=17)
     worst_gap = -np.inf
     for scenario, grid in grids.items():
-        std = run_standard(cfg("standard", scenario, grid, K=4))
+        std = run_scheme(cfg("standard", scenario, grid, K=4))
         ctl = run_control_enhanced(cfg("control_enhanced", scenario, grid, K=4,
                                        optimizer=opts))
         for s, c in zip(std, ctl):
@@ -166,17 +164,17 @@ def test_criterion_6_theoretical_optimal_regimes():
     """Drift-cancelling control beats the standard scheme only at small gamma."""
     t0 = time.time()
     # gamma = 0.1 at T = 10 s: the control law wins
-    theo = run_theoretical_optimal(cfg("theoretical_optimal", "transverse-dephasing",
-                                       (10.0,)))[0].qfi
-    std = run_standard(cfg("standard", "transverse-dephasing", (10.0,)))[0].qfi
+    theo = run_scheme(cfg("theoretical_optimal", "transverse-dephasing",
+                          (10.0,)))[0].qfi
+    std = run_scheme(cfg("standard", "transverse-dephasing", (10.0,)))[0].qfi
     ok_small = theo > std
 
     # gamma = 10: no improvement anywhere on the tested grid
     grid = np.linspace(0.02, 0.4, 20)
     rates = (("gamma", 10.0),)
-    theo_b = run_theoretical_optimal(cfg("theoretical_optimal", "transverse-dephasing",
-                                         grid, rates=rates))
-    std_b = run_standard(cfg("standard", "transverse-dephasing", grid, rates=rates))
+    theo_b = run_scheme(cfg("theoretical_optimal", "transverse-dephasing",
+                            grid, rates=rates))
+    std_b = run_scheme(cfg("standard", "transverse-dephasing", grid, rates=rates))
     ok_large = all(t.qfi <= s.qfi for t, s in zip(theo_b, std_b))
     elapsed = time.time() - t0
     ok = ok_small and ok_large and elapsed < 60.0
@@ -249,14 +247,13 @@ def test_criterion_8_optimizer_sanity():
 def test_criterion_9_nmr_protocol_gain():
     """Control-enhanced vs standard QFI at T = 2.5*T2 for the NMR setup."""
     t0 = time.time()
-    nmr = NmrConfig(seed=0)
-    gamma = 1.0 / t2_from_linewidth(nmr.linewidth_hz)
-    std_cfg = _nmr_scheme_config(nmr, "standard", gamma)
-    ctl_cfg = _nmr_scheme_config(nmr, "control_enhanced", gamma)
+    nmr = load_nmr_config("[nmr]\nseed = 0\n", is_path=False)
+    std_cfg = nmr.scheme_config("standard")
+    ctl_cfg = nmr.scheme_config("control_enhanced")
     T_end = std_cfg.time_grid[-1]
 
     from dataclasses import replace
-    std = run_standard(replace(std_cfg, time_grid=(T_end,)))[0]
+    std = run_scheme(replace(std_cfg, time_grid=(T_end,)))[0]
     ctl = run_control_enhanced(replace(ctl_cfg, time_grid=(T_end,)))[0]
     ratio = ctl.qfi / std.qfi
     elapsed = time.time() - t0

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from lindmet.channels import (DEFAULT_RATES, SCENARIOS, SIGMA_X, SIGMA_Y,
-                              SIGMA_Z, EncodingModel, amplitude_damping,
+                              SIGMA_Z, EncodingModel, _require_rate,
+                              amplitude_damping,
                               ancilla_extend, build_scenario,
                               frequency_encoding, parallel_dephasing,
                               transverse_dephasing,
@@ -27,6 +28,19 @@ def partial_trace_second(rho):
 def partial_trace_first(rho):
     r = rho.reshape(2, 2, 2, 2)
     return np.einsum("kikj->ij", r)
+
+
+class TestRequireRate:
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_negative_and_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            _require_rate(bad, "gamma")
+        with pytest.raises(ValueError, match="gamma_plus"):
+            amplitude_damping(0.2, bad)
+
+    def test_accepts_zero_and_positive(self):
+        assert _require_rate(0.0, "gamma") == 0.0
+        assert _require_rate(2, "gamma") == 2.0
 
 
 class TestParallelDephasing:

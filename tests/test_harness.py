@@ -1,15 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lindmet.cli import main
-from lindmet.config import (ConfigError, NmrConfig, dump_nmr_config,
-                            dump_run_config, load_nmr_config, load_run_config)
+from lindmet.config import (ConfigError, dump_nmr_config, dump_run_config,
+                            load_nmr_config, load_run_config)
 from lindmet.harness import (read_result_file, rerun_from_result,
                              run_experiment, run_nmr_protocol,
                              t2_from_linewidth)
-from lindmet.optimizer import OptimizerOptions
+from lindmet.schemes import run_scheme
 
 TINY_RUN = """
 [run]
@@ -53,7 +54,7 @@ class TestRunConfig:
         assert cfg.optimizer.max_evals == 200 * 20 * 2
         assert cfg.optimizer.x_tol == 1e-6 * cfg.u_max
         assert cfg.delta_omega == 1e-4 * 2 * np.pi
-        assert cfg.seed == 3 and cfg.optimizer.seed == 3
+        assert cfg.optimizer.seed == 3
 
     def test_dump_load_round_trip(self):
         cfg = load_run_config(TINY_RUN, is_path=False)
@@ -87,6 +88,26 @@ class TestRunConfig:
         text = TINY_RUN + "\n[channel]\ngamma = 2.5\n"
         cfg = load_run_config(text, is_path=False)
         assert cfg.rates == (("gamma", 2.5),)
+
+
+PRESETS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.name)
+def test_preset_round_trip(path):
+    # load -> dump -> load gives an equal config and a byte-identical echo
+    nmr = "[nmr]" in path.read_text()
+    load, dump = ((load_nmr_config, dump_nmr_config) if nmr
+                  else (load_run_config, dump_run_config))
+    cfg = load(str(path))
+    text = dump(cfg)
+    again = load(text, is_path=False)
+    assert again == cfg
+    assert dump(again) == text
+
+
+def test_presets_found():
+    assert len(PRESETS) == 6
 
 
 class TestRunExperiment:
@@ -130,10 +151,12 @@ class TestRunExperiment:
         assert float(qfi_str) == float(repr(float(qfi_str)))  # round-trip exact
 
 
+NMR_TEXT = "[nmr]\npoints = 3\nseed = 5\n\n[optimizer]\nrestarts = 2\nmax_evals = 400\n"
+
+
 class TestNmrProtocol:
     def _config(self):
-        return NmrConfig(points=3, seed=5,
-                         optimizer=OptimizerOptions(restarts=2, max_evals=400, seed=5))
+        return load_nmr_config(NMR_TEXT, is_path=False)
 
     def test_file_schema_and_grid(self, tmp_path):
         cfg = self._config()
@@ -152,11 +175,9 @@ class TestNmrProtocol:
     def test_search_dimension_is_k_times_fields(self):
         # K = 5 slices of (u_x, u_y) give a 10-dimensional search space
         from lindmet.channels import build_scenario
-        from lindmet.harness import _nmr_scheme_config
 
         cfg = self._config()
-        gamma = 1.0 / t2_from_linewidth(cfg.linewidth_hz)
-        scheme_cfg = _nmr_scheme_config(cfg, "control_enhanced", gamma)
+        scheme_cfg = cfg.scheme_config("control_enhanced")
         n_controls = build_scenario(scheme_cfg.scenario, scheme_cfg.omega0).n_controls
         assert scheme_cfg.K * n_controls == 10
 
@@ -173,22 +194,26 @@ class TestNmrProtocol:
                 assert abs(fid - eig) / eig <= 0.02
 
     def test_config_round_trip(self):
-        text = "[nmr]\npoints = 3\nseed = 5\n\n[optimizer]\nrestarts = 2\nmax_evals = 400\n"
-        cfg = load_nmr_config(text, is_path=False)
+        cfg = load_nmr_config(NMR_TEXT, is_path=False)
         again = load_nmr_config(dump_nmr_config(cfg), is_path=False)
         assert again == cfg
 
-    def test_both_estimates_vanish_at_zero_time(self):
-        # T -> 0 limit: no encoding, no information
-        from lindmet.harness import _nmr_scheme_config
-        from lindmet.schemes import run_standard
+    @pytest.mark.parametrize("field, value", [
+        ("points", 0), ("delta_omega_fidelity", 0.0), ("delta_omega_fidelity", float("nan")),
+    ])
+    def test_constructor_rejects(self, field, value):
         from dataclasses import replace as dc_replace
 
-        cfg = self._config()
-        gamma = 1.0 / t2_from_linewidth(cfg.linewidth_hz)
-        scheme_cfg = _nmr_scheme_config(cfg, "standard", gamma)
+        with pytest.raises(ConfigError, match=field):
+            dc_replace(self._config(), **{field: value})
+
+    def test_both_estimates_vanish_at_zero_time(self):
+        # T -> 0 limit: no encoding, no information
+        from dataclasses import replace as dc_replace
+
+        scheme_cfg = self._config().scheme_config("standard")
         tiny = dc_replace(scheme_cfg, time_grid=(1e-7,))
-        res = run_standard(tiny)
+        res = run_scheme(tiny)
         assert res[0].qfi <= 1e-10
 
 
@@ -200,6 +225,11 @@ class TestCli:
 
     def test_t2_rejects_non_positive(self, capsys):
         assert main(["t2", "--linewidth-hz", "-1"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_t2_rejects_non_finite(self, value, capsys):
+        assert main(["t2", "--linewidth-hz", value]) == 2
+        assert capsys.readouterr().err.startswith("config error: linewidth")
 
     def test_run_command(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -234,3 +264,45 @@ class TestCli:
         cfg_file.write_text(bad)
         assert main(["run", "--config", str(cfg_file),
                      "--out", str(tmp_path / "x.csv")]) == 3
+
+
+_RUN_1Q = "[run]\nscenario = parallel-dephasing-1q\nschemes = standard, control_enhanced\n"
+
+# (command, config text, a fragment of the expected message)
+INVALID_CONFIGS = {
+    "run-K=0": ("run", _RUN_1Q + "[control]\nK = 0\n", "K must be positive"),
+    "run-restarts=0": ("run", _RUN_1Q + "[optimizer]\nrestarts = 0\n", "one start"),
+    "run-gamma=-1": ("run", _RUN_1Q + "[channel]\ngamma = -1\n", "gamma must be"),
+    "run-gamma_c=0": ("run", _RUN_1Q + "gamma_c = 0\n", "gamma_c must be"),
+    "run-u_max=-5": ("run", _RUN_1Q + "[control]\nu_max = -5\n", "u_max must be"),
+    "run-ancilla-2q": ("run", "[run]\nscenario = parallel-dephasing-2q\nschemes = ancilla\n",
+                       "1-qubit"),
+    "run-theoretical_optimal-ad": (
+        "run", "[run]\nscenario = amplitude-damping\nschemes = theoretical_optimal\n",
+        "transverse-dephasing scenario only"),
+    "run-gamma=nan": ("run", _RUN_1Q + "[channel]\ngamma = nan\n", "gamma in [channel]"),
+    "run-omega0=inf": ("run", _RUN_1Q + "omega0 = inf\n", "omega0 in [run]"),
+    "run-start=nan": ("run", _RUN_1Q + "[time_grid]\nstart = nan\n", "start in [time_grid]"),
+    "run-warm_start=ture": ("run", _RUN_1Q + "[control]\nwarm_start = ture\n", "'ture'"),
+    "run-max_evals=-3": ("run", _RUN_1Q + "[optimizer]\nmax_evals = -3\n", "max_evals"),
+    "nmr-K=0": ("nmr", "[nmr]\nK = 0\n", "K must be positive"),
+    "nmr-omega0=nan": ("nmr", "[nmr]\nomega0 = nan\n", "omega0 in [nmr]"),
+    "nmr-points=0": ("nmr", "[nmr]\npoints = 0\n", "points must be"),
+    "nmr-restarts=0": ("nmr", "[optimizer]\nrestarts = 0\n", "one start"),
+    "nmr-max_evals=-3": ("nmr", "[optimizer]\nmax_evals = -3\n", "max_evals"),
+    "nmr-u_max=-5": ("nmr", "[nmr]\nu_max = -5\n", "u_max must be"),
+    "nmr-linewidth_hz=0": ("nmr", "[nmr]\nlinewidth_hz = 0\n", "linewidth"),
+}
+
+
+@pytest.mark.parametrize("command, text, message", INVALID_CONFIGS.values(),
+                         ids=INVALID_CONFIGS.keys())
+def test_invalid_config_exits_2_without_output(command, text, message, tmp_path,
+                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(text)
+    assert main([command, "--config", "bad.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]

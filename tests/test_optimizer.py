@@ -99,6 +99,13 @@ class TestOptions:
         with pytest.raises(ValueError):
             OptimizerOptions(restarts=0)
 
+    @pytest.mark.parametrize("max_evals", [0, -3])
+    def test_budget_below_one_rejected(self, max_evals):
+        with pytest.raises(ValueError, match="max_evals"):
+            OptimizerOptions(max_evals=max_evals)
+        assert OptimizerOptions(max_evals=1).max_evals == 1
+        assert OptimizerOptions(max_evals=None).max_evals is None
+
 
 class TestMultiStart:
     def test_single_restart_equals_plain_run_from_zero(self):

@@ -5,8 +5,8 @@ from lindmet.optimizer import OptimizerOptions
 from lindmet.propagation import ControlSchedule
 from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
                              haar_random_state, plus_state, resolve_probe,
-                             run_ancilla_assisted, run_control_enhanced,
-                             run_scheme, run_standard, run_theoretical_optimal)
+                             run_control_enhanced, run_fixed_schedule,
+                             run_scheme)
 
 OMEGA0 = 2 * np.pi
 SMALL_OPT = OptimizerOptions(restarts=3, max_evals=400, seed=11)
@@ -26,6 +26,25 @@ class TestSchemeConfig:
             config("standard", "parallel-dephasing-1q", [0.2, 0.1])
         with pytest.raises(ValueError, match="positive"):
             config("standard", "parallel-dephasing-1q", [0.0, 0.1])
+
+    @pytest.mark.parametrize("field, value", [
+        ("omega0", float("inf")), ("omega0", float("nan")),
+        ("time_grid", (0.1, float("nan"))), ("time_grid", (0.1, float("inf"))),
+        ("u_max", 0.0), ("u_max", -5.0), ("u_max", float("nan")),
+        ("gamma_c", 0.0), ("gamma_c", -1.0), ("delta_omega", -1e-4),
+    ])
+    def test_rejects_non_finite_and_non_positive(self, field, value):
+        kw = {"time_grid": (0.1,), field: value}
+        with pytest.raises(ValueError, match=field.replace("_grid", " grid")):
+            SchemeConfig(scheme="standard", scenario="parallel-dephasing-1q", **kw)
+
+    def test_rejects_scheme_scenario_pairs_that_cannot_run(self):
+        with pytest.raises(ValueError, match="1-qubit"):
+            config("ancilla", "parallel-dephasing-2q", [0.1])
+        with pytest.raises(ValueError, match="transverse"):
+            config("theoretical_optimal", "amplitude-damping", [0.1])
+        config("ancilla", "amplitude-damping", [0.1])
+        config("theoretical_optimal", "transverse-dephasing", [0.1])
 
     def test_u_max_default(self):
         c = config("standard", "parallel-dephasing-1q", [0.1])
@@ -68,7 +87,7 @@ class TestStandard:
     def test_parallel_dephasing_analytic(self):
         gamma = 10.0
         grid = np.geomspace(0.01, 0.5, 12)
-        res = run_standard(config("standard", "parallel-dephasing-1q", grid))
+        res = run_scheme(config("standard", "parallel-dephasing-1q", grid))
         for r in res:
             oracle = r.T ** 2 * np.exp(-2 * gamma * r.T)
             assert abs(r.qfi - oracle) / oracle <= 1e-6
@@ -79,14 +98,14 @@ class TestStandard:
     def test_two_qubit_ghz_analytic(self):
         gamma = 10.0
         grid = np.linspace(0.02, 0.25, 8)
-        res = run_standard(config("standard", "parallel-dephasing-2q", grid))
+        res = run_scheme(config("standard", "parallel-dephasing-2q", grid))
         for r in res:
             oracle = 4 * r.T ** 2 * np.exp(-4 * gamma * r.T)
             assert abs(r.qfi - oracle) / oracle <= 1e-6
 
     def test_amplitude_damping_qfi_peak_near_two_over_gamma(self):
         grid = np.arange(0.25, 20.25, 0.25)
-        res = run_standard(config("standard", "amplitude-damping", grid))
+        res = run_scheme(config("standard", "amplitude-damping", grid))
         best = max(res, key=lambda r: r.qfi)
         assert abs(best.T - 10.0) <= 0.25 + 1e-9
 
@@ -94,24 +113,24 @@ class TestStandard:
 class TestAncilla:
     def test_matches_standard_under_parallel_dephasing(self):
         grid = np.geomspace(0.02, 0.4, 8)
-        std = run_standard(config("standard", "parallel-dephasing-1q", grid))
-        anc = run_ancilla_assisted(config("ancilla", "parallel-dephasing-1q", grid))
+        std = run_scheme(config("standard", "parallel-dephasing-1q", grid))
+        anc = run_scheme(config("ancilla", "parallel-dephasing-1q", grid))
         for s, a in zip(std, anc):
             assert abs(a.qfi - s.qfi) / s.qfi <= 1e-6
 
     def test_improves_amplitude_damping_before_peak(self):
         grid = [2.0, 5.0, 8.0]
-        std = run_standard(config("standard", "amplitude-damping", grid))
-        anc = run_ancilla_assisted(config("ancilla", "amplitude-damping", grid))
+        std = run_scheme(config("standard", "amplitude-damping", grid))
+        anc = run_scheme(config("ancilla", "amplitude-damping", grid))
         for s, a in zip(std, anc):
             assert a.qfi > s.qfi
 
     def test_rejects_two_qubit_scenario(self):
         with pytest.raises(ValueError, match="1-qubit"):
-            run_ancilla_assisted(config("ancilla", "parallel-dephasing-2q", [0.1]))
+            run_scheme(config("ancilla", "parallel-dephasing-2q", [0.1]))
 
     def test_vanishes_at_zero_time(self):
-        res = run_ancilla_assisted(config("ancilla", "parallel-dephasing-1q", [1e-6]))
+        res = run_scheme(config("ancilla", "parallel-dephasing-1q", [1e-6]))
         assert res[0].qfi <= 1e-9
 
 
@@ -123,15 +142,14 @@ class TestTheoreticalOptimal:
 
         gamma = 0.1
         grid = [2.0, 10.0, 30.0]
-        res = run_theoretical_optimal(
-            config("theoretical_optimal", "transverse-dephasing", grid))
+        res = run_scheme(config("theoretical_optimal", "transverse-dephasing", grid))
         for r in res:
             oracle = ((1 - np.exp(-gamma * r.T)) / gamma) ** 2
             budget = max(1e-6, 0.5 * (default_delta(OMEGA0) * r.T) ** 2)
             assert abs(r.qfi - oracle) / oracle <= budget
 
     def test_schedule_is_constant_minus_omega0(self):
-        res = run_theoretical_optimal(
+        res = run_scheme(
             config("theoretical_optimal", "transverse-dephasing", [5.0], K=7))
         amps = res[0].schedule.amplitudes
         assert amps.shape == (7, 1)
@@ -139,21 +157,20 @@ class TestTheoreticalOptimal:
 
     def test_beats_standard_at_moderate_times_small_gamma(self):
         grid = [10.0]
-        theo = run_theoretical_optimal(
-            config("theoretical_optimal", "transverse-dephasing", grid))
-        std = run_standard(config("standard", "transverse-dephasing", grid))
+        theo = run_scheme(config("theoretical_optimal", "transverse-dephasing", grid))
+        std = run_scheme(config("standard", "transverse-dephasing", grid))
         assert theo[0].qfi > std[0].qfi
 
     def test_rejected_for_other_scenarios(self):
         with pytest.raises(ValueError, match="transverse"):
-            run_theoretical_optimal(
+            run_scheme(
                 config("theoretical_optimal", "parallel-dephasing-1q", [0.1]))
 
 
 class TestControlEnhanced:
     def test_dominates_standard(self):
         grid = [0.05, 0.2]
-        std = run_standard(config("standard", "parallel-dephasing-1q", grid, K=5))
+        std = run_scheme(config("standard", "parallel-dephasing-1q", grid, K=5))
         ctl = run_control_enhanced(config("control_enhanced", "parallel-dephasing-1q",
                                           grid, K=5, optimizer=SMALL_OPT))
         for s, c in zip(std, ctl):
@@ -163,7 +180,7 @@ class TestControlEnhanced:
     def test_no_gain_well_inside_coherence_time(self):
         # controls are unnecessary for T << T2
         grid = [0.005]
-        std = run_standard(config("standard", "parallel-dephasing-1q", grid, K=4))
+        std = run_scheme(config("standard", "parallel-dephasing-1q", grid, K=4))
         ctl = run_control_enhanced(config("control_enhanced", "parallel-dephasing-1q",
                                           grid, K=4, optimizer=SMALL_OPT))
         assert abs(ctl[0].qfi - std[0].qfi) / std[0].qfi <= 0.05
@@ -173,7 +190,7 @@ class TestControlEnhanced:
         # best value over all encoding times, max_T T^2 e^{-2 g T} = e^-2/g^2
         gamma = 10.0
         grid = [0.3]
-        std = run_standard(config("standard", "parallel-dephasing-1q", grid, K=10))
+        std = run_scheme(config("standard", "parallel-dephasing-1q", grid, K=10))
         ctl = run_control_enhanced(config(
             "control_enhanced", "parallel-dephasing-1q", grid, K=10,
             optimizer=OptimizerOptions(restarts=4, max_evals=2500, seed=2)))
@@ -218,8 +235,8 @@ class TestSchemeAgreementSmallT:
         for frac in (0.02, 0.1):
             grid = [frac / gamma]
             vals = [
-                run_standard(config("standard", "parallel-dephasing-1q", grid, K=4))[0].qfi,
-                run_ancilla_assisted(config("ancilla", "parallel-dephasing-1q", grid, K=4))[0].qfi,
+                run_scheme(config("standard", "parallel-dephasing-1q", grid, K=4))[0].qfi,
+                run_scheme(config("ancilla", "parallel-dephasing-1q", grid, K=4))[0].qfi,
                 run_control_enhanced(config("control_enhanced", "parallel-dephasing-1q",
                                             grid, K=4, optimizer=SMALL_OPT))[0].qfi,
             ]
@@ -259,5 +276,5 @@ class TestDispatch:
     def test_run_scheme_routes(self):
         grid = [0.05]
         a = run_scheme(config("standard", "parallel-dephasing-1q", grid))
-        b = run_standard(config("standard", "parallel-dephasing-1q", grid))
+        b = run_fixed_schedule(config("standard", "parallel-dephasing-1q", grid))
         assert a[0].qfi == b[0].qfi
