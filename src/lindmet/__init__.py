@@ -12,11 +12,10 @@ from .config import NmrConfig, RunConfig, load_nmr_config, load_run_config
 from .harness import run_experiment, run_nmr_protocol, t2_from_linewidth
 from .liouville import (NoiseChannel, dissipator_superop, hamiltonian_superop,
                         lindbladian, sandwich_superop, unvectorize, vectorize)
-from .metrology import (QfiEstimate, drho_domega, qfi_eigen, qfi_fidelity,
-                        sensitivity, uhlmann_fidelity)
+from .metrology import (drho_domega, qfi_eigen, qfi_fidelity, sensitivity,
+                        uhlmann_fidelity)
 from .optimizer import OptimizerOptions, multi_start, nelder_mead
-from .propagation import (ControlSchedule, PropagationError, SlicedDynamics,
-                          evolve, evolve_trajectory, slice_propagator)
+from .propagation import ControlSchedule, PropagationError, SlicedDynamics
 from .schemes import (MetrologyResult, SchemeConfig, run_control_enhanced,
                       run_scheme)
 
@@ -29,10 +28,9 @@ __all__ = [
     "RunConfig", "load_nmr_config", "load_run_config", "run_experiment",
     "run_nmr_protocol", "t2_from_linewidth", "NoiseChannel",
     "dissipator_superop", "hamiltonian_superop", "lindbladian",
-    "sandwich_superop", "unvectorize", "vectorize", "QfiEstimate",
-    "drho_domega", "qfi_eigen", "qfi_fidelity", "sensitivity",
-    "uhlmann_fidelity", "OptimizerOptions", "multi_start", "nelder_mead",
-    "ControlSchedule", "PropagationError", "SlicedDynamics", "evolve",
-    "evolve_trajectory", "slice_propagator", "MetrologyResult", "SchemeConfig",
-    "run_control_enhanced", "run_scheme",
+    "sandwich_superop", "unvectorize", "vectorize", "drho_domega", "qfi_eigen",
+    "qfi_fidelity", "sensitivity", "uhlmann_fidelity", "OptimizerOptions",
+    "multi_start", "nelder_mead", "ControlSchedule", "PropagationError",
+    "SlicedDynamics", "MetrologyResult", "SchemeConfig", "run_control_enhanced",
+    "run_scheme",
 ]

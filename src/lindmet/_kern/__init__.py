@@ -1,28 +1,16 @@
 """Propagation kernel with backend selection at import time.
 
 The compiled Cython extension is used when present; otherwise the pure-Python
-fallback takes over. Set LINDMET_KERNEL=python or LINDMET_KERNEL=compiled to
-force a backend (the latter raises if the extension is missing).
+fallback takes over.
 """
-import os
+try:
+    from . import _cykern as _impl
 
-_forced = os.environ.get("LINDMET_KERNEL", "").lower()
-
-if _forced == "python":
+    BACKEND = "compiled"
+except ImportError:
     from . import _pykern as _impl
 
     BACKEND = "python"
-else:
-    try:
-        from . import _cykern as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        if _forced == "compiled":
-            raise
-        from . import _pykern as _impl
-
-        BACKEND = "python"
 
 expm = _impl.expm
 propagate_schedule = _impl.propagate_schedule

@@ -2,7 +2,7 @@
 
 Numerically equivalent to the compiled path (both use Pade scaling-and-squaring
 matrix exponentials), roughly 4-5x slower per evolution. Selected automatically
-when the extension is unavailable, or forced via LINDMET_KERNEL=python.
+when the extension is unavailable.
 """
 import numpy as np
 import scipy.linalg

@@ -20,7 +20,6 @@ from typing import Any, Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .channels import DEFAULT_RATES, SCENARIOS, t2_from_linewidth
-from .metrology import default_delta
 from .optimizer import OptimizerOptions, _resolve
 from .schemes import SchemeConfig
 
@@ -80,7 +79,6 @@ class RunConfig:
     probe: str
     u_max: float
     gamma_c: float
-    delta_omega: float
     warm_start: bool
     optimizer: OptimizerOptions
     out: str
@@ -96,7 +94,6 @@ class RunConfig:
             probe=self.probe,
             u_max=self.u_max,
             gamma_c=self.gamma_c,
-            delta_omega=self.delta_omega,
             warm_start=self.warm_start,
             optimizer=self.optimizer,
         )
@@ -197,13 +194,16 @@ class _Field(NamedTuple):
     options, "optimizer.seed") or else an attribute named like the key.
     ``default`` may be a function of the attributes loaded by earlier rows. A
     ``key`` of None takes every key of the section as a (name, value) entry of
-    ``attr``, on top of the default mapping."""
+    ``attr``, on top of the default mapping. A ``retired`` key sets nothing
+    and is not echoed; it is accepted only at its default, the value that
+    result files written before its retirement echo, so they still rerun."""
 
     section: str
     key: str | None
     parse: Callable[[str], Any]
     default: Any
     attr: str | None = None
+    retired: bool = False
 
     @property
     def target(self) -> str:
@@ -227,7 +227,9 @@ RUN_FIELDS = (
     _Field("run", "probe", str, "default"),
     _Field("run", "omega0", _float, 2.0 * np.pi),
     _Field("run", "gamma_c", _float, 1.0),
-    _Field("run", "delta_omega", _float, lambda v: default_delta(v["omega0"])),
+    # the frequency-derivative step, now chosen by metrology.default_delta
+    _Field("run", "delta_omega", _float, lambda v: 1e-4 * max(abs(v["omega0"]), 1.0),
+           retired=True),
     _Field("run", "seed", int, _OPT_DEFAULTS.seed, "optimizer.seed"),
     _Field("run", "out", str, "results.csv"),
     _Field("channel", None, _float, lambda v: DEFAULT_RATES[v["scenario"]], "rates"),
@@ -300,6 +302,12 @@ def _load_values(parser: configparser.ConfigParser, fields) -> dict:
     for f in fields:
         section = parser[f.section] if parser.has_section(f.section) else {}
         default = f.default(values) if callable(f.default) else f.default
+        if f.retired:
+            if f.key in section and _parse(f, f.key, section[f.key]) != default:
+                raise ConfigError(f"{f.key} in [{f.section}] is retired; remove it "
+                                  f"(only {_format(default)}, the value older "
+                                  "result files echo, is accepted)")
+            continue
         if f.key is None:
             entries = {**default, **{key: _parse(f, key, raw) for key, raw in section.items()}}
             value = tuple(sorted(entries.items()))
@@ -348,6 +356,8 @@ def load_nmr_config(text_or_path: str, is_path: bool = True) -> NmrConfig:
 def _dump(cfg, fields) -> str:
     blocks: dict[str, list[str]] = {}
     for f in fields:
+        if f.retired:
+            continue
         value = reduce(getattr, f.target.split("."), cfg)
         lines = blocks.setdefault(f.section, [f"[{f.section}]"])
         if f.key is None:

@@ -89,8 +89,7 @@ def _attach_fidelity_estimates(config: SchemeConfig,
     for r in results:
         rho = dyn.evolve(r.schedule, rho0)
         rho_pert = dyn.evolve(r.schedule, rho0, config.omega0 + delta)
-        est = qfi_fidelity(rho, rho_pert, delta)
-        out.append(replace(r, qfi_fidelity=est.value))
+        out.append(replace(r, qfi_fidelity=qfi_fidelity(rho, rho_pert, delta)))
     return out
 
 

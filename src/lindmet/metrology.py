@@ -3,17 +3,16 @@ time-normalized sensitivity figure of merit."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import EncodingModel
-from .propagation import ControlSchedule, SlicedDynamics
+from .liouville import unvectorize, vectorize
+from .propagation import ControlSchedule, SlicedDynamics, check_evolved_state
 
 log = logging.getLogger(__name__)
 
 # Eigenvalue-pair threshold excluding numerically-zero kernel pairs from the
-# QFI sum, and the relative finite-difference step for d(rho)/d(omega0).
+# QFI sum, and the tolerance on the trace and Hermiticity of d(rho)/d(omega0).
 SPECTRAL_CUTOFF = 1e-12
 DERIVATIVE_SANITY_TOL = 1e-9
 
@@ -22,9 +21,13 @@ class MetrologyError(RuntimeError):
     """Numerically inconsistent metrology inputs (cancellation, bad states)."""
 
 
-def default_delta(omega0: float) -> float:
-    """Central-difference step for the frequency derivative."""
-    return 1e-4 * max(abs(omega0), 1.0)
+def default_delta(omega0: float, total_time: float) -> float:
+    """Central-difference step for the frequency derivative.
+
+    Relative to omega0, and capped so that the phase step delta*T stays at
+    most 1e-3: the difference's relative error grows as (delta*T)^2, so a
+    step that scales with omega0 alone fails once omega0*T is large."""
+    return min(1e-4 * max(abs(omega0), 1.0), 1e-3 / total_time)
 
 
 def default_fidelity_delta(omega0: float, total_time: float) -> float:
@@ -37,56 +40,48 @@ def default_fidelity_delta(omega0: float, total_time: float) -> float:
     return min(5e-2 * max(abs(omega0), 1.0), 0.15 / total_time)
 
 
-@dataclass(frozen=True)
-class QfiEstimate:
-    """A quantum Fisher information value (s^2) with its numerical provenance."""
+def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray,
+                delta: float | None = None,
+                checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """rho(omega0) and the central difference
+    (rho(omega0+delta) - rho(omega0-delta)) / (2 delta).
 
-    value: float
-    method: str  # "eigendecomposition" | "fidelity"
-    delta_omega: float | None = None
-    spectral_cutoff: float | None = None
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"QFI must be non-negative, got {self.value}")
-
-
-def drho_domega(model: EncodingModel | SlicedDynamics, schedule: ControlSchedule,
-                rho0: np.ndarray, delta: float | None = None) -> np.ndarray:
-    """Central difference (rho(omega0+delta) - rho(omega0-delta)) / (2 delta).
-
-    The schedule is held fixed while the frequency is perturbed. The result is
-    checked to be Hermitian and traceless; drift beyond tolerance signals that
-    delta is too small for the available precision.
+    The schedule is held fixed while the frequency is perturbed, and the step
+    defaults to :func:`default_delta`. With ``checked``, rho must pass the
+    propagated-state checks and the difference must be Hermitian and
+    traceless, with a step above the cancellation floor; a failure raises
+    :class:`PropagationError` or :class:`MetrologyError`.
     """
-    dyn = model if isinstance(model, SlicedDynamics) else SlicedDynamics(model)
     omega0 = dyn.model.omega0
     if delta is None:
-        delta = default_delta(omega0)
-    if delta <= 0:
+        delta = default_delta(omega0, schedule.total_time)
+    elif delta <= 0:
         raise ValueError(f"derivative step must be positive, got {delta}")
-    # below this the generator perturbation sits in the last few bits of the
-    # superoperator entries and the difference is pure cancellation noise
-    floor = 1e-12 * max(abs(omega0), 1.0)
-    if delta < floor:
-        raise MetrologyError(
-            f"derivative step {delta:.3e} is below the cancellation floor "
-            f"{floor:.3e} for omega0={omega0:.3e}")
-    rho_p = dyn.evolve(schedule, rho0, omega0 + delta, validate=False)
-    rho_m = dyn.evolve(schedule, rho0, omega0 - delta, validate=False)
+    v0 = vectorize(np.asarray(rho0, dtype=complex))
+    rho = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0))
+    rho_p = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0 + delta))
+    rho_m = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0 - delta))
     drho = (rho_p - rho_m) / (2.0 * delta)
-    tr_err = abs(np.trace(drho))
-    herm_err = np.max(np.abs(drho - drho.conj().T))
-    if tr_err > DERIVATIVE_SANITY_TOL or herm_err > DERIVATIVE_SANITY_TOL:
-        raise MetrologyError(
-            f"derivative sanity check failed (|trace|={tr_err:.3e}, "
-            f"non-Hermiticity={herm_err:.3e}); delta={delta:.3e} may be too small")
-    return drho
+    if checked:
+        check_evolved_state(rho)
+        # below this the generator perturbation sits in the last few bits of the
+        # superoperator entries and the difference is pure cancellation noise
+        floor = 1e-12 * max(abs(omega0), 1.0)
+        if delta < floor:
+            raise MetrologyError(
+                f"derivative step {delta:.3e} is below the cancellation floor "
+                f"{floor:.3e} for omega0={omega0:.3e}")
+        tr_err = abs(np.trace(drho))
+        herm_err = np.max(np.abs(drho - drho.conj().T))
+        if tr_err > DERIVATIVE_SANITY_TOL or herm_err > DERIVATIVE_SANITY_TOL:
+            raise MetrologyError(
+                f"derivative sanity check failed (|trace|={tr_err:.3e}, "
+                f"non-Hermiticity={herm_err:.3e}); delta={delta:.3e} may be too small")
+    return rho, drho
 
 
 def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray,
-              cutoff: float = SPECTRAL_CUTOFF,
-              delta_omega: float | None = None) -> QfiEstimate:
+              cutoff: float = SPECTRAL_CUTOFF) -> float:
     """QFI from the eigendecomposition of rho_x:
 
         F_Q = sum_{lam_p + lam_q > cutoff} 2 |<p|drho|q>|^2 / (lam_p + lam_q)
@@ -99,8 +94,7 @@ def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray,
     mask = pair_sums > cutoff
     terms = np.zeros_like(pair_sums)
     terms[mask] = 2.0 * np.abs(M[mask]) ** 2 / pair_sums[mask]
-    return QfiEstimate(float(terms.sum()), "eigendecomposition",
-                       delta_omega=delta_omega, spectral_cutoff=cutoff)
+    return float(terms.sum())
 
 
 def _psd_sqrt(rho: np.ndarray, label: str) -> np.ndarray:
@@ -132,7 +126,7 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def qfi_fidelity(rho_exact: np.ndarray, rho_perturbed: np.ndarray,
-                 delta: float) -> QfiEstimate:
+                 delta: float) -> float:
     """QFI from Uhlmann fidelity between the exact and perturbed states:
 
         F_Q ~= 8 (1 - F(rho_exact, rho_perturbed)) / delta^2
@@ -145,7 +139,7 @@ def qfi_fidelity(rho_exact: np.ndarray, rho_perturbed: np.ndarray,
         raise MetrologyError(
             f"fidelity estimator returned {value:.3e} < -1e-6; "
             "the two states are inconsistent")
-    return QfiEstimate(max(value, 0.0), "fidelity", delta_omega=delta)
+    return max(value, 0.0)
 
 
 def sensitivity(qfi: float, total_time: float, gamma_c: float = 1.0) -> float:

@@ -115,46 +115,37 @@ class SlicedDynamics:
         """exp(L[k] dt) for the kth slice (1-based)."""
         return _kern.expm(self.slice_generator(schedule, k, omega0) * schedule.dt)
 
-    def _check_controls(self, schedule: ControlSchedule) -> None:
-        if schedule.L != self.model.n_controls and not schedule.is_zero:
-            raise ValueError(
-                f"schedule has {schedule.L} fields but the model has "
-                f"{self.model.n_controls} control Hamiltonians")
-
     def evolve_vectorized(self, schedule: ControlSchedule, v0: np.ndarray,
                           omega0: float | None = None,
                           trajectory: bool = False) -> np.ndarray:
-        self._check_controls(schedule)
-        L0 = self.constant_generator(omega0)
-        if schedule.L == self.model.n_controls:
-            ctrls, amps = self.control_supers, schedule.amplitudes
-        else:
-            # all-zero grid with a mismatched field count: no control action
-            ctrls, amps = self.control_supers[:0], np.zeros((schedule.K, 0))
-        return _kern.propagate_schedule(L0, ctrls, amps, schedule.dt, v0,
+        if schedule.L != self.model.n_controls:
+            raise ValueError(
+                f"schedule has {schedule.L} fields but the model has "
+                f"{self.model.n_controls} control Hamiltonians")
+        return _kern.propagate_schedule(self.constant_generator(omega0), self.control_supers,
+                                        schedule.amplitudes, schedule.dt, v0,
                                         trajectory=trajectory)
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray,
-               omega0: float | None = None, validate: bool = True) -> np.ndarray:
+               omega0: float | None = None) -> np.ndarray:
         v = self.evolve_vectorized(schedule, vectorize(np.asarray(rho0, dtype=complex)),
                                    omega0)
         rho = unvectorize(v)
-        if validate:
-            _check_evolved_state(rho)
+        check_evolved_state(rho)
         return rho
 
     def evolve_trajectory(self, schedule: ControlSchedule, rho0: np.ndarray,
-                          omega0: float | None = None,
-                          validate: bool = True) -> list[np.ndarray]:
+                          omega0: float | None = None) -> list[np.ndarray]:
         traj = self.evolve_vectorized(schedule, vectorize(np.asarray(rho0, dtype=complex)),
                                       omega0, trajectory=True)
         states = [unvectorize(v) for v in traj]
-        if validate:
-            _check_evolved_state(states[-1])
+        check_evolved_state(states[-1])
         return states
 
 
-def _check_evolved_state(rho: np.ndarray) -> None:
+def check_evolved_state(rho: np.ndarray) -> None:
+    """Raise PropagationError unless rho has unit trace, is Hermitian and has
+    no eigenvalue below -EVOLVED_POSITIVITY_TOL."""
     tr_err = abs(np.trace(rho) - 1.0)
     if tr_err > EVOLVED_TRACE_TOL:
         raise PropagationError(f"propagated state trace deviates from 1 by {tr_err:.3e}")
@@ -164,24 +155,3 @@ def _check_evolved_state(rho: np.ndarray) -> None:
     lam_min = float(np.linalg.eigvalsh(rho)[0])
     if lam_min < -EVOLVED_POSITIVITY_TOL:
         raise PropagationError(f"propagated state has negative eigenvalue {lam_min:.3e}")
-
-
-def slice_propagator(model: EncodingModel, schedule: ControlSchedule, k: int) -> np.ndarray:
-    """exp(L[k] dt) of the kth slice (1-based) as a dense superoperator."""
-    return SlicedDynamics(model).slice_propagator(schedule, k)
-
-
-def evolve(model: EncodingModel, schedule: ControlSchedule, rho0: np.ndarray,
-           omega0: float | None = None) -> np.ndarray:
-    """Final state after applying the K slice propagators in order.
-
-    ``omega0`` overrides the model's frequency while keeping the schedule
-    fixed, which is what a parameter derivative requires.
-    """
-    return SlicedDynamics(model).evolve(schedule, rho0, omega0)
-
-
-def evolve_trajectory(model: EncodingModel, schedule: ControlSchedule,
-                      rho0: np.ndarray, omega0: float | None = None) -> list[np.ndarray]:
-    """States after each slice, length K+1 including the initial state."""
-    return SlicedDynamics(model).evolve_trajectory(schedule, rho0, omega0)

@@ -17,9 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import EncodingModel, ancilla_extend, build_scenario
-from .liouville import unvectorize, vectorize
-from .metrology import (SPECTRAL_CUTOFF, default_delta, drho_domega, qfi_eigen,
-                        sensitivity)
+from .metrology import drho_domega, qfi_eigen, sensitivity
 from .optimizer import OptimizerOptions, multi_start
 from .propagation import ControlSchedule, SlicedDynamics
 
@@ -40,7 +38,6 @@ class SchemeConfig:
     probe: str = "default"
     u_max: float | None = None  # None resolves to 20*|omega0|
     gamma_c: float = 1.0
-    delta_omega: float | None = None
     warm_start: bool = False  # seed each T's search with the previous best
     optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
 
@@ -58,7 +55,7 @@ class SchemeConfig:
             raise ValueError("slice count K must be positive")
         if not math.isfinite(self.omega0):
             raise ValueError(f"omega0 must be finite, got {self.omega0}")
-        for name in ("u_max", "gamma_c", "delta_omega"):
+        for name in ("u_max", "gamma_c"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -73,10 +70,6 @@ class SchemeConfig:
     @property
     def resolved_u_max(self) -> float:
         return self.u_max if self.u_max is not None else 20.0 * max(abs(self.omega0), 1.0)
-
-    @property
-    def resolved_delta_omega(self) -> float:
-        return self.delta_omega if self.delta_omega is not None else default_delta(self.omega0)
 
     def build_model(self) -> EncodingModel:
         return build_scenario(self.scenario, self.omega0, dict(self.rates))
@@ -150,30 +143,19 @@ def resolve_probe(config: SchemeConfig, dim: int) -> np.ndarray:
 
 
 def _schedule_qfi(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray,
-                  delta: float, cutoff: float = SPECTRAL_CUTOFF) -> float:
-    """Lean QFI evaluation used inside the optimizer loop."""
-    v0 = vectorize(rho0)
-    om = dyn.model.omega0
-    rho = unvectorize(dyn.evolve_vectorized(schedule, v0, om))
-    rho_p = unvectorize(dyn.evolve_vectorized(schedule, v0, om + delta))
-    rho_m = unvectorize(dyn.evolve_vectorized(schedule, v0, om - delta))
-    drho = (rho_p - rho_m) / (2.0 * delta)
-    return qfi_eigen(rho, drho, cutoff, delta).value
+                  checked: bool = True) -> float:
+    """QFI of the frequency after ``schedule`` acts on ``rho0``.
 
-
-def _checked_qfi(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray,
-                 delta: float) -> float:
-    """Reported-path QFI: validated propagation plus derivative sanity checks.
-
-    Numerical failures are re-raised with the encoding time attached so the
-    harness can report which grid point broke.
+    The control search calls this unchecked, once per objective evaluation;
+    reported values are checked (see :func:`drho_domega`). A numerical
+    failure is re-raised with the encoding time attached so the harness can
+    report which grid point broke.
     """
     try:
-        rho = dyn.evolve(schedule, rho0)
-        drho = drho_domega(dyn, schedule, rho0, delta)
+        rho, drho = drho_domega(dyn, schedule, rho0, checked=checked)
     except RuntimeError as exc:
         raise type(exc)(f"at T={schedule.total_time:g} s: {exc}") from exc
-    return qfi_eigen(rho, drho, delta_omega=delta).value
+    return qfi_eigen(rho, drho)
 
 
 def _spawned_seeds(master_seed: int, count: int) -> list[int]:
@@ -200,7 +182,7 @@ def run_fixed_schedule(config: SchemeConfig) -> list[MetrologyResult]:
     out = []
     for T in config.time_grid:
         sched = ControlSchedule(np.full((config.K, model.n_controls), amplitude), T)
-        qfi = _checked_qfi(dyn, sched, rho0, config.resolved_delta_omega)
+        qfi = _schedule_qfi(dyn, sched, rho0)
         out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c),
                                    sched, 0, config.optimizer.seed, True))
     return out
@@ -217,7 +199,6 @@ def run_control_enhanced(config: SchemeConfig) -> list[MetrologyResult]:
     model = config.build_model()
     dyn = SlicedDynamics(model)
     rho0 = resolve_probe(config, model.dim)
-    delta = config.resolved_delta_omega
     u_max = config.resolved_u_max
     K, L = config.K, model.n_controls
     seeds = _spawned_seeds(config.optimizer.seed, len(config.time_grid))
@@ -226,14 +207,14 @@ def run_control_enhanced(config: SchemeConfig) -> list[MetrologyResult]:
     for i, T in enumerate(config.time_grid):
         def objective(x, T=T):
             sched = ControlSchedule(x.reshape(K, L), T)
-            return -_schedule_qfi(dyn, sched, rho0, delta)
+            return -_schedule_qfi(dyn, sched, rho0, checked=False)
 
         opts = replace(config.optimizer, seed=seeds[i + 1])
         extra = (previous_best,) if config.warm_start and previous_best is not None else ()
         res = multi_start(objective, np.full(K * L, -u_max), np.full(K * L, u_max),
                           opts, extra_starts=extra)
         best = ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
-        qfi = _checked_qfi(dyn, best, rho0, delta)
+        qfi = _schedule_qfi(dyn, best, rho0)
         out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c),
                                    best, res.evals, config.optimizer.seed, res.converged))
         previous_best = res.x

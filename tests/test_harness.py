@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lindmet import KERNEL_BACKEND
 from lindmet.cli import main
 from lindmet.config import (ConfigError, dump_nmr_config, dump_run_config,
                             load_nmr_config, load_run_config)
@@ -23,6 +24,52 @@ start = 0.05
 stop = 0.2
 points = 4
 spacing = linear
+"""
+
+
+# Written before [run] delta_omega was retired: its echo carries the key at
+# its old default, 1e-4 * max(|omega0|, 1), which the loader still accepts.
+OLD_RESULT_FILE = """\
+# [run]
+# scenario = parallel-dephasing-1q
+# schemes = standard, control_enhanced
+# probe = default
+# omega0 = 6.2831853071795862
+# gamma_c = 1
+# delta_omega = 0.00062831853071795862
+# seed = 7
+# out = old.csv
+#
+# [channel]
+# gamma = 10
+#
+# [time_grid]
+# start = 0.10000000000000001
+# stop = 0.29999999999999999
+# points = 2
+# spacing = linear
+#
+# [control]
+# K = 4
+# u_max = 125.66370614359172
+# warm_start = false
+#
+# [optimizer]
+# restarts = 2
+# max_evals = 60
+# x_tol = 0.00012566370614359171
+# f_tol = 1e-08
+# reflection = 1
+# expansion = 2
+# contraction = 0.5
+# shrink = 0.5
+# initial_step = 6.2831853071795862
+## kernel = python
+scheme,T_s,qfi_s2,sensitivity,evals,seed,converged
+standard,0.10000000000000001,0.0013533528305869262,8.5959619058280818,0,7,true
+standard,0.29999999999999999,0.00022308769325801991,36.671005725250488,0,7,true
+control_enhanced,0.10000000000000001,0.0014694287907912795,8.2494639229843774,121,7,false
+control_enhanced,0.29999999999999999,0.00161676892726851,13.621867463737917,121,7,false
 """
 
 
@@ -53,7 +100,6 @@ class TestRunConfig:
         assert cfg.u_max == 40 * np.pi
         assert cfg.optimizer.max_evals == 200 * 20 * 2
         assert cfg.optimizer.x_tol == 1e-6 * cfg.u_max
-        assert cfg.delta_omega == 1e-4 * 2 * np.pi
         assert cfg.optimizer.seed == 3
 
     def test_dump_load_round_trip(self):
@@ -131,6 +177,15 @@ class TestRunExperiment:
         _, d1 = read_result_file(p1)
         _, d2 = read_result_file(p2)
         assert d1 == d2
+
+    @pytest.mark.skipif(KERNEL_BACKEND != "python",
+                        reason="the file was written with the python kernel")
+    def test_rerun_of_file_echoing_retired_key(self, tmp_path):
+        old = tmp_path / "old.csv"
+        old.write_text(OLD_RESULT_FILE)
+        new = rerun_from_result(old, out=tmp_path / "new.csv")
+        assert read_result_file(new)[1] == read_result_file(old)[1]
+        assert "delta_omega" not in read_result_file(new)[0]
 
     def test_plot_data_files(self, tmp_path):
         cfg = load_run_config(TINY_RUN, is_path=False)
@@ -255,15 +310,19 @@ class TestCli:
         config_text, _ = read_result_file(out_file)
         assert "seed = 99" in config_text
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # a derivative step below the cancellation floor trips the guard
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # at omega0 = 2 pi GHz the derivative step that keeps delta*T <= 1e-3
+        # falls below the cancellation floor from T = 0.275 s on
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(TINY_RUN + "\ndelta_omega = 1e-18\n")
-        bad = TINY_RUN.replace("[time_grid]",
-                               "delta_omega = 1e-18\n\n[time_grid]")
-        cfg_file.write_text(bad)
-        assert main(["run", "--config", str(cfg_file),
-                     "--out", str(tmp_path / "x.csv")]) == 3
+        cfg_file.write_text("[run]\nscenario = parallel-dephasing-1q\n"
+                            "omega0 = 6283185307.179586\n\n[time_grid]\n"
+                            "start = 0.05\nstop = 0.5\npoints = 3\nspacing = linear\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "cancellation floor" in err
+        assert not out.exists()
 
 
 _RUN_1Q = "[run]\nscenario = parallel-dephasing-1q\nschemes = standard, control_enhanced\n"
@@ -285,6 +344,8 @@ INVALID_CONFIGS = {
     "run-start=nan": ("run", _RUN_1Q + "[time_grid]\nstart = nan\n", "start in [time_grid]"),
     "run-warm_start=ture": ("run", _RUN_1Q + "[control]\nwarm_start = ture\n", "'ture'"),
     "run-max_evals=-3": ("run", _RUN_1Q + "[optimizer]\nmax_evals = -3\n", "max_evals"),
+    "run-delta_omega=1e-3": ("run", _RUN_1Q + "delta_omega = 1e-3\n",
+                             "delta_omega in [run] is retired"),
     "nmr-K=0": ("nmr", "[nmr]\nK = 0\n", "K must be positive"),
     "nmr-omega0=nan": ("nmr", "[nmr]\nomega0 = nan\n", "omega0 in [nmr]"),
     "nmr-points=0": ("nmr", "[nmr]\npoints = 0\n", "points must be"),

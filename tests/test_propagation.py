@@ -5,9 +5,7 @@ from lindmet._kern import _pykern
 from lindmet import _kern
 from lindmet.channels import build_scenario
 from lindmet.liouville import lindbladian, unvectorize, vectorize
-from lindmet.propagation import (ControlSchedule, PropagationError,
-                                 SlicedDynamics, evolve, evolve_trajectory,
-                                 slice_propagator)
+from lindmet.propagation import ControlSchedule, PropagationError, SlicedDynamics
 from lindmet.schemes import ghz_state, plus_state
 
 OMEGA0 = 2 * np.pi
@@ -31,6 +29,10 @@ def taylor_expm(A, terms=40):
 
 def model_with(scenario="parallel-dephasing-1q", omega0=OMEGA0, **rates):
     return build_scenario(scenario, omega0, rates or None)
+
+
+def dynamics(scenario="parallel-dephasing-1q", omega0=OMEGA0, **rates):
+    return SlicedDynamics(model_with(scenario, omega0, **rates))
 
 
 class TestControlSchedule:
@@ -65,17 +67,15 @@ class TestControlSchedule:
 
 class TestSliceBuild:
     def test_full_rotation_is_identity(self):
-        model = model_with(gamma=0.0)
         T = 2 * np.pi / OMEGA0
         s = ControlSchedule.zero(1, 2, T)
-        P = slice_propagator(model, s, 1)
+        P = dynamics(gamma=0.0).slice_propagator(s, 1)
         assert np.max(np.abs(P - np.eye(4))) <= 1e-10
 
     def test_dephasing_factor_on_coherence(self):
         gamma, dt = 10.0, 0.05
-        model = model_with(omega0=0.0, gamma=gamma)
         s = ControlSchedule.zero(1, 2, dt)
-        P = slice_propagator(model, s, 1)
+        P = dynamics(omega0=0.0, gamma=gamma).slice_propagator(s, 1)
         out = unvectorize(P @ vectorize(plus_state(1)))
         assert abs(out[0, 1] - 0.5 * np.exp(-gamma * dt)) <= 1e-12
 
@@ -99,25 +99,23 @@ class TestSliceBuild:
 
 class TestEvolve:
     def test_larmor_quarter_turn(self):
-        model = model_with(gamma=0.0)
         T = (np.pi / 2) / OMEGA0
-        rho = evolve(model, ControlSchedule.zero(4, 2, T), plus_state(1))
+        rho = dynamics(gamma=0.0).evolve(ControlSchedule.zero(4, 2, T), plus_state(1))
         r = np.array([2 * rho[1, 0].real, 2 * rho[1, 0].imag,
                       (rho[0, 0] - rho[1, 1]).real])
         assert np.max(np.abs(r - np.array([0.0, 1.0, 0.0]))) <= 1e-10
 
     def test_dephasing_coherence_magnitude(self):
-        model = model_with(gamma=10.0)
-        rho = evolve(model, ControlSchedule.zero(5, 2, 0.1), plus_state(1))
+        rho = dynamics(gamma=10.0).evolve(ControlSchedule.zero(5, 2, 0.1), plus_state(1))
         assert abs(abs(rho[0, 1]) - 0.5 * np.exp(-1.0)) <= 1e-12
 
     def test_semigroup_slicing_equivalence(self):
-        model = model_with(gamma=10.0)
+        dyn = dynamics(gamma=10.0)
         rho0 = plus_state(1)
         amps5 = np.full((5, 2), 7.0)
         amps1 = np.full((1, 2), 7.0)
-        r5 = evolve(model, ControlSchedule(amps5, 0.2), rho0)
-        r1 = evolve(model, ControlSchedule(amps1, 0.2), rho0)
+        r5 = dyn.evolve(ControlSchedule(amps5, 0.2), rho0)
+        r1 = dyn.evolve(ControlSchedule(amps1, 0.2), rho0)
         assert np.max(np.abs(r5 - r1)) <= 1e-10
 
     def test_omega_override_keeps_schedule(self):
@@ -131,41 +129,37 @@ class TestEvolve:
         assert np.max(np.abs(a - c)) > 1e-6
 
     def test_field_count_mismatch_rejected(self):
-        model = model_with()
-        s = ControlSchedule(np.ones((2, 3)), 0.1)
-        with pytest.raises(ValueError, match="control"):
-            evolve(model, s, plus_state(1))
+        for s in (ControlSchedule(np.ones((2, 3)), 0.1), ControlSchedule.zero(2, 3, 0.1)):
+            with pytest.raises(ValueError, match="control"):
+                dynamics().evolve(s, plus_state(1))
 
     def test_invalid_input_state_detected(self):
-        model = model_with()
         with pytest.raises(PropagationError, match="trace"):
-            evolve(model, ControlSchedule.zero(2, 2, 0.1), np.eye(2, dtype=complex))
+            dynamics().evolve(ControlSchedule.zero(2, 2, 0.1), np.eye(2, dtype=complex))
 
 
 class TestTrajectory:
     def test_single_slice(self):
-        model = model_with(gamma=10.0)
         s = ControlSchedule.zero(1, 2, 0.1)
-        traj = evolve_trajectory(model, s, plus_state(1))
+        traj = dynamics(gamma=10.0).evolve_trajectory(s, plus_state(1))
         assert len(traj) == 2
         assert np.array_equal(traj[0], plus_state(1))
 
     def test_points_on_analytic_spiral(self):
         gamma = 10.0
-        model = model_with(gamma=gamma)
         s = ControlSchedule.zero(5, 2, 0.1)
-        traj = evolve_trajectory(model, s, plus_state(1))
+        traj = dynamics(gamma=gamma).evolve_trajectory(s, plus_state(1))
         for k, rho in enumerate(traj):
             t = 0.02 * k
             expected = 0.5 * np.exp(-gamma * t) * np.exp(-1j * OMEGA0 * t)
             assert abs(rho[0, 1] - expected) <= 1e-10
 
     def test_last_point_equals_evolve_bitwise(self):
-        model = model_with(gamma=10.0)
+        dyn = dynamics(gamma=10.0)
         rng = np.random.default_rng(0)
         s = ControlSchedule(rng.uniform(-20, 20, (6, 2)), 0.2)
-        traj = evolve_trajectory(model, s, plus_state(1))
-        final = evolve(model, s, plus_state(1))
+        traj = dyn.evolve_trajectory(s, plus_state(1))
+        final = dyn.evolve(s, plus_state(1))
         assert np.array_equal(traj[-1], final)
 
 
@@ -214,9 +208,8 @@ class TestMatrixExponential:
             assert np.max(np.abs(ours - ref)) <= 1e-9
 
     def test_propagator_preserves_trace(self):
-        model = model_with(gamma=10.0)
         s = ControlSchedule(np.full((2, 2), 5.0), 0.1)
-        P = slice_propagator(model, s, 1)
+        P = dynamics(gamma=10.0).slice_propagator(s, 1)
         bra_identity = vectorize(np.eye(2)).conj()
         assert np.max(np.abs(bra_identity @ P - bra_identity)) <= 1e-10
 

@@ -31,7 +31,7 @@ class TestSchemeConfig:
         ("omega0", float("inf")), ("omega0", float("nan")),
         ("time_grid", (0.1, float("nan"))), ("time_grid", (0.1, float("inf"))),
         ("u_max", 0.0), ("u_max", -5.0), ("u_max", float("nan")),
-        ("gamma_c", 0.0), ("gamma_c", -1.0), ("delta_omega", -1e-4),
+        ("gamma_c", 0.0), ("gamma_c", -1.0),
     ])
     def test_rejects_non_finite_and_non_positive(self, field, value):
         kw = {"time_grid": (0.1,), field: value}
@@ -95,6 +95,16 @@ class TestStandard:
             assert r.evaluations == 0 and r.converged
             assert r.schedule.is_zero and r.schedule.total_time == r.T
 
+    def test_parallel_dephasing_analytic_at_large_omega0_t(self):
+        # omega0*T up to 3e6 rad: a derivative step that grows with omega0
+        # but not capped by 1/T loses the QFI entirely here
+        gamma = 10.0
+        res = run_scheme(config("standard", "parallel-dephasing-1q", [0.05, 0.275, 0.5],
+                                omega0=2e6 * np.pi))
+        for r in res:
+            oracle = r.T ** 2 * np.exp(-2 * gamma * r.T)
+            assert abs(r.qfi - oracle) / oracle <= 1e-6
+
     def test_two_qubit_ghz_analytic(self):
         gamma = 10.0
         grid = np.linspace(0.02, 0.25, 8)
@@ -145,7 +155,7 @@ class TestTheoreticalOptimal:
         res = run_scheme(config("theoretical_optimal", "transverse-dephasing", grid))
         for r in res:
             oracle = ((1 - np.exp(-gamma * r.T)) / gamma) ** 2
-            budget = max(1e-6, 0.5 * (default_delta(OMEGA0) * r.T) ** 2)
+            budget = max(1e-6, 0.5 * (default_delta(OMEGA0, r.T) * r.T) ** 2)
             assert abs(r.qfi - oracle) / oracle <= budget
 
     def test_schedule_is_constant_minus_omega0(self):
