@@ -57,13 +57,7 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray
         delta = default_delta(omega0, schedule.total_time)
     elif delta <= 0:
         raise ValueError(f"derivative step must be positive, got {delta}")
-    v0 = vectorize(np.asarray(rho0, dtype=complex))
-    rho = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0))
-    rho_p = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0 + delta))
-    rho_m = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0 - delta))
-    drho = (rho_p - rho_m) / (2.0 * delta)
     if checked:
-        check_evolved_state(rho)
         # below this the generator perturbation sits in the last few bits of the
         # superoperator entries and the difference is pure cancellation noise
         floor = 1e-12 * max(abs(omega0), 1.0)
@@ -71,6 +65,13 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray
             raise MetrologyError(
                 f"derivative step {delta:.3e} is below the cancellation floor "
                 f"{floor:.3e} for omega0={omega0:.3e}")
+    v0 = vectorize(np.asarray(rho0, dtype=complex))
+    rho = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0))
+    rho_p = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0 + delta))
+    rho_m = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0 - delta))
+    drho = (rho_p - rho_m) / (2.0 * delta)
+    if checked:
+        check_evolved_state(rho)
         tr_err = abs(np.trace(drho))
         herm_err = np.max(np.abs(drho - drho.conj().T))
         if tr_err > DERIVATIVE_SANITY_TOL or herm_err > DERIVATIVE_SANITY_TOL:

@@ -192,7 +192,9 @@ def run_control_enhanced(config: SchemeConfig) -> list[MetrologyResult]:
     """Per-T simplex maximization of the QFI over the K x L amplitude grid.
 
     The zero schedule is always among the starts, so the optimized QFI cannot
-    fall below the same-probe uncontrolled value. With ``warm_start`` the
+    fall below the same-probe uncontrolled value. Its QFI is taken checked
+    before each search, so a grid point whose checks must fail stops at once
+    instead of after the search's budget. With ``warm_start`` the
     previous grid point's best schedule joins the starts as well; faster on
     dense grids, but it can change which local optimum each point settles in.
     """
@@ -209,6 +211,7 @@ def run_control_enhanced(config: SchemeConfig) -> list[MetrologyResult]:
             sched = ControlSchedule(x.reshape(K, L), T)
             return -_schedule_qfi(dyn, sched, rho0, checked=False)
 
+        _schedule_qfi(dyn, ControlSchedule.zero(K, L, T), rho0)
         opts = replace(config.optimizer, seed=seeds[i + 1])
         extra = (previous_best,) if config.warm_start and previous_best is not None else ()
         res = multi_start(objective, np.full(K * L, -u_max), np.full(K * L, u_max),

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindmet import KERNEL_BACKEND
+from lindmet import KERNEL_BACKEND, schemes
 from lindmet.cli import main
 from lindmet.config import (ConfigError, dump_nmr_config, dump_run_config,
                             load_nmr_config, load_run_config)
@@ -321,6 +321,26 @@ class TestCli:
         assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "cancellation floor" in err
+        assert not out.exists()
+
+    def test_control_search_fails_before_it_starts(self, tmp_path, capsys, monkeypatch):
+        # the same floor, met by the checked zero schedule before any search
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran before the checks")
+
+        monkeypatch.setattr(schemes, "multi_start", no_search)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[run]\nscenario = parallel-dephasing-1q\n"
+                            "schemes = control_enhanced\nomega0 = 6283185307.179586\n\n"
+                            "[channel]\ngamma = 10\n\n"
+                            "[time_grid]\nstart = 0.3\nstop = 0.4\npoints = 2\n"
+                            "spacing = linear\n\n[control]\nK = 4\n\n"
+                            "[optimizer]\nrestarts = 1\nmax_evals = 300\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: at T=0.3 s: ") and err.count("\n") == 1
         assert "cancellation floor" in err
         assert not out.exists()
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lindmet._kern import _pykern
 from lindmet import _kern
@@ -219,3 +220,92 @@ class TestMatrixExponential:
         dyn = SlicedDynamics(model)
         L_direct = lindbladian(model.drift(), model.channel)
         assert np.max(np.abs(L_direct - dyn.constant_generator())) <= 1e-12
+
+
+def per_slice_reference(L0, ctrls, amps, dt, v0, trajectory=False):
+    """One scipy.linalg.expm call per slice, each generator built as
+    L0 + u_1 C_1 + u_2 C_2 + ... in field order, skipping zero amplitudes."""
+    v = np.array(v0, dtype=complex)
+    states = [v]
+    for k in range(amps.shape[0]):
+        A = L0.copy()
+        for l in range(amps.shape[1]):
+            if amps[k, l] != 0.0:
+                A += amps[k, l] * ctrls[l]
+        v = scipy.linalg.expm(A * dt) @ v
+        states.append(v)
+    return np.array(states) if trajectory else v
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPythonKernel:
+    """The shipped pure-Python kernel against a per-slice expm loop, bit for bit."""
+
+    def _problem(self, m, K, L, seed):
+        rng = np.random.default_rng(seed)
+        cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return cplx(m, m), cplx(L, m, m), rng.uniform(-3, 3, (K, L)), cplx(m)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    @pytest.mark.parametrize("K, L", [(1, 0), (1, 2), (7, 2), (20, 4)])
+    def test_matches_per_slice_expm(self, m, K, L):
+        L0, ctrls, amps, v0 = self._problem(m, K, L, seed=m * 100 + K * 10 + L)
+        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_signed_zero_amplitudes_skipped(self, m):
+        L0, ctrls, amps, v0 = self._problem(m, 6, 3, seed=m)
+        amps[0] = 0.0
+        amps[1] = -0.0
+        amps[2, 1] = -0.0
+        amps[3, 0] = amps[3, 2] = 0.0
+        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+        # an all-zero slice evolves under L0 alone
+        first = _pykern.propagate_schedule(L0, ctrls, amps[:1], 0.05, v0)
+        assert bitwise_equal(first, scipy.linalg.expm(L0 * 0.05) @ v0)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_runs_of_equal_rows(self, m):
+        L0, ctrls, amps, v0 = self._problem(m, 9, 2, seed=m + 1)
+        amps[1:4] = amps[0]
+        amps[5:9] = amps[4]
+        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_trajectory(self, m):
+        L0, ctrls, amps, v0 = self._problem(m, 8, 2, seed=m + 2)
+        amps[2] = 0.0
+        amps[5:7] = amps[4]
+        traj = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0, trajectory=True)
+        assert traj.shape == (9, m)
+        assert bitwise_equal(traj[0], v0)
+        assert bitwise_equal(traj, per_slice_reference(L0, ctrls, amps, 0.05, v0,
+                                                       trajectory=True))
+        assert bitwise_equal(traj[-1], _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0))
+
+    def test_physical_generators(self):
+        dyn = dynamics("parallel-dephasing-2q")
+        rng = np.random.default_rng(5)
+        amps = rng.uniform(-40, 40, (20, dyn.model.n_controls))
+        L0, v0 = dyn.constant_generator(), vectorize(ghz_state(2))
+        got = _pykern.propagate_schedule(L0, dyn.control_supers, amps, 0.015, v0)
+        assert bitwise_equal(got, per_slice_reference(L0, dyn.control_supers, amps,
+                                                      0.015, v0))
+
+    def test_shape_errors(self):
+        L0, ctrls, amps, v0 = self._problem(4, 3, 2, seed=9)
+        cases = {
+            "L0 must be square": (L0[:, :3], ctrls, amps, 0.05, v0),
+            "field count": (L0, ctrls[:1], amps, 0.05, v0),
+            "control generators must match": (L0, ctrls[:, :3, :3], amps, 0.05, v0),
+            "state vector length": (L0, ctrls, amps, 0.05, np.zeros(5, dtype=complex)),
+        }
+        for message, args in cases.items():
+            with pytest.raises(ValueError, match=message):
+                _pykern.propagate_schedule(*args)
