@@ -88,11 +88,6 @@ def frequency_generator(n_qubits: int) -> np.ndarray:
     raise ValueError(f"unsupported qubit count {n_qubits} (expected 1 or 2)")
 
 
-def frequency_encoding(omega0: float, n_qubits: int) -> np.ndarray:
-    """Drift Hamiltonian sum_n omega0 sigma_z^(n)/2."""
-    return float(omega0) * frequency_generator(n_qubits)
-
-
 @dataclass(frozen=True)
 class EncodingModel:
     """Drift generator, control Hamiltonians and noise channel of one scenario.
@@ -128,10 +123,6 @@ class EncodingModel:
     @property
     def n_controls(self) -> int:
         return len(self.control_hams)
-
-    def drift(self, omega0: float | None = None) -> np.ndarray:
-        om = self.omega0 if omega0 is None else float(omega0)
-        return om * self.generator
 
 
 def ancilla_extend(model: EncodingModel) -> EncodingModel:

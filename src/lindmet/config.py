@@ -20,7 +20,8 @@ from typing import Any, Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .channels import DEFAULT_RATES, SCENARIOS, t2_from_linewidth
-from .optimizer import OptimizerOptions, _resolve
+from .optimizer import (CONTRACTION, EXPANSION, F_TOL, INITIAL_STEP, REFLECTION, SHRINK,
+                        X_TOL, OptimizerOptions, _resolve)
 from .schemes import SchemeConfig
 
 
@@ -213,13 +214,20 @@ class _Field(NamedTuple):
 _REQUIRED = object()
 _OPT_DEFAULTS = OptimizerOptions()
 
-_OPTIMIZER_FIELDS = tuple(
-    _Field("optimizer", key, parse, getattr(_OPT_DEFAULTS, key), f"optimizer.{key}")
-    for key, parse in (
-        ("restarts", int), ("max_evals", _optional(int)), ("x_tol", _optional(_float)),
-        ("f_tol", _float), ("reflection", _float), ("expansion", _float),
-        ("contraction", _float), ("shrink", _float), ("initial_step", _optional(_float)),
-    ))
+_OPTIMIZER_FIELDS = (
+    _Field("optimizer", "restarts", int, _OPT_DEFAULTS.restarts, "optimizer.restarts"),
+    _Field("optimizer", "max_evals", _optional(int), None, "optimizer.max_evals"),
+    # the simplex's tolerances, initial step and coefficients, now constants
+    _Field("optimizer", "x_tol", _optional(_float), lambda v: X_TOL * v["u_max"],
+           retired=True),
+    _Field("optimizer", "f_tol", _float, F_TOL, retired=True),
+    _Field("optimizer", "reflection", _float, REFLECTION, retired=True),
+    _Field("optimizer", "expansion", _float, EXPANSION, retired=True),
+    _Field("optimizer", "contraction", _float, CONTRACTION, retired=True),
+    _Field("optimizer", "shrink", _float, SHRINK, retired=True),
+    _Field("optimizer", "initial_step", _optional(_float),
+           lambda v: INITIAL_STEP * v["u_max"], retired=True),
+)
 
 RUN_FIELDS = (
     _Field("run", "scenario", _scenario, _REQUIRED),
@@ -326,8 +334,8 @@ def _load(text_or_path: str, is_path: bool, fields, build):
     """Read, check and load ``fields``, then build everything a run uses.
 
     ``build`` turns the grouped values into the config; a ValueError raised
-    by any constructor on the way becomes a ConfigError. The optimizer's
-    scale-dependent defaults are resolved against the search dimension.
+    by any constructor on the way becomes a ConfigError. The default
+    evaluation budget is resolved against the search dimension.
     """
     parser = _read(text_or_path, is_path)
     _check_keys(parser, fields)
@@ -339,7 +347,7 @@ def _load(text_or_path: str, is_path: bool, fields, build):
         n_vars = cfg.K * scheme_configs[0].build_model().n_controls
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return replace(cfg, optimizer=_resolve(cfg.optimizer, n_vars, cfg.u_max))
+    return replace(cfg, optimizer=_resolve(cfg.optimizer, n_vars))
 
 
 def load_run_config(text_or_path: str, is_path: bool = True) -> RunConfig:

@@ -15,11 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Construction-time tolerances for a physical density matrix.
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-POSITIVITY_TOL = 1e-10
-
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stack a d x d matrix into a length-d^2 vector."""
@@ -36,25 +31,6 @@ def unvectorize(vec: np.ndarray) -> np.ndarray:
     if d * d != vec.size:
         raise ValueError(f"vector length {vec.size} is not a perfect square")
     return vec.reshape((d, d), order="F")
-
-
-def validate_density_matrix(rho: np.ndarray,
-                            hermiticity_tol: float = HERMITICITY_TOL,
-                            trace_tol: float = TRACE_TOL,
-                            positivity_tol: float = POSITIVITY_TOL) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tolerance."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > hermiticity_tol:
-        raise ValueError(f"density matrix not Hermitian: max|rho - rho^dag| = {herm:.3e}")
-    tr = abs(np.trace(rho) - 1.0)
-    if tr > trace_tol:
-        raise ValueError(f"density matrix trace deviates from 1 by {tr:.3e}")
-    lam_min = float(np.linalg.eigvalsh(rho)[0])
-    if lam_min < -positivity_tol:
-        raise ValueError(f"density matrix has negative eigenvalue {lam_min:.3e}")
 
 
 @dataclass(frozen=True)
@@ -84,15 +60,6 @@ class NoiseChannel:
     @property
     def dim(self) -> int | None:
         return self.lindblad_ops[0].shape[0] if self.lindblad_ops else None
-
-
-def sandwich_superop(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> U rho V, i.e. V^T kron U."""
-    U = np.asarray(U, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError(f"U and V must be square with equal shape, got {U.shape}, {V.shape}")
-    return np.kron(V.T, U)
 
 
 def hamiltonian_superop(H: np.ndarray) -> np.ndarray:

@@ -74,25 +74,27 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray
         check_evolved_state(rho)
         tr_err = abs(np.trace(drho))
         herm_err = np.max(np.abs(drho - drho.conj().T))
-        if tr_err > DERIVATIVE_SANITY_TOL or herm_err > DERIVATIVE_SANITY_TOL:
+        if not (tr_err <= DERIVATIVE_SANITY_TOL and herm_err <= DERIVATIVE_SANITY_TOL):
             raise MetrologyError(
                 f"derivative sanity check failed (|trace|={tr_err:.3e}, "
                 f"non-Hermiticity={herm_err:.3e}); delta={delta:.3e} may be too small")
     return rho, drho
 
 
-def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray,
-              cutoff: float = SPECTRAL_CUTOFF) -> float:
+def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray) -> float:
     """QFI from the eigendecomposition of rho_x:
 
-        F_Q = sum_{lam_p + lam_q > cutoff} 2 |<p|drho|q>|^2 / (lam_p + lam_q)
+        F_Q = sum_{lam_p + lam_q > SPECTRAL_CUTOFF} 2 |<p|drho|q>|^2 / (lam_p + lam_q)
+
+    Pairs with a NaN eigenvalue sum are dropped, so a non-finite state scores
+    0 in the unchecked search objective; reported states are checked first.
     """
     rho_x = np.asarray(rho_x, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
     lam, vecs = np.linalg.eigh(rho_x)
     M = vecs.conj().T @ drho @ vecs
     pair_sums = lam[:, None] + lam[None, :]
-    mask = pair_sums > cutoff
+    mask = pair_sums > SPECTRAL_CUTOFF
     terms = np.zeros_like(pair_sums)
     terms[mask] = 2.0 * np.abs(M[mask]) ** 2 / pair_sums[mask]
     return float(terms.sum())
@@ -102,7 +104,7 @@ def _psd_sqrt(rho: np.ndarray, label: str) -> np.ndarray:
     lam, vecs = np.linalg.eigh(rho)
     clamped = np.clip(lam, 0.0, None)
     worst = float(lam[0])
-    if worst < -1e-10:
+    if not worst >= -1e-10:
         raise MetrologyError(f"{label} is not positive semidefinite "
                              f"(min eigenvalue {worst:.3e})")
     if worst < 0:
@@ -115,9 +117,9 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     for label, state in (("rho", rho), ("sigma", sigma)):
-        if abs(np.trace(state) - 1.0) > 1e-9:
+        if not abs(np.trace(state) - 1.0) <= 1e-9:
             raise MetrologyError(f"{label} trace deviates from 1 beyond tolerance")
-        if np.max(np.abs(state - state.conj().T)) > 1e-9:
+        if not np.max(np.abs(state - state.conj().T)) <= 1e-9:
             raise MetrologyError(f"{label} is not Hermitian within tolerance")
     s = _psd_sqrt(rho, "rho")
     inner = s @ sigma @ s

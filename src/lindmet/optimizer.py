@@ -14,35 +14,29 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+# fminsearch's coefficients (Lagarias et al. 1998, SIAM J. Optim. 9:112) and
+# the relative spread of objective values that ends a search.
+REFLECTION, EXPANSION, CONTRACTION, SHRINK = 1.0, 2.0, 0.5, 0.5
+F_TOL = 1e-8
+# Simplex-diameter tolerance and initial simplex step, as fractions of the
+# coordinate scale (the bound half-width u_max when searching a box).
+X_TOL = 1e-6
+INITIAL_STEP = 0.05
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Termination, geometry and restart settings for the simplex search.
+    """Budget and restart settings for the simplex search.
 
-    ``None`` entries are resolved against the problem scale: max_evals to
-    200*n, x_tol to 1e-6 and initial_step to 0.05 of the coordinate scale
-    (the bound half-width u_max when searching a box).
+    ``max_evals`` counts objective evaluations per start; ``None`` resolves
+    to 200*n for n variables.
     """
 
     max_evals: int | None = None
-    x_tol: float | None = None
-    f_tol: float = 1e-8
     restarts: int = 20
     seed: int = 0
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-    initial_step: float | None = None
 
     def __post_init__(self):
-        if self.reflection <= 0:
-            raise ValueError("reflection coefficient must be > 0")
-        if self.expansion <= 1:
-            raise ValueError("expansion coefficient must be > 1")
-        if not 0 < self.contraction < 1:
-            raise ValueError("contraction coefficient must be in (0, 1)")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink coefficient must be in (0, 1)")
         if self.restarts < 1:
             raise ValueError("at least one start is required")
         if self.max_evals is not None and self.max_evals < 1:
@@ -57,35 +51,38 @@ class SearchResult:
     converged: bool
 
 
-def _resolve(options: OptimizerOptions, n: int, scale: float) -> OptimizerOptions:
-    return replace(
-        options,
-        max_evals=options.max_evals if options.max_evals is not None else 200 * n,
-        x_tol=options.x_tol if options.x_tol is not None else 1e-6 * scale,
-        initial_step=options.initial_step if options.initial_step is not None
-        else 0.05 * scale,
-    )
+def _resolve(options: OptimizerOptions, n: int) -> OptimizerOptions:
+    if options.max_evals is not None:
+        return options
+    return replace(options, max_evals=200 * n)
 
 
 def nelder_mead(objective: Callable[[np.ndarray], float], x0: Sequence[float],
                 options: OptimizerOptions = OptimizerOptions(),
+                scale: float | None = None,
                 trace: list | None = None) -> SearchResult:
     """Minimize ``objective`` from ``x0``.
 
-    Terminates when the simplex diameter and the relative objective spread are
-    both below tolerance, or when the evaluation budget is exhausted (reported
-    via ``converged=False``). ``trace`` collects (operation, vertices, values)
-    tuples per iteration when provided.
+    ``scale`` sets the initial simplex step and the diameter tolerance
+    (:data:`INITIAL_STEP` and :data:`X_TOL` times it); it defaults to
+    max(1, max|x0|). Terminates when the simplex diameter and the relative
+    objective spread are both below tolerance, or when the evaluation budget
+    is exhausted (reported via ``converged=False``). ``trace`` collects
+    (operation, vertices, values) tuples per iteration when provided.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     if n < 1:
         raise ValueError("objective must have at least one variable")
-    opt = _resolve(options, n, max(1.0, float(np.max(np.abs(x0), initial=0.0))))
+    if scale is None:
+        scale = max(1.0, float(np.max(np.abs(x0), initial=0.0)))
+    opt = _resolve(options, n)
+    x_tol = X_TOL * scale
+    step = INITIAL_STEP * scale
 
     verts = np.tile(x0, (n + 1, 1))
     for i in range(n):
-        verts[i + 1, i] += opt.initial_step
+        verts[i + 1, i] += step
     fvals = np.empty(n + 1)
     evals = 0
     for i in range(n + 1):
@@ -94,7 +91,7 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0: Sequence[float],
     if not np.all(np.isfinite(fvals)):
         raise ValueError("objective is not finite on the initial simplex")
 
-    alpha, chi, psi, sigma = opt.reflection, opt.expansion, opt.contraction, opt.shrink
+    alpha, chi, psi, sigma = REFLECTION, EXPANSION, CONTRACTION, SHRINK
     converged = False
     while True:
         order = np.argsort(fvals, kind="stable")
@@ -103,7 +100,7 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0: Sequence[float],
 
         diam = np.max(np.abs(verts[1:] - verts[0])) if n > 0 else 0.0
         spread = fvals[-1] - fvals[0]
-        if diam <= opt.x_tol and spread <= opt.f_tol * max(abs(fvals[0]), abs(fvals[-1]), 1e-300):
+        if diam <= x_tol and spread <= F_TOL * max(abs(fvals[0]), abs(fvals[-1]), 1e-300):
             converged = True
             break
         if evals >= opt.max_evals:
@@ -167,7 +164,7 @@ def multi_start(objective: Callable[[np.ndarray], float],
         raise ValueError("box bounds must satisfy lower < upper elementwise")
     n = lower.size
     scale = float(np.max((upper - lower) / 2.0))
-    opt = _resolve(options, n, scale)
+    opt = _resolve(options, n)
 
     def clamped(x):
         return objective(np.clip(x, lower, upper))
@@ -184,7 +181,7 @@ def multi_start(objective: Callable[[np.ndarray], float],
     best: SearchResult | None = None
     total_evals = 0
     for x0 in starts:
-        res = nelder_mead(clamped, x0, opt)
+        res = nelder_mead(clamped, x0, opt, scale=scale)
         total_evals += res.evals
         if best is None or res.fun < best.fun:
             best = SearchResult(np.clip(res.x, lower, upper), res.fun,

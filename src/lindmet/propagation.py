@@ -67,10 +67,6 @@ class ControlSchedule:
     def dt(self) -> float:
         return self.total_time / self.K
 
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.amplitudes)
-
 
 class SlicedDynamics:
     """Precomputed superoperator pieces of one encoding model.
@@ -98,23 +94,6 @@ class SlicedDynamics:
     def constant_generator(self, omega0: float | None = None) -> np.ndarray:
         om = self.model.omega0 if omega0 is None else float(omega0)
         return om * self.drift_super + self.noise_super
-
-    def slice_generator(self, schedule: ControlSchedule, k: int,
-                        omega0: float | None = None) -> np.ndarray:
-        """Lindbladian superoperator of the kth slice (1-based, per convention)."""
-        if not 1 <= k <= schedule.K:
-            raise IndexError(f"slice index {k} outside 1..{schedule.K}")
-        L = self.constant_generator(omega0)
-        for l in range(schedule.L):
-            u = schedule.amplitudes[k - 1, l]
-            if u != 0.0:
-                L = L + u * self.control_supers[l]
-        return L
-
-    def slice_propagator(self, schedule: ControlSchedule, k: int,
-                         omega0: float | None = None) -> np.ndarray:
-        """exp(L[k] dt) for the kth slice (1-based)."""
-        return _kern.expm(self.slice_generator(schedule, k, omega0) * schedule.dt)
 
     def evolve_vectorized(self, schedule: ControlSchedule, v0: np.ndarray,
                           omega0: float | None = None,
@@ -146,13 +125,13 @@ class SlicedDynamics:
 
 def check_evolved_state(rho: np.ndarray) -> None:
     """Raise PropagationError unless rho has unit trace, is Hermitian and has
-    no eigenvalue below -EVOLVED_POSITIVITY_TOL."""
+    no eigenvalue below -EVOLVED_POSITIVITY_TOL. A NaN fails every check."""
     tr_err = abs(np.trace(rho) - 1.0)
-    if tr_err > EVOLVED_TRACE_TOL:
+    if not tr_err <= EVOLVED_TRACE_TOL:
         raise PropagationError(f"propagated state trace deviates from 1 by {tr_err:.3e}")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > EVOLVED_HERMITICITY_TOL:
+    if not herm <= EVOLVED_HERMITICITY_TOL:
         raise PropagationError(f"propagated state non-Hermitian by {herm:.3e}")
     lam_min = float(np.linalg.eigvalsh(rho)[0])
-    if lam_min < -EVOLVED_POSITIVITY_TOL:
+    if not lam_min >= -EVOLVED_POSITIVITY_TOL:
         raise PropagationError(f"propagated state has negative eigenvalue {lam_min:.3e}")

@@ -59,8 +59,12 @@ class SchemeConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.scheme == "ancilla" and self.build_model().dim != 2:
-            raise ValueError("the ancilla-assisted scheme supports 1-qubit scenarios only")
+        n_qubits = self.build_model().n_qubits
+        if self.scheme == "ancilla":
+            if n_qubits != 1:
+                raise ValueError("the ancilla-assisted scheme supports 1-qubit scenarios only")
+            n_qubits = 2
+        _probe_tag(self, n_qubits)
         if self.scheme == "theoretical_optimal" and self.scenario != "transverse-dephasing":
             raise ValueError("the theoretical-optimal control law applies to "
                              "the transverse-dephasing scenario only")
@@ -89,8 +93,8 @@ class MetrologyResult:
     qfi_fidelity: float | None = None
 
     def __post_init__(self):
-        if self.qfi < 0:
-            raise ValueError("QFI must be non-negative")
+        if not self.qfi >= 0:
+            raise ValueError(f"QFI must be non-negative, got {self.qfi}")
         if abs(self.schedule.total_time - self.T) > 1e-12 * max(self.T, 1.0):
             raise ValueError("schedule duration does not match the record's T")
 
@@ -116,6 +120,20 @@ def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _probe_tag(config: SchemeConfig, n_qubits: int) -> str:
+    """The probe ``config`` starts from on ``n_qubits`` qubits (system plus
+    any ancilla); ValueError when the tag does not fit that register."""
+    tag = config.probe
+    if tag == "default":
+        tag = "bell_with_ancilla" if config.scheme == "ancilla" else (
+            "plus" if n_qubits == 1 else "ghz")
+    if tag == "ghz" and n_qubits < 2:
+        raise ValueError("GHZ probe requires at least two qubits")
+    if tag == "bell_with_ancilla" and n_qubits != 2:
+        raise ValueError("Bell probe applies to the system+ancilla pair")
+    return tag
+
+
 def resolve_probe(config: SchemeConfig, dim: int) -> np.ndarray:
     """Initial state for a scheme run, derived deterministically from the config.
 
@@ -124,20 +142,11 @@ def resolve_probe(config: SchemeConfig, dim: int) -> np.ndarray:
     state from the master seed.
     """
     n = int(round(np.log2(dim)))
-    tag = config.probe
-    if tag == "default":
-        tag = "bell_with_ancilla" if config.scheme == "ancilla" else (
-            "plus" if n == 1 else "ghz")
+    tag = _probe_tag(config, n)
     if tag == "plus":
         return plus_state(n)
-    if tag == "ghz":
-        if n < 2:
-            raise ValueError("GHZ probe requires at least two qubits")
+    if tag in ("ghz", "bell_with_ancilla"):
         return ghz_state(n)
-    if tag == "bell_with_ancilla":
-        if n != 2:
-            raise ValueError("Bell probe applies to the system+ancilla pair")
-        return ghz_state(2)
     rng = np.random.default_rng(_spawned_seeds(config.optimizer.seed, 0)[0])
     return haar_random_state(dim, rng)
 

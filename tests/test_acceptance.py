@@ -204,8 +204,8 @@ def test_criterion_7_physicality_suite():
         worst["herm"] = max(worst["herm"], float(np.max(np.abs(rho - rho.conj().T))))
         worst["eig"] = max(worst["eig"], max(0.0, -float(np.linalg.eigvalsh(rho)[0])))
 
-        H = model.drift() + sum(float(a) * Hc for a, Hc
-                                in zip(amps[0], model.control_hams))
+        H = model.omega0 * model.generator + sum(
+            float(a) * Hc for a, Hc in zip(amps[0], model.control_hams))
         L = lindbladian(H, model.channel)
         rhs = -1j * (H @ rho0 - rho0 @ H)
         for Lv, g in zip(model.channel.lindblad_ops, model.channel.rates):

@@ -27,8 +27,10 @@ spacing = linear
 """
 
 
-# Written before [run] delta_omega was retired: its echo carries the key at
-# its old default, 1e-4 * max(|omega0|, 1), which the loader still accepts.
+# Written before [run] delta_omega and seven [optimizer] keys were retired: its
+# echo carries each at the value the loader still accepts (delta_omega at
+# 1e-4 * max(|omega0|, 1), x_tol and initial_step at 1e-6 and 0.05 * u_max,
+# the other five at the simplex's constants).
 OLD_RESULT_FILE = """\
 # [run]
 # scenario = parallel-dephasing-1q
@@ -99,7 +101,6 @@ class TestRunConfig:
         assert cfg.omega0 == 2 * np.pi
         assert cfg.u_max == 40 * np.pi
         assert cfg.optimizer.max_evals == 200 * 20 * 2
-        assert cfg.optimizer.x_tol == 1e-6 * cfg.u_max
         assert cfg.optimizer.seed == 3
 
     def test_dump_load_round_trip(self):
@@ -185,7 +186,10 @@ class TestRunExperiment:
         old.write_text(OLD_RESULT_FILE)
         new = rerun_from_result(old, out=tmp_path / "new.csv")
         assert read_result_file(new)[1] == read_result_file(old)[1]
-        assert "delta_omega" not in read_result_file(new)[0]
+        echo = read_result_file(new)[0]
+        for key in ("delta_omega", "x_tol", "f_tol", "reflection", "expansion",
+                    "contraction", "shrink", "initial_step"):
+            assert key not in echo
 
     def test_plot_data_files(self, tmp_path):
         cfg = load_run_config(TINY_RUN, is_path=False)
@@ -344,6 +348,31 @@ class TestCli:
         assert "cancellation floor" in err
         assert not out.exists()
 
+    def test_non_finite_state_exit_code(self, tmp_path, capsys):
+        # scipy's expm returns NaN for this slice without raising; the all-NaN
+        # state must fail the propagated-state check, not be written as QFI 0
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[run]\nscenario = amplitude-damping\n\n"
+                            "[channel]\ngamma_minus = 1e40\n\n"
+                            "[time_grid]\nstart = 0.3\nstop = 0.4\npoints = 1\n\n"
+                            "[control]\nK = 4\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: at T=0.3 s: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_loads():
+    text = README.read_text()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_run_config(block, is_path=False)
+    assert cfg.schemes == ("standard", "control_enhanced")
+    assert cfg.optimizer.max_evals == 8000
+
 
 _RUN_1Q = "[run]\nscenario = parallel-dephasing-1q\nschemes = standard, control_enhanced\n"
 
@@ -366,6 +395,13 @@ INVALID_CONFIGS = {
     "run-max_evals=-3": ("run", _RUN_1Q + "[optimizer]\nmax_evals = -3\n", "max_evals"),
     "run-delta_omega=1e-3": ("run", _RUN_1Q + "delta_omega = 1e-3\n",
                              "delta_omega in [run] is retired"),
+    "run-reflection=1.5": ("run", _RUN_1Q + "[optimizer]\nreflection = 1.5\n",
+                           "reflection in [optimizer] is retired"),
+    "run-x_tol=1e-3": ("run", _RUN_1Q + "[optimizer]\nx_tol = 1e-3\n",
+                       "x_tol in [optimizer] is retired"),
+    "run-probe=ghz-1q": ("run", _RUN_1Q + "probe = ghz\n", "GHZ probe requires"),
+    "run-probe=bell-1q": ("run", _RUN_1Q + "probe = bell_with_ancilla\n",
+                          "Bell probe applies"),
     "nmr-K=0": ("nmr", "[nmr]\nK = 0\n", "K must be positive"),
     "nmr-omega0=nan": ("nmr", "[nmr]\nomega0 = nan\n", "omega0 in [nmr]"),
     "nmr-points=0": ("nmr", "[nmr]\npoints = 0\n", "points must be"),
@@ -373,6 +409,7 @@ INVALID_CONFIGS = {
     "nmr-max_evals=-3": ("nmr", "[optimizer]\nmax_evals = -3\n", "max_evals"),
     "nmr-u_max=-5": ("nmr", "[nmr]\nu_max = -5\n", "u_max must be"),
     "nmr-linewidth_hz=0": ("nmr", "[nmr]\nlinewidth_hz = 0\n", "linewidth"),
+    "nmr-f_tol=1e-6": ("nmr", "[optimizer]\nf_tol = 1e-6\n", "f_tol in [optimizer] is retired"),
 }
 
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from lindmet.channels import SIGMA_X, SIGMA_Z, parallel_dephasing
+from lindmet.channels import SIGMA_Z, parallel_dephasing
 from lindmet.liouville import (NoiseChannel, dissipator_superop,
-                               hamiltonian_superop, lindbladian,
-                               sandwich_superop, unvectorize,
-                               validate_density_matrix, vectorize)
+                               hamiltonian_superop, lindbladian, unvectorize,
+                               vectorize)
 
 
 def random_density(rng, d):
@@ -59,30 +58,6 @@ class TestVectorize:
             vectorize(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             unvectorize(np.zeros(3))
-
-
-class TestSandwich:
-    def test_identity(self):
-        assert np.allclose(sandwich_superop(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_x_left(self):
-        ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        out = unvectorize(sandwich_superop(SIGMA_X, np.eye(2)) @ vectorize(ket0))
-        expected = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
-        assert np.allclose(out, expected, atol=1e-15)
-
-    def test_random_against_dense_product(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            U = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            V = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            rho = random_density(rng, 2)
-            out = unvectorize(sandwich_superop(U, V) @ vectorize(rho))
-            assert np.max(np.abs(out - U @ rho @ V)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sandwich_superop(np.eye(2), np.eye(4))
 
 
 class TestHamiltonianSuperop:
@@ -196,21 +171,3 @@ class TestNoiseChannel:
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError):
             NoiseChannel((SIGMA_Z, np.eye(4)), (1.0, 1.0))
-
-
-class TestValidateDensityMatrix:
-    def test_accepts_valid(self):
-        rng = np.random.default_rng(6)
-        validate_density_matrix(random_density(rng, 4))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            validate_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            validate_density_matrix(np.eye(2))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            validate_density_matrix(np.diag([1.5, -0.5]))

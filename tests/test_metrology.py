@@ -103,6 +103,12 @@ class TestQfiEigen:
         rotated = qfi_eigen(Q @ rho @ Q.conj().T, Q @ d @ Q.conj().T)
         assert abs(rotated - base) <= 1e-9 * base
 
+    def test_non_finite_state_scores_zero(self):
+        # the unchecked search objective relies on this to steer away from
+        # amplitudes whose propagation overflows
+        nan_state = np.full((2, 2), np.nan, dtype=complex)
+        assert qfi_eigen(nan_state, nan_state) == 0.0
+
 
 class TestUhlmannFidelity:
     def test_self_fidelity(self):
@@ -145,6 +151,10 @@ class TestUhlmannFidelity:
     def test_rejects_invalid_states(self):
         with pytest.raises(MetrologyError):
             uhlmann_fidelity(np.eye(2), np.eye(2) / 2)
+        nan_state = np.full((2, 2), np.nan, dtype=complex)
+        for rho, sigma in ((nan_state, KET0), (KET0, nan_state)):
+            with pytest.raises(MetrologyError):
+                uhlmann_fidelity(rho, sigma)
 
     def test_range_on_random_pairs(self):
         rng = np.random.default_rng(5)

@@ -6,7 +6,8 @@ from lindmet._kern import _pykern
 from lindmet import _kern
 from lindmet.channels import build_scenario
 from lindmet.liouville import lindbladian, unvectorize, vectorize
-from lindmet.propagation import ControlSchedule, PropagationError, SlicedDynamics
+from lindmet.propagation import (ControlSchedule, PropagationError, SlicedDynamics,
+                                 check_evolved_state)
 from lindmet.schemes import ghz_state, plus_state
 
 OMEGA0 = 2 * np.pi
@@ -40,7 +41,6 @@ class TestControlSchedule:
     def test_basic_properties(self):
         s = ControlSchedule(np.zeros((5, 2)), 0.5)
         assert (s.K, s.L, s.dt) == (5, 2, 0.1)
-        assert s.is_zero
 
     def test_zero_constructor(self):
         s = ControlSchedule.zero(4, 3, 2.0)
@@ -66,36 +66,32 @@ class TestControlSchedule:
             s.amplitudes[0, 0] = 1.0
 
 
+def one_slice_propagator(dyn, amplitudes, dt):
+    """exp(L dt) of a one-slice schedule, column by column from evolve_vectorized."""
+    s = ControlSchedule(np.atleast_2d(np.asarray(amplitudes, dtype=float)), dt)
+    basis = np.eye(dyn.dim ** 2, dtype=complex)
+    return np.column_stack([dyn.evolve_vectorized(s, e) for e in basis])
+
+
 class TestSliceBuild:
     def test_full_rotation_is_identity(self):
         T = 2 * np.pi / OMEGA0
-        s = ControlSchedule.zero(1, 2, T)
-        P = dynamics(gamma=0.0).slice_propagator(s, 1)
+        P = one_slice_propagator(dynamics(gamma=0.0), [0.0, 0.0], T)
         assert np.max(np.abs(P - np.eye(4))) <= 1e-10
 
     def test_dephasing_factor_on_coherence(self):
         gamma, dt = 10.0, 0.05
-        s = ControlSchedule.zero(1, 2, dt)
-        P = dynamics(omega0=0.0, gamma=gamma).slice_propagator(s, 1)
+        P = one_slice_propagator(dynamics(omega0=0.0, gamma=gamma), [0.0, 0.0], dt)
         out = unvectorize(P @ vectorize(plus_state(1)))
         assert abs(out[0, 1] - 0.5 * np.exp(-gamma * dt)) <= 1e-12
 
     def test_drift_cancellation_control(self):
         # u_z = -omega0 cancels the drift: the slice generator is the bare dissipator
-        model = model_with("transverse-dephasing", gamma=0.1)
-        dyn = SlicedDynamics(model)
-        s = ControlSchedule(np.full((3, 1), -OMEGA0), 0.3)
-        gen = dyn.slice_generator(s, 2)
+        dyn = SlicedDynamics(model_with("transverse-dephasing", gamma=0.1))
+        gen = dyn.constant_generator() - OMEGA0 * dyn.control_supers[0]
         assert np.max(np.abs(gen - dyn.noise_super)) <= 1e-12
-
-    def test_index_bounds(self):
-        model = model_with()
-        s = ControlSchedule.zero(3, 2, 1.0)
-        dyn = SlicedDynamics(model)
-        for bad in (0, 4):
-            with pytest.raises(IndexError):
-                dyn.slice_propagator(s, bad)
-        dyn.slice_propagator(s, 3)
+        P = one_slice_propagator(dyn, [-OMEGA0], 0.3)
+        assert np.max(np.abs(P - scipy.linalg.expm(dyn.noise_super * 0.3))) <= 1e-12
 
 
 class TestEvolve:
@@ -137,6 +133,34 @@ class TestEvolve:
     def test_invalid_input_state_detected(self):
         with pytest.raises(PropagationError, match="trace"):
             dynamics().evolve(ControlSchedule.zero(2, 2, 0.1), np.eye(2, dtype=complex))
+
+
+class TestCheckEvolvedState:
+    def test_accepts_valid(self):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = A @ A.conj().T
+        check_evolved_state(rho / np.trace(rho))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(PropagationError, match="Hermitian"):
+            check_evolved_state(np.array([[0.5, 0.1], [0.3, 0.5]]))
+
+    def test_rejects_bad_trace(self):
+        with pytest.raises(PropagationError, match="trace"):
+            check_evolved_state(np.eye(2))
+
+    def test_rejects_negative(self):
+        with pytest.raises(PropagationError, match="negative"):
+            check_evolved_state(np.diag([1.5, -0.5]))
+
+    def test_rejects_nan(self):
+        # a NaN fails the first check it reaches: the trace, or else Hermiticity
+        nan_coherence = plus_state(1)
+        nan_coherence[0, 1] = nan_coherence[1, 0] = np.nan
+        for rho in (np.full((2, 2), np.nan, dtype=complex), nan_coherence):
+            with pytest.raises(PropagationError):
+                check_evolved_state(rho)
 
 
 class TestTrajectory:
@@ -209,8 +233,7 @@ class TestMatrixExponential:
             assert np.max(np.abs(ours - ref)) <= 1e-9
 
     def test_propagator_preserves_trace(self):
-        s = ControlSchedule(np.full((2, 2), 5.0), 0.1)
-        P = dynamics(gamma=10.0).slice_propagator(s, 1)
+        P = one_slice_propagator(dynamics(gamma=10.0), [5.0, 5.0], 0.05)
         bra_identity = vectorize(np.eye(2)).conj()
         assert np.max(np.abs(bra_identity @ P - bra_identity)) <= 1e-10
 
@@ -218,7 +241,7 @@ class TestMatrixExponential:
         # the module-level lindbladian and the cached dynamics agree
         model = model_with(gamma=3.0)
         dyn = SlicedDynamics(model)
-        L_direct = lindbladian(model.drift(), model.channel)
+        L_direct = lindbladian(model.omega0 * model.generator, model.channel)
         assert np.max(np.abs(L_direct - dyn.constant_generator())) <= 1e-12
 
 
