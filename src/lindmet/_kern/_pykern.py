@@ -1,4 +1,5 @@
-"""Pure-Python kernel, mirroring the compiled extension's interface.
+"""Pure-Python kernel: the subset of the compiled extension's interface that
+the package calls (``expm`` and final-state ``propagate_schedule``).
 
 Both paths use Pade scaling-and-squaring matrix exponentials. This one makes
 a single stacked ``scipy.linalg.expm`` call per propagation, which runs the
@@ -18,12 +19,9 @@ def expm(a):
     return scipy.linalg.expm(a)
 
 
-def propagate_schedule(L0, ctrls, amps, dt, v0, trajectory=False):
-    """Apply exp((L0 + sum_l amps[k,l]*ctrls[l]) * dt) to v0 for k = 0..K-1.
-
-    Same contract as the compiled kernel: returns the final vector, or the
-    (K+1, m) trajectory including the initial vector when requested.
-    """
+def propagate_schedule(L0, ctrls, amps, dt, v0):
+    """Apply exp((L0 + sum_l amps[k,l]*ctrls[l]) * dt) to v0 for k = 0..K-1
+    and return the final vector."""
     L0 = np.asarray(L0, dtype=np.complex128)
     ctrls = np.asarray(ctrls, dtype=np.complex128)
     amps = np.asarray(amps, dtype=np.float64)
@@ -47,11 +45,6 @@ def propagate_schedule(L0, ctrls, amps, dt, v0, trajectory=False):
         A[on] += amps[on, l, None, None] * ctrls[l]
     props = scipy.linalg.expm(A * dt)
 
-    traj = np.empty((K + 1, m), dtype=np.complex128) if trajectory else None
-    if trajectory:
-        traj[0] = v
     for k in range(K):
         v = props[k] @ v
-        if trajectory:
-            traj[k + 1] = v
-    return traj if trajectory else v
+    return v

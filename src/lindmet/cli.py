@@ -59,7 +59,10 @@ def main(argv=None) -> int:
             return EXIT_OK
         config = (load_run_config if args.command == "run" else load_nmr_config)(args.config)
         if args.seed is not None:
-            config = replace(config, optimizer=replace(config.optimizer, seed=args.seed))
+            try:
+                config = replace(config, optimizer=replace(config.optimizer, seed=args.seed))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if args.command == "run":
             path = run_experiment(config, out=args.out, plot_data=args.plot_data)
         else:

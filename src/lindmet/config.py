@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from typing import Any, Callable, ClassVar, NamedTuple
 
@@ -22,7 +22,7 @@ import numpy as np
 from .channels import DEFAULT_RATES, SCENARIOS, t2_from_linewidth
 from .optimizer import (CONTRACTION, EXPANSION, F_TOL, INITIAL_STEP, REFLECTION, SHRINK,
                         X_TOL, OptimizerOptions, _resolve)
-from .schemes import SchemeConfig
+from .schemes import SchemeConfig, default_u_max
 
 
 class ConfigError(Exception):
@@ -175,7 +175,11 @@ def _scenario(raw: str) -> str:
 
 
 def _schemes(raw: str) -> tuple:
-    return tuple(s.strip() for s in raw.split(","))
+    schemes = tuple(s.strip() for s in raw.split(","))
+    for s in schemes:
+        if schemes.count(s) > 1:
+            raise ValueError(f"scheme {s!r} is named twice")
+    return schemes
 
 
 def _format(value) -> str:
@@ -213,6 +217,7 @@ class _Field(NamedTuple):
 
 _REQUIRED = object()
 _OPT_DEFAULTS = OptimizerOptions()
+_SCHEME_DEFAULTS = {f.name: f.default for f in fields(SchemeConfig)}
 
 _OPTIMIZER_FIELDS = (
     _Field("optimizer", "restarts", int, _OPT_DEFAULTS.restarts, "optimizer.restarts"),
@@ -232,9 +237,9 @@ _OPTIMIZER_FIELDS = (
 RUN_FIELDS = (
     _Field("run", "scenario", _scenario, _REQUIRED),
     _Field("run", "schemes", _schemes, ("standard",)),
-    _Field("run", "probe", str, "default"),
-    _Field("run", "omega0", _float, 2.0 * np.pi),
-    _Field("run", "gamma_c", _float, 1.0),
+    _Field("run", "probe", str, _SCHEME_DEFAULTS["probe"]),
+    _Field("run", "omega0", _float, _SCHEME_DEFAULTS["omega0"]),
+    _Field("run", "gamma_c", _float, _SCHEME_DEFAULTS["gamma_c"]),
     # the frequency-derivative step, now chosen by metrology.default_delta
     _Field("run", "delta_omega", _float, lambda v: 1e-4 * max(abs(v["omega0"]), 1.0),
            retired=True),
@@ -245,9 +250,9 @@ RUN_FIELDS = (
     _Field("time_grid", "stop", _float, lambda v: DEFAULT_GRIDS[v["scenario"]][1], "grid.stop"),
     _Field("time_grid", "points", int, lambda v: DEFAULT_GRIDS[v["scenario"]][2], "grid.points"),
     _Field("time_grid", "spacing", str, lambda v: DEFAULT_GRIDS[v["scenario"]][3], "grid.spacing"),
-    _Field("control", "K", int, 20),
-    _Field("control", "u_max", _float, lambda v: 20.0 * max(abs(v["omega0"]), 1.0)),
-    _Field("control", "warm_start", _bool, False),
+    _Field("control", "K", int, _SCHEME_DEFAULTS["K"]),
+    _Field("control", "u_max", _float, lambda v: default_u_max(v["omega0"])),
+    _Field("control", "warm_start", _bool, _SCHEME_DEFAULTS["warm_start"]),
 ) + _OPTIMIZER_FIELDS
 
 NMR_FIELDS = (

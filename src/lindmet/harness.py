@@ -11,8 +11,7 @@ from pathlib import Path
 
 from . import _kern
 from .channels import t2_from_linewidth
-from .config import (NmrConfig, RunConfig, dump_nmr_config, dump_run_config,
-                     format_float, load_nmr_config, load_run_config)
+from .config import NmrConfig, RunConfig, dump_nmr_config, dump_run_config, format_float
 from .metrology import qfi_fidelity
 from .propagation import SlicedDynamics
 from .schemes import MetrologyResult, SchemeConfig, resolve_probe, run_scheme
@@ -118,11 +117,3 @@ def run_nmr_protocol(config: NmrConfig, out: str | None = None) -> Path:
     _write_result_file(path, dump_nmr_config(config), NMR_CSV_HEADER, rows,
                        metadata=metadata)
     return path
-
-
-def rerun_from_result(path, out, mode: str = "run") -> Path:
-    """Re-execute the config echoed in a result file (reproducibility check)."""
-    config_text, _ = read_result_file(path)
-    if mode == "nmr":
-        return run_nmr_protocol(load_nmr_config(config_text, is_path=False), out=out)
-    return run_experiment(load_run_config(config_text, is_path=False), out=out)

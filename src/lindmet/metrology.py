@@ -41,22 +41,18 @@ def default_fidelity_delta(omega0: float, total_time: float) -> float:
 
 
 def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray,
-                delta: float | None = None,
                 checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """rho(omega0) and the central difference
     (rho(omega0+delta) - rho(omega0-delta)) / (2 delta).
 
-    The schedule is held fixed while the frequency is perturbed, and the step
-    defaults to :func:`default_delta`. With ``checked``, rho must pass the
+    The schedule is held fixed while the frequency is perturbed by the step
+    :func:`default_delta`. With ``checked``, rho must pass the
     propagated-state checks and the difference must be Hermitian and
     traceless, with a step above the cancellation floor; a failure raises
     :class:`PropagationError` or :class:`MetrologyError`.
     """
     omega0 = dyn.model.omega0
-    if delta is None:
-        delta = default_delta(omega0, schedule.total_time)
-    elif delta <= 0:
-        raise ValueError(f"derivative step must be positive, got {delta}")
+    delta = default_delta(omega0, schedule.total_time)
     if checked:
         # below this the generator perturbation sits in the last few bits of the
         # superoperator entries and the difference is pure cancellation noise

@@ -41,6 +41,8 @@ class OptimizerOptions:
             raise ValueError("at least one start is required")
         if self.max_evals is not None and self.max_evals < 1:
             raise ValueError(f"max_evals must be at least 1, got {self.max_evals}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,14 @@ def _resolve(options: OptimizerOptions, n: int) -> OptimizerOptions:
 
 def nelder_mead(objective: Callable[[np.ndarray], float], x0: Sequence[float],
                 options: OptimizerOptions = OptimizerOptions(),
-                scale: float | None = None,
-                trace: list | None = None) -> SearchResult:
+                scale: float | None = None) -> SearchResult:
     """Minimize ``objective`` from ``x0``.
 
     ``scale`` sets the initial simplex step and the diameter tolerance
     (:data:`INITIAL_STEP` and :data:`X_TOL` times it); it defaults to
     max(1, max|x0|). Terminates when the simplex diameter and the relative
     objective spread are both below tolerance, or when the evaluation budget
-    is exhausted (reported via ``converged=False``). ``trace`` collects
-    (operation, vertices, values) tuples per iteration when provided.
+    is exhausted (reported via ``converged=False``).
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -115,32 +115,28 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0: Sequence[float],
             fe = objective(xe)
             evals += 1
             if fe < fr:
-                verts[-1], fvals[-1], op = xe, fe, "expand"
+                verts[-1], fvals[-1] = xe, fe
             else:
-                verts[-1], fvals[-1], op = xr, fr, "reflect"
+                verts[-1], fvals[-1] = xr, fr
         elif fr < fvals[-2]:
-            verts[-1], fvals[-1], op = xr, fr, "reflect"
+            verts[-1], fvals[-1] = xr, fr
         else:
             if fr < fvals[-1]:
                 xc = centroid + psi * alpha * (centroid - verts[-1])
                 fc = objective(xc)
-                evals += 1
-                accept, xnew, fnew, op = fc <= fr, xc, fc, "contract-outside"
+                accept = fc <= fr
             else:
                 xc = centroid - psi * (centroid - verts[-1])
                 fc = objective(xc)
-                evals += 1
-                accept, xnew, fnew, op = fc < fvals[-1], xc, fc, "contract-inside"
+                accept = fc < fvals[-1]
+            evals += 1
             if accept:
-                verts[-1], fvals[-1] = xnew, fnew
+                verts[-1], fvals[-1] = xc, fc
             else:
-                op = "shrink"
                 for i in range(1, n + 1):
                     verts[i] = verts[0] + sigma * (verts[i] - verts[0])
                     fvals[i] = objective(verts[i])
                     evals += 1
-        if trace is not None:
-            trace.append((op, verts.copy(), fvals.copy()))
 
     best = int(np.argmin(fvals))  # argmin returns the lowest index on ties
     return SearchResult(verts[best].copy(), float(fvals[best]), evals, converged)

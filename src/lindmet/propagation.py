@@ -96,15 +96,13 @@ class SlicedDynamics:
         return om * self.drift_super + self.noise_super
 
     def evolve_vectorized(self, schedule: ControlSchedule, v0: np.ndarray,
-                          omega0: float | None = None,
-                          trajectory: bool = False) -> np.ndarray:
+                          omega0: float | None = None) -> np.ndarray:
         if schedule.L != self.model.n_controls:
             raise ValueError(
                 f"schedule has {schedule.L} fields but the model has "
                 f"{self.model.n_controls} control Hamiltonians")
         return _kern.propagate_schedule(self.constant_generator(omega0), self.control_supers,
-                                        schedule.amplitudes, schedule.dt, v0,
-                                        trajectory=trajectory)
+                                        schedule.amplitudes, schedule.dt, v0)
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray,
                omega0: float | None = None) -> np.ndarray:
@@ -113,14 +111,6 @@ class SlicedDynamics:
         rho = unvectorize(v)
         check_evolved_state(rho)
         return rho
-
-    def evolve_trajectory(self, schedule: ControlSchedule, rho0: np.ndarray,
-                          omega0: float | None = None) -> list[np.ndarray]:
-        traj = self.evolve_vectorized(schedule, vectorize(np.asarray(rho0, dtype=complex)),
-                                      omega0, trajectory=True)
-        states = [unvectorize(v) for v in traj]
-        check_evolved_state(states[-1])
-        return states
 
 
 def check_evolved_state(rho: np.ndarray) -> None:

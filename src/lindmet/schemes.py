@@ -25,6 +25,11 @@ SCHEMES = ("standard", "ancilla", "theoretical_optimal", "control_enhanced")
 PROBES = ("default", "plus", "ghz", "bell_with_ancilla", "random_seeded")
 
 
+def default_u_max(omega0: float) -> float:
+    """Control amplitude bound used when none is configured."""
+    return 20.0 * max(abs(omega0), 1.0)
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Everything needed to run one scheme over a time grid."""
@@ -36,7 +41,7 @@ class SchemeConfig:
     rates: tuple = ()  # ((name, value), ...) overrides of the scenario defaults
     K: int = 20
     probe: str = "default"
-    u_max: float | None = None  # None resolves to 20*|omega0|
+    u_max: float | None = None  # None resolves to default_u_max(omega0)
     gamma_c: float = 1.0
     warm_start: bool = False  # seed each T's search with the previous best
     optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
@@ -73,7 +78,7 @@ class SchemeConfig:
 
     @property
     def resolved_u_max(self) -> float:
-        return self.u_max if self.u_max is not None else 20.0 * max(abs(self.omega0), 1.0)
+        return self.u_max if self.u_max is not None else default_u_max(self.omega0)
 
     def build_model(self) -> EncodingModel:
         return build_scenario(self.scenario, self.omega0, dict(self.rates))

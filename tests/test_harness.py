@@ -8,10 +8,9 @@ from lindmet import KERNEL_BACKEND, schemes
 from lindmet.cli import main
 from lindmet.config import (ConfigError, dump_nmr_config, dump_run_config,
                             load_nmr_config, load_run_config)
-from lindmet.harness import (read_result_file, rerun_from_result,
-                             run_experiment, run_nmr_protocol,
+from lindmet.harness import (read_result_file, run_experiment, run_nmr_protocol,
                              t2_from_linewidth)
-from lindmet.schemes import run_scheme
+from lindmet.schemes import SchemeConfig, run_scheme
 
 TINY_RUN = """
 [run]
@@ -174,7 +173,8 @@ class TestRunExperiment:
     def test_bitwise_reproduction_from_echo(self, tmp_path):
         cfg = load_run_config(TINY_RUN, is_path=False)
         p1 = run_experiment(cfg, out=tmp_path / "a.csv")
-        p2 = rerun_from_result(p1, out=tmp_path / "b.csv")
+        echo, _ = read_result_file(p1)
+        p2 = run_experiment(load_run_config(echo, is_path=False), out=tmp_path / "b.csv")
         _, d1 = read_result_file(p1)
         _, d2 = read_result_file(p2)
         assert d1 == d2
@@ -184,7 +184,8 @@ class TestRunExperiment:
     def test_rerun_of_file_echoing_retired_key(self, tmp_path):
         old = tmp_path / "old.csv"
         old.write_text(OLD_RESULT_FILE)
-        new = rerun_from_result(old, out=tmp_path / "new.csv")
+        echo, _ = read_result_file(old)
+        new = run_experiment(load_run_config(echo, is_path=False), out=tmp_path / "new.csv")
         assert read_result_file(new)[1] == read_result_file(old)[1]
         echo = read_result_file(new)[0]
         for key in ("delta_omega", "x_tol", "f_tol", "reflection", "expansion",
@@ -374,9 +375,22 @@ def test_readme_config_example_loads():
     assert cfg.optimizer.max_evals == 8000
 
 
+def test_run_defaults_are_scheme_config_defaults():
+    # a [run] section that sets only the scenario resolves to SchemeConfig's defaults
+    cfg = load_run_config("[run]\nscenario = parallel-dephasing-1q\n", is_path=False)
+    ref = SchemeConfig("standard", "parallel-dephasing-1q", cfg.grid.times())
+    for name in ("omega0", "K", "probe", "gamma_c", "warm_start"):
+        assert getattr(cfg, name) == getattr(ref, name), name
+    for omega0 in (0.5, -300.0, 2 * np.pi):
+        cfg = load_run_config(f"[run]\nscenario = parallel-dephasing-1q\nomega0 = {omega0!r}\n",
+                              is_path=False)
+        ref = SchemeConfig("standard", "parallel-dephasing-1q", (0.1,), omega0=omega0)
+        assert cfg.u_max == ref.resolved_u_max
+
+
 _RUN_1Q = "[run]\nscenario = parallel-dephasing-1q\nschemes = standard, control_enhanced\n"
 
-# (command, config text, a fragment of the expected message)
+# (command line before --config, config text, a fragment of the expected message)
 INVALID_CONFIGS = {
     "run-K=0": ("run", _RUN_1Q + "[control]\nK = 0\n", "K must be positive"),
     "run-restarts=0": ("run", _RUN_1Q + "[optimizer]\nrestarts = 0\n", "one start"),
@@ -410,6 +424,15 @@ INVALID_CONFIGS = {
     "nmr-u_max=-5": ("nmr", "[nmr]\nu_max = -5\n", "u_max must be"),
     "nmr-linewidth_hz=0": ("nmr", "[nmr]\nlinewidth_hz = 0\n", "linewidth"),
     "nmr-f_tol=1e-6": ("nmr", "[optimizer]\nf_tol = 1e-6\n", "f_tol in [optimizer] is retired"),
+    "run-seed=-1": ("run", "[run]\nscenario = parallel-dephasing-1q\nschemes = control_enhanced\n"
+                    "seed = -1\n", "seed must be non-negative"),
+    "nmr-seed=-2": ("nmr", "[nmr]\nseed = -2\n", "seed must be non-negative"),
+    "run--seed=-5": ("run --seed -5", "[run]\nscenario = parallel-dephasing-1q\n",
+                     "seed must be non-negative"),
+    "nmr--seed=-5": ("nmr --seed -5", "[nmr]\n", "seed must be non-negative"),
+    "run-schemes=standard,standard": (
+        "run", "[run]\nscenario = parallel-dephasing-1q\nschemes = standard, standard\n",
+        "scheme 'standard' is named twice"),
 }
 
 
@@ -419,7 +442,7 @@ def test_invalid_config_exits_2_without_output(command, text, message, tmp_path,
                                                monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(text)
-    assert main([command, "--config", "bad.cfg"]) == 2
+    assert main([*command.split(), "--config", "bad.cfg"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err

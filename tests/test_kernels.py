@@ -1,5 +1,5 @@
-"""Backend equivalence: the compiled kernel and the pure-Python fallback must
-agree on every operation they both expose."""
+"""The compiled kernel, when it is built: against scipy, and against the
+pure-Python kernel that tests/test_propagation.py pins bit for bit."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -64,34 +64,31 @@ class TestPropagateSchedule:
         b = _pykern.propagate_schedule(L0, ctrls, amps, 0.02, v0)
         assert np.max(np.abs(a - b)) <= 1e-11 * max(1.0, np.max(np.abs(b)))
 
-    @pytest.mark.parametrize("kernel", [compiled, _pykern])
-    def test_trajectory_contract(self, kernel):
+    def test_trajectory_contract(self):
         L0, ctrls, amps, v0 = self._problem(seed=2)
-        traj = kernel.propagate_schedule(L0, ctrls, amps, 0.05, v0, trajectory=True)
+        traj = compiled.propagate_schedule(L0, ctrls, amps, 0.05, v0, trajectory=True)
         assert traj.shape == (amps.shape[0] + 1, v0.size)
         assert np.array_equal(traj[0], v0)
-        final = kernel.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        final = compiled.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert np.array_equal(traj[-1], final)
 
-    @pytest.mark.parametrize("kernel", [compiled, _pykern])
-    def test_zero_fields(self, kernel):
+    def test_zero_fields(self):
         rng = np.random.default_rng(3)
         L0 = random_complex(rng, (4, 4))
         v0 = random_complex(rng, 4)
-        got = kernel.propagate_schedule(L0, np.zeros((0, 4, 4), dtype=complex),
-                                        np.zeros((3, 0)), 0.1, v0)
+        got = compiled.propagate_schedule(L0, np.zeros((0, 4, 4), dtype=complex),
+                                          np.zeros((3, 0)), 0.1, v0)
         ref = scipy.linalg.expm(L0 * 0.3) @ v0
         assert np.max(np.abs(got - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref)))
 
-    @pytest.mark.parametrize("kernel", [compiled, _pykern])
-    def test_shape_errors(self, kernel):
+    def test_shape_errors(self):
         L0 = np.zeros((4, 4), dtype=complex)
         with pytest.raises(ValueError):
-            kernel.propagate_schedule(L0, np.zeros((1, 4, 4), dtype=complex),
-                                      np.zeros((2, 2)), 0.1, np.zeros(4, dtype=complex))
+            compiled.propagate_schedule(L0, np.zeros((1, 4, 4), dtype=complex),
+                                        np.zeros((2, 2)), 0.1, np.zeros(4, dtype=complex))
         with pytest.raises(ValueError):
-            kernel.propagate_schedule(L0, np.zeros((0, 4, 4), dtype=complex),
-                                      np.zeros((2, 0)), 0.1, np.zeros(5, dtype=complex))
+            compiled.propagate_schedule(L0, np.zeros((0, 4, 4), dtype=complex),
+                                        np.zeros((2, 0)), 0.1, np.zeros(5, dtype=complex))
 
     def test_non_contiguous_inputs(self):
         L0, ctrls, amps, v0 = self._problem(seed=4)

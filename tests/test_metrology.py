@@ -52,16 +52,12 @@ class TestDrho:
             assert np.max(np.abs(d - d.conj().T)) <= 1e-9
 
     def test_cancellation_detected(self):
-        dyn = SlicedDynamics(build_scenario("parallel-dephasing-1q", OMEGA0))
-        s = ControlSchedule.zero(1, 2, 0.2)
+        # at omega0 = 2 pi GHz and T = 0.3 s the step 1e-3/T falls below the
+        # floor 1e-12*omega0
+        dyn = SlicedDynamics(build_scenario("parallel-dephasing-1q", OMEGA0 * 1e9))
+        s = ControlSchedule.zero(1, 2, 0.3)
         with pytest.raises(MetrologyError, match="cancellation"):
-            drho_domega(dyn, s, plus_state(1), delta=1e-15)
-
-    def test_rejects_non_positive_delta(self):
-        dyn = SlicedDynamics(build_scenario("parallel-dephasing-1q", OMEGA0))
-        s = ControlSchedule.zero(1, 2, 0.2)
-        with pytest.raises(ValueError):
-            drho_domega(dyn, s, plus_state(1), delta=0.0)
+            drho_domega(dyn, s, plus_state(1))
 
 
 class TestQfiEigen:
@@ -241,12 +237,20 @@ class TestEstimatorAgreement:
 
 class TestFiniteDifferenceConvergence:
     def test_observed_order(self):
+        # central differences of evolve converge at second order, to the QFI
+        # that drho_domega's own step gives
         model = build_scenario("parallel-dephasing-1q", OMEGA0)
         dyn = SlicedDynamics(model)
         rho0 = plus_state(1)
         s = ControlSchedule(np.full((4, 2), 3.0), 0.15)
-        ref = qfi_eigen(*drho_domega(dyn, s, rho0, 1e-3))
+        ref = qfi_eigen(*drho_domega(dyn, s, rho0))
+        rho = dyn.evolve(s, rho0)
+
+        def qfi_at_step(d):
+            drho = (dyn.evolve(s, rho0, OMEGA0 + d) - dyn.evolve(s, rho0, OMEGA0 - d)) / (2 * d)
+            return qfi_eigen(rho, drho)
+
         deltas = np.array([0.8, 0.4, 0.2, 0.1])
-        errs = [abs(qfi_eigen(*drho_domega(dyn, s, rho0, d)) - ref) for d in deltas]
+        errs = [abs(qfi_at_step(d) - ref) for d in deltas]
         slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
         assert slope >= 1.8

@@ -41,11 +41,15 @@ class TestNelderMead:
         assert res.evals >= 20
 
     def test_monotone_best_so_far(self):
-        trace = []
-        nelder_mead(rosenbrock, np.array([-1.2, 1.0]),
-                    OptimizerOptions(max_evals=400), trace=trace)
-        best = [min(fv) for _, _, fv in trace]
-        assert all(b <= a + 1e-15 for a, b in zip(best, best[1:]))
+        # the reported value is the best the search ever evaluated
+        values = []
+
+        def logged(x):
+            values.append(rosenbrock(x))
+            return values[-1]
+
+        res = nelder_mead(logged, np.array([-1.2, 1.0]), OptimizerOptions(max_evals=400))
+        assert res.fun == min(values)
 
     def test_non_finite_initial_simplex_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -60,30 +64,27 @@ class TestGoldenTrace:
     """First three iterations on f(x,y) = x^2 + y^2 from (1,1), step
     0.05 * scale 10 = 0.5.
 
-    Hand-traced with the standard coefficients (1, 2, 0.5, 0.5):
-      iter 1 reflect -> (1.5, 0.5), f = 2.5
-      iter 2 expand  -> (0.75, 0.25), f = 0.625
-      iter 3 reflect -> (0.25, 0.75), f = 0.625
+    Hand-traced with the standard coefficients (1, 2, 0.5, 0.5), after the
+    initial simplex (1, 1), (1.5, 1), (1, 1.5):
+      iter 1 reflect (1.5, 0.5), f = 2.5, accepted
+      iter 2 reflect (1, 0.5), f = 1.25, then expand (0.75, 0.25), f = 0.625
+      iter 3 reflect (0.25, 0.75), f = 0.625, accepted
     All coordinates are dyadic, so comparisons are exact.
     """
 
     def test_three_iterations(self):
-        trace = []
-        nelder_mead(sphere, np.array([1.0, 1.0]),
-                    OptimizerOptions(max_evals=7), scale=10.0, trace=trace)
-        assert [op for op, _, _ in trace] == ["reflect", "expand", "reflect"]
+        points = []
 
-        _, verts1, fvals1 = trace[0]
-        assert np.array_equal(verts1, [[1.0, 1.0], [1.5, 1.0], [1.5, 0.5]])
-        assert np.array_equal(fvals1, [2.0, 3.25, 2.5])
+        def recorded(x):
+            points.append(x.copy())
+            return sphere(x)
 
-        _, verts2, fvals2 = trace[1]
-        assert np.array_equal(verts2, [[1.0, 1.0], [1.5, 0.5], [0.75, 0.25]])
-        assert np.array_equal(fvals2, [2.0, 2.5, 0.625])
-
-        _, verts3, fvals3 = trace[2]
-        assert np.array_equal(verts3, [[0.75, 0.25], [1.0, 1.0], [0.25, 0.75]])
-        assert np.array_equal(fvals3, [0.625, 2.0, 0.625])
+        res = nelder_mead(recorded, np.array([1.0, 1.0]),
+                          OptimizerOptions(max_evals=7), scale=10.0)
+        assert np.array_equal(points, [[1.0, 1.0], [1.5, 1.0], [1.0, 1.5], [1.5, 0.5],
+                                       [1.0, 0.5], [0.75, 0.25], [0.25, 0.75]])
+        assert np.array_equal(res.x, [0.75, 0.25])
+        assert (res.fun, res.evals, res.converged) == (0.625, 7, False)
 
 
 class TestOptions:
@@ -93,6 +94,11 @@ class TestOptions:
             OptimizerOptions(max_evals=max_evals)
         assert OptimizerOptions(max_evals=1).max_evals == 1
         assert OptimizerOptions(max_evals=None).max_evals is None
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            OptimizerOptions(seed=-1)
+        assert OptimizerOptions(seed=0).seed == 0
 
 
 class TestMultiStart:

@@ -164,28 +164,26 @@ class TestCheckEvolvedState:
 
 
 class TestTrajectory:
-    def test_single_slice(self):
-        s = ControlSchedule.zero(1, 2, 0.1)
-        traj = dynamics(gamma=10.0).evolve_trajectory(s, plus_state(1))
-        assert len(traj) == 2
-        assert np.array_equal(traj[0], plus_state(1))
+    """The state after each prefix of a schedule: the path the evolution takes."""
 
     def test_points_on_analytic_spiral(self):
         gamma = 10.0
-        s = ControlSchedule.zero(5, 2, 0.1)
-        traj = dynamics(gamma=gamma).evolve_trajectory(s, plus_state(1))
-        for k, rho in enumerate(traj):
+        dyn = dynamics(gamma=gamma)
+        for k in range(1, 6):
             t = 0.02 * k
+            rho = dyn.evolve(ControlSchedule.zero(k, 2, t), plus_state(1))
             expected = 0.5 * np.exp(-gamma * t) * np.exp(-1j * OMEGA0 * t)
             assert abs(rho[0, 1] - expected) <= 1e-10
 
     def test_last_point_equals_evolve_bitwise(self):
+        # one slice at a time from the previous state, against one call
         dyn = dynamics(gamma=10.0)
         rng = np.random.default_rng(0)
         s = ControlSchedule(rng.uniform(-20, 20, (6, 2)), 0.2)
-        traj = dyn.evolve_trajectory(s, plus_state(1))
-        final = dyn.evolve(s, plus_state(1))
-        assert np.array_equal(traj[-1], final)
+        rho = plus_state(1)
+        for row in s.amplitudes:
+            rho = dyn.evolve(ControlSchedule(row[None, :], s.dt), rho)
+        assert np.array_equal(rho, dyn.evolve(s, plus_state(1)))
 
 
 class TestPhysicalityInvariants:
@@ -245,19 +243,17 @@ class TestMatrixExponential:
         assert np.max(np.abs(L_direct - dyn.constant_generator())) <= 1e-12
 
 
-def per_slice_reference(L0, ctrls, amps, dt, v0, trajectory=False):
+def per_slice_reference(L0, ctrls, amps, dt, v0):
     """One scipy.linalg.expm call per slice, each generator built as
     L0 + u_1 C_1 + u_2 C_2 + ... in field order, skipping zero amplitudes."""
     v = np.array(v0, dtype=complex)
-    states = [v]
     for k in range(amps.shape[0]):
         A = L0.copy()
         for l in range(amps.shape[1]):
             if amps[k, l] != 0.0:
                 A += amps[k, l] * ctrls[l]
         v = scipy.linalg.expm(A * dt) @ v
-        states.append(v)
-    return np.array(states) if trajectory else v
+    return v
 
 
 def bitwise_equal(a, b):
@@ -299,18 +295,6 @@ class TestPythonKernel:
         amps[5:9] = amps[4]
         got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
-
-    @pytest.mark.parametrize("m", [4, 16])
-    def test_trajectory(self, m):
-        L0, ctrls, amps, v0 = self._problem(m, 8, 2, seed=m + 2)
-        amps[2] = 0.0
-        amps[5:7] = amps[4]
-        traj = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0, trajectory=True)
-        assert traj.shape == (9, m)
-        assert bitwise_equal(traj[0], v0)
-        assert bitwise_equal(traj, per_slice_reference(L0, ctrls, amps, 0.05, v0,
-                                                       trajectory=True))
-        assert bitwise_equal(traj[-1], _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0))
 
     def test_physical_generators(self):
         dyn = dynamics("parallel-dephasing-2q")
