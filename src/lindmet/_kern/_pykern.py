@@ -1,14 +1,93 @@
 """Pure-Python kernel: the subset of the compiled extension's interface that
 the package calls (``expm`` and final-state ``propagate_schedule``).
 
-Both paths use Pade scaling-and-squaring matrix exponentials. This one makes
-a single stacked ``scipy.linalg.expm`` call per propagation, which runs the
-same algorithm on each slice in turn, so its results are bitwise those of
-one call per slice. The README's Install section gives its speed against the
-compiled kernel. Selected automatically when the extension is unavailable.
+Both paths use Pade scaling-and-squaring matrix exponentials. This one
+exponentiates all K slices of a propagation in one batched call,
+``expm_stack``, whose results are bit for bit those of ``scipy.linalg.expm``
+on each slice. ``scipy.linalg.expm`` walks a stack in Python one slice at a
+time, and on 4x4 slices most of its time goes to that per-slice dispatch.
+``expm_stack`` instead runs scipy's own Pade kernels (``pick_pade_structure``
+and ``pade_UV_calc`` from the private ``scipy.linalg._matfuncs_expm``) on each
+generic slice, squares the slices that share a squaring count as one stacked
+product, and leaves diagonal and triangular slices to one
+``scipy.linalg.expm`` call, which has special branches for them. A private
+module is no stable interface, so a probe at import checks that its kernels
+reproduce ``scipy.linalg.expm`` bit for bit; if they do not, every slice
+goes through ``scipy.linalg.expm``. The README's Install section gives this
+kernel's speed against the compiled one. Selected automatically when the
+extension is unavailable.
 """
+import functools
+
 import numpy as np
 import scipy.linalg
+from scipy.linalg import _matfuncs_expm
+
+_PADE_KERNELS = True  # on while the probe below runs; the probe then decides
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_triangles(m):
+    """Boolean masks of the strict lower and strict upper part of an m x m matrix."""
+    lower = np.tri(m, k=-1, dtype=bool)
+    return lower, lower.T.copy()
+
+
+def expm_stack(A):
+    """exp(A[k]) for every slice of a (K, m, m) complex128 stack, bit for bit
+    ``scipy.linalg.expm`` applied to each slice."""
+    out = np.empty_like(A)
+    # scipy's expm treats a slice as generic when it has a nonzero entry both
+    # below and above the diagonal; the others take its special branches
+    nonzero = A != 0
+    lower, upper = _strict_triangles(A.shape[-1])
+    generic = (nonzero & lower).any(axis=(1, 2)) & (nonzero & upper).any(axis=(1, 2))
+    if not _PADE_KERNELS:
+        generic[:] = False
+    if not generic.all():
+        out[~generic] = scipy.linalg.expm(A[~generic])
+
+    by_squarings = {}
+    work = np.empty((5,) + A.shape[1:], dtype=A.dtype)
+    for k in np.flatnonzero(generic).tolist():
+        work[0] = A[k]
+        order, s = _matfuncs_expm.pick_pade_structure(work)
+        if order < 0:
+            raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
+                              f"while trying to compute the Pade structure (error code {order}).")
+        info = _matfuncs_expm.pade_UV_calc(work, order)
+        if info != 0:
+            if info <= -11:
+                raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
+                                  f"while trying to compute the exponential (error code {info}).")
+            raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the "
+                               f"exponential computation (error code {info})")
+        out[k] = work[0]
+        by_squarings.setdefault(s, []).append(k)
+
+    # the squarings of all slices that need the same number, as one stacked product
+    for s, group in by_squarings.items():
+        if s:
+            E = out[group]
+            for _ in range(s):
+                E = E @ E
+            out[group] = E
+    return out
+
+
+def _pade_kernels_match():
+    """Whether scipy's private Pade kernels take the calls ``expm_stack`` makes
+    and reproduce ``scipy.linalg.expm`` bit for bit, with and without squaring."""
+    base = np.arange(16.0).reshape(4, 4) + 1j * np.arange(16.0)[::-1].reshape(4, 4)
+    probe = np.stack([1e-3 * base, 0.5 * base])
+    try:
+        got = expm_stack(probe)
+    except (TypeError, ValueError):  # a changed signature or buffer layout
+        return False
+    return bool(np.array_equal(got.view(np.uint64), scipy.linalg.expm(probe).view(np.uint64)))
+
+
+_PADE_KERNELS = _pade_kernels_match()
 
 
 def expm(a):
@@ -16,7 +95,7 @@ def expm(a):
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm requires a square matrix")
-    return scipy.linalg.expm(a)
+    return expm_stack(a[None])[0]
 
 
 def propagate_schedule(L0, ctrls, amps, dt, v0):
@@ -43,7 +122,7 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     for l in range(nl):
         on = amps[:, l] != 0.0
         A[on] += amps[on, l, None, None] * ctrls[l]
-    props = scipy.linalg.expm(A * dt)
+    props = expm_stack(A * dt)
 
     for k in range(K):
         v = props[k] @ v

@@ -4,7 +4,8 @@ The encoding time T is divided into K slices; slice k evolves under
 exp(L[k] dt) with L[k] built from H[k] = omega0*G + sum_l u_l[k] H_l and the
 model's noise channel. The slices run in lindmet._kern: the compiled kernel
 when it is built, otherwise the Python kernel, which exponentiates all K
-slice generators in one stacked scipy call.
+slice generators in one batched call to scipy's Pade kernels, bit for bit
+``scipy.linalg.expm`` on each slice.
 """
 from __future__ import annotations
 

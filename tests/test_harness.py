@@ -1,9 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindmet
 from lindmet import KERNEL_BACKEND, schemes
 from lindmet.cli import main
 from lindmet.config import (ConfigError, dump_nmr_config, dump_run_config,
@@ -447,3 +452,26 @@ def test_invalid_config_exits_2_without_output(command, text, message, tmp_path,
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+class TestBlasThreads:
+    """Importing lindmet first defaults BLAS and OpenMP to one thread."""
+
+    def _import_lindmet(self, **env):
+        base = {k: v for k, v in os.environ.items()
+                if k not in lindmet.BLAS_THREAD_VARIABLES}
+        code = ("import json, os, lindmet; "
+                "print(json.dumps({v: os.environ[v] for v in lindmet.BLAS_THREAD_VARIABLES}))")
+        src = str(Path(lindmet.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={**base, "PYTHONPATH": src, **env},
+                             capture_output=True, text=True, check=True)
+        return json.loads(out.stdout)
+
+    def test_unset_variables_default_to_one(self):
+        seen = self._import_lindmet()
+        assert len(seen) == 6 and set(seen.values()) == {"1"}
+
+    def test_explicit_value_wins(self):
+        seen = self._import_lindmet(OPENBLAS_NUM_THREADS="2")
+        assert seen.pop("OPENBLAS_NUM_THREADS") == "2"
+        assert set(seen.values()) == {"1"}

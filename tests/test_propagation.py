@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import _matfuncs_expm
 
 from lindmet._kern import _pykern
 from lindmet import _kern
-from lindmet.channels import build_scenario
+from lindmet.channels import SCENARIOS, ancilla_extend, build_scenario
 from lindmet.liouville import lindbladian, unvectorize, vectorize
 from lindmet.propagation import (ControlSchedule, PropagationError, SlicedDynamics,
                                  check_evolved_state)
@@ -296,14 +297,23 @@ class TestPythonKernel:
         got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
 
-    def test_physical_generators(self):
-        dyn = dynamics("parallel-dephasing-2q")
-        rng = np.random.default_rng(5)
-        amps = rng.uniform(-40, 40, (20, dyn.model.n_controls))
-        L0, v0 = dyn.constant_generator(), vectorize(ghz_state(2))
-        got = _pykern.propagate_schedule(L0, dyn.control_supers, amps, 0.015, v0)
-        assert bitwise_equal(got, per_slice_reference(L0, dyn.control_supers, amps,
-                                                      0.015, v0))
+    @pytest.mark.parametrize("T", [0.01, 0.3, 10.0])
+    @pytest.mark.parametrize("amplitudes", ["zero", "constant", "random"])
+    @pytest.mark.parametrize("model", [*SCENARIOS, "ancilla-extend"])
+    def test_physical_generators(self, model, amplitudes, T):
+        # zero amplitudes leave diagonal or triangular generators, which take
+        # scipy's special branches; the other two give generic ones
+        if model == "ancilla-extend":
+            dyn = SlicedDynamics(ancilla_extend(model_with()))
+        else:
+            dyn = dynamics(model)
+        K, L = 20, dyn.model.n_controls
+        amps = {"zero": np.zeros((K, L)), "constant": np.full((K, L), -OMEGA0),
+                "random": np.random.default_rng(L).uniform(-40, 40, (K, L))}[amplitudes]
+        v0 = vectorize(np.eye(dyn.dim, dtype=complex) / dyn.dim + 0.1)
+        L0 = dyn.constant_generator()
+        got = _pykern.propagate_schedule(L0, dyn.control_supers, amps, T / K, v0)
+        assert bitwise_equal(got, per_slice_reference(L0, dyn.control_supers, amps, T / K, v0))
 
     def test_shape_errors(self):
         L0, ctrls, amps, v0 = self._problem(4, 3, 2, seed=9)
@@ -316,3 +326,59 @@ class TestPythonKernel:
         for message, args in cases.items():
             with pytest.raises(ValueError, match=message):
                 _pykern.propagate_schedule(*args)
+
+
+def squarings(a):
+    """The number of squarings scipy's Pade structure picks for one matrix."""
+    work = np.zeros((5,) + a.shape, dtype=complex)
+    work[0] = a
+    return _matfuncs_expm.pick_pade_structure(work)[1]
+
+
+class TestExpmStack:
+    """The batched exponential against scipy.linalg.expm on each slice, bit for bit."""
+
+    def _mixed_stack(self, m, seed):
+        # generic, diagonal, upper- and lower-triangular slices, at scales that
+        # need no squaring and several
+        rng = np.random.default_rng(seed)
+        slices = []
+        for scale in (1e-3, 0.3, 4.0, 60.0):
+            a = scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            slices += [a, np.diag(np.diag(a)), np.triu(a), np.tril(a), np.triu(a, -1)]
+        return np.stack(slices)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_mixed_stack(self, m):
+        A = self._mixed_stack(m, seed=m)
+        assert {squarings(a) > 0 for a in A[::5]} == {False, True}
+        ref = np.stack([scipy.linalg.expm(a) for a in A])
+        assert bitwise_equal(_pykern.expm_stack(A), ref)
+
+    def test_nan_slice(self):
+        A = self._mixed_stack(4, seed=1)
+        A[0, 1, 2] = np.nan
+        A[7, 3, 0] = np.nan  # an upper-triangular slice made generic by a NaN
+        ref = np.stack([scipy.linalg.expm(a) for a in A])
+        got = _pykern.expm_stack(A)
+        nan = np.isnan(ref)
+        assert nan[0].any() and nan[7].any()
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan], ref[~nan])
+
+    def test_single_matrix_entry(self):
+        for A in self._mixed_stack(16, seed=2):
+            assert bitwise_equal(_pykern.expm(A), scipy.linalg.expm(A))
+        with pytest.raises(ValueError, match="square"):
+            _pykern.expm(np.zeros((2, 3)))
+
+    def test_changed_private_kernels_fall_back_to_scipy(self, monkeypatch):
+        # the installed scipy passes the import-time probe, so the tests above
+        # ran the batched path
+        assert _pykern._PADE_KERNELS
+        monkeypatch.setattr(_pykern._matfuncs_expm, "pade_UV_calc", lambda Am, n, m: None)
+        assert not _pykern._pade_kernels_match()
+        monkeypatch.setattr(_pykern, "_PADE_KERNELS", False)
+        A = self._mixed_stack(4, seed=3)
+        ref = np.stack([scipy.linalg.expm(a) for a in A])
+        assert bitwise_equal(_pykern.expm_stack(A), ref)
