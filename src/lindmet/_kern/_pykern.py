@@ -1,11 +1,15 @@
 """Pure-Python kernel: the subset of the compiled extension's interface that
 the package calls (``expm`` and final-state ``propagate_schedule``).
 
-Both paths use Pade scaling-and-squaring matrix exponentials. This one
-exponentiates all K slices of a propagation in one batched call,
-``expm_stack``, whose results are bit for bit those of ``scipy.linalg.expm``
-on each slice. ``scipy.linalg.expm`` walks a stack in Python one slice at a
-time, and on 4x4 slices most of its time goes to that per-slice dispatch.
+Both paths use Pade scaling-and-squaring matrix exponentials. The compiled
+kernel exponentiates every slice. This one exponentiates each run of equal
+consecutive amplitude rows once (a constant schedule, or a model without
+controls, is a single run) and applies that propagator to every slice of the
+run, so the final vector is bit for bit a per-slice loop's. The generators
+of all runs go through one batched call, ``expm_stack``, whose results are
+bit for bit those of ``scipy.linalg.expm`` on each slice. ``scipy.linalg.expm``
+walks a stack in Python one slice at a time, and on 4x4 slices most of its
+time goes to that per-slice dispatch.
 ``expm_stack`` instead runs scipy's own Pade kernels (``pick_pade_structure``
 and ``pade_UV_calc`` from the private ``scipy.linalg._matfuncs_expm``) on each
 generic slice, squares the slices that share a squaring count as one stacked
@@ -116,14 +120,22 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     if v.shape != (m,):
         raise ValueError("state vector length does not match generator")
 
-    # each slice is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order and
-    # skipping zero amplitudes, so every generator is bitwise a per-slice build
-    A = np.broadcast_to(L0, (K, m, m)).copy()
+    # one generator per run of equal consecutive rows, built from its first row;
+    # 0.0 == -0.0 here, and the masked add below skips both
+    new = np.ones(K, dtype=bool)
+    new[1:] = (amps[1:] != amps[:-1]).any(axis=1)
+    first = amps.compress(new, axis=0)
+
+    # each generator is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order and
+    # skipping zero amplitudes, so it is bitwise a per-slice build
+    A = np.broadcast_to(L0, (len(first), m, m)).copy()
     for l in range(nl):
-        on = amps[:, l] != 0.0
-        A[on] += amps[on, l, None, None] * ctrls[l]
+        on = first[:, l] != 0.0
+        A[on] += first[on, l, None, None] * ctrls[l]
     props = expm_stack(A * dt)
 
-    for k in range(K):
-        v = props[k] @ v
+    run = -1
+    for starts_run in new.tolist():
+        run += starts_run
+        v = props[run] @ v
     return v

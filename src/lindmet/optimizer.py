@@ -29,7 +29,11 @@ class OptimizerOptions:
     """Budget and restart settings for the simplex search.
 
     ``max_evals`` counts objective evaluations per start; ``None`` resolves
-    to 200*n for n variables.
+    to 200*n for n variables. It is checked once per simplex iteration, and
+    nothing is cut short: the n+1 vertices of the initial simplex are always
+    evaluated, and so are an iteration's reflection, expansion or contraction
+    and a shrink's n re-evaluations. A start can therefore end up to n+1
+    evaluations past the budget (with n = 10 and ``max_evals=3`` it makes 11).
     """
 
     max_evals: int | None = None

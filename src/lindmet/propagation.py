@@ -3,9 +3,11 @@
 The encoding time T is divided into K slices; slice k evolves under
 exp(L[k] dt) with L[k] built from H[k] = omega0*G + sum_l u_l[k] H_l and the
 model's noise channel. The slices run in lindmet._kern: the compiled kernel
-when it is built, otherwise the Python kernel, which exponentiates all K
-slice generators in one batched call to scipy's Pade kernels, bit for bit
-``scipy.linalg.expm`` on each slice.
+when it is built, which exponentiates every slice, otherwise the Python
+kernel. That one exponentiates each run of equal consecutive amplitude rows
+once (a fixed scheme's constant schedule is a single run), all runs in one
+batched call to scipy's Pade kernels; the result is bit for bit a loop of
+``scipy.linalg.expm`` over every slice.
 """
 from __future__ import annotations
 
@@ -44,8 +46,8 @@ class ControlSchedule:
             raise ValueError("at least one slice is required")
         if not np.all(np.isfinite(amps)):
             raise ValueError("control amplitudes must be finite")
-        if self.total_time <= 0:
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
+        if not (np.isfinite(self.total_time) and self.total_time > 0):
+            raise ValueError(f"total_time must be positive and finite, got {self.total_time}")
         if self.u_max is not None and np.max(np.abs(amps), initial=0.0) > self.u_max:
             raise ValueError(f"amplitudes exceed the configured bound {self.u_max}")
         amps.setflags(write=False)
@@ -74,8 +76,9 @@ class SlicedDynamics:
 
     The slice generator is assembled as omega0*D + G + sum_l u_l C_l where
     D = -i(I kron G_H - G_H^* kron I) for the frequency generator G_H, G is the
-    dissipator, and C_l the control commutator superoperators. Building these
-    once per model keeps the optimizer's inner loop allocation-free.
+    dissipator, and C_l the control commutator superoperators. They are built
+    once per model, so a propagation only combines them; it still allocates
+    its generators and propagators on every call.
     """
 
     def __init__(self, model: EncodingModel):

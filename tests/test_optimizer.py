@@ -40,6 +40,16 @@ class TestNelderMead:
         assert not res.converged
         assert res.evals >= 20
 
+    def test_budget_checked_once_per_iteration(self):
+        # the initial simplex is never cut short
+        assert nelder_mead(sphere, np.zeros(10), OptimizerOptions(max_evals=3)).evals == 11
+        # nor is a shrink, so a start can end n + 1 evaluations past the budget
+        rng = np.random.default_rng(0)
+        noise = lambda x: float(rng.random())
+        over = [nelder_mead(noise, np.zeros(3), OptimizerOptions(max_evals=b)).evals - b
+                for b in range(5, 60)]
+        assert max(over) == 3 + 1
+
     def test_monotone_best_so_far(self):
         # the reported value is the best the search ever evaluated
         values = []

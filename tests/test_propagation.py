@@ -55,6 +55,9 @@ class TestControlSchedule:
             ControlSchedule(np.full((2, 2), np.inf), 1.0)
         with pytest.raises(ValueError):
             ControlSchedule(np.zeros((2, 2)), 0.0)
+        for total_time in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ControlSchedule(np.zeros((2, 1)), total_time)
 
     def test_amplitude_bound(self):
         ControlSchedule(np.full((2, 2), 3.0), 1.0, u_max=3.0)
@@ -261,6 +264,19 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def spy_stack_sizes(monkeypatch):
+    """The number of generators each later ``_pykern.expm_stack`` call receives."""
+    sizes = []
+    real = _pykern.expm_stack
+
+    def spy(A):
+        sizes.append(len(A))
+        return real(A)
+
+    monkeypatch.setattr(_pykern, "expm_stack", spy)
+    return sizes
+
+
 class TestPythonKernel:
     """The shipped pure-Python kernel against a per-slice expm loop, bit for bit."""
 
@@ -290,11 +306,36 @@ class TestPythonKernel:
         assert bitwise_equal(first, scipy.linalg.expm(L0 * 0.05) @ v0)
 
     @pytest.mark.parametrize("m", [4, 16])
-    def test_runs_of_equal_rows(self, m):
+    def test_runs_of_equal_rows(self, m, monkeypatch):
         L0, ctrls, amps, v0 = self._problem(m, 9, 2, seed=m + 1)
         amps[1:4] = amps[0]
         amps[5:9] = amps[4]
+        sizes = spy_stack_sizes(monkeypatch)
         got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        assert sizes == [2]
+        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+
+    # rows by letter: A and B are distinct random rows, Z is [0.0, x] and z is
+    # [-0.0, x], which compares equal to Z; the masked add skips both zeros
+    @pytest.mark.parametrize("pattern, runs", [
+        ("A", 1), ("AAAAAAA", 1), ("AABBA", 3), ("ABABABA", 7), ("Zz", 1), ("zZZzA", 2)])
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_one_exponential_per_run(self, m, pattern, runs, monkeypatch):
+        L0, ctrls, amps, v0 = self._problem(m, 2, 2, seed=m + 2)
+        x = amps[0, 1]
+        rows = {"A": amps[0], "B": amps[1], "Z": [0.0, x], "z": [-0.0, x]}
+        amps = np.array([rows[c] for c in pattern])
+        sizes = spy_stack_sizes(monkeypatch)
+        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        assert sizes == [runs]
+        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_no_controls_is_one_run(self, m, monkeypatch):
+        L0, ctrls, amps, v0 = self._problem(m, 7, 0, seed=m + 3)
+        sizes = spy_stack_sizes(monkeypatch)
+        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        assert sizes == [1]
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
 
     @pytest.mark.parametrize("T", [0.01, 0.3, 10.0])
