@@ -1,15 +1,13 @@
-"""Pure-Python kernel: the subset of the compiled extension's interface that
-the package calls (``expm`` and final-state ``propagate_schedule``).
+"""Propagation kernel: ``expm`` and final-state ``propagate_schedule``.
 
-Both paths use Pade scaling-and-squaring matrix exponentials. The compiled
-kernel exponentiates every slice. This one exponentiates each run of equal
-consecutive amplitude rows once (a constant schedule, or a model without
-controls, is a single run) and applies that propagator to every slice of the
-run, so the final vector is bit for bit a per-slice loop's. The generators
-of all runs go through one batched call, ``expm_stack``, whose results are
-bit for bit those of ``scipy.linalg.expm`` on each slice. ``scipy.linalg.expm``
-walks a stack in Python one slice at a time, and on 4x4 slices most of its
-time goes to that per-slice dispatch.
+Slices are exponentiated by Pade scaling and squaring. ``propagate_schedule``
+exponentiates each run of equal consecutive amplitude rows once (a constant
+schedule, or a model without controls, is a single run) and applies that
+propagator to every slice of the run, so the final vector is bit for bit a
+per-slice loop's. The generators of all runs go through one batched call,
+``expm_stack``, whose results are bit for bit those of ``scipy.linalg.expm``
+on each slice. ``scipy.linalg.expm`` walks a stack in Python one slice at a
+time, and on 4x4 slices most of its time goes to that per-slice dispatch.
 ``expm_stack`` instead runs scipy's own Pade kernels (``pick_pade_structure``
 and ``pade_UV_calc`` from the private ``scipy.linalg._matfuncs_expm``) on each
 generic slice, squares the slices that share a squaring count as one stacked
@@ -17,15 +15,17 @@ product, and leaves diagonal and triangular slices to one
 ``scipy.linalg.expm`` call, which has special branches for them. A private
 module is no stable interface, so a probe at import checks that its kernels
 reproduce ``scipy.linalg.expm`` bit for bit; if they do not, every slice
-goes through ``scipy.linalg.expm``. The README's Install section gives this
-kernel's speed against the compiled one. Selected automatically when the
-extension is unavailable.
+goes through ``scipy.linalg.expm``.
 """
 import functools
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import _matfuncs_expm
+
+# The kernel's name, which every result file records as its "## kernel" line.
+# It is fixed: older result files and their readers expect the line.
+BACKEND = "python"
 
 _PADE_KERNELS = True  # on while the probe below runs; the probe then decides
 

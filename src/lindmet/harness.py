@@ -2,7 +2,7 @@
 
 Result files start with the fully resolved configuration as `# `-prefixed
 lines, followed by a CSV table. Stripping the prefix recovers a config that
-reproduces the data exactly (same seed, same backend).
+reproduces the data exactly (same seed).
 """
 from __future__ import annotations
 

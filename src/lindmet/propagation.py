@@ -2,12 +2,11 @@
 
 The encoding time T is divided into K slices; slice k evolves under
 exp(L[k] dt) with L[k] built from H[k] = omega0*G + sum_l u_l[k] H_l and the
-model's noise channel. The slices run in lindmet._kern: the compiled kernel
-when it is built, which exponentiates every slice, otherwise the Python
-kernel. That one exponentiates each run of equal consecutive amplitude rows
-once (a fixed scheme's constant schedule is a single run), all runs in one
-batched call to scipy's Pade kernels; the result is bit for bit a loop of
-``scipy.linalg.expm`` over every slice.
+model's noise channel. The slices run in lindmet._kern, which exponentiates
+each run of equal consecutive amplitude rows once (a fixed scheme's constant
+schedule is a single run), all runs in one batched call to scipy's Pade
+kernels; the result is bit for bit a loop of ``scipy.linalg.expm`` over every
+slice.
 """
 from __future__ import annotations
 
@@ -48,8 +47,11 @@ class ControlSchedule:
             raise ValueError("control amplitudes must be finite")
         if not (np.isfinite(self.total_time) and self.total_time > 0):
             raise ValueError(f"total_time must be positive and finite, got {self.total_time}")
-        if self.u_max is not None and np.max(np.abs(amps), initial=0.0) > self.u_max:
-            raise ValueError(f"amplitudes exceed the configured bound {self.u_max}")
+        if self.u_max is not None:
+            if not 0 < self.u_max < np.inf:
+                raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
+            if np.max(np.abs(amps), initial=0.0) > self.u_max:
+                raise ValueError(f"amplitudes exceed the configured bound {self.u_max}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "total_time", float(self.total_time))

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 from scipy.linalg import _matfuncs_expm
 
-from lindmet._kern import _pykern
 from lindmet import _kern
 from lindmet.channels import SCENARIOS, ancilla_extend, build_scenario
 from lindmet.liouville import lindbladian, unvectorize, vectorize
@@ -63,6 +62,10 @@ class TestControlSchedule:
         ControlSchedule(np.full((2, 2), 3.0), 1.0, u_max=3.0)
         with pytest.raises(ValueError, match="bound"):
             ControlSchedule(np.full((2, 2), 3.1), 1.0, u_max=3.0)
+        # a bound that is not positive and finite is refused, even with zero amplitudes
+        for u_max in (np.nan, np.inf, 0.0, -3.0):
+            with pytest.raises(ValueError, match="u_max must be positive and finite"):
+                ControlSchedule(np.zeros((2, 2)), 1.0, u_max=u_max)
 
     def test_grid_immutable(self):
         s = ControlSchedule(np.zeros((2, 2)), 1.0)
@@ -220,8 +223,7 @@ class TestPhysicalityInvariants:
 
 
 class TestMatrixExponential:
-    @pytest.mark.parametrize("kernel", [_kern, _pykern])
-    def test_against_taylor_oracle(self, kernel):
+    def test_against_taylor_oracle(self):
         rng = np.random.default_rng(7)
         model = model_with(gamma=10.0)
         dyn = SlicedDynamics(model)
@@ -230,7 +232,7 @@ class TestMatrixExponential:
             L = dyn.constant_generator() + u[0] * dyn.control_supers[0] \
                 + u[1] * dyn.control_supers[1]
             dt = float(rng.uniform(0.001, 0.3))
-            ours = kernel.expm(L * dt)
+            ours = _kern.expm(L * dt)
             ref = taylor_expm(L * dt)
             assert np.max(np.abs(ours - ref)) <= 1e-9
 
@@ -265,20 +267,20 @@ def bitwise_equal(a, b):
 
 
 def spy_stack_sizes(monkeypatch):
-    """The number of generators each later ``_pykern.expm_stack`` call receives."""
+    """The number of generators each later ``_kern.expm_stack`` call receives."""
     sizes = []
-    real = _pykern.expm_stack
+    real = _kern.expm_stack
 
     def spy(A):
         sizes.append(len(A))
         return real(A)
 
-    monkeypatch.setattr(_pykern, "expm_stack", spy)
+    monkeypatch.setattr(_kern, "expm_stack", spy)
     return sizes
 
 
 class TestPythonKernel:
-    """The shipped pure-Python kernel against a per-slice expm loop, bit for bit."""
+    """The kernel against a per-slice expm loop, bit for bit."""
 
     def _problem(self, m, K, L, seed):
         rng = np.random.default_rng(seed)
@@ -289,7 +291,7 @@ class TestPythonKernel:
     @pytest.mark.parametrize("K, L", [(1, 0), (1, 2), (7, 2), (20, 4)])
     def test_matches_per_slice_expm(self, m, K, L):
         L0, ctrls, amps, v0 = self._problem(m, K, L, seed=m * 100 + K * 10 + L)
-        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
 
     @pytest.mark.parametrize("m", [4, 16])
@@ -299,10 +301,10 @@ class TestPythonKernel:
         amps[1] = -0.0
         amps[2, 1] = -0.0
         amps[3, 0] = amps[3, 2] = 0.0
-        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
         # an all-zero slice evolves under L0 alone
-        first = _pykern.propagate_schedule(L0, ctrls, amps[:1], 0.05, v0)
+        first = _kern.propagate_schedule(L0, ctrls, amps[:1], 0.05, v0)
         assert bitwise_equal(first, scipy.linalg.expm(L0 * 0.05) @ v0)
 
     @pytest.mark.parametrize("m", [4, 16])
@@ -311,7 +313,7 @@ class TestPythonKernel:
         amps[1:4] = amps[0]
         amps[5:9] = amps[4]
         sizes = spy_stack_sizes(monkeypatch)
-        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert sizes == [2]
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
 
@@ -326,7 +328,7 @@ class TestPythonKernel:
         rows = {"A": amps[0], "B": amps[1], "Z": [0.0, x], "z": [-0.0, x]}
         amps = np.array([rows[c] for c in pattern])
         sizes = spy_stack_sizes(monkeypatch)
-        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert sizes == [runs]
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
 
@@ -334,7 +336,7 @@ class TestPythonKernel:
     def test_no_controls_is_one_run(self, m, monkeypatch):
         L0, ctrls, amps, v0 = self._problem(m, 7, 0, seed=m + 3)
         sizes = spy_stack_sizes(monkeypatch)
-        got = _pykern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert sizes == [1]
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
 
@@ -353,7 +355,7 @@ class TestPythonKernel:
                 "random": np.random.default_rng(L).uniform(-40, 40, (K, L))}[amplitudes]
         v0 = vectorize(np.eye(dyn.dim, dtype=complex) / dyn.dim + 0.1)
         L0 = dyn.constant_generator()
-        got = _pykern.propagate_schedule(L0, dyn.control_supers, amps, T / K, v0)
+        got = _kern.propagate_schedule(L0, dyn.control_supers, amps, T / K, v0)
         assert bitwise_equal(got, per_slice_reference(L0, dyn.control_supers, amps, T / K, v0))
 
     def test_shape_errors(self):
@@ -366,7 +368,7 @@ class TestPythonKernel:
         }
         for message, args in cases.items():
             with pytest.raises(ValueError, match=message):
-                _pykern.propagate_schedule(*args)
+                _kern.propagate_schedule(*args)
 
 
 def squarings(a):
@@ -394,14 +396,14 @@ class TestExpmStack:
         A = self._mixed_stack(m, seed=m)
         assert {squarings(a) > 0 for a in A[::5]} == {False, True}
         ref = np.stack([scipy.linalg.expm(a) for a in A])
-        assert bitwise_equal(_pykern.expm_stack(A), ref)
+        assert bitwise_equal(_kern.expm_stack(A), ref)
 
     def test_nan_slice(self):
         A = self._mixed_stack(4, seed=1)
         A[0, 1, 2] = np.nan
         A[7, 3, 0] = np.nan  # an upper-triangular slice made generic by a NaN
         ref = np.stack([scipy.linalg.expm(a) for a in A])
-        got = _pykern.expm_stack(A)
+        got = _kern.expm_stack(A)
         nan = np.isnan(ref)
         assert nan[0].any() and nan[7].any()
         assert np.array_equal(np.isnan(got), nan)
@@ -409,17 +411,17 @@ class TestExpmStack:
 
     def test_single_matrix_entry(self):
         for A in self._mixed_stack(16, seed=2):
-            assert bitwise_equal(_pykern.expm(A), scipy.linalg.expm(A))
+            assert bitwise_equal(_kern.expm(A), scipy.linalg.expm(A))
         with pytest.raises(ValueError, match="square"):
-            _pykern.expm(np.zeros((2, 3)))
+            _kern.expm(np.zeros((2, 3)))
 
     def test_changed_private_kernels_fall_back_to_scipy(self, monkeypatch):
         # the installed scipy passes the import-time probe, so the tests above
         # ran the batched path
-        assert _pykern._PADE_KERNELS
-        monkeypatch.setattr(_pykern._matfuncs_expm, "pade_UV_calc", lambda Am, n, m: None)
-        assert not _pykern._pade_kernels_match()
-        monkeypatch.setattr(_pykern, "_PADE_KERNELS", False)
+        assert _kern._PADE_KERNELS
+        monkeypatch.setattr(_kern._matfuncs_expm, "pade_UV_calc", lambda Am, n, m: None)
+        assert not _kern._pade_kernels_match()
+        monkeypatch.setattr(_kern, "_PADE_KERNELS", False)
         A = self._mixed_stack(4, seed=3)
         ref = np.stack([scipy.linalg.expm(a) for a in A])
-        assert bitwise_equal(_pykern.expm_stack(A), ref)
+        assert bitwise_equal(_kern.expm_stack(A), ref)
