@@ -28,8 +28,7 @@ from .metrology import (drho_domega, qfi_eigen, qfi_fidelity, sensitivity,
                         uhlmann_fidelity)
 from .optimizer import OptimizerOptions, multi_start, nelder_mead
 from .propagation import ControlSchedule, PropagationError, SlicedDynamics
-from .schemes import (MetrologyResult, SchemeConfig, run_control_enhanced,
-                      run_scheme)
+from .schemes import MetrologyResult, SchemeConfig, run_scheme
 
 __version__ = "0.1.0"
 
@@ -43,5 +42,5 @@ __all__ = [
     "drho_domega", "qfi_eigen", "qfi_fidelity", "sensitivity",
     "uhlmann_fidelity", "OptimizerOptions", "multi_start", "nelder_mead",
     "ControlSchedule", "PropagationError", "SlicedDynamics", "MetrologyResult",
-    "SchemeConfig", "run_control_enhanced", "run_scheme",
+    "SchemeConfig", "run_scheme",
 ]

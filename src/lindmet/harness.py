@@ -6,28 +6,46 @@ reproduces the data exactly (same seed).
 """
 from __future__ import annotations
 
-from dataclasses import replace
+import os
 from pathlib import Path
 
 from . import _kern
 from .channels import t2_from_linewidth
-from .config import NmrConfig, RunConfig, dump_nmr_config, dump_run_config, format_float
+from .config import (ConfigError, NmrConfig, RunConfig, dump_nmr_config, dump_run_config,
+                     format_float)
 from .metrology import qfi_fidelity
-from .propagation import SlicedDynamics
-from .schemes import MetrologyResult, SchemeConfig, resolve_probe, run_scheme
+from .schemes import MetrologyResult, prepare, run_scheme
 
 CSV_HEADER = "scheme,T_s,qfi_s2,sensitivity,evals,seed,converged"
 NMR_CSV_HEADER = "scheme,T_s,qfi_s2,qfi_fidelity_s2,sensitivity,evals,seed,converged"
 
 
-def _result_row(scheme: str, r: MetrologyResult, with_fidelity: bool) -> str:
+def _result_row(scheme: str, r: MetrologyResult, fidelity_qfi: float | None = None) -> str:
     cells = [scheme, format_float(r.T), format_float(r.qfi)]
-    if with_fidelity:
-        cells.append(format_float(r.qfi_fidelity if r.qfi_fidelity is not None
-                                  else float("nan")))
+    if fidelity_qfi is not None:
+        cells.append(format_float(fidelity_qfi))
     cells += [format_float(r.sensitivity), str(r.evaluations), str(r.seed),
               "true" if r.converged else "false"]
     return ",".join(cells)
+
+
+def _output_path(out: str) -> Path:
+    """``out`` as a result file path, checked before anything is computed."""
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"output path {out} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory {path.parent} does not exist")
+    if not os.access(path.parent, os.W_OK):
+        raise ConfigError(f"output directory {path.parent} is not writable")
+    return path
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_result_file(path: Path, config_text: str, header: str,
@@ -38,7 +56,7 @@ def _write_result_file(path: Path, config_text: str, header: str,
     lines.extend(f"## {m}" for m in metadata)
     lines.append(header)
     lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def read_result_file(path) -> tuple[str, list[str]]:
@@ -61,35 +79,20 @@ def run_experiment(config: RunConfig, out: str | None = None,
     ``plot_data`` additionally writes two-column (T, value) gnuplot files per
     scheme next to the CSV, one for QFI and one for sensitivity.
     """
+    path = _output_path(out if out is not None else config.out)
     all_results = [(scheme, run_scheme(config.scheme_config(scheme)))
                    for scheme in config.schemes]
-    rows = [_result_row(scheme, r, with_fidelity=False)
-            for scheme, results in all_results for r in results]
-    path = Path(out if out is not None else config.out)
+    rows = [_result_row(scheme, r) for scheme, results in all_results for r in results]
     _write_result_file(path, dump_run_config(config), CSV_HEADER, rows)
     if plot_data:
         stem = path.with_suffix("") if path.suffix else path
         for scheme, results in all_results:
             for kind, getter in (("qfi", lambda r: r.qfi),
                                  ("sensitivity", lambda r: r.sensitivity)):
-                Path(f"{stem}.{scheme}.{kind}.dat").write_text(
-                    "".join(f"{format_float(r.T)} {format_float(getter(r))}\n"
-                            for r in results))
+                _write(Path(f"{stem}.{scheme}.{kind}.dat"),
+                       "".join(f"{format_float(r.T)} {format_float(getter(r))}\n"
+                               for r in results))
     return path
-
-
-def _attach_fidelity_estimates(config: SchemeConfig,
-                               results: list[MetrologyResult],
-                               delta: float) -> list[MetrologyResult]:
-    model = config.build_model()
-    dyn = SlicedDynamics(model)
-    rho0 = resolve_probe(config, model.dim)
-    out = []
-    for r in results:
-        rho = dyn.evolve(r.schedule, rho0)
-        rho_pert = dyn.evolve(r.schedule, rho0, config.omega0 + delta)
-        out.append(replace(r, qfi_fidelity=qfi_fidelity(rho, rho_pert, delta)))
-    return out
 
 
 def run_nmr_protocol(config: NmrConfig, out: str | None = None) -> Path:
@@ -99,21 +102,22 @@ def run_nmr_protocol(config: NmrConfig, out: str | None = None) -> Path:
     reported: the eigendecomposition value driving the optimization, and the
     fidelity-based value evaluated with the experiment's perturbation step.
     """
+    path = _output_path(out if out is not None else config.out)
     t2 = t2_from_linewidth(config.linewidth_hz)
     gamma = 1.0 / t2
+    delta = config.delta_omega_fidelity
     rows = []
     metadata = [f"T2_s = {format_float(t2)}", f"gamma_per_s = {format_float(gamma)}"]
     for scheme in config.schemes:
         scheme_cfg = config.scheme_config(scheme)
-        probe = resolve_probe(scheme_cfg, 2)
+        dyn, probe = prepare(scheme_cfg)
         metadata.append(
             f"probe_{scheme} = " + " ".join(format(z, ".17g")
                                             for z in probe.reshape(-1)))
-        results = run_scheme(scheme_cfg)
-        results = _attach_fidelity_estimates(scheme_cfg, results,
-                                             config.delta_omega_fidelity)
-        rows.extend(_result_row(scheme, r, with_fidelity=True) for r in results)
-    path = Path(out if out is not None else config.out)
+        for r in run_scheme(scheme_cfg):
+            rho = dyn.evolve(r.schedule, probe)
+            rho_pert = dyn.evolve(r.schedule, probe, scheme_cfg.omega0 + delta)
+            rows.append(_result_row(scheme, r, qfi_fidelity(rho, rho_pert, delta)))
     _write_result_file(path, dump_nmr_config(config), NMR_CSV_HEADER, rows,
                        metadata=metadata)
     return path

@@ -30,16 +30,6 @@ def default_delta(omega0: float, total_time: float) -> float:
     return min(1e-4 * max(abs(omega0), 1.0), 1e-3 / total_time)
 
 
-def default_fidelity_delta(omega0: float, total_time: float) -> float:
-    """Step for the fidelity-based estimator.
-
-    Large enough that the 1-F signal clears the matrix-square-root noise floor
-    (worst for rank-deficient states such as dephased GHZ, ~1e-8), small
-    enough that the accumulated phase delta*T keeps the quadratic truncation
-    well under a percent even when F_Q approaches its pure-state ceiling."""
-    return min(5e-2 * max(abs(omega0), 1.0), 0.15 / total_time)
-
-
 def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray,
                 checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """rho(omega0) and the central difference

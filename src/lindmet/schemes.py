@@ -1,13 +1,16 @@
-"""The four metrology strategies as runnable pipelines.
+"""The four metrology strategies, run by one loop over the time grid.
 
 Each scheme maps a time grid to per-time records of QFI, sensitivity and the
-schedule that produced them:
+schedule that produced them. :func:`prepare` builds the dynamics and probe
+once per run; :func:`run_scheme` then takes, at each T, the checked QFI of
+the scheme's fixed schedule, which the control search replaces:
 
-  standard             fixed probe (|+> or GHZ), no controls
-  ancilla              Bell probe on system + noiseless ancilla, no controls
+  standard             fixed probe (|+> or GHZ), zero schedule
+  ancilla              Bell probe on system + noiseless ancilla, zero schedule
   theoretical_optimal  constant u_z = -omega0 drift cancellation
                        (transverse dephasing only)
-  control_enhanced     per-T multi-start simplex search over the K x L grid
+  control_enhanced     zero schedule, then a per-T multi-start simplex search
+                       over the K x L grid, started from it
 """
 from __future__ import annotations
 
@@ -64,6 +67,10 @@ class SchemeConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(2.0 * self.resolved_u_max):
+            # the search box [-u_max, u_max] must have a finite width
+            raise ValueError("u_max must be below half the largest float, "
+                             f"got {self.resolved_u_max}")
         n_qubits = self.build_model().n_qubits
         if self.scheme == "ancilla":
             if n_qubits != 1:
@@ -95,7 +102,6 @@ class MetrologyResult:
     evaluations: int
     seed: int
     converged: bool
-    qfi_fidelity: float | None = None
 
     def __post_init__(self):
         if not self.qfi >= 0:
@@ -177,69 +183,62 @@ def _spawned_seeds(master_seed: int, count: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def run_fixed_schedule(config: SchemeConfig) -> list[MetrologyResult]:
-    """Uncontrolled encoding, or the constant u_z = -omega0 drift cancellation.
+def prepare(config: SchemeConfig) -> tuple[SlicedDynamics, np.ndarray]:
+    """The dynamics and the probe state a run of ``config`` starts from.
 
-    ``standard`` evolves the fixed probe freely, ``ancilla`` evolves a Bell
-    probe on the system tensor a noiseless ancilla, and ``theoretical_optimal``
-    holds u_z = -omega0, cancelling the drift exactly: the known long-time
-    optimum for transverse dephasing at small noise rates. Its QFI stays
-    nonzero because the frequency derivative probes the cancelled drift's
-    dependence on omega0.
+    The ancilla scheme evolves its probe on the system tensor a noiseless
+    ancilla; every other scheme on the scenario's own register.
     """
     model = config.build_model()
     if config.scheme == "ancilla":
         model = ancilla_extend(model)
-    dyn = SlicedDynamics(model)
-    rho0 = resolve_probe(config, model.dim)
-    amplitude = -config.omega0 if config.scheme == "theoretical_optimal" else 0.0
-    out = []
-    for T in config.time_grid:
-        sched = ControlSchedule(np.full((config.K, model.n_controls), amplitude), T)
-        qfi = _schedule_qfi(dyn, sched, rho0)
-        out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c),
-                                   sched, 0, config.optimizer.seed, True))
-    return out
-
-
-def run_control_enhanced(config: SchemeConfig) -> list[MetrologyResult]:
-    """Per-T simplex maximization of the QFI over the K x L amplitude grid.
-
-    The zero schedule is always among the starts, so the optimized QFI cannot
-    fall below the same-probe uncontrolled value. Its QFI is taken checked
-    before each search, so a grid point whose checks must fail stops at once
-    instead of after the search's budget. With ``warm_start`` the
-    previous grid point's best schedule joins the starts as well; faster on
-    dense grids, but it can change which local optimum each point settles in.
-    """
-    model = config.build_model()
-    dyn = SlicedDynamics(model)
-    rho0 = resolve_probe(config, model.dim)
-    u_max = config.resolved_u_max
-    K, L = config.K, model.n_controls
-    seeds = _spawned_seeds(config.optimizer.seed, len(config.time_grid))
-    out = []
-    previous_best = None
-    for i, T in enumerate(config.time_grid):
-        def objective(x, T=T):
-            sched = ControlSchedule(x.reshape(K, L), T)
-            return -_schedule_qfi(dyn, sched, rho0, checked=False)
-
-        _schedule_qfi(dyn, ControlSchedule.zero(K, L, T), rho0)
-        opts = replace(config.optimizer, seed=seeds[i + 1])
-        extra = (previous_best,) if config.warm_start and previous_best is not None else ()
-        res = multi_start(objective, np.full(K * L, -u_max), np.full(K * L, u_max),
-                          opts, extra_starts=extra)
-        best = ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
-        qfi = _schedule_qfi(dyn, best, rho0)
-        out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c),
-                                   best, res.evals, config.optimizer.seed, res.converged))
-        previous_best = res.x
-    return out
+    return SlicedDynamics(model), resolve_probe(config, model.dim)
 
 
 def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
-    """Dispatch on config.scheme."""
-    if config.scheme == "control_enhanced":
-        return run_control_enhanced(config)
-    return run_fixed_schedule(config)
+    """QFI and sensitivity of ``config.scheme`` at each encoding time.
+
+    At each T the scheme's fixed schedule is evaluated first, checked: all
+    zeros, or for ``theoretical_optimal`` a constant u_z = -omega0 that
+    cancels the drift exactly, the known long-time optimum for transverse
+    dephasing at small noise rates. That QFI stays nonzero because the
+    frequency derivative probes the cancelled drift's dependence on omega0.
+
+    ``control_enhanced`` then replaces the zero schedule by a multi-start
+    simplex maximization of the QFI over the K x L amplitude grid. The zero
+    schedule is always among the starts, so the optimized QFI cannot fall
+    below the same-probe uncontrolled value, and because it was checked
+    first, a grid point whose checks must fail stops at once instead of
+    after the search's budget. With ``warm_start`` the previous grid point's
+    best schedule joins the starts as well; faster on dense grids, but it can
+    change which local optimum each point settles in.
+    """
+    dyn, rho0 = prepare(config)
+    K, L = config.K, dyn.model.n_controls
+    amplitude = -config.omega0 if config.scheme == "theoretical_optimal" else 0.0
+    search = config.scheme == "control_enhanced"
+    if search:
+        u_max = config.resolved_u_max
+        seeds = _spawned_seeds(config.optimizer.seed, len(config.time_grid))
+    out = []
+    previous_best = None
+    for i, T in enumerate(config.time_grid):
+        sched = ControlSchedule(np.full((K, L), amplitude), T)
+        qfi = _schedule_qfi(dyn, sched, rho0)
+        evals, converged = 0, True
+        if search:
+            def objective(x, T=T):
+                return -_schedule_qfi(dyn, ControlSchedule(x.reshape(K, L), T), rho0,
+                                      checked=False)
+
+            opts = replace(config.optimizer, seed=seeds[i + 1])
+            extra = (previous_best,) if config.warm_start and previous_best is not None else ()
+            res = multi_start(objective, np.full(K * L, -u_max), np.full(K * L, u_max),
+                              opts, extra_starts=extra)
+            sched = ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
+            qfi = _schedule_qfi(dyn, sched, rho0)
+            evals, converged = res.evals, res.converged
+            previous_best = res.x
+        out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c),
+                                   sched, evals, config.optimizer.seed, converged))
+    return out

@@ -13,14 +13,14 @@ import numpy as np
 from lindmet.channels import build_scenario
 from lindmet.config import load_nmr_config
 from lindmet.liouville import lindbladian, vectorize
-from lindmet.metrology import (default_fidelity_delta, drho_domega,
-                               qfi_eigen, qfi_fidelity)
+from lindmet.metrology import drho_domega, qfi_eigen, qfi_fidelity
 from lindmet.optimizer import OptimizerOptions, multi_start, nelder_mead
 from lindmet.propagation import ControlSchedule, SlicedDynamics
 from lindmet.schemes import (SchemeConfig, ghz_state, haar_random_state,
-                             plus_state, run_control_enhanced, run_scheme)
+                             plus_state, run_scheme)
 
 from bloch_oracle import max_qfi
+from test_metrology import fidelity_delta
 
 OMEGA0 = 2 * np.pi
 
@@ -93,7 +93,7 @@ def test_criterion_3_estimator_cross_validation():
             s = ControlSchedule.zero(1, model.n_controls, T)
             rho, d = drho_domega(dyn, s, rho0)
             eig = qfi_eigen(rho, d)
-            delta = default_fidelity_delta(OMEGA0, T)
+            delta = fidelity_delta(OMEGA0, T)
             fid = qfi_fidelity(rho, dyn.evolve(s, rho0, OMEGA0 + delta), delta)
             worst = max(worst, abs(fid - eig) / eig)
     elapsed = time.time() - t0
@@ -114,8 +114,8 @@ def test_criterion_4_control_enhanced_dominance():
     worst_gap = -np.inf
     for scenario, grid in grids.items():
         std = run_scheme(cfg("standard", scenario, grid, K=4))
-        ctl = run_control_enhanced(cfg("control_enhanced", scenario, grid, K=4,
-                                       optimizer=opts))
+        ctl = run_scheme(cfg("control_enhanced", scenario, grid, K=4,
+                             optimizer=opts))
         for s, c in zip(std, ctl):
             worst_gap = max(worst_gap, s.qfi - c.qfi)
     elapsed = time.time() - t0
@@ -144,7 +144,7 @@ def test_criterion_5_control_enhanced_gain():
     """
     t0 = time.time()
     gamma, T = 10.0, 0.3
-    res = run_control_enhanced(cfg(
+    res = run_scheme(cfg(
         "control_enhanced", "parallel-dephasing-1q", (T,), K=20,
         optimizer=OptimizerOptions(restarts=20, seed=20250810)))[0]
     peak = (1 / gamma) ** 2 * np.exp(-2.0)
@@ -254,7 +254,7 @@ def test_criterion_9_nmr_protocol_gain():
 
     from dataclasses import replace
     std = run_scheme(replace(std_cfg, time_grid=(T_end,)))[0]
-    ctl = run_control_enhanced(replace(ctl_cfg, time_grid=(T_end,)))[0]
+    ctl = run_scheme(replace(ctl_cfg, time_grid=(T_end,)))[0]
     ratio = ctl.qfi / std.qfi
     elapsed = time.time() - t0
     ok = ratio >= 1.5

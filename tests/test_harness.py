@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lindmet
-from lindmet import schemes
+from lindmet import harness, schemes
 from lindmet.cli import main
 from lindmet.config import (ConfigError, dump_nmr_config, dump_run_config,
                             load_nmr_config, load_run_config)
@@ -395,6 +395,8 @@ def test_run_defaults_are_scheme_config_defaults():
 
 
 _RUN_1Q = "[run]\nscenario = parallel-dephasing-1q\nschemes = standard, control_enhanced\n"
+_RUN_STD = "[run]\nscenario = parallel-dephasing-1q\n"
+_NMR_SMALL = "[nmr]\npoints = 1\nK = 1\n\n[optimizer]\nrestarts = 1\nmax_evals = 20\n"
 
 # (command line before --config, config text, a fragment of the expected message)
 INVALID_CONFIGS = {
@@ -439,6 +441,16 @@ INVALID_CONFIGS = {
     "run-schemes=standard,standard": (
         "run", "[run]\nscenario = parallel-dephasing-1q\nschemes = standard, standard\n",
         "scheme 'standard' is named twice"),
+    "run-u_max=1e308": ("run", _RUN_1Q + "[control]\nK = 2\nu_max = 1e308\n\n"
+                        "[optimizer]\nrestarts = 2\n", "u_max must be below half"),
+    "nmr-u_max=1e308": ("nmr", "[nmr]\nu_max = 1e308\n", "u_max must be below half"),
+    "run--out=missing/x.csv": ("run --out missing/x.csv", _RUN_STD,
+                               "output directory missing does not exist"),
+    "run-out=.": ("run", _RUN_STD + "out = .\n", "output path . is a directory"),
+    "nmr--out=missing/y.csv": ("nmr --out missing/y.csv", _NMR_SMALL,
+                               "output directory missing does not exist"),
+    "nmr-out=.": ("nmr", _NMR_SMALL.replace("[nmr]\n", "[nmr]\nout = .\n"),
+                  "output path . is a directory"),
 }
 
 
@@ -453,6 +465,67 @@ def test_invalid_config_exits_2_without_output(command, text, message, tmp_path,
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("command, text", [("run", _RUN_1Q), ("nmr", _NMR_SMALL)],
+                         ids=["run", "nmr"])
+def test_bad_output_path_fails_before_any_scheme_runs(command, text, tmp_path,
+                                                      monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("a scheme ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "run_scheme", no_run)
+    (tmp_path / "bad.cfg").write_text(text)
+    out = str(tmp_path / "missing" / "x.csv")
+    assert main([command, "--config", str(tmp_path / "bad.cfg"), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: output directory ")
+
+
+def test_write_failure_exits_2(tmp_path, capsys):
+    # a directory where a plot file goes: the check passes, the write fails
+    (tmp_path / "run.cfg").write_text(TINY_RUN)
+    (tmp_path / "res.standard.qfi.dat").mkdir()
+    assert main(["run", "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(tmp_path / "res.csv"), "--plot-data"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ") and err.count("\n") == 1
+
+
+def test_run_reaches_every_layer_the_benchmark_traces(tmp_path, monkeypatch):
+    # bench/tracing.py wraps these names where their callers look them up and
+    # skips a name that no longer exists, so a layer renamed away goes
+    # untraced without an error; bench/micro.py takes the search objective
+    # from schemes.multi_start
+    from lindmet import _kern, cli, optimizer
+    from lindmet.propagation import SlicedDynamics
+
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        key = f"{getattr(owner, '__name__', owner)}.{name}"
+        calls[key] = 0
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((schemes, "drho_domega"), (schemes, "qfi_eigen"),
+                        (schemes, "multi_start"), (schemes, "build_scenario"),
+                        (harness, "run_scheme"), (_kern, "propagate_schedule"),
+                        (optimizer, "nelder_mead"), (cli, "run_experiment"),
+                        (cli, "load_run_config"), (SlicedDynamics, "evolve_vectorized")):
+        count(owner, name)
+    (tmp_path / "run.cfg").write_text(
+        _RUN_1Q + "[time_grid]\nstart = 0.1\nstop = 0.2\npoints = 2\n\n"
+        "[control]\nK = 2\n\n[optimizer]\nrestarts = 1\nmax_evals = 20\n")
+    assert main(["run", "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(tmp_path / "res.csv")]) == 0
+    assert calls["lindmet.harness.run_scheme"] == 2
+    assert calls["lindmet.schemes.multi_start"] == 2
+    assert all(calls.values()), calls
 
 
 class TestBlasThreads:

@@ -3,9 +3,8 @@ import pytest
 
 from lindmet.channels import (SIGMA_Z, EncodingModel, build_scenario,
                               parallel_dephasing)
-from lindmet.metrology import (MetrologyError, default_fidelity_delta,
-                               drho_domega, qfi_eigen, qfi_fidelity,
-                               sensitivity, uhlmann_fidelity)
+from lindmet.metrology import (MetrologyError, drho_domega, qfi_eigen,
+                               qfi_fidelity, sensitivity, uhlmann_fidelity)
 from lindmet.propagation import ControlSchedule, SlicedDynamics
 from lindmet.schemes import ghz_state, plus_state
 
@@ -19,6 +18,16 @@ KET1 = np.diag([0.0, 1.0]).astype(complex)
 def bloch_of(rho):
     return np.array([2 * rho[1, 0].real, 2 * rho[1, 0].imag,
                      (rho[0, 0] - rho[1, 1]).real])
+
+
+def fidelity_delta(omega0: float, total_time: float) -> float:
+    """Step for the fidelity-based estimator.
+
+    Large enough that the 1-F signal clears the matrix-square-root noise floor
+    (worst for rank-deficient states such as dephased GHZ, ~1e-8), small
+    enough that the accumulated phase delta*T keeps the quadratic truncation
+    well under a percent even when F_Q approaches its pure-state ceiling."""
+    return min(5e-2 * max(abs(omega0), 1.0), 0.15 / total_time)
 
 
 def noiseless_model(omega0=OMEGA0):
@@ -176,7 +185,7 @@ class TestQfiFidelity:
         T = 0.5
         s = ControlSchedule.zero(1, 2, T)
         rho = dyn.evolve(s, plus_state(1))
-        delta = default_fidelity_delta(OMEGA0, T)
+        delta = fidelity_delta(OMEGA0, T)
         rho_p = dyn.evolve(s, plus_state(1), OMEGA0 + delta)
         est = qfi_fidelity(rho, rho_p, delta)
         eig = qfi_eigen(*drho_domega(dyn, s, plus_state(1)))
@@ -230,7 +239,7 @@ class TestEstimatorAgreement:
             s = ControlSchedule.zero(1, model.n_controls, T)
             rho, d = drho_domega(dyn, s, rho0)
             eig = qfi_eigen(rho, d)
-            delta = default_fidelity_delta(OMEGA0, T)
+            delta = fidelity_delta(OMEGA0, T)
             fid = qfi_fidelity(rho, dyn.evolve(s, rho0, OMEGA0 + delta), delta)
             assert abs(fid - eig) / eig <= 0.02, (scenario, T)
 

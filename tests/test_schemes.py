@@ -5,7 +5,6 @@ from lindmet.optimizer import OptimizerOptions
 from lindmet.propagation import ControlSchedule
 from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
                              haar_random_state, plus_state, resolve_probe,
-                             run_control_enhanced, run_fixed_schedule,
                              run_scheme)
 
 OMEGA0 = 2 * np.pi
@@ -181,8 +180,8 @@ class TestControlEnhanced:
     def test_dominates_standard(self):
         grid = [0.05, 0.2]
         std = run_scheme(config("standard", "parallel-dephasing-1q", grid, K=5))
-        ctl = run_control_enhanced(config("control_enhanced", "parallel-dephasing-1q",
-                                          grid, K=5, optimizer=SMALL_OPT))
+        ctl = run_scheme(config("control_enhanced", "parallel-dephasing-1q",
+                                grid, K=5, optimizer=SMALL_OPT))
         for s, c in zip(std, ctl):
             assert c.qfi >= s.qfi - 1e-6
             assert c.evaluations > 0
@@ -191,8 +190,8 @@ class TestControlEnhanced:
         # controls are unnecessary for T << T2
         grid = [0.005]
         std = run_scheme(config("standard", "parallel-dephasing-1q", grid, K=4))
-        ctl = run_control_enhanced(config("control_enhanced", "parallel-dephasing-1q",
-                                          grid, K=4, optimizer=SMALL_OPT))
+        ctl = run_scheme(config("control_enhanced", "parallel-dephasing-1q",
+                                grid, K=4, optimizer=SMALL_OPT))
         assert abs(ctl[0].qfi - std[0].qfi) / std[0].qfi <= 0.05
 
     def test_beats_standard_global_peak_beyond_coherence_time(self):
@@ -201,7 +200,7 @@ class TestControlEnhanced:
         gamma = 10.0
         grid = [0.3]
         std = run_scheme(config("standard", "parallel-dephasing-1q", grid, K=10))
-        ctl = run_control_enhanced(config(
+        ctl = run_scheme(config(
             "control_enhanced", "parallel-dephasing-1q", grid, K=10,
             optimizer=OptimizerOptions(restarts=4, max_evals=2500, seed=2)))
         standard_peak = np.exp(-2.0) / gamma**2
@@ -211,8 +210,8 @@ class TestControlEnhanced:
     def test_bitwise_determinism(self):
         cfg = config("control_enhanced", "parallel-dephasing-1q", [0.1, 0.2],
                      K=4, optimizer=OptimizerOptions(restarts=2, max_evals=200, seed=7))
-        a = run_control_enhanced(cfg)
-        b = run_control_enhanced(cfg)
+        a = run_scheme(cfg)
+        b = run_scheme(cfg)
         for ra, rb in zip(a, b):
             assert ra.qfi == rb.qfi
             assert ra.sensitivity == rb.sensitivity
@@ -222,18 +221,18 @@ class TestControlEnhanced:
     def test_schedule_within_bounds(self):
         cfg = config("control_enhanced", "parallel-dephasing-1q", [0.2], K=4,
                      u_max=5.0, optimizer=SMALL_OPT)
-        res = run_control_enhanced(cfg)
+        res = run_scheme(cfg)
         assert np.max(np.abs(res[0].schedule.amplitudes)) <= 5.0
 
     def test_warm_start_adds_a_start_and_stays_deterministic(self):
         base = dict(scheme="control_enhanced", scenario="parallel-dephasing-1q",
                     time_grid=(0.15, 0.2), K=4,
                     optimizer=OptimizerOptions(restarts=2, max_evals=300, seed=3))
-        cold = run_control_enhanced(SchemeConfig(**base))
-        warm = run_control_enhanced(SchemeConfig(**base, warm_start=True))
+        cold = run_scheme(SchemeConfig(**base))
+        warm = run_scheme(SchemeConfig(**base, warm_start=True))
         assert warm[0].evaluations == cold[0].evaluations
         assert warm[1].evaluations > cold[1].evaluations
-        warm2 = run_control_enhanced(SchemeConfig(**base, warm_start=True))
+        warm2 = run_scheme(SchemeConfig(**base, warm_start=True))
         for a, b in zip(warm, warm2):
             assert np.array_equal(a.schedule.amplitudes, b.schedule.amplitudes)
             assert a.qfi == b.qfi
@@ -247,8 +246,8 @@ class TestSchemeAgreementSmallT:
             vals = [
                 run_scheme(config("standard", "parallel-dephasing-1q", grid, K=4))[0].qfi,
                 run_scheme(config("ancilla", "parallel-dephasing-1q", grid, K=4))[0].qfi,
-                run_control_enhanced(config("control_enhanced", "parallel-dephasing-1q",
-                                            grid, K=4, optimizer=SMALL_OPT))[0].qfi,
+                run_scheme(config("control_enhanced", "parallel-dephasing-1q",
+                                  grid, K=4, optimizer=SMALL_OPT))[0].qfi,
             ]
             assert (max(vals) - min(vals)) / min(vals) <= 0.05
 
@@ -281,11 +280,3 @@ class TestMetrologyResult:
         s = ControlSchedule.zero(1, 2, 0.1)
         with pytest.raises(ValueError):
             MetrologyResult(0.2, 1.0, 1.0, s, 0, 0, True)
-
-
-class TestDispatch:
-    def test_run_scheme_routes(self):
-        grid = [0.05]
-        a = run_scheme(config("standard", "parallel-dephasing-1q", grid))
-        b = run_fixed_schedule(config("standard", "parallel-dephasing-1q", grid))
-        assert a[0].qfi == b[0].qfi
