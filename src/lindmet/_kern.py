@@ -4,10 +4,13 @@ Slices are exponentiated by Pade scaling and squaring. ``propagate_schedule``
 exponentiates each run of equal consecutive amplitude rows once (a constant
 schedule, or a model without controls, is a single run) and applies that
 propagator to every slice of the run, so the final vector is bit for bit a
-per-slice loop's. The generators of all runs go through one batched call,
-``expm_stack``, whose results are bit for bit those of ``scipy.linalg.expm``
-on each slice. ``scipy.linalg.expm`` walks a stack in Python one slice at a
-time, and on 4x4 slices most of its time goes to that per-slice dispatch.
+per-slice loop's. Given a stack of W drift generators it propagates the same
+schedule under each, as the central-difference derivative needs at three
+frequencies: the runs are found once, and the W generators of every run go
+through one batched call, ``expm_stack``, whose results are bit for bit those
+of ``scipy.linalg.expm`` on each slice. ``scipy.linalg.expm`` walks a stack
+in Python one slice at a time, and on 4x4 slices most of its time goes to
+that per-slice dispatch.
 ``expm_stack`` instead runs scipy's own Pade kernels (``pick_pade_structure``
 and ``pade_UV_calc`` from the private ``scipy.linalg._matfuncs_expm``) on each
 generic slice, squares the slices that share a squaring count as one stacked
@@ -104,20 +107,28 @@ def expm(a):
 
 def propagate_schedule(L0, ctrls, amps, dt, v0):
     """Apply exp((L0 + sum_l amps[k,l]*ctrls[l]) * dt) to v0 for k = 0..K-1
-    and return the final vector."""
+    and return the final vector.
+
+    ``L0`` may also be a (W, m, m) stack of drift generators: the schedule
+    then propagates v0 under each of them and the result is (W, m), row w
+    bit for bit the call with ``L0[w]`` alone. All W generators of every run
+    go through one ``expm_stack`` call.
+    """
     L0 = np.asarray(L0, dtype=np.complex128)
     ctrls = np.asarray(ctrls, dtype=np.complex128)
     amps = np.asarray(amps, dtype=np.float64)
-    v = np.array(v0, dtype=np.complex128)
-    m = L0.shape[0]
+    v0 = np.asarray(v0, dtype=np.complex128)
+    stacked = L0.ndim == 3
+    drifts = L0 if stacked else L0[None]
+    W, m = drifts.shape[0], drifts.shape[-1]
     K, nl = amps.shape
-    if L0.shape != (m, m):
-        raise ValueError("L0 must be square")
+    if drifts.ndim != 3 or drifts.shape[1:] != (m, m):
+        raise ValueError("L0 must be square, or a stack of square generators")
     if ctrls.shape[0] != nl:
         raise ValueError("amps field count does not match control generators")
     if nl > 0 and ctrls.shape[1:] != (m, m):
         raise ValueError("control generators must match L0 shape")
-    if v.shape != (m,):
+    if v0.shape != (m,):
         raise ValueError("state vector length does not match generator")
 
     # one generator per run of equal consecutive rows, built from its first row;
@@ -125,17 +136,21 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     new = np.ones(K, dtype=bool)
     new[1:] = (amps[1:] != amps[:-1]).any(axis=1)
     first = amps.compress(new, axis=0)
+    R = len(first)
 
     # each generator is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order and
     # skipping zero amplitudes, so it is bitwise a per-slice build
-    A = np.broadcast_to(L0, (len(first), m, m)).copy()
+    A = np.broadcast_to(drifts[:, None], (W, R, m, m)).copy()
     for l in range(nl):
         on = first[:, l] != 0.0
-        A[on] += first[on, l, None, None] * ctrls[l]
-    props = expm_stack(A * dt)
+        A[:, on] += first[on, l, None, None] * ctrls[l]
+    props = expm_stack((A * dt).reshape(W * R, m, m)).reshape(W, R, m, m)
 
+    # a batched matrix-vector product is bitwise W separate ones
+    v = np.broadcast_to(v0[:, None], (W, m, 1)).copy()
     run = -1
     for starts_run in new.tolist():
         run += starts_run
-        v = props[run] @ v
-    return v
+        v = np.matmul(props[:, run], v)
+    v = v[..., 0]
+    return v if stacked else v[0]

@@ -72,7 +72,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PropagationError, MetrologyError, ArithmeticError) as exc:
+    except (PropagationError, MetrologyError, ArithmeticError, MemoryError) as exc:
+        # a MemoryError is an array too large to allocate, such as an absurd slice count
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -77,21 +77,21 @@ def run_experiment(config: RunConfig, out: str | None = None,
     """Run every requested scheme over the time grid and write the CSV.
 
     ``plot_data`` additionally writes two-column (T, value) gnuplot files per
-    scheme next to the CSV, one for QFI and one for sensitivity.
+    scheme next to the CSV, one for QFI and one for sensitivity. Every output
+    path is checked before any scheme runs.
     """
     path = _output_path(out if out is not None else config.out)
-    all_results = [(scheme, run_scheme(config.scheme_config(scheme)))
-                   for scheme in config.schemes]
-    rows = [_result_row(scheme, r) for scheme, results in all_results for r in results]
-    _write_result_file(path, dump_run_config(config), CSV_HEADER, rows)
+    plots = []
     if plot_data:
         stem = path.with_suffix("") if path.suffix else path
-        for scheme, results in all_results:
-            for kind, getter in (("qfi", lambda r: r.qfi),
-                                 ("sensitivity", lambda r: r.sensitivity)):
-                _write(Path(f"{stem}.{scheme}.{kind}.dat"),
-                       "".join(f"{format_float(r.T)} {format_float(getter(r))}\n"
-                               for r in results))
+        plots = [(scheme, kind, _output_path(f"{stem}.{scheme}.{kind}.dat"))
+                 for scheme in config.schemes for kind in ("qfi", "sensitivity")]
+    results = {scheme: run_scheme(config.scheme_config(scheme)) for scheme in config.schemes}
+    rows = [_result_row(scheme, r) for scheme in config.schemes for r in results[scheme]]
+    _write_result_file(path, dump_run_config(config), CSV_HEADER, rows)
+    for scheme, kind, plot_path in plots:
+        _write(plot_path, "".join(f"{format_float(r.T)} {format_float(getattr(r, kind))}\n"
+                                  for r in results[scheme]))
     return path
 
 
@@ -114,9 +114,10 @@ def run_nmr_protocol(config: NmrConfig, out: str | None = None) -> Path:
         metadata.append(
             f"probe_{scheme} = " + " ".join(format(z, ".17g")
                                             for z in probe.reshape(-1)))
+        # the exact and perturbed states, from one kernel call
+        frequencies = (scheme_cfg.omega0, scheme_cfg.omega0 + delta)
         for r in run_scheme(scheme_cfg):
-            rho = dyn.evolve(r.schedule, probe)
-            rho_pert = dyn.evolve(r.schedule, probe, scheme_cfg.omega0 + delta)
+            rho, rho_pert = dyn.evolve(r.schedule, probe, frequencies)
             rows.append(_result_row(scheme, r, qfi_fidelity(rho, rho_pert, delta)))
     _write_result_file(path, dump_nmr_config(config), NMR_CSV_HEADER, rows,
                        metadata=metadata)

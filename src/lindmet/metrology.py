@@ -1,5 +1,10 @@
 """Quantum Fisher information (two estimators), Uhlmann fidelity, and the
-time-normalized sensitivity figure of merit."""
+time-normalized sensitivity figure of merit.
+
+The frequency derivative of the evolved state is a central difference: the
+schedule propagates at omega0 and omega0 +- delta in one kernel call, whose
+three results are bit for bit three separate propagations.
+"""
 from __future__ import annotations
 
 import logging
@@ -36,10 +41,11 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray
     (rho(omega0+delta) - rho(omega0-delta)) / (2 delta).
 
     The schedule is held fixed while the frequency is perturbed by the step
-    :func:`default_delta`. With ``checked``, rho must pass the
-    propagated-state checks and the difference must be Hermitian and
-    traceless, with a step above the cancellation floor; a failure raises
-    :class:`PropagationError` or :class:`MetrologyError`.
+    :func:`default_delta`; the three frequencies propagate in one kernel
+    call, each bit for bit its own propagation. With ``checked``, rho must
+    pass the propagated-state checks and the difference must be Hermitian
+    and traceless, with a step above the cancellation floor; a failure
+    raises :class:`PropagationError` or :class:`MetrologyError`.
     """
     omega0 = dyn.model.omega0
     delta = default_delta(omega0, schedule.total_time)
@@ -52,9 +58,8 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray
                 f"derivative step {delta:.3e} is below the cancellation floor "
                 f"{floor:.3e} for omega0={omega0:.3e}")
     v0 = vectorize(np.asarray(rho0, dtype=complex))
-    rho = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0))
-    rho_p = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0 + delta))
-    rho_m = unvectorize(dyn.evolve_vectorized(schedule, v0, omega0 - delta))
+    rho, rho_p, rho_m = (unvectorize(v) for v in dyn.evolve_vectorized(
+        schedule, v0, (omega0, omega0 + delta, omega0 - delta)))
     drho = (rho_p - rho_m) / (2.0 * delta)
     if checked:
         check_evolved_state(rho)

@@ -6,10 +6,12 @@ model's noise channel. The slices run in lindmet._kern, which exponentiates
 each run of equal consecutive amplitude rows once (a fixed scheme's constant
 schedule is a single run), all runs in one batched call to scipy's Pade
 kernels; the result is bit for bit a loop of ``scipy.linalg.expm`` over every
-slice.
+slice. One call can propagate a schedule at several frequencies, as the
+frequency derivative needs: all their generators share that batched call.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,12 +99,21 @@ class SlicedDynamics:
             np.array([-1j * hamiltonian_superop(H) for H in model.control_hams],
                      dtype=complex).reshape(model.n_controls, self.dim ** 2, self.dim ** 2))
 
-    def constant_generator(self, omega0: float | None = None) -> np.ndarray:
-        om = self.model.omega0 if omega0 is None else float(omega0)
-        return om * self.drift_super + self.noise_super
+    def constant_generator(self, omega0: float | Sequence[float] | None = None) -> np.ndarray:
+        """omega0*D + G at the model's frequency, or at ``omega0``; a sequence
+        of W frequencies gives a (W, m, m) stack, one generator per frequency."""
+        om = np.asarray(self.model.omega0 if omega0 is None else omega0, dtype=float)
+        return om[..., None, None] * self.drift_super + self.noise_super
 
     def evolve_vectorized(self, schedule: ControlSchedule, v0: np.ndarray,
-                          omega0: float | None = None) -> np.ndarray:
+                          omega0: float | Sequence[float] | None = None) -> np.ndarray:
+        """The vectorized state after ``schedule`` acts on ``v0``.
+
+        ``omega0`` is a frequency (default: the model's) or a sequence of W
+        frequencies; a sequence propagates the schedule at each of them in
+        one kernel call and returns a (W, d^2) array, row w bit for bit the
+        call at ``omega0[w]`` alone.
+        """
         if schedule.L != self.model.n_controls:
             raise ValueError(
                 f"schedule has {schedule.L} fields but the model has "
@@ -111,12 +122,16 @@ class SlicedDynamics:
                                         schedule.amplitudes, schedule.dt, v0)
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray,
-               omega0: float | None = None) -> np.ndarray:
+               omega0: float | Sequence[float] | None = None):
+        """The density matrix after ``schedule`` acts on ``rho0``, checked by
+        :func:`check_evolved_state`; a sequence of frequencies gives a list of
+        checked states, one per frequency, from one kernel call."""
         v = self.evolve_vectorized(schedule, vectorize(np.asarray(rho0, dtype=complex)),
                                    omega0)
-        rho = unvectorize(v)
-        check_evolved_state(rho)
-        return rho
+        rhos = [unvectorize(row) for row in np.atleast_2d(v)]
+        for rho in rhos:
+            check_evolved_state(rho)
+        return rhos if v.ndim == 2 else rhos[0]
 
 
 def check_evolved_state(rho: np.ndarray) -> None:

@@ -224,9 +224,22 @@ class TestNmrProtocol:
     def _config(self):
         return load_nmr_config(NMR_TEXT, is_path=False)
 
-    def test_file_schema_and_grid(self, tmp_path):
+    def test_file_schema_and_grid(self, tmp_path, monkeypatch):
+        from lindmet import _kern
+
+        depths = []
+        real = _kern.propagate_schedule
+
+        def spy(L0, *args):
+            depths.append(len(L0))
+            return real(L0, *args)
+
+        monkeypatch.setattr(_kern, "propagate_schedule", spy)
         cfg = self._config()
         path = run_nmr_protocol(cfg, out=tmp_path / "nmr.csv")
+        # each QFI propagates omega0 and omega0 +- delta in one call, and each
+        # row's fidelity pair omega0 and omega0 + delta in another
+        assert set(depths) == {3, 2} and depths.count(2) == 2 * 3
         _, data = read_result_file(path)
         header = data[0].split(",")
         assert header == ["scheme", "T_s", "qfi_s2", "qfi_fidelity_s2",
@@ -481,14 +494,59 @@ def test_bad_output_path_fails_before_any_scheme_runs(command, text, tmp_path,
     assert capsys.readouterr().err.startswith("config error: output directory ")
 
 
-def test_write_failure_exits_2(tmp_path, capsys):
-    # a directory where a plot file goes: the check passes, the write fails
+def test_unwritable_plot_path_fails_before_any_scheme_runs(tmp_path, monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("a scheme ran before the plot paths were checked")
+
+    monkeypatch.setattr(harness, "run_scheme", no_run)
     (tmp_path / "run.cfg").write_text(TINY_RUN)
-    (tmp_path / "res.standard.qfi.dat").mkdir()
+    # a directory where the last plot file goes
+    (tmp_path / "res.ancilla.sensitivity.dat").mkdir()
+    assert main(["run", "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(tmp_path / "res.csv"), "--plot-data"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output path ") and err.count("\n") == 1
+    assert "res.ancilla.sensitivity.dat is a directory" in err
+    assert not (tmp_path / "res.csv").exists()
+
+
+def test_write_failure_exits_2(tmp_path, monkeypatch, capsys):
+    # every path passes its check, then the write itself fails
+    def refuse(self, text):
+        raise OSError(28, "No space left on device")
+
+    (tmp_path / "run.cfg").write_text(TINY_RUN)
+    monkeypatch.setattr(Path, "write_text", refuse)
     assert main(["run", "--config", str(tmp_path / "run.cfg"),
                  "--out", str(tmp_path / "res.csv"), "--plot-data"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write ") and err.count("\n") == 1
+    assert "No space left on device" in err
+
+
+ABSURD_K = "[control]\nK = 1000000000000000\n"
+
+
+@pytest.mark.parametrize("command, text", [("run", _RUN_1Q + ABSURD_K),
+                                           ("nmr", "[nmr]\nK = 1000000000000000\n")],
+                         ids=["run", "nmr"])
+def test_absurd_slice_count_exits_3_without_output(command, text, tmp_path, monkeypatch,
+                                                   capsys):
+    # the first K x L schedule cannot be allocated, so the run stops before any
+    # propagation
+    from lindmet import _kern
+
+    def no_kernel(*args):
+        raise AssertionError("a propagation ran")
+
+    monkeypatch.setattr(_kern, "propagate_schedule", no_kernel)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.cfg").write_text(text)
+    assert main([command, "--config", "big.cfg"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "Unable to allocate" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["big.cfg"]
 
 
 def test_run_reaches_every_layer_the_benchmark_traces(tmp_path, monkeypatch):

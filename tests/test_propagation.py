@@ -131,6 +131,9 @@ class TestEvolve:
         assert np.array_equal(a, b)
         c = dyn.evolve(s, plus_state(1), omega0=OMEGA0 + 0.5)
         assert np.max(np.abs(a - c)) > 1e-6
+        # a sequence of frequencies gives the same states, bit for bit
+        pair = dyn.evolve(s, plus_state(1), (OMEGA0, OMEGA0 + 0.5))
+        assert np.stack(pair).tobytes() == np.stack([a, c]).tobytes()
 
     def test_field_count_mismatch_rejected(self):
         for s in (ControlSchedule(np.ones((2, 3)), 0.1), ControlSchedule.zero(2, 3, 0.1)):
@@ -279,6 +282,11 @@ def spy_stack_sizes(monkeypatch):
     return sizes
 
 
+# (amplitude rows by letter, number of runs); see _pattern_problem
+RUN_PATTERNS = [("A", 1), ("AAAAAAA", 1), ("AABBA", 3), ("ABABABA", 7), ("Zz", 1),
+                ("zZZzA", 2)]
+
+
 class TestPythonKernel:
     """The kernel against a per-slice expm loop, bit for bit."""
 
@@ -317,20 +325,37 @@ class TestPythonKernel:
         assert sizes == [2]
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
 
-    # rows by letter: A and B are distinct random rows, Z is [0.0, x] and z is
-    # [-0.0, x], which compares equal to Z; the masked add skips both zeros
-    @pytest.mark.parametrize("pattern, runs", [
-        ("A", 1), ("AAAAAAA", 1), ("AABBA", 3), ("ABABABA", 7), ("Zz", 1), ("zZZzA", 2)])
-    @pytest.mark.parametrize("m", [4, 16])
-    def test_one_exponential_per_run(self, m, pattern, runs, monkeypatch):
+    def _pattern_problem(self, m, pattern):
+        # rows by letter: A and B are distinct random rows, Z is [0.0, x] and z is
+        # [-0.0, x], which compares equal to Z; the masked add skips both zeros
         L0, ctrls, amps, v0 = self._problem(m, 2, 2, seed=m + 2)
         x = amps[0, 1]
         rows = {"A": amps[0], "B": amps[1], "Z": [0.0, x], "z": [-0.0, x]}
-        amps = np.array([rows[c] for c in pattern])
+        return L0, ctrls, np.array([rows[c] for c in pattern]), v0
+
+    @pytest.mark.parametrize("pattern, runs", RUN_PATTERNS)
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_one_exponential_per_run(self, m, pattern, runs, monkeypatch):
+        L0, ctrls, amps, v0 = self._pattern_problem(m, pattern)
         sizes = spy_stack_sizes(monkeypatch)
         got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert sizes == [runs]
         assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+
+    @pytest.mark.parametrize("pattern, runs", RUN_PATTERNS)
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_stack_of_drifts_is_separate_calls(self, m, pattern, runs, monkeypatch):
+        L0, ctrls, amps, v0 = self._pattern_problem(m, pattern)
+        # three drifts that differ in every entry, as omega0 and omega0 +- delta do
+        drifts = np.stack([L0, L0 + 1e-3 * ctrls[0], L0 - 1e-3 * ctrls[1]])
+        one_by_one = [_kern.propagate_schedule(D, ctrls, amps, 0.05, v0) for D in drifts]
+        sizes = spy_stack_sizes(monkeypatch)
+        got = _kern.propagate_schedule(drifts, ctrls, amps, 0.05, v0)
+        assert sizes == [3 * runs]
+        assert bitwise_equal(got, np.stack(one_by_one))
+        # a stack of one is the unstacked call with a leading axis
+        assert bitwise_equal(_kern.propagate_schedule(L0[None], ctrls, amps, 0.05, v0),
+                             one_by_one[0][None])
 
     @pytest.mark.parametrize("m", [4, 16])
     def test_no_controls_is_one_run(self, m, monkeypatch):
@@ -360,13 +385,20 @@ class TestPythonKernel:
 
     def test_shape_errors(self):
         L0, ctrls, amps, v0 = self._problem(4, 3, 2, seed=9)
-        cases = {
-            "L0 must be square": (L0[:, :3], ctrls, amps, 0.05, v0),
-            "field count": (L0, ctrls[:1], amps, 0.05, v0),
-            "control generators must match": (L0, ctrls[:, :3, :3], amps, 0.05, v0),
-            "state vector length": (L0, ctrls, amps, 0.05, np.zeros(5, dtype=complex)),
-        }
-        for message, args in cases.items():
+        stack = np.stack([L0] * 3)
+        cases = [
+            ("L0 must be square", (L0[:, :3], ctrls, amps, 0.05, v0)),
+            ("field count", (L0, ctrls[:1], amps, 0.05, v0)),
+            ("control generators must match", (L0, ctrls[:, :3, :3], amps, 0.05, v0)),
+            ("state vector length", (L0, ctrls, amps, 0.05, np.zeros(5, dtype=complex))),
+            # a stack of drifts is checked the same way
+            ("L0 must be square", (stack[:, :, :3], ctrls, amps, 0.05, v0)),
+            ("L0 must be square", (stack[None], ctrls, amps, 0.05, v0)),
+            ("field count", (stack, ctrls[:1], amps, 0.05, v0)),
+            ("control generators must match", (stack, ctrls[:, :3, :3], amps, 0.05, v0)),
+            ("state vector length", (stack, ctrls, amps, 0.05, np.zeros((3, 4), dtype=complex))),
+        ]
+        for message, args in cases:
             with pytest.raises(ValueError, match=message):
                 _kern.propagate_schedule(*args)
 

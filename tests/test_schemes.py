@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from lindmet import _kern, schemes
 from lindmet.optimizer import OptimizerOptions
 from lindmet.propagation import ControlSchedule
 from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
-                             haar_random_state, plus_state, resolve_probe,
+                             haar_random_state, plus_state, prepare, resolve_probe,
                              run_scheme)
+
+from test_propagation import spy_stack_sizes
 
 OMEGA0 = 2 * np.pi
 SMALL_OPT = OptimizerOptions(restarts=3, max_evals=400, seed=11)
@@ -236,6 +239,69 @@ class TestControlEnhanced:
         for a, b in zip(warm, warm2):
             assert np.array_equal(a.schedule.amplitudes, b.schedule.amplitudes)
             assert a.qfi == b.qfi
+
+
+class TestOneKernelCallPerQfi:
+    """The central difference's three frequencies propagate as one stack."""
+
+    K = 6
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The shape of L0 in each later ``propagate_schedule`` call, and the
+        number of generators each ``expm_stack`` call receives."""
+        shapes = []
+        real = _kern.propagate_schedule
+
+        def spy(L0, *args):
+            shapes.append(np.shape(L0))
+            return real(L0, *args)
+
+        monkeypatch.setattr(_kern, "propagate_schedule", spy)
+        return shapes, spy_stack_sizes(monkeypatch)
+
+    def _amplitudes(self, n_fields):
+        # K rows with rows 2 and 3 equal: K - 1 runs
+        amps = np.random.default_rng(n_fields).uniform(-40, 40, (self.K, n_fields))
+        amps[3] = amps[2]
+        return amps
+
+    @pytest.mark.parametrize("scenario, m, n_fields", [("parallel-dephasing-1q", 4, 2),
+                                                       ("parallel-dephasing-2q", 16, 4)])
+    def test_search_objective(self, scenario, m, n_fields, kernel_calls, monkeypatch):
+        captured = []
+        real = schemes.multi_start
+
+        def capture(objective, *args, **kwargs):
+            captured.append(objective)
+            return real(objective, *args, **kwargs)
+
+        monkeypatch.setattr(schemes, "multi_start", capture)
+        run_scheme(config("control_enhanced", scenario, [0.3], K=self.K,
+                          optimizer=OptimizerOptions(restarts=1, max_evals=1)))
+        shapes, sizes = kernel_calls
+        shapes.clear()
+        sizes.clear()
+        captured[0](self._amplitudes(n_fields).ravel())
+        assert shapes == [(3, m, m)]
+        assert sizes == [3 * (self.K - 1)]
+
+    @pytest.mark.parametrize("scenario, m", [("parallel-dephasing-1q", 4),
+                                             ("parallel-dephasing-2q", 16)])
+    def test_checked_qfi(self, scenario, m, kernel_calls):
+        cfg = config("standard", scenario, [0.1, 0.2], K=self.K)
+        dyn, rho0 = prepare(cfg)
+        shapes, sizes = kernel_calls
+        # the zero schedule is one run
+        run_scheme(cfg)
+        assert shapes == [(3, m, m)] * 2
+        assert sizes == [3, 3]
+        shapes.clear()
+        sizes.clear()
+        sched = ControlSchedule(self._amplitudes(dyn.model.n_controls), 0.3)
+        assert schemes._schedule_qfi(dyn, sched, rho0) > 0
+        assert shapes == [(3, m, m)]
+        assert sizes == [3 * (self.K - 1)]
 
 
 class TestSchemeAgreementSmallT:
