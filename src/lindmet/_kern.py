@@ -6,11 +6,12 @@ schedule, or a model without controls, is a single run) and applies that
 propagator to every slice of the run, so the final vector is bit for bit a
 per-slice loop's. Given a stack of W drift generators it propagates the same
 schedule under each, as the central-difference derivative needs at three
-frequencies: the runs are found once, and the W generators of every run go
-through one batched call, ``expm_stack``, whose results are bit for bit those
-of ``scipy.linalg.expm`` on each slice. ``scipy.linalg.expm`` walks a stack
-in Python one slice at a time, and on 4x4 slices most of its time goes to
-that per-slice dispatch.
+frequencies, and each generator may have its own slice length, so that one
+call covers the same schedule at several encoding times: the runs are found
+once, and the W generators of every run go through one batched call,
+``expm_stack``, whose results are bit for bit those of ``scipy.linalg.expm``
+on each slice. ``scipy.linalg.expm`` walks a stack in Python one slice at a
+time, and on 4x4 slices most of its time goes to that per-slice dispatch.
 ``expm_stack`` instead runs scipy's own Pade kernels (``pick_pade_structure``
 and ``pade_UV_calc`` from the private ``scipy.linalg._matfuncs_expm``) on each
 generic slice, squares the slices that share a squaring count as one stacked
@@ -111,13 +112,16 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
 
     ``L0`` may also be a (W, m, m) stack of drift generators: the schedule
     then propagates v0 under each of them and the result is (W, m), row w
-    bit for bit the call with ``L0[w]`` alone. All W generators of every run
-    go through one ``expm_stack`` call.
+    bit for bit the call with ``L0[w]`` alone. ``dt`` is one slice length for
+    all of them or W lengths, one per generator: row w is then bit for bit
+    the call with ``L0[w]`` and ``dt[w]``. All W generators of every run go
+    through one ``expm_stack`` call.
     """
     L0 = np.asarray(L0, dtype=np.complex128)
     ctrls = np.asarray(ctrls, dtype=np.complex128)
     amps = np.asarray(amps, dtype=np.float64)
     v0 = np.asarray(v0, dtype=np.complex128)
+    dt = np.asarray(dt, dtype=np.float64)
     stacked = L0.ndim == 3
     drifts = L0 if stacked else L0[None]
     W, m = drifts.shape[0], drifts.shape[-1]
@@ -130,6 +134,8 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
         raise ValueError("control generators must match L0 shape")
     if v0.shape != (m,):
         raise ValueError("state vector length does not match generator")
+    if dt.ndim and dt.shape != (W,):
+        raise ValueError("dt must be one slice length, or one per drift generator")
 
     # one generator per run of equal consecutive rows, built from its first row;
     # 0.0 == -0.0 here, and the masked add below skips both
@@ -144,7 +150,10 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     for l in range(nl):
         on = first[:, l] != 0.0
         A[:, on] += first[on, l, None, None] * ctrls[l]
-    props = expm_stack((A * dt).reshape(W * R, m, m)).reshape(W, R, m, m)
+    # dt as complex: a float64 array would be cast anew in every inner loop
+    # of the broadcast product; the product is the same either way
+    A *= dt.astype(np.complex128).reshape(-1, 1, 1, 1)
+    props = expm_stack(A.reshape(W * R, m, m)).reshape(W, R, m, m)
 
     # a batched matrix-vector product is bitwise W separate ones
     v = np.broadcast_to(v0[:, None], (W, m, 1)).copy()

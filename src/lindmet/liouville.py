@@ -25,12 +25,15 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 
 
 def unvectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
+    """Inverse of :func:`vectorize`; a (..., d^2) stack of vectors gives the
+    (..., d, d) stack of their matrices."""
     vec = np.asarray(vec)
-    d = int(round(np.sqrt(vec.size)))
-    if d * d != vec.size:
-        raise ValueError(f"vector length {vec.size} is not a perfect square")
-    return vec.reshape((d, d), order="F")
+    n = vec.shape[-1]
+    d = int(round(np.sqrt(n)))
+    if d * d != n:
+        raise ValueError(f"vector length {n} is not a perfect square")
+    # a view, each matrix column-major as the vector stacks it
+    return vec.reshape(vec.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,20 @@ time-normalized sensitivity figure of merit.
 
 The frequency derivative of the evolved state is a central difference: the
 schedule propagates at omega0 and omega0 +- delta in one kernel call, whose
-three results are bit for bit three separate propagations.
+three results are bit for bit three separate propagations. Derivatives and
+QFIs also come as stacks, for one amplitude grid at several encoding times,
+each entry bit for bit its own call's.
 """
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 
 import numpy as np
 
 from .liouville import unvectorize, vectorize
-from .propagation import ControlSchedule, SlicedDynamics, check_evolved_state
+from .propagation import (ControlSchedule, PropagationError, SlicedDynamics,
+                          evolved_state_faults)
 
 log = logging.getLogger(__name__)
 
@@ -20,6 +24,8 @@ log = logging.getLogger(__name__)
 # QFI sum, and the tolerance on the trace and Hermiticity of d(rho)/d(omega0).
 SPECTRAL_CUTOFF = 1e-12
 DERIVATIVE_SANITY_TOL = 1e-9
+
+_STEP_SIGNS = np.array([0.0, 1.0, -1.0])  # the central difference's three frequencies
 
 
 class MetrologyError(RuntimeError):
@@ -35,60 +41,82 @@ def default_delta(omega0: float, total_time: float) -> float:
     return min(1e-4 * max(abs(omega0), 1.0), 1e-3 / total_time)
 
 
-def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray,
-                checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule | Sequence[ControlSchedule],
+                rho0: np.ndarray, checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """rho(omega0) and the central difference
     (rho(omega0+delta) - rho(omega0-delta)) / (2 delta).
 
     The schedule is held fixed while the frequency is perturbed by the step
     :func:`default_delta`; the three frequencies propagate in one kernel
-    call, each bit for bit its own propagation. With ``checked``, rho must
-    pass the propagated-state checks and the difference must be Hermitian
-    and traceless, with a step above the cancellation floor; a failure
-    raises :class:`PropagationError` or :class:`MetrologyError`.
+    call, each bit for bit its own propagation. ``schedule`` may also be a
+    sequence of N schedules on one amplitude grid, such as a fixed scheme's
+    schedule at N encoding times: then all 3N propagations share that one
+    call, and rho and the difference come back as (N, d, d) stacks, each
+    state bit for bit its own call's. With ``checked``, each rho must pass
+    the propagated-state checks and each difference must be Hermitian and
+    traceless, with a step above the cancellation floor; the first schedule
+    in order that fails raises :class:`PropagationError` or
+    :class:`MetrologyError`, and the message names its encoding time.
     """
+    single = isinstance(schedule, ControlSchedule)
+    schedules = [schedule] if single else list(schedule)
     omega0 = dyn.model.omega0
-    delta = default_delta(omega0, schedule.total_time)
-    if checked:
-        # below this the generator perturbation sits in the last few bits of the
-        # superoperator entries and the difference is pure cancellation noise
-        floor = 1e-12 * max(abs(omega0), 1.0)
-        if delta < floor:
-            raise MetrologyError(
-                f"derivative step {delta:.3e} is below the cancellation floor "
-                f"{floor:.3e} for omega0={omega0:.3e}")
+    delta = np.array([default_delta(omega0, s.total_time) for s in schedules])
     v0 = vectorize(np.asarray(rho0, dtype=complex))
-    rho, rho_p, rho_m = (unvectorize(v) for v in dyn.evolve_vectorized(
-        schedule, v0, (omega0, omega0 + delta, omega0 - delta)))
-    drho = (rho_p - rho_m) / (2.0 * delta)
+    # a row (omega0, omega0 + delta, omega0 - delta) per schedule, exactly
+    omegas = omega0 + delta[:, None] * _STEP_SIGNS
+    v = dyn.evolve_vectorized(schedules, v0, omegas)
+    rho, rho_p, rho_m = unvectorize(v.swapaxes(0, 1))
+    drho = (rho_p - rho_m) / (2.0 * delta[:, None, None])
     if checked:
-        check_evolved_state(rho)
-        tr_err = abs(np.trace(drho))
-        herm_err = np.max(np.abs(drho - drho.conj().T))
-        if not (tr_err <= DERIVATIVE_SANITY_TOL and herm_err <= DERIVATIVE_SANITY_TOL):
-            raise MetrologyError(
-                f"derivative sanity check failed (|trace|={tr_err:.3e}, "
-                f"non-Hermiticity={herm_err:.3e}); delta={delta:.3e} may be too small")
-    return rho, drho
+        _check(schedules, omega0, delta, rho, drho)
+    return (rho[0], drho[0]) if single else (rho, drho)
 
 
-def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray) -> float:
+def _check(schedules, omega0, delta, rho, drho) -> None:
+    """Raise for the first schedule whose derivative step, state or
+    difference fails the checks of :func:`drho_domega`, in that order."""
+    # below this the generator perturbation sits in the last few bits of the
+    # superoperator entries and the difference is pure cancellation noise
+    floor = 1e-12 * max(abs(omega0), 1.0)
+    state_faults = evolved_state_faults(rho)
+    tr_err = np.abs(np.trace(drho, axis1=1, axis2=2))
+    herm_err = np.abs(drho - drho.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    for i, s in enumerate(schedules):
+        if delta[i] < floor:
+            exc = MetrologyError(f"derivative step {delta[i]:.3e} is below the cancellation "
+                                 f"floor {floor:.3e} for omega0={omega0:.3e}")
+        elif state_faults[i]:
+            exc = PropagationError(state_faults[i])
+        elif not (tr_err[i] <= DERIVATIVE_SANITY_TOL and herm_err[i] <= DERIVATIVE_SANITY_TOL):
+            exc = MetrologyError(
+                f"derivative sanity check failed (|trace|={tr_err[i]:.3e}, "
+                f"non-Hermiticity={herm_err[i]:.3e}); delta={delta[i]:.3e} may be too small")
+        else:
+            continue
+        raise type(exc)(f"at T={s.total_time:g} s: {exc}")
+
+
+def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
     """QFI from the eigendecomposition of rho_x:
 
         F_Q = sum_{lam_p + lam_q > SPECTRAL_CUTOFF} 2 |<p|drho|q>|^2 / (lam_p + lam_q)
 
     Pairs with a NaN eigenvalue sum are dropped, so a non-finite state scores
     0 in the unchecked search objective; reported states are checked first.
+    A (N, d, d) stack of states and derivatives gives an array of N QFIs,
+    each bit for bit the call on its own pair.
     """
     rho_x = np.asarray(rho_x, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
     lam, vecs = np.linalg.eigh(rho_x)
-    M = vecs.conj().T @ drho @ vecs
-    pair_sums = lam[:, None] + lam[None, :]
+    M = vecs.conj().swapaxes(-1, -2) @ drho @ vecs
+    pair_sums = lam[..., :, None] + lam[..., None, :]
     mask = pair_sums > SPECTRAL_CUTOFF
     terms = np.zeros_like(pair_sums)
     terms[mask] = 2.0 * np.abs(M[mask]) ** 2 / pair_sums[mask]
-    return float(terms.sum())
+    qfi = terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+    return float(qfi) if qfi.ndim == 0 else qfi
 
 
 def _psd_sqrt(rho: np.ndarray, label: str) -> np.ndarray:

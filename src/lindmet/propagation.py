@@ -7,7 +7,9 @@ each run of equal consecutive amplitude rows once (a fixed scheme's constant
 schedule is a single run), all runs in one batched call to scipy's Pade
 kernels; the result is bit for bit a loop of ``scipy.linalg.expm`` over every
 slice. One call can propagate a schedule at several frequencies, as the
-frequency derivative needs: all their generators share that batched call.
+frequency derivative needs, and one amplitude grid over several encoding
+times, as a fixed scheme needs across its time grid: all their generators
+share that batched call, each with its own slice length.
 """
 from __future__ import annotations
 
@@ -105,44 +107,85 @@ class SlicedDynamics:
         om = np.asarray(self.model.omega0 if omega0 is None else omega0, dtype=float)
         return om[..., None, None] * self.drift_super + self.noise_super
 
-    def evolve_vectorized(self, schedule: ControlSchedule, v0: np.ndarray,
-                          omega0: float | Sequence[float] | None = None) -> np.ndarray:
-        """The vectorized state after ``schedule`` acts on ``v0``.
+    def evolve_vectorized(self, schedule: ControlSchedule | Sequence[ControlSchedule],
+                          v0: np.ndarray,
+                          omega0: float | Sequence[float] | np.ndarray | None = None
+                          ) -> np.ndarray:
+        """The vectorized state after ``schedule`` acts on ``v0``, from one
+        kernel call.
 
         ``omega0`` is a frequency (default: the model's) or a sequence of W
-        frequencies; a sequence propagates the schedule at each of them in
-        one kernel call and returns a (W, d^2) array, row w bit for bit the
-        call at ``omega0[w]`` alone.
+        frequencies; a sequence propagates the schedule at each of them and
+        returns a (W, d^2) array, row w bit for bit the call at ``omega0[w]``
+        alone. ``schedule`` may also be a sequence of N schedules on one
+        amplitude grid, each with its own total time; ``omega0`` is then an
+        (N, W) array, a row of frequencies per schedule, and the result is
+        (N, W, d^2), every state bit for bit its own call's.
         """
-        if schedule.L != self.model.n_controls:
+        single = isinstance(schedule, ControlSchedule)
+        schedules = [schedule] if single else list(schedule)
+        amps = schedules[0].amplitudes
+        if any(s.amplitudes is not amps and not np.array_equal(s.amplitudes, amps)
+               for s in schedules):
+            raise ValueError("a stack of schedules must share one amplitude grid")
+        if amps.shape[1] != self.model.n_controls:
             raise ValueError(
-                f"schedule has {schedule.L} fields but the model has "
+                f"schedule has {amps.shape[1]} fields but the model has "
                 f"{self.model.n_controls} control Hamiltonians")
-        return _kern.propagate_schedule(self.constant_generator(omega0), self.control_supers,
-                                        schedule.amplitudes, schedule.dt, v0)
+        om = np.asarray(self.model.omega0 if omega0 is None else omega0, dtype=float)
+        drifts = self.constant_generator(om)
+        m = drifts.shape[-1]
+        if single:
+            dt = schedule.dt
+        else:
+            # each generator takes the slice length of its row's schedule
+            dt = np.array([s.dt for s in schedules]).repeat(om.shape[1])
+            drifts = drifts.reshape(-1, m, m)
+        v = _kern.propagate_schedule(drifts, self.control_supers, amps, dt, v0)
+        return v.reshape(om.shape + (m,))
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray,
                omega0: float | Sequence[float] | None = None):
         """The density matrix after ``schedule`` acts on ``rho0``, checked by
         :func:`check_evolved_state`; a sequence of frequencies gives a list of
         checked states, one per frequency, from one kernel call."""
-        v = self.evolve_vectorized(schedule, vectorize(np.asarray(rho0, dtype=complex)),
-                                   omega0)
-        rhos = [unvectorize(row) for row in np.atleast_2d(v)]
-        for rho in rhos:
-            check_evolved_state(rho)
-        return rhos if v.ndim == 2 else rhos[0]
+        rho = unvectorize(self.evolve_vectorized(
+            schedule, vectorize(np.asarray(rho0, dtype=complex)), omega0))
+        check_evolved_state(rho)
+        return list(rho) if rho.ndim == 3 else rho
+
+
+def evolved_state_faults(rho: np.ndarray) -> list[str | None]:
+    """For each state of a (..., d, d) stack, in order, why it fails the
+    propagated-state checks, or None if it passes them.
+
+    A state must have unit trace, be Hermitian and have no eigenvalue below
+    -EVOLVED_POSITIVITY_TOL; the checks run in that order and a fault names
+    the first one failed. A NaN fails every check.
+    """
+    rho = np.asarray(rho)
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    tr_err = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    lam_min = np.full(len(stack), np.nan)
+    sane = (tr_err <= EVOLVED_TRACE_TOL) & (herm <= EVOLVED_HERMITICITY_TOL)
+    if sane.any():
+        lam_min[sane] = np.linalg.eigvalsh(stack[sane])[:, 0]
+    faults = [None] * len(stack)
+    for i in np.flatnonzero(~(lam_min >= -EVOLVED_POSITIVITY_TOL)).tolist():
+        if not tr_err[i] <= EVOLVED_TRACE_TOL:
+            faults[i] = f"propagated state trace deviates from 1 by {tr_err[i]:.3e}"
+        elif not herm[i] <= EVOLVED_HERMITICITY_TOL:
+            faults[i] = f"propagated state non-Hermitian by {herm[i]:.3e}"
+        else:
+            faults[i] = f"propagated state has negative eigenvalue {lam_min[i]:.3e}"
+    return faults
 
 
 def check_evolved_state(rho: np.ndarray) -> None:
-    """Raise PropagationError unless rho has unit trace, is Hermitian and has
-    no eigenvalue below -EVOLVED_POSITIVITY_TOL. A NaN fails every check."""
-    tr_err = abs(np.trace(rho) - 1.0)
-    if not tr_err <= EVOLVED_TRACE_TOL:
-        raise PropagationError(f"propagated state trace deviates from 1 by {tr_err:.3e}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if not herm <= EVOLVED_HERMITICITY_TOL:
-        raise PropagationError(f"propagated state non-Hermitian by {herm:.3e}")
-    lam_min = float(np.linalg.eigvalsh(rho)[0])
-    if not lam_min >= -EVOLVED_POSITIVITY_TOL:
-        raise PropagationError(f"propagated state has negative eigenvalue {lam_min:.3e}")
+    """Raise PropagationError unless rho, one state or a stack of them, passes
+    the checks of :func:`evolved_state_faults`; the error describes the first
+    state that fails."""
+    fault = next((f for f in evolved_state_faults(rho) if f), None)
+    if fault:
+        raise PropagationError(fault)

@@ -2,8 +2,10 @@
 
 Each scheme maps a time grid to per-time records of QFI, sensitivity and the
 schedule that produced them. :func:`prepare` builds the dynamics and probe
-once per run; :func:`run_scheme` then takes, at each T, the checked QFI of
-the scheme's fixed schedule, which the control search replaces:
+once per run; :func:`run_scheme` then takes the checked QFI of the scheme's
+fixed schedule at every T, as stacks of ``GRID_BLOCK`` encoding times with
+one kernel call each, and only then runs the control search, one T at a
+time, which replaces it:
 
   standard             fixed probe (|+> or GHZ), zero schedule
   ancilla              Bell probe on system + noiseless ancilla, zero schedule
@@ -26,6 +28,13 @@ from .propagation import ControlSchedule, SlicedDynamics
 
 SCHEMES = ("standard", "ancilla", "theoretical_optimal", "control_enhanced")
 PROBES = ("default", "plus", "ghz", "bell_with_ancilla", "random_seeded")
+
+# Encoding times per kernel call when a fixed schedule is scored over a time
+# grid. One call per T spends more on numpy's per-call overhead than on the
+# arithmetic. A call holds 3 generators per T at once, so one call for the
+# whole grid would need memory that grows with the grid, for a few percent
+# of speed over blocks of 16.
+GRID_BLOCK = 16
 
 
 def default_u_max(omega0: float) -> float:
@@ -162,19 +171,17 @@ def resolve_probe(config: SchemeConfig, dim: int) -> np.ndarray:
     return haar_random_state(dim, rng)
 
 
-def _schedule_qfi(dyn: SlicedDynamics, schedule: ControlSchedule, rho0: np.ndarray,
-                  checked: bool = True) -> float:
-    """QFI of the frequency after ``schedule`` acts on ``rho0``.
+def _schedule_qfi(dyn: SlicedDynamics, schedule: ControlSchedule | list[ControlSchedule],
+                  rho0: np.ndarray, checked: bool = True) -> float | np.ndarray:
+    """QFI of the frequency after ``schedule`` acts on ``rho0``, from one
+    kernel call; a list of schedules on one amplitude grid gives an array of
+    their QFIs, each bit for bit its own call's.
 
     The control search calls this unchecked, once per objective evaluation;
-    reported values are checked (see :func:`drho_domega`). A numerical
-    failure is re-raised with the encoding time attached so the harness can
-    report which grid point broke.
+    reported values are checked, and a failure names the encoding time of the
+    first schedule that breaks (see :func:`drho_domega`).
     """
-    try:
-        rho, drho = drho_domega(dyn, schedule, rho0, checked=checked)
-    except RuntimeError as exc:
-        raise type(exc)(f"at T={schedule.total_time:g} s: {exc}") from exc
+    rho, drho = drho_domega(dyn, schedule, rho0, checked=checked)
     return qfi_eigen(rho, drho)
 
 
@@ -198,33 +205,37 @@ def prepare(config: SchemeConfig) -> tuple[SlicedDynamics, np.ndarray]:
 def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     """QFI and sensitivity of ``config.scheme`` at each encoding time.
 
-    At each T the scheme's fixed schedule is evaluated first, checked: all
-    zeros, or for ``theoretical_optimal`` a constant u_z = -omega0 that
-    cancels the drift exactly, the known long-time optimum for transverse
-    dephasing at small noise rates. That QFI stays nonzero because the
-    frequency derivative probes the cancelled drift's dependence on omega0.
+    The scheme's fixed schedule is evaluated first, checked, at every T of
+    the grid: all zeros, or for ``theoretical_optimal`` a constant
+    u_z = -omega0 that cancels the drift exactly, the known long-time optimum
+    for transverse dephasing at small noise rates. That QFI stays nonzero
+    because the frequency derivative probes the cancelled drift's dependence
+    on omega0. The grid goes through the kernel in blocks of ``GRID_BLOCK``
+    encoding times, one call per block, each QFI bit for bit its own call's.
 
     ``control_enhanced`` then replaces the zero schedule by a multi-start
-    simplex maximization of the QFI over the K x L amplitude grid. The zero
-    schedule is always among the starts, so the optimized QFI cannot fall
-    below the same-probe uncontrolled value, and because it was checked
-    first, a grid point whose checks must fail stops at once instead of
-    after the search's budget. With ``warm_start`` the previous grid point's
-    best schedule joins the starts as well; faster on dense grids, but it can
-    change which local optimum each point settles in.
+    simplex maximization of the QFI over the K x L amplitude grid, one T at a
+    time. The zero schedule is always among the starts, so the optimized QFI
+    cannot fall below the same-probe uncontrolled value, and because every T
+    was checked first, a grid point whose checks must fail stops the run
+    before any search spends its budget. With ``warm_start`` the previous
+    grid point's best schedule joins the starts as well; faster on dense
+    grids, but it can change which local optimum each point settles in.
     """
     dyn, rho0 = prepare(config)
     K, L = config.K, dyn.model.n_controls
     amplitude = -config.omega0 if config.scheme == "theoretical_optimal" else 0.0
+    amps = np.full((K, L), amplitude)
+    fixed = [ControlSchedule(amps, T) for T in config.time_grid]
+    qfis = [q for i in range(0, len(fixed), GRID_BLOCK)
+            for q in _schedule_qfi(dyn, fixed[i:i + GRID_BLOCK], rho0).tolist()]
     search = config.scheme == "control_enhanced"
     if search:
         u_max = config.resolved_u_max
         seeds = _spawned_seeds(config.optimizer.seed, len(config.time_grid))
     out = []
     previous_best = None
-    for i, T in enumerate(config.time_grid):
-        sched = ControlSchedule(np.full((K, L), amplitude), T)
-        qfi = _schedule_qfi(dyn, sched, rho0)
+    for i, (T, sched, qfi) in enumerate(zip(config.time_grid, fixed, qfis)):
         evals, converged = 0, True
         if search:
             def objective(x, T=T):

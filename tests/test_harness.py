@@ -237,9 +237,12 @@ class TestNmrProtocol:
         monkeypatch.setattr(_kern, "propagate_schedule", spy)
         cfg = self._config()
         path = run_nmr_protocol(cfg, out=tmp_path / "nmr.csv")
-        # each QFI propagates omega0 and omega0 +- delta in one call, and each
-        # row's fidelity pair omega0 and omega0 + delta in another
-        assert set(depths) == {3, 2} and depths.count(2) == 2 * 3
+        # each scheme's fixed schedule propagates omega0 and omega0 +- delta at
+        # all 3 encoding times in one call, each searched QFI the 3 frequencies
+        # in one call, and each row's fidelity pair omega0 and omega0 + delta
+        # in another
+        assert set(depths) == {3 * 3, 3, 2}
+        assert depths.count(3 * 3) == 2 and depths.count(2) == 2 * 3
         _, data = read_result_file(path)
         header = data[0].split(",")
         assert header == ["scheme", "T_s", "qfi_s2", "qfi_fidelity_s2",
@@ -361,6 +364,26 @@ class TestCli:
                             "[time_grid]\nstart = 0.3\nstop = 0.4\npoints = 2\n"
                             "spacing = linear\n\n[control]\nK = 4\n\n"
                             "[optimizer]\nrestarts = 1\nmax_evals = 300\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: at T=0.3 s: ") and err.count("\n") == 1
+        assert "cancellation floor" in err
+        assert not out.exists()
+
+    def test_no_search_starts_while_a_later_time_must_fail(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # T = 0.1 s passes its checks and T = 0.3 s meets the cancellation floor;
+        # every T is checked before the search at the first one starts
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran before every time was checked")
+
+        monkeypatch.setattr(schemes, "multi_start", no_search)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[run]\nscenario = parallel-dephasing-1q\n"
+                            "schemes = control_enhanced\nomega0 = 6283185307.179586\n\n"
+                            "[time_grid]\nstart = 0.1\nstop = 0.3\npoints = 2\n"
+                            "spacing = linear\n\n[control]\nK = 4\n")
         out = tmp_path / "x.csv"
         assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 3
         err = capsys.readouterr().err

@@ -5,7 +5,7 @@ from lindmet.channels import (SIGMA_Z, EncodingModel, build_scenario,
                               parallel_dephasing)
 from lindmet.metrology import (MetrologyError, drho_domega, qfi_eigen,
                                qfi_fidelity, sensitivity, uhlmann_fidelity)
-from lindmet.propagation import ControlSchedule, SlicedDynamics
+from lindmet.propagation import ControlSchedule, PropagationError, SlicedDynamics
 from lindmet.schemes import ghz_state, plus_state
 
 from bloch_oracle import qfi as bloch_qfi
@@ -67,6 +67,43 @@ class TestDrho:
         s = ControlSchedule.zero(1, 2, 0.3)
         with pytest.raises(MetrologyError, match="cancellation"):
             drho_domega(dyn, s, plus_state(1))
+
+
+class TestStackedDrho:
+    """A sequence of schedules on one amplitude grid, several encoding times."""
+
+    def _schedules(self, n_fields, times):
+        amps = np.random.default_rng(3).uniform(-30, 30, (4, n_fields))
+        return [ControlSchedule(amps, T) for T in times]
+
+    @pytest.mark.parametrize("scenario, probe", [("parallel-dephasing-1q", plus_state(1)),
+                                                 ("parallel-dephasing-2q", ghz_state(2))])
+    def test_each_entry_is_its_own_call(self, scenario, probe):
+        dyn = SlicedDynamics(build_scenario(scenario, OMEGA0))
+        scheds = self._schedules(dyn.model.n_controls, (0.05, 0.2, 0.45))
+        rho, drho = drho_domega(dyn, scheds, probe)
+        assert rho.shape == drho.shape == (3,) + probe.shape
+        qfis = qfi_eigen(rho, drho)
+        for k, s in enumerate(scheds):
+            r, d = drho_domega(dyn, s, probe)
+            assert r.tobytes() == rho[k].tobytes() and d.tobytes() == drho[k].tobytes()
+            q = qfi_eigen(r, d)
+            assert type(q) is float and q == qfis[k]
+
+    def test_first_failing_schedule_in_order_is_reported(self):
+        # at omega0 = 2 pi GHz, T = 0.3 s meets the cancellation floor and
+        # T = 0.1 s does not
+        dyn = SlicedDynamics(build_scenario("parallel-dephasing-1q", OMEGA0 * 1e9))
+        scheds = self._schedules(2, (0.1, 0.3))
+        with pytest.raises(MetrologyError, match=r"^at T=0\.3 s: derivative step .* floor"):
+            drho_domega(dyn, scheds, plus_state(1))
+        # with a probe of trace 2 every state fails its checks: the earlier T
+        # reports that, while at one T the step is checked before the state
+        with pytest.raises(PropagationError, match=r"^at T=0\.1 s: propagated state trace"):
+            drho_domega(dyn, scheds, np.eye(2))
+        with pytest.raises(MetrologyError, match=r"^at T=0\.3 s: derivative step"):
+            drho_domega(dyn, scheds[1], np.eye(2))
+        drho_domega(dyn, scheds, np.eye(2), checked=False)
 
 
 class TestQfiEigen:

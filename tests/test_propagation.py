@@ -7,7 +7,7 @@ from lindmet import _kern
 from lindmet.channels import SCENARIOS, ancilla_extend, build_scenario
 from lindmet.liouville import lindbladian, unvectorize, vectorize
 from lindmet.propagation import (ControlSchedule, PropagationError, SlicedDynamics,
-                                 check_evolved_state)
+                                 check_evolved_state, evolved_state_faults)
 from lindmet.schemes import ghz_state, plus_state
 
 OMEGA0 = 2 * np.pi
@@ -135,6 +135,21 @@ class TestEvolve:
         pair = dyn.evolve(s, plus_state(1), (OMEGA0, OMEGA0 + 0.5))
         assert np.stack(pair).tobytes() == np.stack([a, c]).tobytes()
 
+    def test_schedules_at_several_times(self):
+        # one amplitude grid at three total times, each at two frequencies
+        dyn = dynamics(gamma=10.0)
+        amps = np.random.default_rng(4).uniform(-20, 20, (3, 2))
+        scheds = [ControlSchedule(amps, T) for T in (0.05, 0.1, 0.4)]
+        omegas = OMEGA0 + np.array([[0.0, 0.5], [0.0, 0.25], [0.1, 0.0]])
+        v0 = vectorize(plus_state(1))
+        got = dyn.evolve_vectorized(scheds, v0, omegas)
+        assert got.shape == (3, 2, 4)
+        for s, om, row in zip(scheds, omegas, got):
+            assert row.tobytes() == dyn.evolve_vectorized(s, v0, om).tobytes()
+        other = ControlSchedule(amps + 1.0, 0.2)
+        with pytest.raises(ValueError, match="one amplitude grid"):
+            dyn.evolve_vectorized(scheds + [other], v0, np.full((4, 2), OMEGA0))
+
     def test_field_count_mismatch_rejected(self):
         for s in (ControlSchedule(np.ones((2, 3)), 0.1), ControlSchedule.zero(2, 3, 0.1)):
             with pytest.raises(ValueError, match="control"):
@@ -171,6 +186,18 @@ class TestCheckEvolvedState:
         for rho in (np.full((2, 2), np.nan, dtype=complex), nan_coherence):
             with pytest.raises(PropagationError):
                 check_evolved_state(rho)
+
+    def test_stack_reports_its_first_failing_state(self):
+        good, negative, bad_trace = plus_state(1), np.diag([1.5, -0.5]), np.eye(2)
+        nan = np.full((2, 2), np.nan)
+        stack = np.stack([good, negative, bad_trace, nan])
+        assert evolved_state_faults(stack) == [
+            None, "propagated state has negative eigenvalue -5.000e-01",
+            "propagated state trace deviates from 1 by 1.000e+00",
+            "propagated state trace deviates from 1 by nan"]
+        with pytest.raises(PropagationError, match="negative"):
+            check_evolved_state(stack)
+        check_evolved_state(np.stack([good, good]))
 
 
 class TestTrajectory:
@@ -356,6 +383,14 @@ class TestPythonKernel:
         # a stack of one is the unstacked call with a leading axis
         assert bitwise_equal(_kern.propagate_schedule(L0[None], ctrls, amps, 0.05, v0),
                              one_by_one[0][None])
+        # one slice length per generator, as a schedule at several encoding times has
+        dts = np.array([0.05, 0.013, 0.3])
+        one_by_one = [_kern.propagate_schedule(D, ctrls, amps, dt, v0)
+                      for D, dt in zip(drifts, dts)]
+        sizes.clear()
+        got = _kern.propagate_schedule(drifts, ctrls, amps, dts, v0)
+        assert sizes == [3 * runs]
+        assert bitwise_equal(got, np.stack(one_by_one))
 
     @pytest.mark.parametrize("m", [4, 16])
     def test_no_controls_is_one_run(self, m, monkeypatch):
@@ -397,6 +432,10 @@ class TestPythonKernel:
             ("field count", (stack, ctrls[:1], amps, 0.05, v0)),
             ("control generators must match", (stack, ctrls[:, :3, :3], amps, 0.05, v0)),
             ("state vector length", (stack, ctrls, amps, 0.05, np.zeros((3, 4), dtype=complex))),
+            # a slice length per generator needs exactly one per generator
+            ("dt must be", (stack, ctrls, amps, np.full(2, 0.05), v0)),
+            ("dt must be", (stack, ctrls, amps, np.full((3, 1), 0.05), v0)),
+            ("dt must be", (L0, ctrls, amps, np.full(3, 0.05), v0)),
         ]
         for message, args in cases:
             with pytest.raises(ValueError, match=message):

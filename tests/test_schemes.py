@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lindmet import _kern, schemes
+from lindmet.channels import SCENARIOS
+from lindmet.metrology import MetrologyError
 from lindmet.optimizer import OptimizerOptions
 from lindmet.propagation import ControlSchedule
 from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
@@ -292,16 +294,69 @@ class TestOneKernelCallPerQfi:
         cfg = config("standard", scenario, [0.1, 0.2], K=self.K)
         dyn, rho0 = prepare(cfg)
         shapes, sizes = kernel_calls
-        # the zero schedule is one run
+        # both encoding times in one call; the zero schedule is one run
         run_scheme(cfg)
-        assert shapes == [(3, m, m)] * 2
-        assert sizes == [3, 3]
+        assert shapes == [(2 * 3, m, m)]
+        assert sizes == [2 * 3]
         shapes.clear()
         sizes.clear()
         sched = ControlSchedule(self._amplitudes(dyn.model.n_controls), 0.3)
         assert schemes._schedule_qfi(dyn, sched, rho0) > 0
         assert shapes == [(3, m, m)]
         assert sizes == [3 * (self.K - 1)]
+
+
+# (scheme, scenario) pairs whose fixed schedule is scored over the grid
+FIXED_RUNS = [*(("standard", name) for name in SCENARIOS),
+              ("ancilla", "parallel-dephasing-1q"), ("ancilla", "amplitude-damping"),
+              ("theoretical_optimal", "transverse-dephasing")]
+
+
+class TestFixedScheduleBlocks:
+    """A fixed schedule goes through the kernel in blocks of encoding times."""
+
+    @pytest.mark.parametrize("scheme, scenario", FIXED_RUNS)
+    def test_blocks_equal_one_call_per_time(self, scheme, scenario):
+        grid = np.geomspace(0.01, 2.0, 37)  # longer than two blocks
+        assert len(grid) > 2 * schemes.GRID_BLOCK
+        cfg = config(scheme, scenario, grid, K=5)
+        dyn, rho0 = prepare(cfg)
+        amplitude = -OMEGA0 if scheme == "theoretical_optimal" else 0.0
+        sched = lambda T: ControlSchedule(np.full((5, dyn.model.n_controls), amplitude), T)
+        per_time = [schemes._schedule_qfi(dyn, sched(T), rho0) for T in cfg.time_grid]
+        got = run_scheme(cfg)
+        assert [r.qfi for r in got] == per_time
+        assert all(type(r.qfi) is float for r in got)
+        assert [r.sensitivity for r in got] == [
+            schemes.sensitivity(q, T) for q, T in zip(per_time, cfg.time_grid)]
+
+    def test_kernel_calls_per_grid(self, monkeypatch):
+        calls = []
+        real = _kern.propagate_schedule
+
+        def spy(L0, *args):
+            calls.append(len(L0))
+            return real(L0, *args)
+
+        monkeypatch.setattr(_kern, "propagate_schedule", spy)
+        run_scheme(config("ancilla", "amplitude-damping", np.linspace(0.5, 40.0, 100), K=4))
+        # full blocks of three generators per T, and the rest of the grid
+        B = schemes.GRID_BLOCK
+        assert len(calls) == -(-100 // B)
+        assert calls[:-1] == [3 * B] * (len(calls) - 1) and sum(calls) == 3 * 100
+
+    def test_error_names_first_failing_time(self):
+        # at omega0 = 2 pi GHz the step 1e-3/T falls below the cancellation
+        # floor 1e-12*omega0 from T = 0.16 s on: every later T fails as well
+        omega0 = OMEGA0 * 1e9
+        grid = np.geomspace(0.01, 1.0, 37)
+        first = grid[grid > 1e-3 / (1e-12 * omega0)][0]
+        assert 0.1 < first < 0.2 and list(grid).index(first) > schemes.GRID_BLOCK
+        with pytest.raises(MetrologyError) as err:
+            run_scheme(config("standard", "parallel-dephasing-1q", grid, omega0=omega0, K=4))
+        assert str(err.value) == (
+            f"at T={first:g} s: derivative step {1e-3 / first:.3e} is below the "
+            f"cancellation floor {1e-12 * omega0:.3e} for omega0={omega0:.3e}")
 
 
 class TestSchemeAgreementSmallT:
