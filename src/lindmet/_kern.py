@@ -12,14 +12,24 @@ once, and the W generators of every run go through one batched call,
 ``expm_stack``, whose results are bit for bit those of ``scipy.linalg.expm``
 on each slice. ``scipy.linalg.expm`` walks a stack in Python one slice at a
 time, and on 4x4 slices most of its time goes to that per-slice dispatch.
-``expm_stack`` instead runs scipy's own Pade kernels (``pick_pade_structure``
-and ``pade_UV_calc`` from the private ``scipy.linalg._matfuncs_expm``) on each
-generic slice, squares the slices that share a squaring count as one stacked
-product, and leaves diagonal and triangular slices to one
-``scipy.linalg.expm`` call, which has special branches for them. A private
-module is no stable interface, so a probe at import checks that its kernels
-reproduce ``scipy.linalg.expm`` bit for bit; if they do not, every slice
-goes through ``scipy.linalg.expm``.
+``expm_stack`` sorts the slices as ``scipy.linalg.expm`` does, by their
+nonzero entries below and above the diagonal, and handles every class
+itself with the same arithmetic:
+
+- diagonal slices are the exponentials of their diagonals, one stacked
+  ``np.exp`` for all of them;
+- every other slice goes through scipy's own Pade kernels
+  (``pick_pade_structure`` and ``pade_UV_calc`` from the private
+  ``scipy.linalg._matfuncs_expm``), one slice at a time in one reused buffer;
+- the slices of one class that share a squaring count are squared as one
+  stacked product. Upper and lower triangular slices follow scipy's Code
+  Fragment 2.1 of Al-Mohy & Higham (2009), which resets the diagonal and
+  the first off-diagonal to their exact values around every squaring.
+
+A private module and a copy of scipy's Python branches are no stable
+interface, so a probe at import checks on slices of every class (see
+``_pade_kernels_match``) that ``expm_stack`` reproduces ``scipy.linalg.expm``
+bit for bit; if it does not, every stack goes whole to ``scipy.linalg.expm``.
 """
 import functools
 
@@ -41,23 +51,34 @@ def _strict_triangles(m):
     return lower, lower.T.copy()
 
 
+def _diagonal(A, k=0):
+    """The main (k = 0), first super- (k = 1) or first sub-diagonal (k = -1)
+    of every slice of a (K, m, m) stack, as a (K, m - |k|) array; a view,
+    so writable, when the stack is C-contiguous."""
+    m = A.shape[-1]
+    return A.reshape(len(A), m * m)[:, k if k >= 0 else -k * m::m + 1]
+
+
 def expm_stack(A):
     """exp(A[k]) for every slice of a (K, m, m) complex128 stack, bit for bit
     ``scipy.linalg.expm`` applied to each slice."""
-    out = np.empty_like(A)
-    # scipy's expm treats a slice as generic when it has a nonzero entry both
-    # below and above the diagonal; the others take its special branches
+    if not _PADE_KERNELS:
+        return scipy.linalg.expm(A)
+    out = np.empty(A.shape, dtype=A.dtype)
+    # scipy's expm sorts a slice by its strict lower and upper parts: neither
+    # is diagonal, one is triangular, both is generic
     nonzero = A != 0
     lower, upper = _strict_triangles(A.shape[-1])
-    generic = (nonzero & lower).any(axis=(1, 2)) & (nonzero & upper).any(axis=(1, 2))
-    if not _PADE_KERNELS:
-        generic[:] = False
-    if not generic.all():
-        out[~generic] = scipy.linalg.expm(A[~generic])
+    below = (nonzero & lower).any(axis=(1, 2)).tolist()
+    above = (nonzero & upper).any(axis=(1, 2)).tolist()
 
-    by_squarings = {}
+    diagonal = []
+    groups = {}  # (squarings, below, above) -> slices
     work = np.empty((5,) + A.shape[1:], dtype=A.dtype)
-    for k in np.flatnonzero(generic).tolist():
+    for k, (lo, up) in enumerate(zip(below, above)):
+        if not (lo or up):
+            diagonal.append(k)
+            continue
         work[0] = A[k]
         order, s = _matfuncs_expm.pick_pade_structure(work)
         if order < 0:
@@ -71,23 +92,72 @@ def expm_stack(A):
             raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the "
                                f"exponential computation (error code {info})")
         out[k] = work[0]
-        by_squarings.setdefault(s, []).append(k)
+        groups.setdefault((s, lo, up), []).append(k)
 
-    # the squarings of all slices that need the same number, as one stacked product
-    for s, group in by_squarings.items():
-        if s:
-            E = out[group]
-            for _ in range(s):
-                E = E @ E
-            out[group] = E
+    if diagonal:
+        out[diagonal] = 0
+        _diagonal(out)[diagonal] = np.exp(_diagonal(A[diagonal]))
+    # the squarings of all slices of one kind that need the same number, as
+    # one stacked product
+    for (s, lo, up), group in groups.items():
+        if lo and up:
+            if s:
+                E = out[group]
+                for _ in range(s):
+                    E = E @ E
+                out[group] = E
+        else:
+            out[group] = _triangular_squarings(A[group], out[group], s, upper=up)
     return out
+
+
+def _triangular_squarings(A, E, s, upper):
+    """Square the Pade approximants ``E`` of a stack ``A`` of upper or lower
+    triangular slices that share the squaring count ``s``, and zero the other
+    triangle, as ``scipy.linalg.expm`` does for one such slice.
+
+    scipy follows Code Fragment 2.1 of Al-Mohy & Higham (2009): it resets
+    the diagonal to its exact exponentials before every squaring, and after
+    each the first super- or sub-diagonal too, from ``_exp_sinch``. This runs
+    the same expressions on the whole stack, so each slice is bit for bit
+    its own.
+    """
+    if s:
+        diag, sd = _diagonal(A), _diagonal(A, 1 if upper else -1)
+        _diagonal(E)[:] = np.exp(diag * 2**(-s))
+        for i in range(s - 1, -1, -1):
+            E = E @ E
+            _diagonal(E)[:] = np.exp(diag * 2.**(-i))
+            _diagonal(E, 1 if upper else -1)[:] = (
+                _exp_sinch(diag * (2.**(-i))) * (sd * 2**(-i)))
+    return np.triu(E) if upper else np.tril(E)
+
+
+def _exp_sinch(x):
+    """scipy's ``_exp_sinch`` on each row of a (K, m) stack: the divided
+    differences (exp(x[j+1]) - exp(x[j])) / (x[j+1] - x[j]), or exp(x[j])
+    where the two are equal."""
+    # np.diff's subtraction of shifted slices, along each row
+    lexp = np.exp(x)
+    lexp_diff = lexp[:, 1:] - lexp[:, :-1]
+    l_diff = x[:, 1:] - x[:, :-1]
+    mask_z = l_diff == 0.
+    lexp_diff[~mask_z] /= l_diff[~mask_z]
+    lexp_diff[mask_z] = np.exp(x[:, :-1][mask_z])
+    return lexp_diff
 
 
 def _pade_kernels_match():
     """Whether scipy's private Pade kernels take the calls ``expm_stack`` makes
-    and reproduce ``scipy.linalg.expm`` bit for bit, with and without squaring."""
+    and, with its stacked diagonal and triangular branches, reproduce
+    ``scipy.linalg.expm`` bit for bit: on generic slices with and without
+    squaring, a diagonal slice, and an upper and a lower triangular slice that
+    need squaring and repeat a diagonal entry."""
     base = np.arange(16.0).reshape(4, 4) + 1j * np.arange(16.0)[::-1].reshape(4, 4)
-    probe = np.stack([1e-3 * base, 0.5 * base])
+    upper, lower = np.triu(0.5 * base), np.tril(0.5 * base)
+    upper[1, 1] = upper[0, 0]
+    lower[3, 3] = lower[2, 2]
+    probe = np.stack([1e-3 * base, 0.5 * base, np.diag(np.diag(base)), upper, lower])
     try:
         got = expm_stack(probe)
     except (TypeError, ValueError):  # a changed signature or buffer layout
@@ -146,7 +216,7 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
 
     # each generator is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order and
     # skipping zero amplitudes, so it is bitwise a per-slice build
-    A = np.broadcast_to(drifts[:, None], (W, R, m, m)).copy()
+    A = np.repeat(drifts[:, None], R, axis=1)
     for l in range(nl):
         on = first[:, l] != 0.0
         A[:, on] += first[on, l, None, None] * ctrls[l]
@@ -156,7 +226,7 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     props = expm_stack(A.reshape(W * R, m, m)).reshape(W, R, m, m)
 
     # a batched matrix-vector product is bitwise W separate ones
-    v = np.broadcast_to(v0[:, None], (W, m, 1)).copy()
+    v = np.repeat(v0[None, :, None], W, axis=0)
     run = -1
     for starts_run in new.tolist():
         run += starts_run

@@ -11,6 +11,7 @@ then acts as the d^2 x d^2 matrix returned by :func:`lindbladian`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ def unvectorize(vec: np.ndarray) -> np.ndarray:
     (..., d, d) stack of their matrices."""
     vec = np.asarray(vec)
     n = vec.shape[-1]
-    d = int(round(np.sqrt(n)))
+    d = math.isqrt(n)
     if d * d != n:
         raise ValueError(f"vector length {n} is not a perfect square")
     # a view, each matrix column-major as the vector stacks it

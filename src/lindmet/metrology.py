@@ -66,8 +66,10 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule | Sequence[Contro
     # a row (omega0, omega0 + delta, omega0 - delta) per schedule, exactly
     omegas = omega0 + delta[:, None] * _STEP_SIGNS
     v = dyn.evolve_vectorized(schedules, v0, omegas)
-    rho, rho_p, rho_m = unvectorize(v.swapaxes(0, 1))
-    drho = (rho_p - rho_m) / (2.0 * delta[:, None, None])
+    # the difference of the vectors: unvectorize only reshapes, so this is
+    # bit for bit the difference of the matrices
+    rho = unvectorize(v[:, 0])
+    drho = unvectorize((v[:, 1] - v[:, 2]) / (2.0 * delta[:, None]))
     if checked:
         _check(schedules, omega0, delta, rho, drho)
     return (rho[0], drho[0]) if single else (rho, drho)

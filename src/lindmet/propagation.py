@@ -126,7 +126,7 @@ class SlicedDynamics:
         schedules = [schedule] if single else list(schedule)
         amps = schedules[0].amplitudes
         if any(s.amplitudes is not amps and not np.array_equal(s.amplitudes, amps)
-               for s in schedules):
+               for s in schedules[1:]):
             raise ValueError("a stack of schedules must share one amplitude grid")
         if amps.shape[1] != self.model.n_controls:
             raise ValueError(

@@ -296,6 +296,23 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def equal_but_nan(a, b):
+    """NaN in the same real and imaginary parts of a and b, bitwise equal in
+    all the others (infinities included)."""
+    a, b = a.view(np.float64), b.view(np.float64)
+    nan = np.isnan(b)
+    return (a.shape == b.shape and np.array_equal(np.isnan(a), nan)
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+def refuse_scipy_expm(monkeypatch):
+    """Make every later ``scipy.linalg.expm`` call, the kernel's included, fail."""
+    def refuse(a):
+        raise AssertionError("scipy.linalg.expm was called")
+
+    monkeypatch.setattr(_kern.scipy.linalg, "expm", refuse)
+
+
 def spy_stack_sizes(monkeypatch):
     """The number of generators each later ``_kern.expm_stack`` call receives."""
     sizes = []
@@ -471,14 +488,63 @@ class TestExpmStack:
 
     def test_nan_slice(self):
         A = self._mixed_stack(4, seed=1)
+        # the first upper and lower triangular slices that need squaring
+        up = next(k for k in range(2, len(A), 5) if squarings(A[k]) > 0)
+        lo = next(k for k in range(3, len(A), 5) if squarings(A[k]) > 0)
         A[0, 1, 2] = np.nan
         A[7, 3, 0] = np.nan  # an upper-triangular slice made generic by a NaN
+        A[1, 2, 2] = np.nan  # a diagonal slice
+        A[2, 0, 3] = np.nan  # an upper triangular one, off its diagonal
+        A[up, 1, 1] = np.nan  # triangular ones that need squaring
+        A[lo, 3, 0] = np.nan
+        with np.errstate(all="ignore"):
+            ref = np.stack([scipy.linalg.expm(a) for a in A])
+            got = _kern.expm_stack(A)
+        assert all(np.isnan(ref[k]).any() for k in (0, 7, 1, 2, up, lo))
+        assert equal_but_nan(got, ref)
+
+    def _triangular_stack(self, m, seed):
+        # upper and lower triangular slices at scales from no squaring to
+        # several, each also with a diagonal of repeated entries, shuffled so
+        # that the groups of one orientation and squaring count interleave
+        rng = np.random.default_rng(seed)
+        slices = []
+        for scale in np.geomspace(1e-3, 100.0, 25):
+            a = scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            repeated = a.copy()
+            repeated[np.diag_indices(m)] = np.repeat(np.diag(a)[::2], 2)[:m]
+            repeated[-1, -1] = repeated[0, 0]
+            for b in (a, repeated):
+                slices += [np.triu(b), np.tril(b)]
+        return np.stack(slices)[rng.permutation(len(slices))]
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_triangular_slices(self, m):
+        A = self._triangular_stack(m, seed=m + 10)
+        upper = [not np.tril(a, -1).any() for a in A]
+        assert {0, 1, 2, 3} <= {squarings(a) for a, up in zip(A, upper) if up}
+        assert {0, 1, 2, 3} <= {squarings(a) for a, up in zip(A, upper) if not up}
         ref = np.stack([scipy.linalg.expm(a) for a in A])
-        got = _kern.expm_stack(A)
-        nan = np.isnan(ref)
-        assert nan[0].any() and nan[7].any()
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got[~nan], ref[~nan])
+        assert bitwise_equal(_kern.expm_stack(A), ref)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_overflowing_slices(self, m):
+        # entries of a few thousand overflow exp in every slice class
+        A = np.concatenate([self._mixed_stack(m, seed=m + 20), self._triangular_stack(m, m)])
+        A *= 50.0
+        with np.errstate(all="ignore"):
+            ref = np.stack([scipy.linalg.expm(a) for a in A])
+            got = _kern.expm_stack(A)
+        assert np.isinf(ref).any() and np.isnan(ref).any()
+        assert equal_but_nan(got, ref)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_never_calls_scipy_expm(self, m, monkeypatch):
+        A = np.concatenate([self._mixed_stack(m, seed=m + 30), self._triangular_stack(m, m)])
+        ref = np.stack([scipy.linalg.expm(a) for a in A])
+        assert _kern._PADE_KERNELS
+        refuse_scipy_expm(monkeypatch)
+        assert bitwise_equal(_kern.expm_stack(A), ref)
 
     def test_single_matrix_entry(self):
         for A in self._mixed_stack(16, seed=2):
@@ -496,3 +562,29 @@ class TestExpmStack:
         A = self._mixed_stack(4, seed=3)
         ref = np.stack([scipy.linalg.expm(a) for a in A])
         assert bitwise_equal(_kern.expm_stack(A), ref)
+
+    @pytest.mark.parametrize("name, broken", [
+        # the zero-difference branch of the first off-diagonal dropped
+        ("_exp_sinch", lambda x: np.diff(np.exp(x)) / np.diff(x)),
+        # no resets between the squarings of a triangular slice
+        ("_triangular_squarings", lambda A, E, s, upper: np.linalg.matrix_power(E, 2**s)),
+    ])
+    def test_probe_covers_the_triangular_branch(self, name, broken, monkeypatch):
+        monkeypatch.setattr(_kern, name, broken)
+        with np.errstate(all="ignore"):
+            assert not _kern._pade_kernels_match()
+
+    def test_failed_probe_sends_the_whole_stack_to_scipy(self, monkeypatch):
+        A = self._mixed_stack(4, seed=5)
+        ref = np.stack([scipy.linalg.expm(a) for a in A])
+        stacks = []
+        real = scipy.linalg.expm
+
+        def spy(a):
+            stacks.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(_kern.scipy.linalg, "expm", spy)
+        monkeypatch.setattr(_kern, "_PADE_KERNELS", False)
+        assert bitwise_equal(_kern.expm_stack(A), ref)
+        assert stacks == [A.shape]

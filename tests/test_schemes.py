@@ -3,14 +3,16 @@ import pytest
 
 from lindmet import _kern, schemes
 from lindmet.channels import SCENARIOS
-from lindmet.metrology import MetrologyError
+from lindmet.liouville import unvectorize, vectorize
+from lindmet.metrology import MetrologyError, default_delta, qfi_eigen
 from lindmet.optimizer import OptimizerOptions
 from lindmet.propagation import ControlSchedule
 from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
                              haar_random_state, plus_state, prepare, resolve_probe,
                              run_scheme)
 
-from test_propagation import spy_stack_sizes
+from test_propagation import (per_slice_reference, refuse_scipy_expm, spy_stack_sizes,
+                              squarings)
 
 OMEGA0 = 2 * np.pi
 SMALL_OPT = OptimizerOptions(restarts=3, max_evals=400, seed=11)
@@ -357,6 +359,50 @@ class TestFixedScheduleBlocks:
         assert str(err.value) == (
             f"at T={first:g} s: derivative step {1e-3 / first:.3e} is below the "
             f"cancellation floor {1e-12 * omega0:.3e} for omega0={omega0:.3e}")
+
+
+# The sweep workload's fixed-schedule runs whose zero-control generators are
+# not generic (K = 20): amplitude damping's are upper triangular, parallel
+# dephasing's diagonal. (scheme, scenario, rates, time grid, slice class)
+AD_GRID = tuple(np.linspace(0.5, 40.0, 100))
+PD_GRID = tuple(np.geomspace(0.01, 0.5, 100))
+AD_RATES = (("gamma_minus", 0.2), ("gamma_plus", 0.0))
+SWEEP_SPECIAL_SLICES = [
+    ("standard", "amplitude-damping", AD_RATES, AD_GRID, "upper"),
+    ("ancilla", "amplitude-damping", AD_RATES, AD_GRID, "upper"),
+    ("standard", "parallel-dephasing-1q", (("gamma", 10.0),), PD_GRID, "diagonal"),
+    ("ancilla", "parallel-dephasing-1q", (("gamma", 10.0),), PD_GRID, "diagonal"),
+    ("standard", "parallel-dephasing-2q", (("gamma1", 10.0), ("gamma2", 10.0)), PD_GRID,
+     "diagonal"),
+]
+
+
+class TestSpecialSlicesOnSweepGrids:
+    """Diagonal and triangular generators of real runs, bit for bit a loop of
+    ``scipy.linalg.expm`` over every slice, which the kernel never calls."""
+
+    @pytest.mark.parametrize("scheme, scenario, rates, grid, kind", SWEEP_SPECIAL_SLICES,
+                             ids=[f"{s}-{c}" for s, c, *_ in SWEEP_SPECIAL_SLICES])
+    def test_fixed_qfis_match_per_slice_expm(self, scheme, scenario, rates, grid, kind,
+                                             monkeypatch):
+        cfg = config(scheme, scenario, grid, rates=rates)
+        dyn, rho0 = prepare(cfg)
+        K, L0 = cfg.K, dyn.constant_generator()
+        nonzero = L0 != 0
+        assert not np.tril(nonzero, -1).any()
+        assert np.triu(nonzero, 1).any() == (kind == "upper")
+        assert {squarings(L0 * T / K) for T in grid} == ({0, 1, 2} if kind == "upper" else {0})
+
+        amps, v0, omega0 = np.zeros((K, dyn.model.n_controls)), vectorize(rho0), cfg.omega0
+        ref = []
+        for T in grid:
+            delta = default_delta(omega0, T)
+            rho, rho_p, rho_m = (unvectorize(per_slice_reference(
+                dyn.constant_generator(om), dyn.control_supers, amps, T / K, v0))
+                for om in (omega0, omega0 + delta, omega0 - delta))
+            ref.append(qfi_eigen(rho, (rho_p - rho_m) / (2.0 * delta)))
+        refuse_scipy_expm(monkeypatch)
+        assert [r.qfi for r in run_scheme(cfg)] == ref
 
 
 class TestSchemeAgreementSmallT:
