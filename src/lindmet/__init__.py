@@ -5,8 +5,9 @@ information and sensitivity evaluation, and gradient-free optimization of
 piecewise-constant control pulses.
 
 Importing lindmet before numpy defaults BLAS and OpenMP to one thread: on
-the 4x4 to 32x32 matrices of this package a second thread only spins and
-doubles the CPU time. A value already set in the environment wins.
+the 4x4 matrices of this package (one qubit's superoperators) a second
+thread only spins and doubles the CPU time. A value already set in the
+environment wins.
 """
 import os
 
@@ -17,7 +18,7 @@ for _variable in BLAS_THREAD_VARIABLES:
 del _variable
 
 from ._kern import BACKEND as KERNEL_BACKEND
-from .channels import (EncodingModel, ancilla_extend, amplitude_damping,
+from .channels import (EncodingModel, Site, ancilla_extend, amplitude_damping,
                        build_scenario, parallel_dephasing, transverse_dephasing,
                        two_qubit_uncorrelated_dephasing)
 from .config import NmrConfig, RunConfig, load_nmr_config, load_run_config
@@ -33,7 +34,7 @@ from .schemes import MetrologyResult, SchemeConfig, run_scheme
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND", "EncodingModel", "ancilla_extend", "amplitude_damping",
+    "KERNEL_BACKEND", "EncodingModel", "Site", "ancilla_extend", "amplitude_damping",
     "build_scenario", "parallel_dephasing", "transverse_dephasing",
     "two_qubit_uncorrelated_dephasing", "NmrConfig", "RunConfig",
     "load_nmr_config", "load_run_config", "run_experiment", "run_nmr_protocol",

@@ -7,11 +7,20 @@ channel and a fixed set of control Hamiltonians:
   parallel-dephasing-2q   per-qubit sigma_z noise, per-qubit transverse controls
   transverse-dephasing    sigma_x noise, longitudinal control {sz/2}
   amplitude-damping       sigma_-/sigma_+ noise, transverse controls
+
+A model is a register of one-qubit sites, each with its own share of the
+drift, its own controls and its own noise (:class:`Site`); the two-qubit
+scenario has two, and the ancilla extension adds an idle one. Their sum,
+with every site operator embedded as I (x) op (x) I, is the model's
+full-register generator, controls and channel. The dynamics propagate the
+sites separately (see :mod:`lindmet.propagation`), so noise that correlates
+two qubits cannot be expressed.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,33 +97,89 @@ def frequency_generator(n_qubits: int) -> np.ndarray:
     raise ValueError(f"unsupported qubit count {n_qubits} (expected 1 or 2)")
 
 
+def _checked_operators(generator, control_hams, channel):
+    """The generator and controls as complex arrays, checked to be Hermitian
+    and of one dimension with the channel."""
+    controls = tuple(np.asarray(H, dtype=complex) for H in control_hams)
+    G = np.asarray(generator, dtype=complex)
+    d = G.shape[0]
+    for H in controls + (G,):
+        if np.max(np.abs(H - H.conj().T)) > 1e-12:
+            raise ValueError("drift generator and control Hamiltonians must be Hermitian")
+        if H.shape != (d, d):
+            raise ValueError("inconsistent operator dimensions in model")
+    if channel.dim is not None and channel.dim != d:
+        raise ValueError("noise channel dimension does not match Hamiltonians")
+    return G, controls
+
+
+@dataclass(frozen=True)
+class Site:
+    """One qubit of a register: its share G of the drift generator, its
+    control Hamiltonians and its noise channel, all 2x2. A site with none of
+    them, such as an ancilla, is idle."""
+
+    generator: np.ndarray
+    control_hams: tuple = ()
+    channel: NoiseChannel = field(default_factory=lambda: NoiseChannel((), ()))
+
+    def __post_init__(self):
+        G, controls = _checked_operators(self.generator, self.control_hams, self.channel)
+        if G.shape != (2, 2):
+            raise ValueError(f"a site is one qubit, got a {G.shape} generator")
+        object.__setattr__(self, "generator", G)
+        object.__setattr__(self, "control_hams", controls)
+
+
+def _embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
+    """A one-qubit operator on ``site`` of ``n_sites``: I (x) op (x) I."""
+    return functools.reduce(np.kron, [op if s == site else IDENTITY_2 for s in range(n_sites)])
+
+
 @dataclass(frozen=True)
 class EncodingModel:
     """Drift generator, control Hamiltonians and noise channel of one scenario.
 
-    The drift is linear in the estimated frequency: H0(omega0) = omega0 * G,
-    with G stored explicitly so that ancilla extension can redefine it.
+    The drift is linear in the estimated frequency: H0(omega0) = omega0 * G.
+    ``generator``, ``control_hams`` and ``channel`` act on the whole
+    register; ``sites`` holds the same model one qubit at a time. A
+    one-qubit model is given by its operators and is its own single site; a
+    larger register is given by its sites (see :meth:`from_sites`), and its
+    operators are their sum, each site operator embedded as I (x) op (x) I.
     """
 
     n_qubits: int
     omega0: float
-    generator: np.ndarray
+    generator: np.ndarray | None
     control_hams: tuple
-    channel: NoiseChannel
+    channel: NoiseChannel | None
+    sites: tuple = ()
 
     def __post_init__(self):
-        controls = tuple(np.asarray(H, dtype=complex) for H in self.control_hams)
-        G = np.asarray(self.generator, dtype=complex)
-        d = G.shape[0]
-        for H in controls + (G,):
-            if np.max(np.abs(H - H.conj().T)) > 1e-12:
-                raise ValueError("drift generator and control Hamiltonians must be Hermitian")
-            if H.shape != (d, d):
-                raise ValueError("inconsistent operator dimensions in model")
-        if self.channel.dim is not None and self.channel.dim != d:
-            raise ValueError("noise channel dimension does not match Hamiltonians")
+        sites = tuple(self.sites)
+        if sites:
+            if self.generator is not None or self.control_hams or self.channel is not None:
+                raise ValueError("a model is given by its sites or by its operators, not both")
+            G, controls, channel = _register(sites)
+        else:
+            G, controls = _checked_operators(self.generator, self.control_hams, self.channel)
+            if G.shape != (2, 2):
+                raise ValueError("a model of more than one qubit is built from its sites")
+            channel = self.channel
+            sites = (Site(G, controls, channel),)
+        if self.n_qubits != len(sites):
+            raise ValueError(f"{len(sites)} sites do not make {self.n_qubits} qubits")
         object.__setattr__(self, "generator", G)
         object.__setattr__(self, "control_hams", controls)
+        object.__setattr__(self, "channel", channel)
+        object.__setattr__(self, "sites", sites)
+
+    @classmethod
+    def from_sites(cls, omega0: float, sites) -> "EncodingModel":
+        """The model of a register of ``sites``, site 0 the first tensor
+        factor, with the controls of every site in site order."""
+        sites = tuple(sites)
+        return cls(len(sites), omega0, None, (), None, sites)
 
     @property
     def dim(self) -> int:
@@ -125,26 +190,22 @@ class EncodingModel:
         return len(self.control_hams)
 
 
-def ancilla_extend(model: EncodingModel) -> EncodingModel:
-    """Extend a 1-qubit model with a noiseless, drift-free ancilla.
+def _register(sites):
+    """The full-register generator, controls and channel of ``sites``."""
+    n = len(sites)
+    return (sum(_embed(s.generator, i, n) for i, s in enumerate(sites)),
+            tuple(_embed(H, i, n) for i, s in enumerate(sites) for H in s.control_hams),
+            NoiseChannel(tuple(_embed(L, i, n) for i, s in enumerate(sites)
+                               for L in s.channel.lindblad_ops),
+                         tuple(g for s in sites for g in s.channel.rates)))
 
-    Every operator acts as (original kron I); the ancilla is the second tensor
-    factor.
-    """
+
+def ancilla_extend(model: EncodingModel) -> EncodingModel:
+    """Extend a 1-qubit model with a noiseless, drift-free ancilla: an idle
+    second site, so every operator acts as (original kron I)."""
     if model.dim != 2:
         raise ValueError("only 1-qubit models can be ancilla-extended")
-
-    def ext(op):
-        return np.kron(op, IDENTITY_2)
-
-    return EncodingModel(
-        n_qubits=2,
-        omega0=model.omega0,
-        generator=ext(model.generator),
-        control_hams=tuple(ext(H) for H in model.control_hams),
-        channel=NoiseChannel(tuple(ext(L) for L in model.channel.lindblad_ops),
-                             model.channel.rates),
-    )
+    return EncodingModel.from_sites(model.omega0, model.sites + (Site(np.zeros((2, 2))),))
 
 
 # Reference operating points for each scenario (rates in 1/s).
@@ -176,13 +237,11 @@ def build_scenario(name: str, omega0: float, rates: dict | None = None) -> Encod
         channel = parallel_dephasing(resolved["gamma"])
         return EncodingModel(1, omega0, frequency_generator(1), transverse_1q, channel)
     if name == "parallel-dephasing-2q":
-        channel = two_qubit_uncorrelated_dephasing(resolved["gamma1"], resolved["gamma2"])
-        controls = tuple(
-            np.kron(P, IDENTITY_2) / 2.0 for P in (SIGMA_X, SIGMA_Y)
-        ) + tuple(
-            np.kron(IDENTITY_2, P) / 2.0 for P in (SIGMA_X, SIGMA_Y)
-        )
-        return EncodingModel(2, omega0, frequency_generator(2), controls, channel)
+        # uncorrelated: each qubit dephases at its own rate
+        return EncodingModel.from_sites(omega0, (
+            Site(frequency_generator(1), transverse_1q,
+                 NoiseChannel((SIGMA_Z / np.sqrt(2.0),), (_require_rate(resolved[key], key),)))
+            for key in ("gamma1", "gamma2")))
     if name == "transverse-dephasing":
         channel = transverse_dephasing(resolved["gamma"])
         return EncodingModel(1, omega0, frequency_generator(1), (SIGMA_Z / 2.0,), channel)

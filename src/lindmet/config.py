@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import reduce
 from typing import Any, Callable, ClassVar, NamedTuple
@@ -126,9 +127,11 @@ class NmrConfig:
     def __post_init__(self):
         if self.points < 1:
             raise ConfigError(f"points must be at least 1, got {self.points}")
-        if not 0 < self.delta_omega_fidelity < math.inf:
-            raise ConfigError("delta_omega_fidelity must be positive and finite, "
-                              f"got {self.delta_omega_fidelity}")
+        # the fidelity estimator divides by delta^2, which must be a normal float
+        delta = self.delta_omega_fidelity
+        if not (delta > 0 and sys.float_info.min <= delta * delta < math.inf):
+            raise ConfigError("delta_omega_fidelity must be positive with a finite, normal "
+                              f"square (about 1.5e-154 to 1.3e154), got {delta}")
 
     def scheme_config(self, scheme: str) -> SchemeConfig:
         gamma = 1.0 / t2_from_linewidth(self.linewidth_hz)

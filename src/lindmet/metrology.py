@@ -10,6 +10,7 @@ each entry bit for bit its own call's.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -169,7 +170,9 @@ def qfi_fidelity(rho_exact: np.ndarray, rho_perturbed: np.ndarray,
 def sensitivity(qfi: float, total_time: float, gamma_c: float = 1.0) -> float:
     """Time-normalized precision sqrt(T) / (gamma_c sqrt(F_Q)); lower is better.
 
-    A zero QFI carries no information, reported as infinite sensitivity.
+    A zero QFI carries no information, reported as infinite sensitivity. A
+    positive QFI whose sensitivity is not finite, as a tiny ``gamma_c`` can
+    make it, raises :class:`MetrologyError` naming the encoding time.
     """
     if total_time <= 0:
         raise ValueError(f"encoding time must be positive, got {total_time}")
@@ -177,4 +180,9 @@ def sensitivity(qfi: float, total_time: float, gamma_c: float = 1.0) -> float:
         raise ValueError(f"transduction parameter must be positive, got {gamma_c}")
     if qfi <= 0:
         return float("inf")
-    return float(np.sqrt(total_time) / (gamma_c * np.sqrt(qfi)))
+    denominator = gamma_c * math.sqrt(qfi)
+    value = math.sqrt(total_time) / denominator if denominator > 0 else math.inf
+    if not math.isfinite(value):
+        raise MetrologyError(f"at T={total_time:g} s: the sensitivity of QFI {qfi:.3e} "
+                             f"with gamma_c={gamma_c:.3e} is not a finite float")
+    return value

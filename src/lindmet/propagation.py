@@ -2,17 +2,24 @@
 
 The encoding time T is divided into K slices; slice k evolves under
 exp(L[k] dt) with L[k] built from H[k] = omega0*G + sum_l u_l[k] H_l and the
-model's noise channel. The slices run in lindmet._kern, which exponentiates
-each run of equal consecutive amplitude rows once (a fixed scheme's constant
-schedule is a single run), all runs in one batched call to scipy's Pade
-kernels; the result is bit for bit a loop of ``scipy.linalg.expm`` over every
-slice. One call can propagate a schedule at several frequencies, as the
-frequency derivative needs, and one amplitude grid over several encoding
-times, as a fixed scheme needs across its time grid: all their generators
-share that batched call, each with its own slice length.
+model's noise channel. A model is a register of one-qubit sites, and L[k]
+is the Kronecker sum of the sites' own 4x4 generators, so the slices run
+site by site in lindmet._kern: each site exponentiates each run of equal
+consecutive rows of its amplitude columns once (a fixed scheme's constant
+schedule is a single run), all runs of all sites in one batched call to
+scipy's Pade kernels, and an idle site, such as the ancilla, takes none.
+On one qubit the result is bit for bit a loop of ``scipy.linalg.expm`` over
+every slice; on two sites the state is stepped as a 4x4 matrix in
+site-product order, P0 X P1^T per slice, which agrees with the full
+register's per-slice exponentials to about 1e-16. One call can propagate a
+schedule at several frequencies, as the frequency derivative needs, and
+one amplitude grid over several encoding times, as a fixed scheme needs
+across its time grid: all their generators share that batched call, each
+with its own slice length.
 """
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -77,33 +84,83 @@ class ControlSchedule:
         return self.total_time / self.K
 
 
+def _superops(generator, control_hams, channel):
+    """The drift, noise and control superoperators of the generator
+    -i[omega0 G + sum_l u_l H_l, .] + dissipator on d x d operators."""
+    d = generator.shape[0]
+    drift = np.ascontiguousarray(-1j * hamiltonian_superop(generator))
+    if channel.lindblad_ops:
+        noise = np.ascontiguousarray(dissipator_superop(channel).astype(complex))
+    else:
+        noise = np.zeros((d * d, d * d), dtype=complex)
+    controls = np.ascontiguousarray(
+        np.array([-1j * hamiltonian_superop(H) for H in control_hams],
+                 dtype=complex).reshape(len(control_hams), d * d, d * d))
+    return drift, noise, controls
+
+
+def _site_product_order(n_sites: int) -> np.ndarray:
+    """The column-stacked vector's index at each index of site-product
+    order, in which site s has the digit j_s * 2 + i_s (its own column-stacked
+    index, for row bit i_s and column bit j_s) in base 4, site 0 first."""
+    # the column-stacked index is (j_0 .. j_{n-1}, i_0 .. i_{n-1}) in base 2
+    axes = [a for s in range(n_sites) for a in (s, n_sites + s)]
+    return np.arange(4 ** n_sites).reshape((2,) * (2 * n_sites)).transpose(axes).ravel()
+
+
 class SlicedDynamics:
     """Precomputed superoperator pieces of one encoding model.
 
-    The slice generator is assembled as omega0*D + G + sum_l u_l C_l where
-    D = -i(I kron G_H - G_H^* kron I) for the frequency generator G_H, G is the
-    dissipator, and C_l the control commutator superoperators. They are built
-    once per model, so a propagation only combines them; it still allocates
-    its generators and propagators on every call.
+    Each site's slice generator is assembled as omega0*D + G + sum_l u_l C_l
+    where D = -i(I kron G_H - G_H^* kron I) for the site's frequency generator
+    G_H, G is its dissipator, and C_l its control commutator superoperators:
+    4x4 matrices for a qubit, built once per model, so a propagation only
+    combines them. The register's generator is the Kronecker sum of its
+    sites', so a slice's propagator is the Kronecker product of theirs, and
+    the kernel propagates a two-site register one site at a time on the
+    state in site-product order (see ``_kern._propagate_sites``); an idle
+    site takes no exponential. ``drift_super``, ``noise_super``,
+    ``control_supers`` and :meth:`constant_generator` are the same pieces on
+    the whole register (d^2 x d^2), built on first use for reference: no
+    propagation uses them.
     """
 
     def __init__(self, model: EncodingModel):
         self.model = model
         self.dim = model.dim
-        self.drift_super = np.ascontiguousarray(-1j * hamiltonian_superop(model.generator))
-        if model.channel.lindblad_ops:
-            self.noise_super = np.ascontiguousarray(
-                dissipator_superop(model.channel).astype(complex))
-        else:
-            m = self.dim * self.dim
-            self.noise_super = np.zeros((m, m), dtype=complex)
-        self.control_supers = np.ascontiguousarray(
-            np.array([-1j * hamiltonian_superop(H) for H in model.control_hams],
-                     dtype=complex).reshape(model.n_controls, self.dim ** 2, self.dim ** 2))
+        self._sites = [_superops(s.generator, s.control_hams, s.channel) for s in model.sites]
+        # which amplitude columns each site takes, and whether it is idle
+        bounds = np.cumsum([0] + [len(s.control_hams) for s in model.sites]).tolist()
+        self._columns = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        # an idle site takes no exponential; a register keeps one site that does
+        trivial = [not (D.any() or G.any() or len(C)) for D, G, C in self._sites]
+        self._idle = [t and not all(trivial) for t in trivial]
+        if len(self._sites) > 1:
+            self._order = _site_product_order(len(self._sites))
+            self._unorder = np.argsort(self._order)
+
+    @functools.cached_property
+    def _full_pieces(self):
+        if len(self._sites) == 1:
+            return self._sites[0]
+        return _superops(self.model.generator, self.model.control_hams, self.model.channel)
+
+    @property
+    def drift_super(self) -> np.ndarray:
+        return self._full_pieces[0]
+
+    @property
+    def noise_super(self) -> np.ndarray:
+        return self._full_pieces[1]
+
+    @property
+    def control_supers(self) -> np.ndarray:
+        return self._full_pieces[2]
 
     def constant_generator(self, omega0: float | Sequence[float] | None = None) -> np.ndarray:
-        """omega0*D + G at the model's frequency, or at ``omega0``; a sequence
-        of W frequencies gives a (W, m, m) stack, one generator per frequency."""
+        """omega0*D + G of the whole register at the model's frequency, or at
+        ``omega0``; a sequence of W frequencies gives a (W, m, m) stack, one
+        generator per frequency."""
         om = np.asarray(self.model.omega0 if omega0 is None else omega0, dtype=float)
         return om[..., None, None] * self.drift_super + self.noise_super
 
@@ -133,16 +190,22 @@ class SlicedDynamics:
                 f"schedule has {amps.shape[1]} fields but the model has "
                 f"{self.model.n_controls} control Hamiltonians")
         om = np.asarray(self.model.omega0 if omega0 is None else omega0, dtype=float)
-        drifts = self.constant_generator(om)
-        m = drifts.shape[-1]
         if single:
             dt = schedule.dt
         else:
             # each generator takes the slice length of its row's schedule
             dt = np.array([s.dt for s in schedules]).repeat(om.shape[1])
-            drifts = drifts.reshape(-1, m, m)
-        v = _kern.propagate_schedule(drifts, self.control_supers, amps, dt, v0)
-        return v.reshape(om.shape + (m,))
+        # each site's drift stack, one generator per frequency
+        drifts = [None if idle else (om[..., None, None] * D + G).reshape(-1, *D.shape)
+                  for (D, G, _), idle in zip(self._sites, self._idle)]
+        if len(self._sites) == 1:
+            v = _kern.propagate_schedule(drifts[0], self._sites[0][2], amps, dt, v0)
+        else:
+            v = _kern.propagate_schedule(
+                tuple(drifts), tuple(C for _, _, C in self._sites),
+                tuple(amps[:, cols] for cols in self._columns), dt,
+                np.asarray(v0)[self._order])[:, self._unorder]
+        return v.reshape(om.shape + (self.dim ** 2,))
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray,
                omega0: float | Sequence[float] | None = None):

@@ -211,7 +211,9 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     for transverse dephasing at small noise rates. That QFI stays nonzero
     because the frequency derivative probes the cancelled drift's dependence
     on omega0. The grid goes through the kernel in blocks of ``GRID_BLOCK``
-    encoding times, one call per block, each QFI bit for bit its own call's.
+    encoding times, one call per block, each QFI bit for bit its own call's,
+    and then its sensitivity at every T, which must be finite for a positive
+    QFI (see :func:`sensitivity`).
 
     ``control_enhanced`` then replaces the zero schedule by a multi-start
     simplex maximization of the QFI over the K x L amplitude grid, one T at a
@@ -229,13 +231,15 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     fixed = [ControlSchedule(amps, T) for T in config.time_grid]
     qfis = [q for i in range(0, len(fixed), GRID_BLOCK)
             for q in _schedule_qfi(dyn, fixed[i:i + GRID_BLOCK], rho0).tolist()]
+    sensitivities = [sensitivity(q, T, config.gamma_c) for q, T in zip(qfis, config.time_grid)]
     search = config.scheme == "control_enhanced"
     if search:
         u_max = config.resolved_u_max
         seeds = _spawned_seeds(config.optimizer.seed, len(config.time_grid))
     out = []
     previous_best = None
-    for i, (T, sched, qfi) in enumerate(zip(config.time_grid, fixed, qfis)):
+    for i, (T, sched, qfi, sens) in enumerate(zip(config.time_grid, fixed, qfis,
+                                                  sensitivities)):
         evals, converged = 0, True
         if search:
             def objective(x, T=T):
@@ -248,8 +252,9 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
                               opts, extra_starts=extra)
             sched = ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
             qfi = _schedule_qfi(dyn, sched, rho0)
+            sens = sensitivity(qfi, T, config.gamma_c)
             evals, converged = res.evals, res.converged
             previous_best = res.x
-        out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c),
-                                   sched, evals, config.optimizer.seed, converged))
+        out.append(MetrologyResult(T, qfi, sens, sched, evals, config.optimizer.seed,
+                                   converged))
     return out

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from lindmet.channels import (DEFAULT_RATES, SCENARIOS, SIGMA_X, SIGMA_Y,
-                              SIGMA_Z, EncodingModel, _require_rate,
+                              SIGMA_Z, EncodingModel, Site, _require_rate,
                               amplitude_damping,
                               ancilla_extend, build_scenario,
                               frequency_generator, parallel_dephasing,
@@ -246,3 +246,47 @@ class TestScenarios:
         with pytest.raises(ValueError, match="Hermitian"):
             EncodingModel(1, 1.0, SIGMA_Z / 2, (np.array([[0, 1], [0, 0]]),),
                           parallel_dephasing(1.0))
+
+
+class TestSites:
+    def test_one_qubit_model_is_its_own_site(self):
+        m = build_scenario("amplitude-damping", 2 * np.pi)
+        (site,) = m.sites
+        assert site.generator is m.generator and site.channel is m.channel
+        assert all(a is b for a, b in zip(site.control_hams, m.control_hams))
+
+    def test_two_qubit_scenario_is_two_sites(self):
+        m = build_scenario("parallel-dephasing-2q", 2 * np.pi, {"gamma1": 3.0})
+        assert [s.channel.rates for s in m.sites] == [(3.0,), (10.0,)]
+        for site in m.sites:
+            assert np.array_equal(site.generator, frequency_generator(1))
+            assert len(site.control_hams) == 2
+        # the full register is the sum of the sites, controls in site order
+        assert np.array_equal(m.generator, frequency_generator(2))
+        ref = two_qubit_uncorrelated_dephasing(3.0, 10.0)
+        assert m.channel.rates == ref.rates
+        assert all(map(np.array_equal, m.channel.lindblad_ops, ref.lindblad_ops))
+        assert np.array_equal(m.control_hams[3], np.kron(np.eye(2), SIGMA_Y / 2))
+
+    def test_ancilla_is_an_idle_site(self):
+        ext = ancilla_extend(build_scenario("transverse-dephasing", 2 * np.pi))
+        idle = ext.sites[1]
+        assert not idle.generator.any() and idle.control_hams == ()
+        assert idle.channel.lindblad_ops == ()
+        assert np.array_equal(ext.control_hams[0], np.kron(SIGMA_Z / 2, np.eye(2)))
+
+    def test_register_is_given_by_its_sites(self):
+        sites = build_scenario("parallel-dephasing-2q", 1.0).sites
+        m = EncodingModel.from_sites(1.0, sites)
+        with pytest.raises(ValueError, match="not both"):
+            EncodingModel(2, 1.0, m.generator, m.control_hams, m.channel, sites=sites)
+        with pytest.raises(ValueError, match="built from its sites"):
+            EncodingModel(2, 1.0, m.generator, m.control_hams, m.channel)
+        with pytest.raises(ValueError, match="2 sites do not make 1 qubits"):
+            EncodingModel(1, 1.0, None, (), None, sites=sites)
+
+    def test_site_is_one_qubit(self):
+        with pytest.raises(ValueError, match="one qubit"):
+            Site(np.eye(4))
+        with pytest.raises(ValueError, match="Hermitian"):
+            Site(SIGMA_Z, (np.array([[0, 1], [0, 0]]),))

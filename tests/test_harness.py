@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +469,11 @@ INVALID_CONFIGS = {
     "nmr-u_max=-5": ("nmr", "[nmr]\nu_max = -5\n", "u_max must be"),
     "nmr-linewidth_hz=0": ("nmr", "[nmr]\nlinewidth_hz = 0\n", "linewidth"),
     "nmr-f_tol=1e-6": ("nmr", "[optimizer]\nf_tol = 1e-6\n", "f_tol in [optimizer] is retired"),
+    # the fidelity estimator divides by delta^2: underflow and overflow
+    "nmr-delta_omega_fidelity=1e-300": ("nmr", "[nmr]\ndelta_omega_fidelity = 1e-300\n",
+                                        "delta_omega_fidelity must be"),
+    "nmr-delta_omega_fidelity=1e300": ("nmr", "[nmr]\ndelta_omega_fidelity = 1e300\n",
+                                       "delta_omega_fidelity must be"),
     "run-seed=-1": ("run", "[run]\nscenario = parallel-dephasing-1q\nschemes = control_enhanced\n"
                     "seed = -1\n", "seed must be non-negative"),
     "nmr-seed=-2": ("nmr", "[nmr]\nseed = -2\n", "seed must be non-negative"),
@@ -501,6 +507,28 @@ def test_invalid_config_exits_2_without_output(command, text, message, tmp_path,
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("schemes_line", ["standard", "standard, control_enhanced"])
+def test_sensitivity_overflow_exits_3_without_output(schemes_line, tmp_path, monkeypatch,
+                                                     capsys):
+    # a tiny gamma_c makes sqrt(T) / (gamma_c sqrt(F)) overflow for a positive
+    # QFI: the run stops at the first T, before any search, with no warning
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(schemes, "multi_start", no_search)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(
+        f"[run]\nscenario = parallel-dephasing-1q\nschemes = {schemes_line}\n"
+        "gamma_c = 1e-320\n\n[time_grid]\nstart = 0.05\nstop = 0.2\npoints = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", "tiny.cfg", "--plot-data"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: at T=0.05 s: the sensitivity of QFI ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["tiny.cfg"]
 
 
 @pytest.mark.parametrize("command, text", [("run", _RUN_1Q), ("nmr", _NMR_SMALL)],

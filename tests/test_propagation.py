@@ -4,7 +4,7 @@ import scipy.linalg
 from scipy.linalg import _matfuncs_expm
 
 from lindmet import _kern
-from lindmet.channels import SCENARIOS, ancilla_extend, build_scenario
+from lindmet.channels import SCENARIOS, EncodingModel, ancilla_extend, build_scenario
 from lindmet.liouville import lindbladian, unvectorize, vectorize
 from lindmet.propagation import (ControlSchedule, PropagationError, SlicedDynamics,
                                  check_evolved_state, evolved_state_faults)
@@ -292,6 +292,57 @@ def per_slice_reference(L0, ctrls, amps, dt, v0):
     return v
 
 
+def site_dynamics(model):
+    """One one-site dynamics per site of ``model``, with its own 4x4 pieces;
+    None for an idle site (no drift, controls or noise)."""
+    return [None if not (site.generator.any() or site.control_hams or site.channel.lindblad_ops)
+            else SlicedDynamics(EncodingModel(1, model.omega0, site.generator,
+                                              site.control_hams, site.channel))
+            for site in model.sites]
+
+
+def site_product_order():
+    """For each index (j0*2 + i0)*4 + j1*2 + i1 of the site-product order,
+    the index (j0*2 + j1)*4 + i0*2 + i1 of the column-stacked vector of a
+    two-qubit state: row bits i, column bits j, site 0 first."""
+    return np.array([(j0 * 2 + j1) * 4 + i0 * 2 + i1
+                     for j0 in (0, 1) for i0 in (0, 1) for j1 in (0, 1) for i1 in (0, 1)])
+
+
+def per_site_reference(model, amps, dt, v0, omega0=None):
+    """The kernel's factorised propagation spelled out, one
+    scipy.linalg.expm call per slice and site: a one-site model is
+    :func:`per_slice_reference`; on two sites, site 0's propagators step the
+    state, as a 4x4 matrix X in site-product order, site 1's multiply into U,
+    and the result is X U^T, each generator built as in
+    :func:`per_slice_reference` from the site's own pieces."""
+    omega0 = model.omega0 if omega0 is None else omega0
+    if len(model.sites) == 1:
+        dyn = SlicedDynamics(model)
+        return per_slice_reference(dyn.constant_generator(omega0), dyn.control_supers, amps,
+                                   dt, v0)
+    order = site_product_order()
+    X, U = np.array(v0, dtype=complex)[order].reshape(4, 4), np.eye(4, dtype=complex)
+    bounds = np.cumsum([0] + [len(site.control_hams) for site in model.sites])
+    sites = site_dynamics(model)
+    for k in range(amps.shape[0]):
+        for s, dyn in enumerate(sites):
+            if dyn is None:
+                continue
+            A = dyn.constant_generator(omega0).copy()
+            for l, u in enumerate(amps[k, bounds[s]:bounds[s + 1]]):
+                if u != 0.0:
+                    A += u * dyn.control_supers[l]
+            P = scipy.linalg.expm(A * dt)
+            if s == 0:
+                X = P @ X
+            else:
+                U = P @ U
+    out = np.empty(16, dtype=complex)
+    out[order] = (X @ U.T).ravel()
+    return out
+
+
 def bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -457,6 +508,159 @@ class TestPythonKernel:
         for message, args in cases:
             with pytest.raises(ValueError, match=message):
                 _kern.propagate_schedule(*args)
+
+
+def lindbladian_reference(model, amps, T, v0, omega0=None):
+    """The full-register oracle: one scipy.linalg.expm per slice of the
+    d^2 x d^2 ``liouville.lindbladian`` generator of the whole register."""
+    omega0 = model.omega0 if omega0 is None else omega0
+    v = np.array(v0, dtype=complex)
+    for row in amps:
+        H = omega0 * model.generator + sum(u * Hc for u, Hc in zip(row, model.control_hams))
+        v = scipy.linalg.expm(lindbladian(H, model.channel) * (T / len(amps))) @ v
+    return v
+
+
+def runs_schedule(rng, K, n_fields, site0_fields):
+    """A random +-40 schedule with runs of equal rows: rows 3-6 equal on every
+    field, row 10 equal to row 9 on site 0's fields only, row 15 equal to
+    row 14 on the other fields only."""
+    amps = rng.uniform(-40, 40, (K, n_fields))
+    amps[4:7] = amps[3]
+    amps[10, :site0_fields] = amps[9, :site0_fields]
+    amps[15, site0_fields:] = amps[14, site0_fields:]
+    return amps
+
+
+# every two-site register a run builds, with its probe: GHZ, or the Bell pair
+# for the ancilla scheme (both the state ghz_state(2))
+TWO_SITE_MODELS = ["parallel-dephasing-2q",
+                   *(f"ancilla-{name}" for name in SCENARIOS if name != "parallel-dephasing-2q")]
+
+
+def two_site_model(name):
+    if name.startswith("ancilla-"):
+        return ancilla_extend(model_with(name[len("ancilla-"):]))
+    return model_with(name)
+
+
+class TestSiteFactorisation:
+    """Two-site registers propagate one 4x4 site at a time; the full
+    register's per-slice exponentials are the oracle."""
+
+    @pytest.mark.parametrize("T", [0.3, 3.0])
+    @pytest.mark.parametrize("name", TWO_SITE_MODELS)
+    def test_states_match_the_full_lindbladian(self, name, T):
+        model = two_site_model(name)
+        dyn = SlicedDynamics(model)
+        amps = runs_schedule(np.random.default_rng(len(name)), 20, model.n_controls,
+                             len(model.sites[0].control_hams))
+        v0 = vectorize(ghz_state(2))
+        omegas = OMEGA0 + np.array([0.0, 1e-3, -1e-3])
+        got = dyn.evolve_vectorized(ControlSchedule(amps, T), v0, omegas)
+        for v, om in zip(got, omegas):
+            assert np.max(np.abs(v - lindbladian_reference(model, amps, T, v0, om))) <= 1e-12
+
+    @pytest.mark.parametrize("name", TWO_SITE_MODELS)
+    def test_qfi_matches_the_full_lindbladian(self, name):
+        from lindmet.metrology import default_delta, qfi_eigen
+        from lindmet.schemes import _schedule_qfi
+
+        model = two_site_model(name)
+        T = 0.3
+        amps = runs_schedule(np.random.default_rng(len(name) + 1), 20, model.n_controls,
+                             len(model.sites[0].control_hams))
+        rho0 = ghz_state(2)
+        v0 = vectorize(rho0)
+        delta = default_delta(OMEGA0, T)
+        rho, rho_p, rho_m = (unvectorize(lindbladian_reference(model, amps, T, v0, om))
+                             for om in (OMEGA0, OMEGA0 + delta, OMEGA0 - delta))
+        ref = qfi_eigen(rho, (rho_p - rho_m) / (2.0 * delta))
+        got = _schedule_qfi(SlicedDynamics(model), ControlSchedule(amps, T), rho0)
+        # the states agree to about 1e-16; the central difference divides that
+        # by 2 delta (about 1.3e-3), and on 2q the derivative is small, so the
+        # QFIs differ by up to 2.4e-11 relative (measured): a 1e-10 tolerance
+        assert ref > 0 and abs(got - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("name", TWO_SITE_MODELS)
+    def test_runs_exponentiate_only_4x4_slices(self, name, monkeypatch):
+        from lindmet import schemes
+        from lindmet.optimizer import OptimizerOptions
+
+        shapes = []
+        real = _kern.expm_stack
+
+        def spy(A):
+            shapes.append(A.shape[1:])
+            return real(A)
+
+        monkeypatch.setattr(_kern, "expm_stack", spy)
+        if name.startswith("ancilla-"):
+            cfg = schemes.SchemeConfig("ancilla", name[len("ancilla-"):], (0.1, 0.2), K=4)
+        else:
+            cfg = schemes.SchemeConfig("control_enhanced", name, (0.1, 0.2), K=4,
+                                       optimizer=OptimizerOptions(restarts=2, max_evals=30))
+        schemes.run_scheme(cfg)
+        assert shapes and set(shapes) == {(4, 4)}
+
+
+class TestTwoSiteKernel:
+    """``propagate_schedule`` on a register of two sites against per-slice
+    exponentials of the Kronecker sum of their generators."""
+
+    def _sites(self, seed, K=7, fields=(2, 1), W=3):
+        rng = np.random.default_rng(seed)
+        cplx = lambda *shape: 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        drifts = tuple(cplx(W, 4, 4) for _ in fields)
+        ctrls = tuple(cplx(n, 4, 4) for n in fields)
+        amps = tuple(rng.uniform(-3, 3, (K, n)) for n in fields)
+        return drifts, ctrls, amps, cplx(16)
+
+    @staticmethod
+    def _reference(drifts, ctrls, amps, dt, v0, w):
+        """Per-slice expm of L0 (x) I + I (x) L1 in site-product order, an idle
+        site's generator zero."""
+        v = np.array(v0)
+        eye = np.eye(4)
+        for k in range(len(amps[0])):
+            gens = [np.zeros((4, 4)) if D is None
+                    else D[w] + np.tensordot(a[k], C, 1) if len(C) else D[w]
+                    for D, C, a in zip(drifts, ctrls, amps)]
+            v = scipy.linalg.expm((np.kron(gens[0], eye) + np.kron(eye, gens[1])) * dt) @ v
+        return v
+
+    @pytest.mark.parametrize("idle", [(), (0,), (1,)])
+    def test_matches_the_kronecker_sum(self, idle, monkeypatch):
+        drifts, ctrls, amps, v0 = self._sites(seed=len(idle) + 3 * sum(idle))
+        # rows 2-4 equal on site 0, rows 4-5 on site 1: 5 and 6 runs
+        amps[0][3:5] = amps[0][2]
+        amps[1][5] = amps[1][4]
+        drifts = tuple(None if s in idle else D for s, D in enumerate(drifts))
+        dts = np.array([0.05, 0.02, 0.1])
+        sizes = spy_stack_sizes(monkeypatch)
+        got = _kern.propagate_schedule(drifts, ctrls, amps, dts, v0)
+        assert sizes == [3 * (5 * (0 not in idle) + 6 * (1 not in idle))]
+        for w, dt in enumerate(dts):
+            ref = self._reference(drifts, ctrls, amps, dt, v0, w)
+            assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_shape_errors(self):
+        drifts, ctrls, amps, v0 = self._sites(seed=9)
+        cases = [
+            ("one site or two", (drifts + drifts[:1], ctrls + ctrls[:1], amps + amps[:1], v0)),
+            ("one site or two", (drifts, ctrls[:1], amps, v0)),
+            ("a site that is not idle", ((None, None), ctrls, amps, v0)),
+            ("drift stacks must have one shape", ((drifts[0], drifts[1][:2]), ctrls, amps, v0)),
+            ("one row per slice", (drifts, ctrls, (amps[0], amps[1][:-1]), v0)),
+            ("state vector length", (drifts, ctrls, amps, v0[:4])),
+            ("field count", (drifts, ctrls, (amps[0], amps[0]), v0)),
+            ("dt must be", (drifts, ctrls, amps, v0, np.full(2, 0.05))),
+        ]
+        for message, args in cases:
+            D, C, A, v = args[:4]
+            dt = args[4] if len(args) > 4 else 0.05
+            with pytest.raises(ValueError, match=message):
+                _kern.propagate_schedule(D, C, A, dt, v)
 
 
 def squarings(a):

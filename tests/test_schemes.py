@@ -11,8 +11,8 @@ from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
                              haar_random_state, plus_state, prepare, resolve_probe,
                              run_scheme)
 
-from test_propagation import (per_slice_reference, refuse_scipy_expm, spy_stack_sizes,
-                              squarings)
+from test_propagation import (per_site_reference, refuse_scipy_expm, site_dynamics,
+                              spy_stack_sizes, squarings)
 
 OMEGA0 = 2 * np.pi
 SMALL_OPT = OptimizerOptions(restarts=3, max_evals=400, seed=11)
@@ -246,26 +246,29 @@ class TestControlEnhanced:
 
 
 class TestOneKernelCallPerQfi:
-    """The central difference's three frequencies propagate as one stack."""
+    """The central difference's three frequencies propagate as one stack; a
+    two-qubit register (m = 16) as two sites of 4x4 pieces, whose runs share
+    one exponential call."""
 
     K = 6
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """The shape of L0 in each later ``propagate_schedule`` call, and the
-        number of generators each ``expm_stack`` call receives."""
+        """The shapes of each site's drift stack in each later
+        ``propagate_schedule`` call, and the number of generators each
+        ``expm_stack`` call receives."""
         shapes = []
         real = _kern.propagate_schedule
 
         def spy(L0, *args):
-            shapes.append(np.shape(L0))
+            shapes.append([np.shape(D) for D in L0] if isinstance(L0, tuple) else [np.shape(L0)])
             return real(L0, *args)
 
         monkeypatch.setattr(_kern, "propagate_schedule", spy)
         return shapes, spy_stack_sizes(monkeypatch)
 
     def _amplitudes(self, n_fields):
-        # K rows with rows 2 and 3 equal: K - 1 runs
+        # K rows with rows 2 and 3 equal: K - 1 runs on every site
         amps = np.random.default_rng(n_fields).uniform(-40, 40, (self.K, n_fields))
         amps[3] = amps[2]
         return amps
@@ -287,8 +290,9 @@ class TestOneKernelCallPerQfi:
         shapes.clear()
         sizes.clear()
         captured[0](self._amplitudes(n_fields).ravel())
-        assert shapes == [(3, m, m)]
-        assert sizes == [3 * (self.K - 1)]
+        sites = {4: 1, 16: 2}[m]
+        assert shapes == [[(3, 4, 4)] * sites]
+        assert sizes == [sites * 3 * (self.K - 1)]
 
     @pytest.mark.parametrize("scenario, m", [("parallel-dephasing-1q", 4),
                                              ("parallel-dephasing-2q", 16)])
@@ -296,16 +300,17 @@ class TestOneKernelCallPerQfi:
         cfg = config("standard", scenario, [0.1, 0.2], K=self.K)
         dyn, rho0 = prepare(cfg)
         shapes, sizes = kernel_calls
-        # both encoding times in one call; the zero schedule is one run
+        sites = {4: 1, 16: 2}[m]
+        # both encoding times in one call; the zero schedule is one run per site
         run_scheme(cfg)
-        assert shapes == [(2 * 3, m, m)]
-        assert sizes == [2 * 3]
+        assert shapes == [[(2 * 3, 4, 4)] * sites]
+        assert sizes == [sites * 2 * 3]
         shapes.clear()
         sizes.clear()
         sched = ControlSchedule(self._amplitudes(dyn.model.n_controls), 0.3)
         assert schemes._schedule_qfi(dyn, sched, rho0) > 0
-        assert shapes == [(3, m, m)]
-        assert sizes == [3 * (self.K - 1)]
+        assert shapes == [[(3, 4, 4)] * sites]
+        assert sizes == [sites * 3 * (self.K - 1)]
 
 
 # (scheme, scenario) pairs whose fixed schedule is scored over the grid
@@ -337,7 +342,9 @@ class TestFixedScheduleBlocks:
         real = _kern.propagate_schedule
 
         def spy(L0, *args):
-            calls.append(len(L0))
+            # the system site's drift stack; the idle ancilla passes none
+            assert isinstance(L0, tuple) and L0[1] is None
+            calls.append(len(L0[0]))
             return real(L0, *args)
 
         monkeypatch.setattr(_kern, "propagate_schedule", spy)
@@ -379,7 +386,9 @@ SWEEP_SPECIAL_SLICES = [
 
 class TestSpecialSlicesOnSweepGrids:
     """Diagonal and triangular generators of real runs, bit for bit a loop of
-    ``scipy.linalg.expm`` over every slice, which the kernel never calls."""
+    ``scipy.linalg.expm`` over every slice, which the kernel never calls; on
+    two-site registers, over every slice of every site, composed as the
+    kernel composes them (``per_site_reference``)."""
 
     @pytest.mark.parametrize("scheme, scenario, rates, grid, kind", SWEEP_SPECIAL_SLICES,
                              ids=[f"{s}-{c}" for s, c, *_ in SWEEP_SPECIAL_SLICES])
@@ -387,19 +396,23 @@ class TestSpecialSlicesOnSweepGrids:
                                              monkeypatch):
         cfg = config(scheme, scenario, grid, rates=rates)
         dyn, rho0 = prepare(cfg)
-        K, L0 = cfg.K, dyn.constant_generator()
-        nonzero = L0 != 0
-        assert not np.tril(nonzero, -1).any()
-        assert np.triu(nonzero, 1).any() == (kind == "upper")
-        assert {squarings(L0 * T / K) for T in grid} == ({0, 1, 2} if kind == "upper" else {0})
+        K = cfg.K
+        # the generators the kernel exponentiates: every non-idle site's, 4x4
+        sites = [d for d in site_dynamics(dyn.model) if d is not None]
+        assert len(sites) == (2 if scenario.endswith("2q") else 1)
+        for site in sites:
+            nonzero = site.constant_generator() != 0
+            assert nonzero.shape == (4, 4) and not np.tril(nonzero, -1).any()
+            assert np.triu(nonzero, 1).any() == (kind == "upper")
+            assert {squarings(site.constant_generator() * T / K) for T in grid} == (
+                {0, 1, 2} if kind == "upper" else {0})
 
         amps, v0, omega0 = np.zeros((K, dyn.model.n_controls)), vectorize(rho0), cfg.omega0
         ref = []
         for T in grid:
             delta = default_delta(omega0, T)
-            rho, rho_p, rho_m = (unvectorize(per_slice_reference(
-                dyn.constant_generator(om), dyn.control_supers, amps, T / K, v0))
-                for om in (omega0, omega0 + delta, omega0 - delta))
+            rho, rho_p, rho_m = (unvectorize(per_site_reference(dyn.model, amps, T / K, v0, om))
+                                 for om in (omega0, omega0 + delta, omega0 - delta))
             ref.append(qfi_eigen(rho, (rho_p - rho_m) / (2.0 * delta)))
         refuse_scipy_expm(monkeypatch)
         assert [r.qfi for r in run_scheme(cfg)] == ref
