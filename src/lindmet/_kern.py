@@ -1,20 +1,26 @@
 """Propagation kernel: ``expm`` and final-state ``propagate_schedule``.
 
-Slices are exponentiated by Pade scaling and squaring. ``propagate_schedule``
-exponentiates each run of equal consecutive amplitude rows once (a constant
-schedule, or a model without controls, is a single run) and applies that
-propagator to every slice of the run, so on one site the final vector is bit
-for bit a per-slice loop's. Given a stack of W drift generators it
-propagates the same schedule under each, as the central-difference
-derivative needs at three frequencies, and each generator may have its own
-slice length, so that one call covers the same schedule at several encoding
-times: the runs are found once, and the W generators of every run go
-through one batched call, ``expm_stack``, whose results are bit for bit
-those of ``scipy.linalg.expm`` on each slice. ``scipy.linalg.expm`` walks
-a stack in Python one slice at a time, and on 4x4 slices most of its time
-goes to that per-slice dispatch. ``expm_stack`` sorts the slices as
-``scipy.linalg.expm`` does, by their nonzero entries below and above the
-diagonal, and handles every class itself with the same arithmetic:
+``propagate_schedule`` takes a register of one site or two: a qubit, two
+qubits, or a qubit and an idle ancilla. The register's generator is the
+Kronecker sum of its sites', so a slice's propagator is the Kronecker
+product of theirs (Van Loan, "The ubiquitous Kronecker product", J. Comput.
+Appl. Math. 123:85, 2000), and only the sites' own slices are exponentiated;
+an idle site takes none. Slices are exponentiated by Pade scaling and
+squaring, once for each run of equal consecutive rows of the register's
+amplitude grid (a constant schedule, or a model without controls, is a
+single run), and that propagator is applied to every slice of the run, so
+on one site the final vector is bit for bit a per-slice loop's. Given a
+stack of W drift generators it propagates the same schedule under each, as
+the central-difference derivative needs at three frequencies, and each
+generator may have its own slice length, so that one call covers the same
+schedule at several encoding times: the runs are found once, and the W
+generators of every run of every site go through one batched call,
+``expm_stack``, whose results are bit for bit those of
+``scipy.linalg.expm`` on each slice. ``scipy.linalg.expm`` walks a stack in
+Python one slice at a time, and on 4x4 slices most of its time goes to that
+per-slice dispatch. ``expm_stack`` sorts the slices as ``scipy.linalg.expm``
+does, by their nonzero entries below and above the diagonal, and handles
+every class itself with the same arithmetic:
 
 - diagonal slices are the exponentials of their diagonals, one stacked
   ``np.exp`` for all of them;
@@ -30,14 +36,6 @@ A private module and a copy of scipy's Python branches are no stable
 interface, so a probe at import checks on slices of every class (see
 ``_pade_kernels_match``) that ``expm_stack`` reproduces ``scipy.linalg.expm``
 bit for bit; if it does not, every stack goes whole to ``scipy.linalg.expm``.
-
-A register of two sites (two qubits, or a qubit and an idle ancilla) passes
-each site's pieces separately: its generator is the Kronecker sum of the
-sites', so a slice's propagator is the Kronecker product of theirs (Van
-Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123:85,
-2000). Each site finds its own runs, the runs of all sites share one
-``expm_stack`` call of 4x4 slices, an idle site takes none, and the state
-is stepped as a matrix in site-product order (see ``_propagate_sites``).
 """
 import functools
 
@@ -184,28 +182,6 @@ def expm(a):
     return expm_stack(a[None])[0]
 
 
-def _run_generators(drifts, ctrls, amps, dt):
-    """Which of the K amplitude rows start a run of equal rows, and the
-    generator times slice length of every run under each of the W drifts,
-    as a (W, R, m, m) stack built from the run's first row."""
-    # 0.0 == -0.0 here, and the masked add below skips both
-    K, nl = amps.shape
-    new = np.ones(K, dtype=bool)
-    new[1:] = (amps[1:] != amps[:-1]).any(axis=1)
-    first = amps.compress(new, axis=0)
-
-    # each generator is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order and
-    # skipping zero amplitudes, so it is bitwise a per-slice build
-    A = np.repeat(drifts[:, None], len(first), axis=1)
-    for l in range(nl):
-        on = first[:, l] != 0.0
-        A[:, on] += first[on, l, None, None] * ctrls[l]
-    # dt as complex: a float64 array would be cast anew in every inner loop
-    # of the broadcast product; the product is the same either way
-    A *= dt.astype(np.complex128).reshape(-1, 1, 1, 1)
-    return new, A
-
-
 def _site_arrays(L0, ctrls, amps, dt):
     """The inputs of one site as arrays, checked against each other: the
     drift stack (W, m, m), the controls, the (K, L) amplitudes and dt."""
@@ -233,90 +209,88 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     then propagates v0 under each of them and the result is (W, m), row w
     bit for bit the call with ``L0[w]`` alone. ``dt`` is one slice length for
     all of them or W lengths, one per generator: row w is then bit for bit
-    the call with ``L0[w]`` and ``dt[w]``. All W generators of every run go
-    through one ``expm_stack`` call.
+    the call with ``L0[w]`` and ``dt[w]``.
 
-    A register of two sites passes ``L0``, ``ctrls`` and ``amps`` as tuples
-    with one entry per site (see :func:`_propagate_sites`); the result is
-    then always a (W, m*m) stack.
+    A register passes ``L0``, ``ctrls`` and ``amps`` as tuples with one entry
+    per site, one site or two, and the result is always a (W, m**n) stack
+    for n sites; a bare ``L0`` is a register of one site. Site s brings its
+    drift, or a stack of W, in ``L0[s]`` (None for an idle site, one without
+    drift, noise or controls: its propagator is the identity), its control
+    generators ``ctrls[s]`` and its amplitude columns ``amps[s]``. The
+    register's generator is the Kronecker sum of its sites', so a slice's
+    propagator is the Kronecker product P0 (x) P1 of theirs. On two sites
+    ``v0`` is in site-product order, index p0 * m + p1 for the sites' own
+    vectorized indices, so that it is an m x m matrix X that a slice maps to
+    P0 X P1^T.
+
+    Every call takes the same steps: the register's runs of equal
+    consecutive rows are found once, the first row of each run gives every
+    active site's generators, and all of them, W per site and run, go
+    through one ``expm_stack`` call. The active sites' states are stacked
+    as S: v0 as an m x 1 block on one site; X and the identity on two, so
+    that site 1 accumulates its product U1. Each slice steps S by one
+    batched product with its run's propagators, and on two sites X U1^T is
+    the final state.
     """
+    if not isinstance(L0, tuple):
+        v = propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
+        return v if np.ndim(L0) == 3 else v[0]
+    if not (len(L0) == len(ctrls) == len(amps) and len(L0) in (1, 2)):
+        raise ValueError("a register has one site or two, with a drift, controls "
+                         "and amplitudes for each")
     dt = np.asarray(dt, dtype=np.float64)
-    if isinstance(L0, tuple):
-        return _propagate_sites(L0, ctrls, amps, dt, v0)
-    stacked = np.ndim(L0) == 3
-    drifts, ctrls, amps = _site_arrays(L0, ctrls, amps, dt)
+    sites = [_site_arrays(D, C, a, dt) for D, C, a in zip(L0, ctrls, amps) if D is not None]
+    if not sites:
+        raise ValueError("a register needs a site that is not idle")
+    # there are at most two sites, so the last must match the first
+    W, m = sites[0][0].shape[:2]
+    if sites[-1][0].shape != (W, m, m):
+        raise ValueError("the sites' drift stacks must have one shape")
+    K = len(amps[0])
+    if len(amps[-1]) != K:
+        raise ValueError("the sites' amplitude grids must have one row per slice")
     v0 = np.asarray(v0, dtype=np.complex128)
-    W, m = drifts.shape[0], drifts.shape[-1]
-    if v0.shape != (m,):
-        raise ValueError("state vector length does not match generator")
+    if v0.shape != (m ** len(L0),):
+        raise ValueError("state vector length does not match the register")
 
-    # one generator per run of equal consecutive rows
-    new, A = _run_generators(drifts, ctrls, amps, dt)
-    R = A.shape[1]
-    props = expm_stack(A.reshape(W * R, m, m)).reshape(W, R, m, m)
+    # the rows that start a run of equal rows on any site; 0.0 == -0.0 here,
+    # and the masked add below skips both
+    new = np.zeros(K, dtype=bool)
+    new[:1] = True
+    for _, _, site_amps in sites:
+        new[1:] |= (site_amps[1:] != site_amps[:-1]).any(axis=1)
+    R = np.count_nonzero(new)
 
-    # a batched matrix-vector product is bitwise W separate ones
-    v = np.repeat(v0[None, :, None], W, axis=0)
+    # each generator is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order and
+    # skipping zero amplitudes, so it is bitwise a per-slice build
+    A = np.empty((len(sites), W, R, m, m), dtype=np.complex128)
+    for i, (drifts, site_ctrls, site_amps) in enumerate(sites):
+        site_A = A[i]
+        site_A[:] = drifts[:, None]
+        first = site_amps.compress(new, axis=0)
+        for l in range(first.shape[1]):
+            on = first[:, l] != 0.0
+            site_A[:, on] += first[on, l, None, None] * site_ctrls[l]
+    # dt as complex: a float64 array would be cast anew in every inner loop
+    # of the broadcast product; the product is the same either way
+    A *= dt.astype(np.complex128).reshape(-1, 1, 1, 1)
+    props = expm_stack(A.reshape(-1, m, m)).reshape(-1, R, m, m)
+
+    if len(L0) == 1:
+        S = np.repeat(v0[None, :, None], W, axis=0)
+    else:
+        X = np.repeat(v0.reshape(1, m, m), W, axis=0)
+        S = np.concatenate([X if s == 0 else np.broadcast_to(np.eye(m), X.shape)
+                            for s in range(2) if L0[s] is not None])
+    # a batched product is bitwise its separate ones
     run = -1
     for starts_run in new.tolist():
         run += starts_run
-        v = np.matmul(props[:, run], v)
-    v = v[..., 0]
-    return v if stacked else v[0]
-
-
-def _propagate_sites(L0, ctrls, amps, dt, v0):
-    """The schedule on a register of two sites whose generator is the
-    Kronecker sum of theirs, so that every slice's propagator is the
-    Kronecker product P0 (x) P1 of the sites' own.
-
-    Site s brings its (W, m, m) drift stack ``L0[s]`` (or None for an idle
-    site, one without drift, noise or controls: its propagator is the
-    identity), its control generators ``ctrls[s]`` and its amplitude
-    columns ``amps[s]``. ``v0`` is in site-product order, index
-    p0 * m + p1 for the sites' own vectorized indices, so that it is an
-    m x m matrix X and a slice maps it to P0 X P1^T. Each site finds its own
-    runs of equal rows, and the runs of all sites go through one
-    ``expm_stack`` call. Site 0's propagators step X, site 1's multiply into
-    a product U1, both as one batched product per slice, and X U1^T is the
-    final state, returned as a (W, m*m) stack in site-product order.
-    """
-    if not len(L0) == len(ctrls) == len(amps) == 2:
-        raise ValueError("a register has one site or two, with a drift, controls "
-                         "and amplitudes for each")
-    active = [s for s in range(2) if L0[s] is not None]
-    if not active:
-        raise ValueError("a register needs a site that is not idle")
-    sites = [_site_arrays(L0[s], ctrls[s], amps[s], dt) for s in active]
-    W, m = sites[0][0].shape[:2]
-    if any(D.shape != (W, m, m) for D, _, _ in sites):
-        raise ValueError("the sites' drift stacks must have one shape")
-    if len(amps[0]) != len(amps[1]):
-        raise ValueError("the sites' amplitude grids must have one row per slice")
-    v0 = np.asarray(v0, dtype=np.complex128)
-    if v0.shape != (m * m,):
-        raise ValueError("state vector length does not match the register")
-    X = np.repeat(v0.reshape(1, m, m), W, axis=0)
-
-    # the runs of every site, side by side, through one exponential call
-    runs, gens = [], []
-    for drifts, site_ctrls, site_amps in sites:
-        new, A = _run_generators(drifts, site_ctrls, site_amps, dt)
-        runs.append(np.cumsum(new) - 1)
-        gens.append(A)
-    first = np.cumsum([0] + [A.shape[1] for A in gens[:-1]])
-    A = np.concatenate(gens, axis=1)
-    props = expm_stack(A.reshape(-1, m, m)).reshape(A.shape)
-    # P[k]: the propagators of every active site at slice k, W per site
-    P = props[:, np.stack([f + run for f, run in zip(first, runs)])]
-    P = P.transpose(2, 1, 0, 3, 4).reshape(len(runs[0]), -1, m, m)
-
-    S = np.concatenate([X if s == 0 else np.broadcast_to(np.eye(m), X.shape)
-                        for s in active])
-    for k in range(len(P)):
-        S = np.matmul(P[k], S)
-    if active[0] == 0:
+        S = np.matmul(props[:, run], S)
+    if len(L0) == 1:
+        return S[..., 0]
+    if L0[0] is not None:
         X = S[:W]
-    if active[-1] == 1:
+    if L0[1] is not None:
         X = np.matmul(X, S[-W:].swapaxes(1, 2))
     return X.reshape(W, m * m)

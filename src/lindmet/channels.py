@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +52,18 @@ def _require_rate(value: float, name: str) -> float:
 
 
 def t2_from_linewidth(linewidth_hz: float) -> float:
-    """Coherence time from the spectral width at half height: T2 = 1/(pi*linewidth)."""
+    """Coherence time from the spectral width at half height: T2 = 1/(pi*linewidth).
+
+    T2 and the dephasing rate 1/T2 must both be positive, finite, normal
+    floats: a linewidth near either end of the float range would make one
+    of them overflow to inf or underflow to 0 (or lose precision)."""
     if not 0 < linewidth_hz < math.inf:
         raise ValueError(f"linewidth must be positive and finite, got {linewidth_hz}")
-    return 1.0 / (math.pi * linewidth_hz)
+    t2 = 1.0 / (math.pi * linewidth_hz)
+    if not (sys.float_info.min <= t2 < math.inf and sys.float_info.min <= 1.0 / t2 < math.inf):
+        raise ValueError(f"linewidth {linewidth_hz} Hz gives T2 = {t2} s; T2 and 1/T2 must "
+                         "be positive, finite, normal floats")
+    return t2
 
 
 def parallel_dephasing(gamma: float) -> NoiseChannel:

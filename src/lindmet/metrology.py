@@ -66,30 +66,39 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule | Sequence[Contro
     v0 = vectorize(np.asarray(rho0, dtype=complex))
     # a row (omega0, omega0 + delta, omega0 - delta) per schedule, exactly
     omegas = omega0 + delta[:, None] * _STEP_SIGNS
+    if checked:
+        # below this floor the generator perturbation sits in the last few bits
+        # of the superoperator entries and the difference is pure cancellation
+        # noise. The step needs no propagation, and one below the floor comes
+        # with a T long enough to overflow the slice generators: check the
+        # schedules before the first such step, then stop there.
+        floor = 1e-12 * max(abs(omega0), 1.0)
+        below = np.flatnonzero(delta < floor).tolist()
+        if below:
+            i = below[0]
+            if i:
+                drho_domega(dyn, schedules[:i], rho0)
+            raise MetrologyError(
+                f"at T={schedules[i].total_time:g} s: derivative step {delta[i]:.3e} is below "
+                f"the cancellation floor {floor:.3e} for omega0={omega0:.3e}")
     v = dyn.evolve_vectorized(schedules, v0, omegas)
     # the difference of the vectors: unvectorize only reshapes, so this is
     # bit for bit the difference of the matrices
     rho = unvectorize(v[:, 0])
     drho = unvectorize((v[:, 1] - v[:, 2]) / (2.0 * delta[:, None]))
     if checked:
-        _check(schedules, omega0, delta, rho, drho)
+        _check(schedules, delta, rho, drho)
     return (rho[0], drho[0]) if single else (rho, drho)
 
 
-def _check(schedules, omega0, delta, rho, drho) -> None:
-    """Raise for the first schedule whose derivative step, state or
-    difference fails the checks of :func:`drho_domega`, in that order."""
-    # below this the generator perturbation sits in the last few bits of the
-    # superoperator entries and the difference is pure cancellation noise
-    floor = 1e-12 * max(abs(omega0), 1.0)
+def _check(schedules, delta, rho, drho) -> None:
+    """Raise for the first schedule whose state or difference fails the
+    checks of :func:`drho_domega`, in that order."""
     state_faults = evolved_state_faults(rho)
     tr_err = np.abs(np.trace(drho, axis1=1, axis2=2))
     herm_err = np.abs(drho - drho.conj().swapaxes(1, 2)).max(axis=(1, 2))
     for i, s in enumerate(schedules):
-        if delta[i] < floor:
-            exc = MetrologyError(f"derivative step {delta[i]:.3e} is below the cancellation "
-                                 f"floor {floor:.3e} for omega0={omega0:.3e}")
-        elif state_faults[i]:
+        if state_faults[i]:
             exc = PropagationError(state_faults[i])
         elif not (tr_err[i] <= DERIVATIVE_SANITY_TOL and herm_err[i] <= DERIVATIVE_SANITY_TOL):
             exc = MetrologyError(

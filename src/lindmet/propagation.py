@@ -3,10 +3,10 @@
 The encoding time T is divided into K slices; slice k evolves under
 exp(L[k] dt) with L[k] built from H[k] = omega0*G + sum_l u_l[k] H_l and the
 model's noise channel. A model is a register of one-qubit sites, and L[k]
-is the Kronecker sum of the sites' own 4x4 generators, so the slices run
-site by site in lindmet._kern: each site exponentiates each run of equal
-consecutive rows of its amplitude columns once (a fixed scheme's constant
-schedule is a single run), all runs of all sites in one batched call to
+is the Kronecker sum of the sites' own 4x4 generators, so every register
+takes the same steps in lindmet._kern: each run of equal consecutive rows
+of the amplitude grid is exponentiated once on every site (a fixed scheme's
+constant schedule is a single run), all of them in one batched call to
 scipy's Pade kernels, and an idle site, such as the ancilla, takes none.
 On one qubit the result is bit for bit a loop of ``scipy.linalg.expm`` over
 every slice; on two sites the state is stepped as a 4x4 matrix in
@@ -117,8 +117,8 @@ class SlicedDynamics:
     4x4 matrices for a qubit, built once per model, so a propagation only
     combines them. The register's generator is the Kronecker sum of its
     sites', so a slice's propagator is the Kronecker product of theirs, and
-    the kernel propagates a two-site register one site at a time on the
-    state in site-product order (see ``_kern._propagate_sites``); an idle
+    every register takes the same kernel call, on the state in site-product
+    order, 4x4 propagators only (see ``_kern.propagate_schedule``); an idle
     site takes no exponential. ``drift_super``, ``noise_super``,
     ``control_supers`` and :meth:`constant_generator` are the same pieces on
     the whole register (d^2 x d^2), built on first use for reference: no
@@ -129,12 +129,15 @@ class SlicedDynamics:
         self.model = model
         self.dim = model.dim
         self._sites = [_superops(s.generator, s.control_hams, s.channel) for s in model.sites]
+        self._controls = tuple(C for _, _, C in self._sites)
         # which amplitude columns each site takes, and whether it is idle
         bounds = np.cumsum([0] + [len(s.control_hams) for s in model.sites]).tolist()
         self._columns = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         # an idle site takes no exponential; a register keeps one site that does
         trivial = [not (D.any() or G.any() or len(C)) for D, G, C in self._sites]
         self._idle = [t and not all(trivial) for t in trivial]
+        # site-product order, which on one site is the state's own
+        self._order = self._unorder = slice(None)
         if len(self._sites) > 1:
             self._order = _site_product_order(len(self._sites))
             self._unorder = np.argsort(self._order)
@@ -198,13 +201,9 @@ class SlicedDynamics:
         # each site's drift stack, one generator per frequency
         drifts = [None if idle else (om[..., None, None] * D + G).reshape(-1, *D.shape)
                   for (D, G, _), idle in zip(self._sites, self._idle)]
-        if len(self._sites) == 1:
-            v = _kern.propagate_schedule(drifts[0], self._sites[0][2], amps, dt, v0)
-        else:
-            v = _kern.propagate_schedule(
-                tuple(drifts), tuple(C for _, _, C in self._sites),
-                tuple(amps[:, cols] for cols in self._columns), dt,
-                np.asarray(v0)[self._order])[:, self._unorder]
+        v = _kern.propagate_schedule(
+            tuple(drifts), self._controls, tuple([amps[:, cols] for cols in self._columns]),
+            dt, np.asarray(v0)[self._order])[:, self._unorder]
         return v.reshape(om.shape + (self.dim ** 2,))
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray,

@@ -12,8 +12,8 @@ import pytest
 import lindmet
 from lindmet import harness, schemes
 from lindmet.cli import main
-from lindmet.config import (ConfigError, dump_nmr_config, dump_run_config,
-                            load_nmr_config, load_run_config)
+from lindmet.config import (NMR_FIELDS, RUN_FIELDS, ConfigError, dump_nmr_config,
+                            dump_run_config, load_nmr_config, load_run_config)
 from lindmet.harness import (read_result_file, run_experiment, run_nmr_protocol,
                              t2_from_linewidth)
 from lindmet.schemes import SchemeConfig, run_scheme
@@ -232,7 +232,8 @@ class TestNmrProtocol:
         real = _kern.propagate_schedule
 
         def spy(L0, *args):
-            depths.append(len(L0))
+            # the qubit's drift stack; a model passes its sites as a tuple
+            depths.append(len(L0[0]))
             return real(L0, *args)
 
         monkeypatch.setattr(_kern, "propagate_schedule", spy)
@@ -313,6 +314,14 @@ class TestCli:
     def test_t2_rejects_non_finite(self, value, capsys):
         assert main(["t2", "--linewidth-hz", value]) == 2
         assert capsys.readouterr().err.startswith("config error: linewidth")
+
+    @pytest.mark.parametrize("value", ["1e-310", "1e308"])
+    def test_t2_rejects_linewidth_whose_t2_overflows(self, value, capsys):
+        # T2 would print as inf or 0
+        assert main(["t2", "--linewidth-hz", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: linewidth ") and captured.err.count("\n") == 1
 
     def test_run_command(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -468,6 +477,9 @@ INVALID_CONFIGS = {
     "nmr-max_evals=-3": ("nmr", "[optimizer]\nmax_evals = -3\n", "max_evals"),
     "nmr-u_max=-5": ("nmr", "[nmr]\nu_max = -5\n", "u_max must be"),
     "nmr-linewidth_hz=0": ("nmr", "[nmr]\nlinewidth_hz = 0\n", "linewidth"),
+    # T2 = 1/(pi linewidth) overflows to inf, or underflows to 0
+    "nmr-linewidth_hz=1e-310": ("nmr", "[nmr]\nlinewidth_hz = 1e-310\n", "linewidth 1e-310 Hz"),
+    "nmr-linewidth_hz=1e308": ("nmr", "[nmr]\nlinewidth_hz = 1e308\n", "linewidth 1e+308 Hz"),
     "nmr-f_tol=1e-6": ("nmr", "[optimizer]\nf_tol = 1e-6\n", "f_tol in [optimizer] is retired"),
     # the fidelity estimator divides by delta^2: underflow and overflow
     "nmr-delta_omega_fidelity=1e-300": ("nmr", "[nmr]\ndelta_omega_fidelity = 1e-300\n",
@@ -507,6 +519,77 @@ def test_invalid_config_exits_2_without_output(command, text, message, tmp_path,
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+def _numeric_keys(fields):
+    """(section, key, kind) of every numeric key a config sets: kind is
+    "float" or "int". A retired key sets nothing (see the retired cases
+    above), and the [channel] section's one key here is gamma."""
+    def parsed_type(parse, raw):
+        try:
+            return type(parse(raw))
+        except ValueError:
+            return None
+
+    keys = []
+    for f in fields:
+        kind = ("float" if parsed_type(f.parse, "0.5") is float
+                else "int" if parsed_type(f.parse, "2") is int else None)
+        if kind and not f.retired:
+            keys.append((f.section, f.key or "gamma", kind))
+    return keys
+
+
+# the smallest configs that reach every key's use: K <= 4, points <= 2, one
+# restart, a budget of at most 10 evaluations
+_EDGE_BASE = {
+    "run": {"run": {"scenario": "parallel-dephasing-1q",
+                    "schemes": "standard, control_enhanced"},
+            "time_grid": {"start": "0.1", "stop": "0.2", "points": "2"},
+            "control": {"K": "2"}, "optimizer": {"restarts": "1", "max_evals": "10"}},
+    "nmr": {"nmr": {"points": "2", "K": "2"},
+            "optimizer": {"restarts": "1", "max_evals": "10"}},
+}
+# never a huge count: K or points of 1e9 would allocate gigabytes
+_EDGE_VALUES = {"float": ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-310", "1e-300",
+                          "1e300", "1e308"],
+                "int": ["0", "-1"]}
+EDGE_CASES = [(command, section, key, value)
+              for command, fields in (("run", RUN_FIELDS), ("nmr", NMR_FIELDS))
+              for section, key, kind in _numeric_keys(fields)
+              for value in _EDGE_VALUES[kind]]
+
+
+@pytest.mark.parametrize("command, section, key, value", EDGE_CASES,
+                         ids=[f"{c}-{k}={v}" for c, _, k, v in EDGE_CASES])
+def test_every_numeric_key_at_its_edges(command, section, key, value, tmp_path,
+                                        monkeypatch, capsys):
+    # either the run succeeds with finite rows, a sensitivity of inf only
+    # where the QFI is 0, or it ends as documented: exit 2 or 3, one line on
+    # stderr and no file; never a traceback or a warning
+    config = {name: dict(entries) for name, entries in _EDGE_BASE[command].items()}
+    config.setdefault(section, {})[key] = value
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edge.cfg").write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        for name, entries in config.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", "edge.cfg", "--out", "out.csv"])
+    err = capsys.readouterr().err
+    if code != 0:
+        assert code in (2, 3) and err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.iterdir()] == ["edge.cfg"]
+        return
+    assert err == ""
+    _, data = read_result_file(tmp_path / "out.csv")
+    header = data[0].split(",")
+    for row in data[1:]:
+        cells = dict(zip(header, row.split(",")))
+        numbers = [float(cells[c]) for c in ("T_s", "qfi_s2", "qfi_fidelity_s2") if c in cells]
+        assert all(math.isfinite(x) for x in numbers), row
+        sens = float(cells["sensitivity"])
+        assert math.isfinite(sens) or (sens == math.inf and float(cells["qfi_s2"]) == 0), row
 
 
 @pytest.mark.parametrize("schemes_line", ["standard", "standard, control_enhanced"])

@@ -1,0 +1,70 @@
+"""Property test of ``_kern.propagate_schedule`` on random registers: one
+site or two, either site idle but not both, W drift generators with their own
+slice lengths, and runs of equal rows (signed zeros included) in each site's
+amplitude columns."""
+import numpy as np
+import pytest
+import scipy.linalg
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from lindmet import _kern  # noqa: E402
+from test_propagation import bitwise_equal, per_slice_reference  # noqa: E402
+
+M = 4  # a qubit's superoperators are 4x4
+
+
+@st.composite
+def registers(draw):
+    """(drifts, ctrls, amps, dt, v0) of a register: a tuple entry per site, an
+    idle site's drift None. Each site's rows are spelled by letters: A and B
+    are two random rows, Z is row A with 0.0 in its first field and z the
+    same with -0.0, which compares equal to Z."""
+    n = draw(st.integers(1, 2))
+    idle = draw(st.sampled_from([None] if n == 1 else [None, 0, 1]))
+    W = draw(st.integers(1, 4))
+    K = draw(st.integers(1, 6))
+    fields = [0 if s == idle else draw(st.integers(0, 2)) for s in range(n)]
+    patterns = [draw(st.text("ABZz", min_size=K, max_size=K)) for _ in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cplx = lambda *shape: 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    drifts, ctrls, amps = [], [], []
+    for s, (L, pattern) in enumerate(zip(fields, patterns)):
+        drifts.append(None if s == idle else cplx(W, M, M))
+        ctrls.append(cplx(L, M, M))
+        rows = {"A": rng.uniform(-3, 3, L), "B": rng.uniform(-3, 3, L)}
+        rows["Z"], rows["z"] = rows["A"].copy(), rows["A"].copy()
+        if L:
+            rows["Z"][0], rows["z"][0] = 0.0, -0.0
+        amps.append(np.array([rows[c] for c in pattern]).reshape(K, L))
+    return tuple(drifts), tuple(ctrls), tuple(amps), rng.uniform(0.01, 0.2, W), cplx(M ** n)
+
+
+def kronecker_sum_reference(drifts, ctrls, amps, dt, v0, w):
+    """Per-slice ``scipy.linalg.expm`` of the sites' Kronecker sum, in
+    site-product order, an idle site's generator zero."""
+    v = np.array(v0)
+    for k in range(len(amps[0])):
+        full = np.zeros((1, 1))
+        for D, C, a in zip(drifts, ctrls, amps):
+            g = np.zeros((M, M)) if D is None else D[w] + np.tensordot(a[k], C, 1)
+            full = np.kron(full, np.eye(M)) + np.kron(np.eye(len(full)), g)
+        v = scipy.linalg.expm(full * dt) @ v
+    return v
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(registers())
+def test_register_matches_the_kronecker_sum(register):
+    drifts, ctrls, amps, dt, v0 = register
+    got = _kern.propagate_schedule(drifts, ctrls, amps, dt, v0)
+    assert got.shape == (len(dt), len(v0))
+    for w in range(len(dt)):
+        ref = kronecker_sum_reference(drifts, ctrls, amps, dt[w], v0, w)
+        assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if len(drifts) == 1:
+            # one site: bit for bit a loop of per-slice exponentials
+            assert bitwise_equal(got[w], per_slice_reference(drifts[0][w], ctrls[0], amps[0],
+                                                             dt[w], v0))

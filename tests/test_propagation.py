@@ -632,17 +632,32 @@ class TestTwoSiteKernel:
     @pytest.mark.parametrize("idle", [(), (0,), (1,)])
     def test_matches_the_kronecker_sum(self, idle, monkeypatch):
         drifts, ctrls, amps, v0 = self._sites(seed=len(idle) + 3 * sum(idle))
-        # rows 2-4 equal on site 0, rows 4-5 on site 1: 5 and 6 runs
+        # rows 2-4 equal on site 0, rows 4-5 on site 1: 5 and 6 runs of each
+        # site's own rows, and 7 of the register's, which every active site takes
         amps[0][3:5] = amps[0][2]
         amps[1][5] = amps[1][4]
         drifts = tuple(None if s in idle else D for s, D in enumerate(drifts))
         dts = np.array([0.05, 0.02, 0.1])
         sizes = spy_stack_sizes(monkeypatch)
         got = _kern.propagate_schedule(drifts, ctrls, amps, dts, v0)
-        assert sizes == [3 * (5 * (0 not in idle) + 6 * (1 not in idle))]
+        runs = {(): 7, (0,): 6, (1,): 5}[idle]
+        assert sizes == [3 * runs * (2 - len(idle))]
         for w, dt in enumerate(dts):
             ref = self._reference(drifts, ctrls, amps, dt, v0, w)
             assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_site_is_the_bare_call(self):
+        drifts, ctrls, amps, v0 = self._sites(seed=5, fields=(2,))
+        amps[0][3:5] = amps[0][2]
+        v0 = v0[:4]
+        dts = np.array([0.05, 0.02, 0.1])
+        got = _kern.propagate_schedule(drifts, ctrls, amps, dts, v0)
+        assert got.shape == (3, 4)
+        assert bitwise_equal(got, _kern.propagate_schedule(drifts[0], ctrls[0], amps[0], dts, v0))
+        # one drift without a stack axis is a stack of one
+        got = _kern.propagate_schedule((drifts[0][1],), ctrls, amps, 0.02, v0)
+        assert bitwise_equal(got, _kern.propagate_schedule(drifts[0][1], ctrls[0], amps[0],
+                                                           0.02, v0)[None])
 
     def test_shape_errors(self):
         drifts, ctrls, amps, v0 = self._sites(seed=9)
