@@ -243,7 +243,7 @@ RUN_FIELDS = (
     _Field("run", "probe", str, _SCHEME_DEFAULTS["probe"]),
     _Field("run", "omega0", _float, _SCHEME_DEFAULTS["omega0"]),
     _Field("run", "gamma_c", _float, _SCHEME_DEFAULTS["gamma_c"]),
-    # the frequency-derivative step, now chosen by metrology.default_delta
+    # the frequency-derivative step of the retired central difference
     _Field("run", "delta_omega", _float, lambda v: 1e-4 * max(abs(v["omega0"]), 1.0),
            retired=True),
     _Field("run", "seed", int, _OPT_DEFAULTS.seed, "optimizer.seed"),

@@ -1,11 +1,11 @@
 """Quantum Fisher information (two estimators), Uhlmann fidelity, and the
 time-normalized sensitivity figure of merit.
 
-The frequency derivative of the evolved state is a central difference: the
-schedule propagates at omega0 and omega0 +- delta in one kernel call, whose
-three results are bit for bit three separate propagations. Derivatives and
-QFIs also come as stacks, for one amplitude grid at several encoding times,
-each entry bit for bit its own call's.
+The frequency derivative of the evolved state is exact: the state and its
+derivative come from one propagation of Van Loan blocks (see
+:mod:`lindmet.propagation`), one kernel call. Derivatives and QFIs also come
+as stacks, for one amplitude grid at several encoding times, each entry bit
+for bit its own call's.
 """
 from __future__ import annotations
 
@@ -26,73 +26,39 @@ log = logging.getLogger(__name__)
 SPECTRAL_CUTOFF = 1e-12
 DERIVATIVE_SANITY_TOL = 1e-9
 
-_STEP_SIGNS = np.array([0.0, 1.0, -1.0])  # the central difference's three frequencies
-
 
 class MetrologyError(RuntimeError):
-    """Numerically inconsistent metrology inputs (cancellation, bad states)."""
-
-
-def default_delta(omega0: float, total_time: float) -> float:
-    """Central-difference step for the frequency derivative.
-
-    Relative to omega0, and capped so that the phase step delta*T stays at
-    most 1e-3: the difference's relative error grows as (delta*T)^2, so a
-    step that scales with omega0 alone fails once omega0*T is large."""
-    return min(1e-4 * max(abs(omega0), 1.0), 1e-3 / total_time)
+    """Numerically inconsistent metrology inputs (bad states or derivatives)."""
 
 
 def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule | Sequence[ControlSchedule],
                 rho0: np.ndarray, checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """rho(omega0) and the central difference
-    (rho(omega0+delta) - rho(omega0-delta)) / (2 delta).
+    """rho(omega0) and its exact derivative d(rho)/d(omega0).
 
-    The schedule is held fixed while the frequency is perturbed by the step
-    :func:`default_delta`; the three frequencies propagate in one kernel
-    call, each bit for bit its own propagation. ``schedule`` may also be a
-    sequence of N schedules on one amplitude grid, such as a fixed scheme's
-    schedule at N encoding times: then all 3N propagations share that one
-    call, and rho and the difference come back as (N, d, d) stacks, each
-    state bit for bit its own call's. With ``checked``, each rho must pass
-    the propagated-state checks and each difference must be Hermitian and
-    traceless, with a step above the cancellation floor; the first schedule
-    in order that fails raises :class:`PropagationError` or
-    :class:`MetrologyError`, and the message names its encoding time.
+    The schedule is held fixed; the state and its derivative come from one
+    kernel call (see :meth:`SlicedDynamics.evolve_vectorized`). ``schedule``
+    may also be a sequence of N schedules on one amplitude grid, such as a
+    fixed scheme's schedule at N encoding times: then all of them share that
+    one call, and rho and the derivative come back as (N, d, d) stacks, each
+    bit for bit its own call's. With ``checked``, each rho must pass the
+    propagated-state checks and each derivative must be Hermitian and
+    traceless, which a NaN is not; the first schedule in order that fails
+    raises :class:`PropagationError` or :class:`MetrologyError`, and the
+    message names its encoding time.
     """
     single = isinstance(schedule, ControlSchedule)
     schedules = [schedule] if single else list(schedule)
-    omega0 = dyn.model.omega0
-    delta = np.array([default_delta(omega0, s.total_time) for s in schedules])
-    v0 = vectorize(np.asarray(rho0, dtype=complex))
-    # a row (omega0, omega0 + delta, omega0 - delta) per schedule, exactly
-    omegas = omega0 + delta[:, None] * _STEP_SIGNS
+    v, dv = dyn.evolve_vectorized(schedules, vectorize(np.asarray(rho0, dtype=complex)),
+                                  derivative=True)
+    # unvectorize only reshapes
+    rho, drho = unvectorize(v), unvectorize(dv)
     if checked:
-        # below this floor the generator perturbation sits in the last few bits
-        # of the superoperator entries and the difference is pure cancellation
-        # noise. The step needs no propagation, and one below the floor comes
-        # with a T long enough to overflow the slice generators: check the
-        # schedules before the first such step, then stop there.
-        floor = 1e-12 * max(abs(omega0), 1.0)
-        below = np.flatnonzero(delta < floor).tolist()
-        if below:
-            i = below[0]
-            if i:
-                drho_domega(dyn, schedules[:i], rho0)
-            raise MetrologyError(
-                f"at T={schedules[i].total_time:g} s: derivative step {delta[i]:.3e} is below "
-                f"the cancellation floor {floor:.3e} for omega0={omega0:.3e}")
-    v = dyn.evolve_vectorized(schedules, v0, omegas)
-    # the difference of the vectors: unvectorize only reshapes, so this is
-    # bit for bit the difference of the matrices
-    rho = unvectorize(v[:, 0])
-    drho = unvectorize((v[:, 1] - v[:, 2]) / (2.0 * delta[:, None]))
-    if checked:
-        _check(schedules, delta, rho, drho)
+        _check(schedules, rho, drho)
     return (rho[0], drho[0]) if single else (rho, drho)
 
 
-def _check(schedules, delta, rho, drho) -> None:
-    """Raise for the first schedule whose state or difference fails the
+def _check(schedules, rho, drho) -> None:
+    """Raise for the first schedule whose state or derivative fails the
     checks of :func:`drho_domega`, in that order."""
     state_faults = evolved_state_faults(rho)
     tr_err = np.abs(np.trace(drho, axis1=1, axis2=2))
@@ -101,9 +67,8 @@ def _check(schedules, delta, rho, drho) -> None:
         if state_faults[i]:
             exc = PropagationError(state_faults[i])
         elif not (tr_err[i] <= DERIVATIVE_SANITY_TOL and herm_err[i] <= DERIVATIVE_SANITY_TOL):
-            exc = MetrologyError(
-                f"derivative sanity check failed (|trace|={tr_err[i]:.3e}, "
-                f"non-Hermiticity={herm_err[i]:.3e}); delta={delta[i]:.3e} may be too small")
+            exc = MetrologyError(f"derivative sanity check failed (|trace|={tr_err[i]:.3e}, "
+                                 f"non-Hermiticity={herm_err[i]:.3e})")
         else:
             continue
         raise type(exc)(f"at T={s.total_time:g} s: {exc}")

@@ -3,19 +3,27 @@
 The encoding time T is divided into K slices; slice k evolves under
 exp(L[k] dt) with L[k] built from H[k] = omega0*G + sum_l u_l[k] H_l and the
 model's noise channel. A model is a register of one-qubit sites, and L[k]
-is the Kronecker sum of the sites' own 4x4 generators, so every register
-takes the same steps in lindmet._kern: each run of equal consecutive rows
-of the amplitude grid is exponentiated once on every site (a fixed scheme's
-constant schedule is a single run), all of them in one batched call to
-scipy's Pade kernels, and an idle site, such as the ancilla, takes none.
-On one qubit the result is bit for bit a loop of ``scipy.linalg.expm`` over
-every slice; on two sites the state is stepped as a 4x4 matrix in
-site-product order, P0 X P1^T per slice, which agrees with the full
-register's per-slice exponentials to about 1e-16. One call can propagate a
-schedule at several frequencies, as the frequency derivative needs, and
-one amplitude grid over several encoding times, as a fixed scheme needs
-across its time grid: all their generators share that batched call, each
-with its own slice length.
+is the Kronecker sum of the sites' own generators, so every register takes
+the same steps in lindmet._kern, with the sites' pieces only.
+
+Those pieces are real. A qubit's state is carried as its coordinates
+(rho00, rho11, Re rho10, Im rho10) in the Hermitian basis |0><0|, |1><1|,
+sigma_x, sigma_y, and a Lindblad generator preserves Hermiticity, so in any
+Hermitian operator basis its matrix is real (Greenbaum 2015,
+arXiv:1509.02921, does this in the Pauli basis). This basis is chosen
+because the coordinates are entries of rho, so a state converts to them and
+back without rounding: a schedule run slice by slice through
+:meth:`SlicedDynamics.evolve` ends bit for bit where one call does.
+
+The frequency derivative is exact: with A = omega0*D + G + sum_l u_l C_l,
+the block [[A, 0], [D, A]] exponentiates to [[exp(A t), 0], [d/domega0
+exp(A t), exp(A t)]] (Van Loan 1978, IEEE TAC 23:395), so one propagation of
+these 8x8 blocks gives the state and its derivative together. Each run of
+equal consecutive rows of the amplitude grid is one exponential over the
+run's duration (a fixed scheme's constant schedule is a single run), and
+all of a call's exponentials, over every frequency, encoding time and site,
+go through one batched call to scipy's Pade kernels; an idle site, such as
+the ancilla, takes none.
 """
 from __future__ import annotations
 
@@ -108,28 +116,66 @@ def _site_product_order(n_sites: int) -> np.ndarray:
     return np.arange(4 ** n_sites).reshape((2,) * (2 * n_sites)).transpose(axes).ravel()
 
 
+# A qubit operator's coordinates (rho00, rho11, Re rho10, Im rho10) in the
+# Hermitian basis |0><0|, |1><1|, sigma_x, sigma_y are _COORDINATES times its
+# column-stacked vector, real for a Hermitian operator; _OPERATORS is the
+# inverse. Every entry is 0, +-1 or +-i over a power of two and no row has
+# more than two nonzero ones, so coordinates go to an operator and back
+# without rounding, and a stack changes basis entry by entry.
+_COORDINATES = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0]])
+_OPERATORS = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
+
+
+def _change_basis(M: np.ndarray, x: np.ndarray, n_sites: int) -> np.ndarray:
+    """``M`` applied along each site's axis of ``x``, the last one or two."""
+    x = x @ M.T
+    return M @ x if n_sites == 2 else x
+
+
+def _real_superop(S: np.ndarray) -> np.ndarray:
+    """A qubit superoperator on column-stacked vectors, or a stack of them,
+    as the real 4x4 matrix that maps coordinates to coordinates."""
+    return np.ascontiguousarray((_COORDINATES @ S @ _OPERATORS).real)
+
+
+def _van_loan(A: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
+    """The (..., 8, 8) blocks [[A, 0], [D, A]] of a (..., 4, 4) stack A; D is
+    zero when not given."""
+    out = np.zeros(A.shape[:-2] + (8, 8))
+    out[..., :4, :4] = out[..., 4:, 4:] = A
+    if D is not None:
+        out[..., 4:, :4] = D
+    return out
+
+
 class SlicedDynamics:
     """Precomputed superoperator pieces of one encoding model.
 
     Each site's slice generator is assembled as omega0*D + G + sum_l u_l C_l
-    where D = -i(I kron G_H - G_H^* kron I) for the site's frequency generator
-    G_H, G is its dissipator, and C_l its control commutator superoperators:
-    4x4 matrices for a qubit, built once per model, so a propagation only
-    combines them. The register's generator is the Kronecker sum of its
-    sites', so a slice's propagator is the Kronecker product of theirs, and
-    every register takes the same kernel call, on the state in site-product
-    order, 4x4 propagators only (see ``_kern.propagate_schedule``); an idle
-    site takes no exponential. ``drift_super``, ``noise_super``,
-    ``control_supers`` and :meth:`constant_generator` are the same pieces on
-    the whole register (d^2 x d^2), built on first use for reference: no
-    propagation uses them.
+    where D is the generator of -i[G_H, .] for the site's frequency
+    generator G_H, G its dissipator and C_l those of its control
+    Hamiltonians: real 4x4 matrices in the basis of ``_COORDINATES``,
+    built once per model, so a propagation only combines them; with the
+    frequency derivative each is also built once as its 8x8 Van Loan block.
+    The register's generator is the Kronecker sum of its sites', so a
+    slice's propagator is the Kronecker product of theirs, and every register
+    takes the same kernel call, on the state's coordinates in site-product
+    order (see ``_kern.propagate_schedule``); an idle site takes no
+    exponential. ``drift_super``, ``noise_super``, ``control_supers`` and
+    :meth:`constant_generator` are the same pieces on the whole register,
+    complex d^2 x d^2 matrices on column-stacked states, built on first use
+    for reference: no propagation uses them.
     """
 
     def __init__(self, model: EncodingModel):
         self.model = model
         self.dim = model.dim
-        self._sites = [_superops(s.generator, s.control_hams, s.channel) for s in model.sites]
-        self._controls = tuple(C for _, _, C in self._sites)
+        self._sites = [tuple(_real_superop(piece)
+                             for piece in _superops(s.generator, s.control_hams, s.channel))
+                       for s in model.sites]
+        # the same pieces as Van Loan blocks: omega0*[[D, 0], [0, D]] + [[G, 0], [D, G]]
+        # is bit for bit the block of omega0*D + G
+        self._blocks = [(_van_loan(D), _van_loan(G, D), _van_loan(C)) for D, G, C in self._sites]
         # which amplitude columns each site takes, and whether it is idle
         bounds = np.cumsum([0] + [len(s.control_hams) for s in model.sites]).tolist()
         self._columns = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -144,8 +190,6 @@ class SlicedDynamics:
 
     @functools.cached_property
     def _full_pieces(self):
-        if len(self._sites) == 1:
-            return self._sites[0]
         return _superops(self.model.generator, self.model.control_hams, self.model.channel)
 
     @property
@@ -169,18 +213,20 @@ class SlicedDynamics:
 
     def evolve_vectorized(self, schedule: ControlSchedule | Sequence[ControlSchedule],
                           v0: np.ndarray,
-                          omega0: float | Sequence[float] | np.ndarray | None = None
-                          ) -> np.ndarray:
+                          omega0: float | Sequence[float] | np.ndarray | None = None,
+                          derivative: bool = False):
         """The vectorized state after ``schedule`` acts on ``v0``, from one
-        kernel call.
+        kernel call; with ``derivative``, the pair of it and its exact
+        derivative in omega0, from the same call.
 
         ``omega0`` is a frequency (default: the model's) or a sequence of W
         frequencies; a sequence propagates the schedule at each of them and
         returns a (W, d^2) array, row w bit for bit the call at ``omega0[w]``
         alone. ``schedule`` may also be a sequence of N schedules on one
-        amplitude grid, each with its own total time; ``omega0`` is then an
-        (N, W) array, a row of frequencies per schedule, and the result is
-        (N, W, d^2), every state bit for bit its own call's.
+        amplitude grid, each with its own total time; ``omega0`` is then the
+        model's frequency for each, giving (N, d^2), or an (N, W) array, a row
+        of frequencies per schedule, giving (N, W, d^2); every state is bit
+        for bit its own call's.
         """
         single = isinstance(schedule, ControlSchedule)
         schedules = [schedule] if single else list(schedule)
@@ -196,15 +242,37 @@ class SlicedDynamics:
         if single:
             dt = schedule.dt
         else:
+            if not om.ndim:
+                om = np.full(len(schedules), om)
             # each generator takes the slice length of its row's schedule
-            dt = np.array([s.dt for s in schedules]).repeat(om.shape[1])
-        # each site's drift stack, one generator per frequency
-        drifts = [None if idle else (om[..., None, None] * D + G).reshape(-1, *D.shape)
-                  for (D, G, _), idle in zip(self._sites, self._idle)]
+            dt = np.array([s.dt for s in schedules]).repeat(om.size // len(schedules))
+        pieces = self._blocks if derivative else self._sites
+        n = len(pieces)
+        x = _change_basis(_COORDINATES, np.asarray(v0)[self._order].reshape((4,) * n), n)
+        if not x.imag.any():
+            x = x.real
+        if derivative:
+            # the state in the first half of every site's axis, and no derivative
+            x0, x = x, np.zeros((8,) * n, dtype=x.dtype)
+            x[(slice(4),) * n] = x0
         v = _kern.propagate_schedule(
-            tuple(drifts), self._controls, tuple([amps[:, cols] for cols in self._columns]),
-            dt, np.asarray(v0)[self._order])[:, self._unorder]
-        return v.reshape(om.shape + (self.dim ** 2,))
+            tuple(None if idle else (om[..., None, None] * D + G).reshape(-1, *D.shape)
+                  for (D, G, _), idle in zip(pieces, self._idle)),
+            tuple(C for _, _, C in pieces), tuple(amps[:, cols] for cols in self._columns),
+            dt, x.ravel()).reshape((-1,) + x.shape)
+        if not derivative:
+            v = v[:, None]
+        elif n == 1:
+            v = v.reshape(-1, 2, 4)  # [x; dx]
+        else:
+            # [[U0 X U1^T, U0 X dU1^T], [dU0 X U1^T, dU0 X dU1^T]], one dual number
+            # per site: the two first-order blocks add up to dX, and their
+            # product, the last block, is dropped
+            v = np.stack([v[:, :4, :4], v[:, :4, 4:] + v[:, 4:, :4]], axis=1)
+        v = _change_basis(_OPERATORS, v, n).reshape(len(v), -1, self.dim ** 2)[..., self._unorder]
+        shape = om.shape + (self.dim ** 2,)
+        states = v[:, 0].reshape(shape)
+        return (states, v[:, 1].reshape(shape)) if derivative else states
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray,
                omega0: float | Sequence[float] | None = None):

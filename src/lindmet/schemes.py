@@ -3,9 +3,8 @@
 Each scheme maps a time grid to per-time records of QFI, sensitivity and the
 schedule that produced them. :func:`prepare` builds the dynamics and probe
 once per run; :func:`run_scheme` then takes the checked QFI of the scheme's
-fixed schedule at every T, as stacks of ``GRID_BLOCK`` encoding times with
-one kernel call each, and only then runs the control search, one T at a
-time, which replaces it:
+fixed schedule at every T, the whole grid in one kernel call, and only then
+runs the control search, one T at a time, which replaces it:
 
   standard             fixed probe (|+> or GHZ), zero schedule
   ancilla              Bell probe on system + noiseless ancilla, zero schedule
@@ -28,13 +27,6 @@ from .propagation import ControlSchedule, SlicedDynamics
 
 SCHEMES = ("standard", "ancilla", "theoretical_optimal", "control_enhanced")
 PROBES = ("default", "plus", "ghz", "bell_with_ancilla", "random_seeded")
-
-# Encoding times per kernel call when a fixed schedule is scored over a time
-# grid. One call per T spends more on numpy's per-call overhead than on the
-# arithmetic. A call holds 3 generators per T at once, so one call for the
-# whole grid would need memory that grows with the grid, for a few percent
-# of speed over blocks of 16.
-GRID_BLOCK = 16
 
 
 def default_u_max(omega0: float) -> float:
@@ -210,10 +202,10 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     u_z = -omega0 that cancels the drift exactly, the known long-time optimum
     for transverse dephasing at small noise rates. That QFI stays nonzero
     because the frequency derivative probes the cancelled drift's dependence
-    on omega0. The grid goes through the kernel in blocks of ``GRID_BLOCK``
-    encoding times, one call per block, each QFI bit for bit its own call's,
-    and then its sensitivity at every T, which must be finite for a positive
-    QFI (see :func:`sensitivity`).
+    on omega0. The whole grid goes through the kernel in one call, a constant
+    schedule being one exponential per T, and each QFI is bit for bit its own
+    call's; then comes its sensitivity at every T, which must be finite for a
+    positive QFI (see :func:`sensitivity`).
 
     ``control_enhanced`` then replaces the zero schedule by a multi-start
     simplex maximization of the QFI over the K x L amplitude grid, one T at a
@@ -229,8 +221,7 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     amplitude = -config.omega0 if config.scheme == "theoretical_optimal" else 0.0
     amps = np.full((K, L), amplitude)
     fixed = [ControlSchedule(amps, T) for T in config.time_grid]
-    qfis = [q for i in range(0, len(fixed), GRID_BLOCK)
-            for q in _schedule_qfi(dyn, fixed[i:i + GRID_BLOCK], rho0).tolist()]
+    qfis = _schedule_qfi(dyn, fixed, rho0).tolist()
     sensitivities = [sensitivity(q, T, config.gamma_c) for q, T in zip(qfis, config.time_grid)]
     search = config.scheme == "control_enhanced"
     if search:

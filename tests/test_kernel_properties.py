@@ -1,7 +1,8 @@
-"""Property test of ``_kern.propagate_schedule`` on random registers: one
-site or two, either site idle but not both, W drift generators with their own
-slice lengths, and runs of equal rows (signed zeros included) in each site's
-amplitude columns."""
+"""Property tests on random registers, one site or two, either site idle but
+not both, with runs of equal rows (signed zeros included) in the amplitude
+grid: ``_kern.propagate_schedule`` on W drift generators with their own slice
+lengths, and the state and exact frequency derivative of random models from
+``SlicedDynamics.evolve_vectorized``."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +11,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lindmet import _kern  # noqa: E402
-from test_propagation import bitwise_equal, per_slice_reference  # noqa: E402
+from lindmet.channels import EncodingModel, Site  # noqa: E402
+from lindmet.liouville import NoiseChannel, lindbladian, vectorize  # noqa: E402
+from lindmet.propagation import ControlSchedule, SlicedDynamics  # noqa: E402
+from test_propagation import bitwise_equal, per_run_reference  # noqa: E402
 
 M = 4  # a qubit's superoperators are 4x4
 
@@ -66,5 +70,68 @@ def test_register_matches_the_kronecker_sum(register):
         assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
         if len(drifts) == 1:
             # one site: bit for bit a loop of per-slice exponentials
-            assert bitwise_equal(got[w], per_slice_reference(drifts[0][w], ctrls[0], amps[0],
+            assert bitwise_equal(got[w], per_run_reference(drifts[0][w], ctrls[0], amps[0],
                                                              dt[w], v0))
+
+
+@st.composite
+def models(draw):
+    """(model, schedule, rho0) of a random register: each active site has a
+    random Hermitian frequency generator, zero to two random control
+    Hamiltonians and zero to two random Lindblad operators with random
+    rates; an idle site has none. The schedule's rows are spelled by letters
+    as in :func:`registers`, over the whole register's fields, and rho0 is a
+    random density matrix."""
+    n = draw(st.integers(1, 2))
+    idle = draw(st.sampled_from([None] if n == 1 else [None, 0, 1]))
+    K = draw(st.integers(1, 6))
+    pattern = draw(st.text("ABZz", min_size=K, max_size=K))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    herm = lambda: (lambda a: (a + a.conj().T) / 2)(cplx(2, 2))
+
+    sites = []
+    for s in range(n):
+        if s == idle:
+            sites.append(Site(np.zeros((2, 2))))
+            continue
+        ops = tuple(cplx(2, 2) for _ in range(draw(st.integers(0, 2))))
+        sites.append(Site(herm(), tuple(herm() for _ in range(draw(st.integers(0, 2)))),
+                          NoiseChannel(ops, tuple(rng.uniform(0.1, 3.0, len(ops))))))
+    model = EncodingModel.from_sites(float(rng.uniform(-5, 5)), sites)
+    L = model.n_controls
+    rows = {"A": rng.uniform(-3, 3, L), "B": rng.uniform(-3, 3, L)}
+    rows["Z"], rows["z"] = rows["A"].copy(), rows["A"].copy()
+    if L:
+        rows["Z"][0], rows["z"][0] = 0.0, -0.0
+    amps = np.array([rows[c] for c in pattern]).reshape(K, L)
+    a = cplx(model.dim, model.dim)
+    rho0 = a @ a.conj().T
+    return model, ControlSchedule(amps, float(rng.uniform(0.05, 1.0))), rho0 / np.trace(rho0)
+
+
+def frechet_reference(model, schedule, v0):
+    """The state by per-slice ``scipy.linalg.expm`` of the full register's
+    generator, the Kronecker sum of its sites', and its derivative in
+    omega0 by chained ``scipy.linalg.expm_frechet`` in the direction of
+    that generator's derivative."""
+    dL = lindbladian(model.generator, NoiseChannel((), ()))
+    v, dv = np.array(v0), np.zeros(len(v0), dtype=complex)
+    for row in schedule.amplitudes:
+        H = model.omega0 * model.generator + sum(u * Hc for u, Hc in zip(row, model.control_hams))
+        L = lindbladian(H, model.channel) * schedule.dt
+        P = scipy.linalg.expm(L)
+        dP = scipy.linalg.expm_frechet(L, dL * schedule.dt, compute_expm=False)
+        v, dv = P @ v, P @ dv + dP @ v
+    return v, dv
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(models())
+def test_derivative_matches_chained_frechet(case):
+    model, schedule, rho0 = case
+    v0 = vectorize(rho0)
+    v, dv = SlicedDynamics(model).evolve_vectorized(schedule, v0, derivative=True)
+    ref, dref = frechet_reference(model, schedule, v0)
+    assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(dv - dref)) <= 1e-10 * np.max(np.abs(dref))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,14 +62,6 @@ class TestDrho:
             assert abs(np.trace(d)) <= 1e-9
             assert np.max(np.abs(d - d.conj().T)) <= 1e-9
 
-    def test_cancellation_detected(self):
-        # at omega0 = 2 pi GHz and T = 0.3 s the step 1e-3/T falls below the
-        # floor 1e-12*omega0
-        dyn = SlicedDynamics(build_scenario("parallel-dephasing-1q", OMEGA0 * 1e9))
-        s = ControlSchedule.zero(1, 2, 0.3)
-        with pytest.raises(MetrologyError, match="cancellation"):
-            drho_domega(dyn, s, plus_state(1))
-
 
 class TestStackedDrho:
     """A sequence of schedules on one amplitude grid, several encoding times."""
@@ -91,19 +85,20 @@ class TestStackedDrho:
             assert type(q) is float and q == qfis[k]
 
     def test_first_failing_schedule_in_order_is_reported(self):
-        # at omega0 = 2 pi GHz, T = 0.3 s meets the cancellation floor and
-        # T = 0.1 s does not
-        dyn = SlicedDynamics(build_scenario("parallel-dephasing-1q", OMEGA0 * 1e9))
-        scheds = self._schedules(2, (0.1, 0.3))
-        with pytest.raises(MetrologyError, match=r"^at T=0\.3 s: derivative step .* floor"):
-            drho_domega(dyn, scheds, plus_state(1))
-        # with a probe of trace 2 every state fails its checks: the earlier T
-        # reports that, while at one T the step is checked before the state
-        with pytest.raises(PropagationError, match=r"^at T=0\.1 s: propagated state trace"):
-            drho_domega(dyn, scheds, np.eye(2))
-        with pytest.raises(MetrologyError, match=r"^at T=0\.3 s: derivative step"):
-            drho_domega(dyn, scheds[1], np.eye(2))
-        drho_domega(dyn, scheds, np.eye(2), checked=False)
+        # at T = 1e308 s a slice's generator times its length overflows, so that
+        # state is NaN, without a warning; T = 0.1 s passes its checks
+        dyn = SlicedDynamics(build_scenario("parallel-dephasing-1q", OMEGA0))
+        scheds = self._schedules(2, (0.1, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError,
+                               match=r"^at T=1e\+308 s: propagated state trace deviates from 1 by nan"):
+                drho_domega(dyn, scheds, plus_state(1))
+            # with a probe of trace 2 every state fails its checks, and the earlier
+            # T reports that
+            with pytest.raises(PropagationError, match=r"^at T=0\.1 s: propagated state trace"):
+                drho_domega(dyn, scheds, np.eye(2))
+            drho_domega(dyn, scheds, np.eye(2), checked=False)
 
 
 class TestQfiEigen:
@@ -284,7 +279,7 @@ class TestEstimatorAgreement:
 class TestFiniteDifferenceConvergence:
     def test_observed_order(self):
         # central differences of evolve converge at second order, to the QFI
-        # that drho_domega's own step gives
+        # of drho_domega's exact derivative
         model = build_scenario("parallel-dephasing-1q", OMEGA0)
         dyn = SlicedDynamics(model)
         rho0 = plus_state(1)

@@ -4,8 +4,8 @@ import scipy.linalg
 from scipy.linalg import _matfuncs_expm
 
 from lindmet import _kern
-from lindmet.channels import SCENARIOS, EncodingModel, ancilla_extend, build_scenario
-from lindmet.liouville import lindbladian, unvectorize, vectorize
+from lindmet.channels import SCENARIOS, ancilla_extend, build_scenario
+from lindmet.liouville import NoiseChannel, lindbladian, unvectorize, vectorize
 from lindmet.propagation import (ControlSchedule, PropagationError, SlicedDynamics,
                                  check_evolved_state, evolved_state_faults)
 from lindmet.schemes import ghz_state, plus_state
@@ -279,68 +279,24 @@ class TestMatrixExponential:
         assert np.max(np.abs(L_direct - dyn.constant_generator())) <= 1e-12
 
 
-def per_slice_reference(L0, ctrls, amps, dt, v0):
-    """One scipy.linalg.expm call per slice, each generator built as
-    L0 + u_1 C_1 + u_2 C_2 + ... in field order, skipping zero amplitudes."""
-    v = np.array(v0, dtype=complex)
-    for k in range(amps.shape[0]):
+def per_run_reference(L0, ctrls, amps, dt, v0):
+    """One scipy.linalg.expm call per run of equal consecutive rows (0.0 and
+    -0.0 equal), each generator built as L0 + u_1 C_1 + u_2 C_2 + ... in
+    field order, skipping zero amplitudes, and scaled by the run's duration,
+    its length times dt."""
+    v = np.array(v0)
+    k = 0
+    while k < len(amps):
+        n = 1
+        while k + n < len(amps) and np.array_equal(amps[k + n], amps[k]):
+            n += 1
         A = L0.copy()
         for l in range(amps.shape[1]):
             if amps[k, l] != 0.0:
                 A += amps[k, l] * ctrls[l]
-        v = scipy.linalg.expm(A * dt) @ v
+        v = scipy.linalg.expm(A * (dt * n)) @ v
+        k += n
     return v
-
-
-def site_dynamics(model):
-    """One one-site dynamics per site of ``model``, with its own 4x4 pieces;
-    None for an idle site (no drift, controls or noise)."""
-    return [None if not (site.generator.any() or site.control_hams or site.channel.lindblad_ops)
-            else SlicedDynamics(EncodingModel(1, model.omega0, site.generator,
-                                              site.control_hams, site.channel))
-            for site in model.sites]
-
-
-def site_product_order():
-    """For each index (j0*2 + i0)*4 + j1*2 + i1 of the site-product order,
-    the index (j0*2 + j1)*4 + i0*2 + i1 of the column-stacked vector of a
-    two-qubit state: row bits i, column bits j, site 0 first."""
-    return np.array([(j0 * 2 + j1) * 4 + i0 * 2 + i1
-                     for j0 in (0, 1) for i0 in (0, 1) for j1 in (0, 1) for i1 in (0, 1)])
-
-
-def per_site_reference(model, amps, dt, v0, omega0=None):
-    """The kernel's factorised propagation spelled out, one
-    scipy.linalg.expm call per slice and site: a one-site model is
-    :func:`per_slice_reference`; on two sites, site 0's propagators step the
-    state, as a 4x4 matrix X in site-product order, site 1's multiply into U,
-    and the result is X U^T, each generator built as in
-    :func:`per_slice_reference` from the site's own pieces."""
-    omega0 = model.omega0 if omega0 is None else omega0
-    if len(model.sites) == 1:
-        dyn = SlicedDynamics(model)
-        return per_slice_reference(dyn.constant_generator(omega0), dyn.control_supers, amps,
-                                   dt, v0)
-    order = site_product_order()
-    X, U = np.array(v0, dtype=complex)[order].reshape(4, 4), np.eye(4, dtype=complex)
-    bounds = np.cumsum([0] + [len(site.control_hams) for site in model.sites])
-    sites = site_dynamics(model)
-    for k in range(amps.shape[0]):
-        for s, dyn in enumerate(sites):
-            if dyn is None:
-                continue
-            A = dyn.constant_generator(omega0).copy()
-            for l, u in enumerate(amps[k, bounds[s]:bounds[s + 1]]):
-                if u != 0.0:
-                    A += u * dyn.control_supers[l]
-            P = scipy.linalg.expm(A * dt)
-            if s == 0:
-                X = P @ X
-            else:
-                U = P @ U
-    out = np.empty(16, dtype=complex)
-    out[order] = (X @ U.T).ravel()
-    return out
 
 
 def bitwise_equal(a, b):
@@ -383,7 +339,7 @@ RUN_PATTERNS = [("A", 1), ("AAAAAAA", 1), ("AABBA", 3), ("ABABABA", 7), ("Zz", 1
 
 
 class TestPythonKernel:
-    """The kernel against a per-slice expm loop, bit for bit."""
+    """The kernel against a loop of one expm per run of equal rows, bit for bit."""
 
     def _problem(self, m, K, L, seed):
         rng = np.random.default_rng(seed)
@@ -395,7 +351,7 @@ class TestPythonKernel:
     def test_matches_per_slice_expm(self, m, K, L):
         L0, ctrls, amps, v0 = self._problem(m, K, L, seed=m * 100 + K * 10 + L)
         got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
-        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+        assert bitwise_equal(got, per_run_reference(L0, ctrls, amps, 0.05, v0))
 
     @pytest.mark.parametrize("m", [4, 16])
     def test_signed_zero_amplitudes_skipped(self, m):
@@ -405,7 +361,7 @@ class TestPythonKernel:
         amps[2, 1] = -0.0
         amps[3, 0] = amps[3, 2] = 0.0
         got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
-        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+        assert bitwise_equal(got, per_run_reference(L0, ctrls, amps, 0.05, v0))
         # an all-zero slice evolves under L0 alone
         first = _kern.propagate_schedule(L0, ctrls, amps[:1], 0.05, v0)
         assert bitwise_equal(first, scipy.linalg.expm(L0 * 0.05) @ v0)
@@ -418,7 +374,7 @@ class TestPythonKernel:
         sizes = spy_stack_sizes(monkeypatch)
         got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert sizes == [2]
-        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+        assert bitwise_equal(got, per_run_reference(L0, ctrls, amps, 0.05, v0))
 
     def _pattern_problem(self, m, pattern):
         # rows by letter: A and B are distinct random rows, Z is [0.0, x] and z is
@@ -435,7 +391,7 @@ class TestPythonKernel:
         sizes = spy_stack_sizes(monkeypatch)
         got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert sizes == [runs]
-        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+        assert bitwise_equal(got, per_run_reference(L0, ctrls, amps, 0.05, v0))
 
     @pytest.mark.parametrize("pattern, runs", RUN_PATTERNS)
     @pytest.mark.parametrize("m", [4, 16])
@@ -466,7 +422,7 @@ class TestPythonKernel:
         sizes = spy_stack_sizes(monkeypatch)
         got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert sizes == [1]
-        assert bitwise_equal(got, per_slice_reference(L0, ctrls, amps, 0.05, v0))
+        assert bitwise_equal(got, per_run_reference(L0, ctrls, amps, 0.05, v0))
 
     @pytest.mark.parametrize("T", [0.01, 0.3, 10.0])
     @pytest.mark.parametrize("amplitudes", ["zero", "constant", "random"])
@@ -484,7 +440,7 @@ class TestPythonKernel:
         v0 = vectorize(np.eye(dyn.dim, dtype=complex) / dyn.dim + 0.1)
         L0 = dyn.constant_generator()
         got = _kern.propagate_schedule(L0, dyn.control_supers, amps, T / K, v0)
-        assert bitwise_equal(got, per_slice_reference(L0, dyn.control_supers, amps, T / K, v0))
+        assert bitwise_equal(got, per_run_reference(L0, dyn.control_supers, amps, T / K, v0))
 
     def test_shape_errors(self):
         L0, ctrls, amps, v0 = self._problem(4, 3, 2, seed=9)
@@ -519,6 +475,22 @@ def lindbladian_reference(model, amps, T, v0, omega0=None):
         H = omega0 * model.generator + sum(u * Hc for u, Hc in zip(row, model.control_hams))
         v = scipy.linalg.expm(lindbladian(H, model.channel) * (T / len(amps))) @ v
     return v
+
+
+def lindbladian_derivative_reference(model, amps, T, v0):
+    """The state and its exact derivative in omega0 from the full-register
+    oracle: per slice, the exponential P of the d^2 x d^2
+    ``liouville.lindbladian`` generator L times dt and its Frechet
+    derivative dP in the direction dL/domega0 times dt, from
+    ``scipy.linalg.expm_frechet``, chained as v <- P v, dv <- P dv + dP v."""
+    dt = T / len(amps)
+    dL = lindbladian(model.generator, NoiseChannel((), ()))
+    v, dv = np.array(v0, dtype=complex), np.zeros(len(v0), dtype=complex)
+    for row in amps:
+        H = model.omega0 * model.generator + sum(u * Hc for u, Hc in zip(row, model.control_hams))
+        P, dP = scipy.linalg.expm_frechet(lindbladian(H, model.channel) * dt, dL * dt)
+        v, dv = P @ v, P @ dv + dP @ v
+    return v, dv
 
 
 def runs_schedule(rng, K, n_fields, site0_fields):
@@ -563,7 +535,7 @@ class TestSiteFactorisation:
 
     @pytest.mark.parametrize("name", TWO_SITE_MODELS)
     def test_qfi_matches_the_full_lindbladian(self, name):
-        from lindmet.metrology import default_delta, qfi_eigen
+        from lindmet.metrology import qfi_eigen
         from lindmet.schemes import _schedule_qfi
 
         model = two_site_model(name)
@@ -571,16 +543,13 @@ class TestSiteFactorisation:
         amps = runs_schedule(np.random.default_rng(len(name) + 1), 20, model.n_controls,
                              len(model.sites[0].control_hams))
         rho0 = ghz_state(2)
-        v0 = vectorize(rho0)
-        delta = default_delta(OMEGA0, T)
-        rho, rho_p, rho_m = (unvectorize(lindbladian_reference(model, amps, T, v0, om))
-                             for om in (OMEGA0, OMEGA0 + delta, OMEGA0 - delta))
-        ref = qfi_eigen(rho, (rho_p - rho_m) / (2.0 * delta))
+        rho, drho = (unvectorize(v) for v in
+                     lindbladian_derivative_reference(model, amps, T, vectorize(rho0)))
+        ref = qfi_eigen(rho, drho)
         got = _schedule_qfi(SlicedDynamics(model), ControlSchedule(amps, T), rho0)
-        # the states agree to about 1e-16; the central difference divides that
-        # by 2 delta (about 1.3e-3), and on 2q the derivative is small, so the
-        # QFIs differ by up to 2.4e-11 relative (measured): a 1e-10 tolerance
-        assert ref > 0 and abs(got - ref) <= 1e-10 * ref
+        # an exact oracle: the two differ by roundoff only, up to 3e-15 relative
+        # (measured)
+        assert ref > 0 and abs(got - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("name", TWO_SITE_MODELS)
     def test_runs_exponentiate_only_4x4_slices(self, name, monkeypatch):
@@ -601,7 +570,9 @@ class TestSiteFactorisation:
             cfg = schemes.SchemeConfig("control_enhanced", name, (0.1, 0.2), K=4,
                                        optimizer=OptimizerOptions(restarts=2, max_evals=30))
         schemes.run_scheme(cfg)
-        assert shapes and set(shapes) == {(4, 4)}
+        # every QFI propagates one site's 8x8 Van Loan blocks, [[A, 0], [D, A]] of
+        # its 4x4 generator, never a block of the whole register
+        assert shapes and set(shapes) == {(8, 8)}
 
 
 class TestTwoSiteKernel:
@@ -759,11 +730,32 @@ class TestExpmStack:
 
     @pytest.mark.parametrize("m", [4, 16])
     def test_never_calls_scipy_expm(self, m, monkeypatch):
-        A = np.concatenate([self._mixed_stack(m, seed=m + 30), self._triangular_stack(m, m)])
+        # on generic slices, the only kind a run exponentiates, complex or real
+        A = self._mixed_stack(m, seed=m + 30)[::5]
+        for stack in (A, A.real.copy()):
+            ref = np.stack([scipy.linalg.expm(a) for a in stack])
+            with monkeypatch.context() as patch:
+                assert _kern._PADE_KERNELS
+                refuse_scipy_expm(patch)
+                assert bitwise_equal(_kern.expm_stack(stack), ref)
+
+    def test_special_slices_go_to_scipy(self, monkeypatch):
+        # diagonal and triangular slices, which scipy exponentiates its own way,
+        # go to scipy.linalg.expm as one stack; the generic ones do not
+        A = np.concatenate([self._mixed_stack(4, seed=31), self._triangular_stack(4, 4)])
+        generic = [np.tril(a, -1).any() and np.triu(a, 1).any() for a in A]
         ref = np.stack([scipy.linalg.expm(a) for a in A])
-        assert _kern._PADE_KERNELS
-        refuse_scipy_expm(monkeypatch)
+        stacks = []
+        real = scipy.linalg.expm
+
+        def spy(a):
+            stacks.append(a.copy())
+            return real(a)
+
+        monkeypatch.setattr(_kern.scipy.linalg, "expm", spy)
         assert bitwise_equal(_kern.expm_stack(A), ref)
+        assert len(stacks) == 1
+        assert np.array_equal(stacks[0], A[[not g for g in generic]])
 
     def test_single_matrix_entry(self):
         for A in self._mixed_stack(16, seed=2):
@@ -782,16 +774,17 @@ class TestExpmStack:
         ref = np.stack([scipy.linalg.expm(a) for a in A])
         assert bitwise_equal(_kern.expm_stack(A), ref)
 
-    @pytest.mark.parametrize("name, broken", [
-        # the zero-difference branch of the first off-diagonal dropped
-        ("_exp_sinch", lambda x: np.diff(np.exp(x)) / np.diff(x)),
-        # no resets between the squarings of a triangular slice
-        ("_triangular_squarings", lambda A, E, s, upper: np.linalg.matrix_power(E, 2**s)),
-    ])
-    def test_probe_covers_the_triangular_branch(self, name, broken, monkeypatch):
-        monkeypatch.setattr(_kern, name, broken)
-        with np.errstate(all="ignore"):
-            assert not _kern._pade_kernels_match()
+    def test_probe_covers_real_stacks(self, monkeypatch):
+        # a Pade kernel that fails on float64 buffers only
+        real = _kern._matfuncs_expm.pade_UV_calc
+
+        def complex_only(Am, n):
+            if Am.dtype != np.complex128:
+                raise TypeError("complex buffers only")
+            return real(Am, n)
+
+        monkeypatch.setattr(_kern._matfuncs_expm, "pade_UV_calc", complex_only)
+        assert not _kern._pade_kernels_match()
 
     def test_failed_probe_sends_the_whole_stack_to_scipy(self, monkeypatch):
         A = self._mixed_stack(4, seed=5)

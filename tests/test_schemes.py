@@ -3,16 +3,13 @@ import pytest
 
 from lindmet import _kern, schemes
 from lindmet.channels import SCENARIOS
-from lindmet.liouville import unvectorize, vectorize
-from lindmet.metrology import MetrologyError, default_delta, qfi_eigen
 from lindmet.optimizer import OptimizerOptions
-from lindmet.propagation import ControlSchedule
+from lindmet.propagation import ControlSchedule, PropagationError
 from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
                              haar_random_state, plus_state, prepare, resolve_probe,
                              run_scheme)
 
-from test_propagation import (per_site_reference, refuse_scipy_expm, site_dynamics,
-                              spy_stack_sizes, squarings)
+from test_propagation import refuse_scipy_expm, spy_stack_sizes
 
 OMEGA0 = 2 * np.pi
 SMALL_OPT = OptimizerOptions(restarts=3, max_evals=400, seed=11)
@@ -101,6 +98,22 @@ class TestStandard:
             assert r.evaluations == 0 and r.converged
             assert not r.schedule.amplitudes.any() and r.schedule.total_time == r.T
 
+    def test_parallel_dephasing_exact(self):
+        # the derivative is exact, so only roundoff separates the QFI from
+        # T^2 e^(-2 gamma T); a central difference was 3e-8 off
+        gamma = 10.0
+        res = run_scheme(config("standard", "parallel-dephasing-1q", np.geomspace(0.01, 0.5, 25)))
+        for r in res:
+            oracle = r.T ** 2 * np.exp(-2 * gamma * r.T)
+            assert abs(r.qfi - oracle) <= 1e-11 * oracle
+
+    def test_two_qubit_ghz_exact(self):
+        gamma = 10.0
+        res = run_scheme(config("standard", "parallel-dephasing-2q", np.geomspace(0.01, 0.5, 25)))
+        for r in res:
+            oracle = 4 * r.T ** 2 * np.exp(-4 * gamma * r.T)
+            assert abs(r.qfi - oracle) <= 1e-11 * oracle
+
     def test_parallel_dephasing_analytic_at_large_omega0_t(self):
         # omega0*T up to 3e6 rad: a derivative step that grows with omega0
         # but not capped by 1/T loses the QFI entirely here
@@ -134,6 +147,15 @@ class TestAncilla:
         for s, a in zip(std, anc):
             assert abs(a.qfi - s.qfi) / s.qfi <= 1e-6
 
+    def test_equals_standard_exactly_under_parallel_dephasing(self):
+        # the noiseless ancilla adds nothing here, so the two QFIs differ only
+        # by roundoff
+        grid = np.geomspace(0.01, 0.5, 25)
+        std = run_scheme(config("standard", "parallel-dephasing-1q", grid))
+        anc = run_scheme(config("ancilla", "parallel-dephasing-1q", grid))
+        for s, a in zip(std, anc):
+            assert abs(a.qfi - s.qfi) <= 1e-13 * s.qfi
+
     def test_improves_amplitude_damping_before_peak(self):
         grid = [2.0, 5.0, 8.0]
         std = run_scheme(config("standard", "amplitude-damping", grid))
@@ -152,17 +174,14 @@ class TestAncilla:
 
 class TestTheoreticalOptimal:
     def test_closed_form_saturation(self):
-        # frozen |+> under pure sigma_x noise: F = ((1 - e^{-g T})/g)^2,
-        # up to the central-difference truncation O((delta T)^2)
-        from lindmet.metrology import default_delta
-
+        # frozen |+> under pure sigma_x noise: F = ((1 - e^{-g T})/g)^2, up to
+        # roundoff (5e-15 measured) since the derivative is exact
         gamma = 0.1
         grid = [2.0, 10.0, 30.0]
         res = run_scheme(config("theoretical_optimal", "transverse-dephasing", grid))
         for r in res:
             oracle = ((1 - np.exp(-gamma * r.T)) / gamma) ** 2
-            budget = max(1e-6, 0.5 * (default_delta(OMEGA0, r.T) * r.T) ** 2)
-            assert abs(r.qfi - oracle) / oracle <= budget
+            assert abs(r.qfi - oracle) / oracle <= 1e-12
 
     def test_schedule_is_constant_minus_omega0(self):
         res = run_scheme(
@@ -246,9 +265,9 @@ class TestControlEnhanced:
 
 
 class TestOneKernelCallPerQfi:
-    """The central difference's three frequencies propagate as one stack; a
-    two-qubit register (m = 16) as two sites of 4x4 pieces, whose runs share
-    one exponential call."""
+    """A QFI is one propagation of Van Loan blocks, which carry the state and
+    its frequency derivative together; a two-qubit register (m = 16) as two
+    sites of 8x8 blocks, whose runs share one exponential call."""
 
     K = 6
 
@@ -291,8 +310,8 @@ class TestOneKernelCallPerQfi:
         sizes.clear()
         captured[0](self._amplitudes(n_fields).ravel())
         sites = {4: 1, 16: 2}[m]
-        assert shapes == [[(3, 4, 4)] * sites]
-        assert sizes == [sites * 3 * (self.K - 1)]
+        assert shapes == [[(1, 8, 8)] * sites]
+        assert sizes == [sites * (self.K - 1)]
 
     @pytest.mark.parametrize("scenario, m", [("parallel-dephasing-1q", 4),
                                              ("parallel-dephasing-2q", 16)])
@@ -303,14 +322,14 @@ class TestOneKernelCallPerQfi:
         sites = {4: 1, 16: 2}[m]
         # both encoding times in one call; the zero schedule is one run per site
         run_scheme(cfg)
-        assert shapes == [[(2 * 3, 4, 4)] * sites]
-        assert sizes == [sites * 2 * 3]
+        assert shapes == [[(2, 8, 8)] * sites]
+        assert sizes == [sites * 2]
         shapes.clear()
         sizes.clear()
         sched = ControlSchedule(self._amplitudes(dyn.model.n_controls), 0.3)
         assert schemes._schedule_qfi(dyn, sched, rho0) > 0
-        assert shapes == [[(3, 4, 4)] * sites]
-        assert sizes == [sites * 3 * (self.K - 1)]
+        assert shapes == [[(1, 8, 8)] * sites]
+        assert sizes == [sites * (self.K - 1)]
 
 
 # (scheme, scenario) pairs whose fixed schedule is scored over the grid
@@ -320,12 +339,11 @@ FIXED_RUNS = [*(("standard", name) for name in SCENARIOS),
 
 
 class TestFixedScheduleBlocks:
-    """A fixed schedule goes through the kernel in blocks of encoding times."""
+    """A fixed schedule goes through the kernel in one call per time grid."""
 
     @pytest.mark.parametrize("scheme, scenario", FIXED_RUNS)
     def test_blocks_equal_one_call_per_time(self, scheme, scenario):
-        grid = np.geomspace(0.01, 2.0, 37)  # longer than two blocks
-        assert len(grid) > 2 * schemes.GRID_BLOCK
+        grid = np.geomspace(0.01, 2.0, 37)
         cfg = config(scheme, scenario, grid, K=5)
         dyn, rho0 = prepare(cfg)
         amplitude = -OMEGA0 if scheme == "theoretical_optimal" else 0.0
@@ -349,73 +367,66 @@ class TestFixedScheduleBlocks:
 
         monkeypatch.setattr(_kern, "propagate_schedule", spy)
         run_scheme(config("ancilla", "amplitude-damping", np.linspace(0.5, 40.0, 100), K=4))
-        # full blocks of three generators per T, and the rest of the grid
-        B = schemes.GRID_BLOCK
-        assert len(calls) == -(-100 // B)
-        assert calls[:-1] == [3 * B] * (len(calls) - 1) and sum(calls) == 3 * 100
+        # one Van Loan block per T, all in one call
+        assert calls == [100]
 
     def test_error_names_first_failing_time(self):
-        # at omega0 = 2 pi GHz the step 1e-3/T falls below the cancellation
-        # floor 1e-12*omega0 from T = 0.16 s on: every later T fails as well
-        omega0 = OMEGA0 * 1e9
-        grid = np.geomspace(0.01, 1.0, 37)
-        first = grid[grid > 1e-3 / (1e-12 * omega0)][0]
-        assert 0.1 < first < 0.2 and list(grid).index(first) > schemes.GRID_BLOCK
-        with pytest.raises(MetrologyError) as err:
-            run_scheme(config("standard", "parallel-dephasing-1q", grid, omega0=omega0, K=4))
-        assert str(err.value) == (
-            f"at T={first:g} s: derivative step {1e-3 / first:.3e} is below the "
-            f"cancellation floor {1e-12 * omega0:.3e} for omega0={omega0:.3e}")
+        # at the last two times a slice's generator times its length overflows,
+        # so their states are NaN; the earlier ones pass their checks
+        grid = [*np.geomspace(0.01, 1.0, 35), 8e307, 1e308]
+        with pytest.raises(PropagationError) as err:
+            run_scheme(config("standard", "parallel-dephasing-1q", grid, K=4))
+        assert str(err.value) == "at T=8e+307 s: propagated state trace deviates from 1 by nan"
 
 
-# The sweep workload's fixed-schedule runs whose zero-control generators are
-# not generic (K = 20): amplitude damping's are upper triangular, parallel
-# dephasing's diagonal. (scheme, scenario, rates, time grid, slice class)
+# The sweep workload's fixed-schedule runs (K = 20) whose zero-control, or for
+# theoretical_optimal drift-cancelling, generators are diagonal or
+# triangular in some basis: amplitude damping's are upper triangular and
+# parallel dephasing's diagonal in the column-stacked one, and the
+# drift-cancelling block of transverse dephasing would be lower triangular
+# in the Pauli basis. (scheme, scenario, rates, time grid)
 AD_GRID = tuple(np.linspace(0.5, 40.0, 100))
 PD_GRID = tuple(np.geomspace(0.01, 0.5, 100))
+TD_GRID = tuple(np.geomspace(0.4, 40.0, 100))
 AD_RATES = (("gamma_minus", 0.2), ("gamma_plus", 0.0))
 SWEEP_SPECIAL_SLICES = [
-    ("standard", "amplitude-damping", AD_RATES, AD_GRID, "upper"),
-    ("ancilla", "amplitude-damping", AD_RATES, AD_GRID, "upper"),
-    ("standard", "parallel-dephasing-1q", (("gamma", 10.0),), PD_GRID, "diagonal"),
-    ("ancilla", "parallel-dephasing-1q", (("gamma", 10.0),), PD_GRID, "diagonal"),
-    ("standard", "parallel-dephasing-2q", (("gamma1", 10.0), ("gamma2", 10.0)), PD_GRID,
-     "diagonal"),
+    ("standard", "amplitude-damping", AD_RATES, AD_GRID),
+    ("ancilla", "amplitude-damping", AD_RATES, AD_GRID),
+    ("standard", "parallel-dephasing-1q", (("gamma", 10.0),), PD_GRID),
+    ("ancilla", "parallel-dephasing-1q", (("gamma", 10.0),), PD_GRID),
+    ("standard", "parallel-dephasing-2q", (("gamma1", 10.0), ("gamma2", 10.0)), PD_GRID),
+    ("theoretical_optimal", "transverse-dephasing", (("gamma", 0.1),), TD_GRID),
 ]
 
 
 class TestSpecialSlicesOnSweepGrids:
-    """Diagonal and triangular generators of real runs, bit for bit a loop of
-    ``scipy.linalg.expm`` over every slice, which the kernel never calls; on
-    two-site registers, over every slice of every site, composed as the
-    kernel composes them (``per_site_reference``)."""
+    """In the basis the dynamics run in, every Van Loan block of these runs
+    is generic, so the kernel never hands a slice to ``scipy.linalg.expm``,
+    and every QFI is bit for bit the run whose exponentials all come from
+    ``scipy.linalg.expm``."""
 
-    @pytest.mark.parametrize("scheme, scenario, rates, grid, kind", SWEEP_SPECIAL_SLICES,
+    @pytest.mark.parametrize("scheme, scenario, rates, grid", SWEEP_SPECIAL_SLICES,
                              ids=[f"{s}-{c}" for s, c, *_ in SWEEP_SPECIAL_SLICES])
-    def test_fixed_qfis_match_per_slice_expm(self, scheme, scenario, rates, grid, kind,
+    def test_fixed_qfis_match_per_slice_expm(self, scheme, scenario, rates, grid,
                                              monkeypatch):
         cfg = config(scheme, scenario, grid, rates=rates)
-        dyn, rho0 = prepare(cfg)
-        K = cfg.K
-        # the generators the kernel exponentiates: every non-idle site's, 4x4
-        sites = [d for d in site_dynamics(dyn.model) if d is not None]
-        assert len(sites) == (2 if scenario.endswith("2q") else 1)
-        for site in sites:
-            nonzero = site.constant_generator() != 0
-            assert nonzero.shape == (4, 4) and not np.tril(nonzero, -1).any()
-            assert np.triu(nonzero, 1).any() == (kind == "upper")
-            assert {squarings(site.constant_generator() * T / K) for T in grid} == (
-                {0, 1, 2} if kind == "upper" else {0})
+        with monkeypatch.context() as patch:
+            # every stack goes whole to scipy.linalg.expm
+            patch.setattr(_kern, "_PADE_KERNELS", False)
+            ref = [r.qfi for r in run_scheme(cfg)]
+        shapes = []
+        real = _kern.expm_stack
 
-        amps, v0, omega0 = np.zeros((K, dyn.model.n_controls)), vectorize(rho0), cfg.omega0
-        ref = []
-        for T in grid:
-            delta = default_delta(omega0, T)
-            rho, rho_p, rho_m = (unvectorize(per_site_reference(dyn.model, amps, T / K, v0, om))
-                                 for om in (omega0, omega0 + delta, omega0 - delta))
-            ref.append(qfi_eigen(rho, (rho_p - rho_m) / (2.0 * delta)))
+        def spy(A):
+            shapes.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(_kern, "expm_stack", spy)
         refuse_scipy_expm(monkeypatch)
         assert [r.qfi for r in run_scheme(cfg)] == ref
+        # one call, one 8x8 block per T and site
+        sites = 2 if scenario.endswith("2q") else 1
+        assert shapes == [(sites * len(grid), 8, 8)]
 
 
 class TestSchemeAgreementSmallT:
