@@ -5,9 +5,9 @@ information and sensitivity evaluation, and gradient-free optimization of
 piecewise-constant control pulses.
 
 Importing lindmet before numpy defaults BLAS and OpenMP to one thread: on
-the 4x4 matrices of this package (one qubit's superoperators) a second
-thread only spins and doubles the CPU time. A value already set in the
-environment wins.
+the 8x8 matrices of this package (one qubit's superoperators as Van Loan
+blocks) a second thread only spins and doubles the CPU time. A value
+already set in the environment wins.
 """
 import os
 
@@ -19,8 +19,7 @@ del _variable
 
 from ._kern import BACKEND as KERNEL_BACKEND
 from .channels import (EncodingModel, Site, ancilla_extend, amplitude_damping,
-                       build_scenario, parallel_dephasing, transverse_dephasing,
-                       two_qubit_uncorrelated_dephasing)
+                       build_scenario, parallel_dephasing, transverse_dephasing)
 from .config import NmrConfig, RunConfig, load_nmr_config, load_run_config
 from .harness import run_experiment, run_nmr_protocol, t2_from_linewidth
 from .liouville import (NoiseChannel, dissipator_superop, hamiltonian_superop,
@@ -35,8 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL_BACKEND", "EncodingModel", "Site", "ancilla_extend", "amplitude_damping",
-    "build_scenario", "parallel_dephasing", "transverse_dephasing",
-    "two_qubit_uncorrelated_dephasing", "NmrConfig", "RunConfig",
+    "build_scenario", "parallel_dephasing", "transverse_dephasing", "NmrConfig", "RunConfig",
     "load_nmr_config", "load_run_config", "run_experiment", "run_nmr_protocol",
     "t2_from_linewidth", "NoiseChannel", "dissipator_superop",
     "hamiltonian_superop", "lindbladian", "unvectorize", "vectorize",

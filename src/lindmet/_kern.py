@@ -6,11 +6,11 @@ Kronecker sum of its sites', so a slice's propagator is the Kronecker
 product of theirs (Van Loan, "The ubiquitous Kronecker product", J. Comput.
 Appl. Math. 123:85, 2000), and only the sites' own generators are
 exponentiated; an idle site takes none. The kernel does not care what the
-generators are: the package passes real ones, a qubit's 4x4 superoperators
-in a Hermitian operator basis or the 8x8 Van Loan blocks that also carry
-the frequency derivative (see :mod:`lindmet.propagation`), and ``bench/``
-passes complex 16x16 ones. The arithmetic follows the inputs' dtype: real
-stays real, complex stays complex.
+generators are: the package passes real 8x8 Van Loan blocks, a qubit's
+superoperators in a Hermitian operator basis that also carry the frequency
+derivative (see :mod:`lindmet.propagation`), and ``bench/`` passes complex
+16x16 ones. The arithmetic follows the inputs' dtype: real stays real,
+complex stays complex.
 
 A run of R equal consecutive rows of the register's amplitude grid is one
 constant generator, exponentiated once over the run's whole duration, exp(R

@@ -8,13 +8,15 @@ channel and a fixed set of control Hamiltonians:
   transverse-dephasing    sigma_x noise, longitudinal control {sz/2}
   amplitude-damping       sigma_-/sigma_+ noise, transverse controls
 
-A model is a register of one-qubit sites, each with its own share of the
-drift, its own controls and its own noise (:class:`Site`); the two-qubit
-scenario has two, and the ancilla extension adds an idle one. Their sum,
-with every site operator embedded as I (x) op (x) I, is the model's
-full-register generator, controls and channel. The dynamics propagate the
-sites separately (see :mod:`lindmet.propagation`), so noise that correlates
-two qubits cannot be expressed.
+Every model is a register of one-qubit sites, each with its own share of
+the drift, its own controls and its own noise (:class:`Site`): a one-qubit
+scenario is one site, the two-qubit scenario two, and the ancilla extension
+adds an idle second site to a one-qubit model. :class:`EncodingModel` is
+built from its sites only. Its full-register generator, controls and
+channel, the sum of the sites' with every site operator embedded as
+I (x) op (x) I, are derived from them for reference. The dynamics propagate
+the sites separately (see :mod:`lindmet.propagation`), so noise that
+correlates two qubits cannot be expressed.
 """
 from __future__ import annotations
 
@@ -72,17 +74,6 @@ def parallel_dephasing(gamma: float) -> NoiseChannel:
     return NoiseChannel((SIGMA_Z / np.sqrt(2.0),), (gamma,))
 
 
-def two_qubit_uncorrelated_dephasing(gamma1: float, gamma2: float) -> NoiseChannel:
-    """Independent sigma_z/sqrt(2) dephasing on each of two qubits."""
-    gamma1 = _require_rate(gamma1, "gamma1")
-    gamma2 = _require_rate(gamma2, "gamma2")
-    return NoiseChannel(
-        (np.kron(SIGMA_Z, IDENTITY_2) / np.sqrt(2.0),
-         np.kron(IDENTITY_2, SIGMA_Z) / np.sqrt(2.0)),
-        (gamma1, gamma2),
-    )
-
-
 def transverse_dephasing(gamma: float) -> NoiseChannel:
     """Dephasing perpendicular to the encoding axis: L = sigma_x/sqrt(2)."""
     gamma = _require_rate(gamma, "gamma")
@@ -97,29 +88,14 @@ def amplitude_damping(gamma_minus: float, gamma_plus: float = 0.0) -> NoiseChann
     return NoiseChannel((SIGMA_MINUS, SIGMA_PLUS), (gamma_minus, gamma_plus))
 
 
-def frequency_generator(n_qubits: int) -> np.ndarray:
-    """Generator G with drift H0(omega0) = omega0 * G = sum_n omega0 sigma_z^(n)/2."""
-    if n_qubits == 1:
-        return SIGMA_Z / 2.0
-    if n_qubits == 2:
-        return (np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)) / 2.0
-    raise ValueError(f"unsupported qubit count {n_qubits} (expected 1 or 2)")
-
-
-def _checked_operators(generator, control_hams, channel):
-    """The generator and controls as complex arrays, checked to be Hermitian
-    and of one dimension with the channel."""
-    controls = tuple(np.asarray(H, dtype=complex) for H in control_hams)
-    G = np.asarray(generator, dtype=complex)
-    d = G.shape[0]
-    for H in controls + (G,):
-        if np.max(np.abs(H - H.conj().T)) > 1e-12:
-            raise ValueError("drift generator and control Hamiltonians must be Hermitian")
-        if H.shape != (d, d):
-            raise ValueError("inconsistent operator dimensions in model")
-    if channel.dim is not None and channel.dim != d:
-        raise ValueError("noise channel dimension does not match Hamiltonians")
-    return G, controls
+def _qubit_operator(op, what: str) -> np.ndarray:
+    """``op`` as a complex 2x2 array, checked to be finite and Hermitian."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"a site is one qubit, got a {op.shape} {what}")
+    if not (np.isfinite(op).all() and np.max(np.abs(op - op.conj().T)) <= 1e-12):
+        raise ValueError(f"{what} must be finite and Hermitian")
+    return op
 
 
 @dataclass(frozen=True)
@@ -133,9 +109,10 @@ class Site:
     channel: NoiseChannel = field(default_factory=lambda: NoiseChannel((), ()))
 
     def __post_init__(self):
-        G, controls = _checked_operators(self.generator, self.control_hams, self.channel)
-        if G.shape != (2, 2):
-            raise ValueError(f"a site is one qubit, got a {G.shape} generator")
+        G = _qubit_operator(self.generator, "drift generator")
+        controls = tuple(_qubit_operator(H, "control Hamiltonian") for H in self.control_hams)
+        if self.channel.dim not in (None, 2):
+            raise ValueError("noise channel dimension does not match Hamiltonians")
         object.__setattr__(self, "generator", G)
         object.__setattr__(self, "control_hams", controls)
 
@@ -147,66 +124,51 @@ def _embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EncodingModel:
-    """Drift generator, control Hamiltonians and noise channel of one scenario.
+    """A register of one or two one-qubit sites (:class:`Site`) at frequency omega0.
 
     The drift is linear in the estimated frequency: H0(omega0) = omega0 * G.
-    ``generator``, ``control_hams`` and ``channel`` act on the whole
-    register; ``sites`` holds the same model one qubit at a time. A
-    one-qubit model is given by its operators and is its own single site; a
-    larger register is given by its sites (see :meth:`from_sites`), and its
-    operators are their sum, each site operator embedded as I (x) op (x) I.
+    Site 0 is the first tensor factor, and the controls are every site's in
+    site order. ``generator``, ``control_hams`` and ``channel`` are the
+    whole register's, the sum of the sites' with each site operator embedded
+    as I (x) op (x) I, built on first use: the dynamics propagate the sites,
+    and these serve as the full-register reference.
     """
 
-    n_qubits: int
     omega0: float
-    generator: np.ndarray | None
-    control_hams: tuple
-    channel: NoiseChannel | None
-    sites: tuple = ()
+    sites: tuple
 
     def __post_init__(self):
         sites = tuple(self.sites)
-        if sites:
-            if self.generator is not None or self.control_hams or self.channel is not None:
-                raise ValueError("a model is given by its sites or by its operators, not both")
-            G, controls, channel = _register(sites)
-        else:
-            G, controls = _checked_operators(self.generator, self.control_hams, self.channel)
-            if G.shape != (2, 2):
-                raise ValueError("a model of more than one qubit is built from its sites")
-            channel = self.channel
-            sites = (Site(G, controls, channel),)
-        if self.n_qubits != len(sites):
-            raise ValueError(f"{len(sites)} sites do not make {self.n_qubits} qubits")
-        object.__setattr__(self, "generator", G)
-        object.__setattr__(self, "control_hams", controls)
-        object.__setattr__(self, "channel", channel)
+        if len(sites) not in (1, 2):
+            raise ValueError(f"a register has one site or two, got {len(sites)}")
         object.__setattr__(self, "sites", sites)
 
-    @classmethod
-    def from_sites(cls, omega0: float, sites) -> "EncodingModel":
-        """The model of a register of ``sites``, site 0 the first tensor
-        factor, with the controls of every site in site order."""
-        sites = tuple(sites)
-        return cls(len(sites), omega0, None, (), None, sites)
+    @property
+    def n_qubits(self) -> int:
+        return len(self.sites)
 
     @property
     def dim(self) -> int:
-        return self.generator.shape[0]
+        return 2 ** len(self.sites)
 
     @property
     def n_controls(self) -> int:
-        return len(self.control_hams)
+        return sum(len(s.control_hams) for s in self.sites)
 
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        return sum(_embed(s.generator, i, self.n_qubits) for i, s in enumerate(self.sites))
 
-def _register(sites):
-    """The full-register generator, controls and channel of ``sites``."""
-    n = len(sites)
-    return (sum(_embed(s.generator, i, n) for i, s in enumerate(sites)),
-            tuple(_embed(H, i, n) for i, s in enumerate(sites) for H in s.control_hams),
-            NoiseChannel(tuple(_embed(L, i, n) for i, s in enumerate(sites)
-                               for L in s.channel.lindblad_ops),
-                         tuple(g for s in sites for g in s.channel.rates)))
+    @functools.cached_property
+    def control_hams(self) -> tuple:
+        return tuple(_embed(H, i, self.n_qubits)
+                     for i, s in enumerate(self.sites) for H in s.control_hams)
+
+    @functools.cached_property
+    def channel(self) -> NoiseChannel:
+        return NoiseChannel(tuple(_embed(L, i, self.n_qubits) for i, s in enumerate(self.sites)
+                                  for L in s.channel.lindblad_ops),
+                            tuple(g for s in self.sites for g in s.channel.rates))
 
 
 def ancilla_extend(model: EncodingModel) -> EncodingModel:
@@ -214,7 +176,7 @@ def ancilla_extend(model: EncodingModel) -> EncodingModel:
     second site, so every operator acts as (original kron I)."""
     if model.dim != 2:
         raise ValueError("only 1-qubit models can be ancilla-extended")
-    return EncodingModel.from_sites(model.omega0, model.sites + (Site(np.zeros((2, 2))),))
+    return EncodingModel(model.omega0, model.sites + (Site(np.zeros((2, 2))),))
 
 
 # Reference operating points for each scenario (rates in 1/s).
@@ -241,18 +203,17 @@ def build_scenario(name: str, omega0: float, rates: dict | None = None) -> Encod
                              f"expected one of {sorted(resolved)}")
         resolved[key] = float(value)
 
-    transverse_1q = (SIGMA_X / 2.0, SIGMA_Y / 2.0)
-    if name == "parallel-dephasing-1q":
-        channel = parallel_dephasing(resolved["gamma"])
-        return EncodingModel(1, omega0, frequency_generator(1), transverse_1q, channel)
+    G, transverse = SIGMA_Z / 2.0, (SIGMA_X / 2.0, SIGMA_Y / 2.0)
     if name == "parallel-dephasing-2q":
         # uncorrelated: each qubit dephases at its own rate
-        return EncodingModel.from_sites(omega0, (
-            Site(frequency_generator(1), transverse_1q,
-                 NoiseChannel((SIGMA_Z / np.sqrt(2.0),), (_require_rate(resolved[key], key),)))
-            for key in ("gamma1", "gamma2")))
-    if name == "transverse-dephasing":
-        channel = transverse_dephasing(resolved["gamma"])
-        return EncodingModel(1, omega0, frequency_generator(1), (SIGMA_Z / 2.0,), channel)
-    channel = amplitude_damping(resolved["gamma_minus"], resolved["gamma_plus"])
-    return EncodingModel(1, omega0, frequency_generator(1), transverse_1q, channel)
+        sites = [Site(G, transverse, NoiseChannel((SIGMA_Z / np.sqrt(2.0),),
+                                                  (_require_rate(resolved[key], key),)))
+                 for key in ("gamma1", "gamma2")]
+    elif name == "parallel-dephasing-1q":
+        sites = [Site(G, transverse, parallel_dephasing(resolved["gamma"]))]
+    elif name == "transverse-dephasing":
+        sites = [Site(G, (SIGMA_Z / 2.0,), transverse_dephasing(resolved["gamma"]))]
+    else:
+        sites = [Site(G, transverse,
+                      amplitude_damping(resolved["gamma_minus"], resolved["gamma_plus"]))]
+    return EncodingModel(omega0, sites)

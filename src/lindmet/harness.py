@@ -114,10 +114,9 @@ def run_nmr_protocol(config: NmrConfig, out: str | None = None) -> Path:
         metadata.append(
             f"probe_{scheme} = " + " ".join(format(z, ".17g")
                                             for z in probe.reshape(-1)))
-        # the exact and perturbed states, from one kernel call
-        frequencies = (scheme_cfg.omega0, scheme_cfg.omega0 + delta)
         for r in run_scheme(scheme_cfg):
-            rho, rho_pert = dyn.evolve(r.schedule, probe, frequencies)
+            rho = dyn.evolve(r.schedule, probe)
+            rho_pert = dyn.evolve(r.schedule, probe, scheme_cfg.omega0 + delta)
             rows.append(_result_row(scheme, r, qfi_fidelity(rho, rho_pert, delta)))
     _write_result_file(path, dump_nmr_config(config), NMR_CSV_HEADER, rows,
                        metadata=metadata)

@@ -50,8 +50,8 @@ class NoiseChannel:
         if len(ops) != len(rates):
             raise ValueError("one rate per Lindblad operator is required")
         for g in rates:
-            if g < 0:
-                raise ValueError(f"dissipation rates must be non-negative, got {g}")
+            if not 0 <= g < math.inf:
+                raise ValueError(f"dissipation rates must be non-negative and finite, got {g}")
         dims = {op.shape for op in ops}
         if len(dims) > 1:
             raise ValueError(f"Lindblad operators have mixed shapes: {dims}")

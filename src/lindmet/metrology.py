@@ -48,8 +48,7 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule | Sequence[Contro
     """
     single = isinstance(schedule, ControlSchedule)
     schedules = [schedule] if single else list(schedule)
-    v, dv = dyn.evolve_vectorized(schedules, vectorize(np.asarray(rho0, dtype=complex)),
-                                  derivative=True)
+    v, dv = dyn.evolve_vectorized(schedules, vectorize(np.asarray(rho0, dtype=complex)))
     # unvectorize only reshapes
     rho, drho = unvectorize(v), unvectorize(dv)
     if checked:
@@ -130,8 +129,8 @@ def qfi_fidelity(rho_exact: np.ndarray, rho_perturbed: np.ndarray,
 
         F_Q ~= 8 (1 - F(rho_exact, rho_perturbed)) / delta^2
     """
-    if delta <= 0:
-        raise ValueError(f"perturbation step must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"perturbation step must be positive and finite, got {delta}")
     fid = uhlmann_fidelity(rho_exact, rho_perturbed)
     value = 8.0 * (1.0 - fid) / delta**2
     if value < -1e-6:

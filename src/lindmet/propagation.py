@@ -1,4 +1,5 @@
-"""Piecewise-constant controlled evolution of vectorized states.
+"""Piecewise-constant controlled evolution of vectorized states and their
+exact frequency derivative.
 
 The encoding time T is divided into K slices; slice k evolves under
 exp(L[k] dt) with L[k] built from H[k] = omega0*G + sum_l u_l[k] H_l and the
@@ -15,13 +16,13 @@ because the coordinates are entries of rho, so a state converts to them and
 back without rounding: a schedule run slice by slice through
 :meth:`SlicedDynamics.evolve` ends bit for bit where one call does.
 
-The frequency derivative is exact: with A = omega0*D + G + sum_l u_l C_l,
-the block [[A, 0], [D, A]] exponentiates to [[exp(A t), 0], [d/domega0
-exp(A t), exp(A t)]] (Van Loan 1978, IEEE TAC 23:395), so one propagation of
-these 8x8 blocks gives the state and its derivative together. Each run of
-equal consecutive rows of the amplitude grid is one exponential over the
-run's duration (a fixed scheme's constant schedule is a single run), and
-all of a call's exponentials, over every frequency, encoding time and site,
+Every propagation carries the state and its exact frequency derivative
+together: with A = omega0*D + G + sum_l u_l C_l, the block [[A, 0], [D, A]]
+exponentiates to [[exp(A t), 0], [d/domega0 exp(A t), exp(A t)]] (Van Loan
+1978, IEEE TAC 23:395), so one propagation of these 8x8 blocks gives both.
+Each run of equal consecutive rows of the amplitude grid is one exponential
+over the run's duration (a fixed scheme's constant schedule is a single
+run), and all of a call's exponentials, over every encoding time and site,
 go through one batched call to scipy's Pade kernels; an idle site, such as
 the ancilla, takes none.
 """
@@ -154,14 +155,14 @@ class SlicedDynamics:
     Each site's slice generator is assembled as omega0*D + G + sum_l u_l C_l
     where D is the generator of -i[G_H, .] for the site's frequency
     generator G_H, G its dissipator and C_l those of its control
-    Hamiltonians: real 4x4 matrices in the basis of ``_COORDINATES``,
-    built once per model, so a propagation only combines them; with the
-    frequency derivative each is also built once as its 8x8 Van Loan block.
-    The register's generator is the Kronecker sum of its sites', so a
-    slice's propagator is the Kronecker product of theirs, and every register
-    takes the same kernel call, on the state's coordinates in site-product
-    order (see ``_kern.propagate_schedule``); an idle site takes no
-    exponential. ``drift_super``, ``noise_super``, ``control_supers`` and
+    Hamiltonians: real 4x4 matrices in the basis of ``_COORDINATES``, kept
+    only as their 8x8 Van Loan blocks, built once per model, so that a
+    propagation only combines them. The register's generator is the
+    Kronecker sum of its sites', so a slice's propagator is the Kronecker
+    product of theirs, and every register takes the same kernel call, on
+    the state's coordinates in site-product order (see
+    ``_kern.propagate_schedule``); an idle site takes no exponential.
+    ``drift_super``, ``noise_super``, ``control_supers`` and
     :meth:`constant_generator` are the same pieces on the whole register,
     complex d^2 x d^2 matrices on column-stacked states, built on first use
     for reference: no propagation uses them.
@@ -170,22 +171,22 @@ class SlicedDynamics:
     def __init__(self, model: EncodingModel):
         self.model = model
         self.dim = model.dim
-        self._sites = [tuple(_real_superop(piece)
-                             for piece in _superops(s.generator, s.control_hams, s.channel))
-                       for s in model.sites]
-        # the same pieces as Van Loan blocks: omega0*[[D, 0], [0, D]] + [[G, 0], [D, G]]
-        # is bit for bit the block of omega0*D + G
-        self._blocks = [(_van_loan(D), _van_loan(G, D), _van_loan(C)) for D, G, C in self._sites]
+        # omega0*[[D, 0], [0, D]] + [[G, 0], [D, G]] is bit for bit the block of omega0*D + G
+        self._blocks = []
+        for s in model.sites:
+            D, G, C = (_real_superop(piece)
+                       for piece in _superops(s.generator, s.control_hams, s.channel))
+            self._blocks.append((_van_loan(D), _van_loan(G, D), _van_loan(C)))
         # which amplitude columns each site takes, and whether it is idle
         bounds = np.cumsum([0] + [len(s.control_hams) for s in model.sites]).tolist()
         self._columns = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         # an idle site takes no exponential; a register keeps one site that does
-        trivial = [not (D.any() or G.any() or len(C)) for D, G, C in self._sites]
+        trivial = [not (D.any() or G.any() or len(C)) for D, G, C in self._blocks]
         self._idle = [t and not all(trivial) for t in trivial]
         # site-product order, which on one site is the state's own
         self._order = self._unorder = slice(None)
-        if len(self._sites) > 1:
-            self._order = _site_product_order(len(self._sites))
+        if len(self._blocks) > 1:
+            self._order = _site_product_order(len(self._blocks))
             self._unorder = np.argsort(self._order)
 
     @functools.cached_property
@@ -204,29 +205,21 @@ class SlicedDynamics:
     def control_supers(self) -> np.ndarray:
         return self._full_pieces[2]
 
-    def constant_generator(self, omega0: float | Sequence[float] | None = None) -> np.ndarray:
-        """omega0*D + G of the whole register at the model's frequency, or at
-        ``omega0``; a sequence of W frequencies gives a (W, m, m) stack, one
-        generator per frequency."""
-        om = np.asarray(self.model.omega0 if omega0 is None else omega0, dtype=float)
-        return om[..., None, None] * self.drift_super + self.noise_super
+    def constant_generator(self, omega0: float | None = None) -> np.ndarray:
+        """omega0*D + G of the whole register at the model's frequency, or at ``omega0``."""
+        om = self.model.omega0 if omega0 is None else omega0
+        return om * self.drift_super + self.noise_super
 
     def evolve_vectorized(self, schedule: ControlSchedule | Sequence[ControlSchedule],
-                          v0: np.ndarray,
-                          omega0: float | Sequence[float] | np.ndarray | None = None,
-                          derivative: bool = False):
-        """The vectorized state after ``schedule`` acts on ``v0``, from one
-        kernel call; with ``derivative``, the pair of it and its exact
-        derivative in omega0, from the same call.
+                          v0: np.ndarray, omega0: float | None = None):
+        """The vectorized state after ``schedule`` acts on ``v0`` and its exact
+        derivative in omega0, as a pair from one kernel call, at the model's
+        frequency or at ``omega0``.
 
-        ``omega0`` is a frequency (default: the model's) or a sequence of W
-        frequencies; a sequence propagates the schedule at each of them and
-        returns a (W, d^2) array, row w bit for bit the call at ``omega0[w]``
-        alone. ``schedule`` may also be a sequence of N schedules on one
-        amplitude grid, each with its own total time; ``omega0`` is then the
-        model's frequency for each, giving (N, d^2), or an (N, W) array, a row
-        of frequencies per schedule, giving (N, W, d^2); every state is bit
-        for bit its own call's.
+        ``schedule`` may also be a sequence of N schedules on one amplitude
+        grid, each with its own total time, such as a fixed scheme's
+        schedule at N encoding times: the states and derivatives are then
+        (N, d^2) stacks, each row bit for bit its own call's.
         """
         single = isinstance(schedule, ControlSchedule)
         schedules = [schedule] if single else list(schedule)
@@ -238,51 +231,41 @@ class SlicedDynamics:
             raise ValueError(
                 f"schedule has {amps.shape[1]} fields but the model has "
                 f"{self.model.n_controls} control Hamiltonians")
-        om = np.asarray(self.model.omega0 if omega0 is None else omega0, dtype=float)
-        if single:
-            dt = schedule.dt
-        else:
-            if not om.ndim:
-                om = np.full(len(schedules), om)
-            # each generator takes the slice length of its row's schedule
-            dt = np.array([s.dt for s in schedules]).repeat(om.size // len(schedules))
-        pieces = self._blocks if derivative else self._sites
-        n = len(pieces)
+        # one generator per schedule, each with its schedule's slice length
+        om = np.full(len(schedules), float(self.model.omega0 if omega0 is None else omega0))
+        dt = np.array([s.dt for s in schedules])
+        n = len(self._blocks)
         x = _change_basis(_COORDINATES, np.asarray(v0)[self._order].reshape((4,) * n), n)
         if not x.imag.any():
             x = x.real
-        if derivative:
-            # the state in the first half of every site's axis, and no derivative
-            x0, x = x, np.zeros((8,) * n, dtype=x.dtype)
-            x[(slice(4),) * n] = x0
+        # the state in the first half of every site's axis, and no derivative
+        x0, x = x, np.zeros((8,) * n, dtype=x.dtype)
+        x[(slice(4),) * n] = x0
         v = _kern.propagate_schedule(
-            tuple(None if idle else (om[..., None, None] * D + G).reshape(-1, *D.shape)
-                  for (D, G, _), idle in zip(pieces, self._idle)),
-            tuple(C for _, _, C in pieces), tuple(amps[:, cols] for cols in self._columns),
+            tuple(None if idle else om[:, None, None] * D + G
+                  for (D, G, _), idle in zip(self._blocks, self._idle)),
+            tuple(C for _, _, C in self._blocks), tuple(amps[:, cols] for cols in self._columns),
             dt, x.ravel()).reshape((-1,) + x.shape)
-        if not derivative:
-            v = v[:, None]
-        elif n == 1:
+        if n == 1:
             v = v.reshape(-1, 2, 4)  # [x; dx]
         else:
             # [[U0 X U1^T, U0 X dU1^T], [dU0 X U1^T, dU0 X dU1^T]], one dual number
             # per site: the two first-order blocks add up to dX, and their
             # product, the last block, is dropped
             v = np.stack([v[:, :4, :4], v[:, :4, 4:] + v[:, 4:, :4]], axis=1)
-        v = _change_basis(_OPERATORS, v, n).reshape(len(v), -1, self.dim ** 2)[..., self._unorder]
-        shape = om.shape + (self.dim ** 2,)
-        states = v[:, 0].reshape(shape)
-        return (states, v[:, 1].reshape(shape)) if derivative else states
+        v = _change_basis(_OPERATORS, v, n).reshape(len(v), 2, self.dim ** 2)[..., self._unorder]
+        states, derivatives = v[:, 0], v[:, 1]
+        return (states[0], derivatives[0]) if single else (states, derivatives)
 
-    def evolve(self, schedule: ControlSchedule, rho0: np.ndarray,
-               omega0: float | Sequence[float] | None = None):
-        """The density matrix after ``schedule`` acts on ``rho0``, checked by
-        :func:`check_evolved_state`; a sequence of frequencies gives a list of
-        checked states, one per frequency, from one kernel call."""
-        rho = unvectorize(self.evolve_vectorized(
-            schedule, vectorize(np.asarray(rho0, dtype=complex)), omega0))
+    def evolve(self, schedule: ControlSchedule, rho0: np.ndarray, omega0: float | None = None):
+        """The density matrix after ``schedule`` acts on ``rho0``, at the
+        model's frequency or at ``omega0``: the state half of
+        :meth:`evolve_vectorized`, checked by :func:`check_evolved_state`."""
+        v, _ = self.evolve_vectorized(schedule, vectorize(np.asarray(rho0, dtype=complex)),
+                                      omega0)
+        rho = unvectorize(v)
         check_evolved_state(rho)
-        return list(rho) if rho.ndim == 3 else rho
+        return rho
 
 
 def evolved_state_faults(rho: np.ndarray) -> list[str | None]:

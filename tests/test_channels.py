@@ -6,10 +6,8 @@ from lindmet.channels import (DEFAULT_RATES, SCENARIOS, SIGMA_X, SIGMA_Y,
                               SIGMA_Z, EncodingModel, Site, _require_rate,
                               amplitude_damping,
                               ancilla_extend, build_scenario,
-                              frequency_generator, parallel_dephasing,
-                              transverse_dephasing,
-                              two_qubit_uncorrelated_dephasing)
-from lindmet.liouville import dissipator_superop, unvectorize, vectorize
+                              parallel_dephasing, transverse_dephasing)
+from lindmet.liouville import NoiseChannel, dissipator_superop, unvectorize, vectorize
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
@@ -73,9 +71,15 @@ class TestParallelDephasing:
             parallel_dephasing(-1.0)
 
 
+def two_qubit_dephasing(gamma1, gamma2):
+    """The full-register channel of the two-qubit scenario."""
+    return build_scenario("parallel-dephasing-2q", 0.0,
+                          {"gamma1": gamma1, "gamma2": gamma2}).channel
+
+
 class TestTwoQubitDephasing:
     def test_operator_forms(self):
-        ch = two_qubit_uncorrelated_dephasing(10.0, 10.0)
+        ch = two_qubit_dephasing(10.0, 10.0)
         assert np.array_equal(ch.lindblad_ops[0], np.kron(SIGMA_Z, np.eye(2)) / np.sqrt(2))
         assert np.array_equal(ch.lindblad_ops[1], np.kron(np.eye(2), SIGMA_Z) / np.sqrt(2))
 
@@ -86,7 +90,7 @@ class TestTwoQubitDephasing:
         psi[0] = psi[3] = 1 / np.sqrt(2)
         bell = np.outer(psi, psi.conj())
         for t in (0.1 / rate, 1.0 / rate, 3.0 / rate):
-            rho = propagate_noise_only(two_qubit_uncorrelated_dephasing(g1, g2), bell, t)
+            rho = propagate_noise_only(two_qubit_dephasing(g1, g2), bell, t)
             assert abs(rho[0, 3] - 0.5 * np.exp(-rate * t)) <= 1e-10
 
     def test_idle_qubit_untouched(self):
@@ -95,11 +99,11 @@ class TestTwoQubitDephasing:
         rho2 = np.diag(a / a.sum()).astype(complex)
         rho2[0, 1] = rho2[1, 0] = 0.1
         product = np.kron(PLUS, rho2)
-        out = propagate_noise_only(two_qubit_uncorrelated_dephasing(10.0, 0.0), product, 0.5)
+        out = propagate_noise_only(two_qubit_dephasing(10.0, 0.0), product, 0.5)
         assert np.max(np.abs(partial_trace_first(out) - rho2)) <= 1e-12
 
     def test_marginal_decay_matches_single_qubit(self):
-        ch = two_qubit_uncorrelated_dephasing(10.0, 10.0)
+        ch = two_qubit_dephasing(10.0, 10.0)
         out = propagate_noise_only(ch, np.kron(PLUS, PLUS), 0.1)
         marg = partial_trace_second(out)
         assert abs(marg[0, 1] - 0.5 * np.exp(-1.0)) <= 1e-10
@@ -150,21 +154,29 @@ class TestAmplitudeDamping:
 
 
 class TestFrequencyEncoding:
+    """The drift omega0 * G of every scenario: sigma_z/2 on each qubit."""
+
     def test_single_qubit(self):
-        H = 2 * np.pi * frequency_generator(1)
-        assert np.allclose(H, np.diag([np.pi, -np.pi]))
+        for name in SCENARIOS:
+            if name != "parallel-dephasing-2q":
+                H = 2 * np.pi * build_scenario(name, 1.0).generator
+                assert np.allclose(H, np.diag([np.pi, -np.pi]))
 
     def test_two_qubit(self):
-        H = 2 * np.pi * frequency_generator(2)
+        H = 2 * np.pi * build_scenario("parallel-dephasing-2q", 1.0).generator
         assert np.allclose(H, np.diag([2 * np.pi, 0.0, 0.0, -2 * np.pi]))
 
     def test_nmr_operating_point(self):
-        H = 60 * 2 * np.pi * frequency_generator(1)
+        H = 60 * 2 * np.pi * build_scenario("parallel-dephasing-1q", 1.0).generator
         assert np.allclose(H, np.diag([60 * np.pi, -60 * np.pi]))
 
     def test_unsupported_count(self):
-        with pytest.raises(ValueError):
-            frequency_generator(3)
+        # a register is one site or two, checked at construction, not at
+        # its first propagation
+        site = Site(SIGMA_Z / 2)
+        for sites in ((), (site,) * 3):
+            with pytest.raises(ValueError, match=f"one site or two, got {len(sites)}"):
+                EncodingModel(2.0, sites)
 
 
 class TestAncillaExtend:
@@ -244,28 +256,32 @@ class TestScenarios:
 
     def test_non_hermitian_control_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            EncodingModel(1, 1.0, SIGMA_Z / 2, (np.array([[0, 1], [0, 0]]),),
-                          parallel_dephasing(1.0))
+            EncodingModel(2.0, [Site(SIGMA_Z / 2, (np.array([[0, 1], [0, 0]]),),
+                                     parallel_dephasing(1.0))])
 
 
 class TestSites:
     def test_one_qubit_model_is_its_own_site(self):
         m = build_scenario("amplitude-damping", 2 * np.pi)
         (site,) = m.sites
-        assert site.generator is m.generator and site.channel is m.channel
-        assert all(a is b for a, b in zip(site.control_hams, m.control_hams))
+        assert m.n_qubits == 1 and m.dim == 2 and m.n_controls == 2
+        # the full register of one site is that site's own operators
+        assert np.array_equal(m.generator, site.generator)
+        assert all(map(np.array_equal, m.control_hams, site.control_hams))
+        assert m.channel.rates == site.channel.rates
+        assert all(map(np.array_equal, m.channel.lindblad_ops, site.channel.lindblad_ops))
 
     def test_two_qubit_scenario_is_two_sites(self):
         m = build_scenario("parallel-dephasing-2q", 2 * np.pi, {"gamma1": 3.0})
         assert [s.channel.rates for s in m.sites] == [(3.0,), (10.0,)]
         for site in m.sites:
-            assert np.array_equal(site.generator, frequency_generator(1))
+            assert np.array_equal(site.generator, SIGMA_Z / 2)
             assert len(site.control_hams) == 2
         # the full register is the sum of the sites, controls in site order
-        assert np.array_equal(m.generator, frequency_generator(2))
-        ref = two_qubit_uncorrelated_dephasing(3.0, 10.0)
-        assert m.channel.rates == ref.rates
-        assert all(map(np.array_equal, m.channel.lindblad_ops, ref.lindblad_ops))
+        assert np.array_equal(m.generator, np.kron(SIGMA_Z / 2, np.eye(2))
+                              + np.kron(np.eye(2), SIGMA_Z / 2))
+        assert m.channel.rates == (3.0, 10.0)
+        assert np.array_equal(m.channel.lindblad_ops[1], np.kron(np.eye(2), SIGMA_Z) / np.sqrt(2))
         assert np.array_equal(m.control_hams[3], np.kron(np.eye(2), SIGMA_Y / 2))
 
     def test_ancilla_is_an_idle_site(self):
@@ -276,17 +292,26 @@ class TestSites:
         assert np.array_equal(ext.control_hams[0], np.kron(SIGMA_Z / 2, np.eye(2)))
 
     def test_register_is_given_by_its_sites(self):
-        sites = build_scenario("parallel-dephasing-2q", 1.0).sites
-        m = EncodingModel.from_sites(1.0, sites)
-        with pytest.raises(ValueError, match="not both"):
-            EncodingModel(2, 1.0, m.generator, m.control_hams, m.channel, sites=sites)
-        with pytest.raises(ValueError, match="built from its sites"):
-            EncodingModel(2, 1.0, m.generator, m.control_hams, m.channel)
-        with pytest.raises(ValueError, match="2 sites do not make 1 qubits"):
-            EncodingModel(1, 1.0, None, (), None, sites=sites)
+        ref = build_scenario("parallel-dephasing-2q", 2.0, {"gamma1": 3.0})
+        m = EncodingModel(2.0, iter(ref.sites))
+        assert all(a is b for a, b in zip(m.sites, ref.sites))
+        assert len(m.sites) == m.n_qubits == 2 and m.dim == 4
+        assert m.n_controls == 4
+        assert np.array_equal(m.generator, ref.generator)
+        assert m.channel.rates == ref.channel.rates
+        # the full-register operators are built once, on first use
+        assert m.control_hams is m.control_hams
 
     def test_site_is_one_qubit(self):
         with pytest.raises(ValueError, match="one qubit"):
             Site(np.eye(4))
+        # the shape is checked before the Hermiticity test could fail to broadcast
+        with pytest.raises(ValueError, match=r"one qubit, got a \(2, 3\) control"):
+            Site(SIGMA_Z, (np.zeros((2, 3)),))
         with pytest.raises(ValueError, match="Hermitian"):
             Site(SIGMA_Z, (np.array([[0, 1], [0, 0]]),))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and Hermitian"):
+                Site(np.array([[bad, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="noise channel dimension"):
+            Site(SIGMA_Z, (), NoiseChannel((np.eye(4),), (1.0,)))

@@ -236,23 +236,33 @@ class TestNmrProtocol:
 
     def test_file_schema_and_grid(self, tmp_path, monkeypatch):
         from lindmet import _kern
+        from lindmet.propagation import SlicedDynamics
 
-        depths = []
-        real = _kern.propagate_schedule
+        depths, evolve_depths = [], []
+        real, real_evolve = _kern.propagate_schedule, SlicedDynamics.evolve
 
         def spy(L0, *args):
             # the qubit's drift stack; a model passes its sites as a tuple
             depths.append(len(L0[0]))
             return real(L0, *args)
 
+        def evolve_spy(*args, **kwargs):
+            start = len(depths)
+            out = real_evolve(*args, **kwargs)
+            evolve_depths.append(depths[start:])
+            return out
+
         monkeypatch.setattr(_kern, "propagate_schedule", spy)
+        monkeypatch.setattr(SlicedDynamics, "evolve", evolve_spy)
         cfg = self._config()
         path = run_nmr_protocol(cfg, out=tmp_path / "nmr.csv")
         # each scheme's fixed schedule propagates one Van Loan block per
         # encoding time, all 3 in one call, each searched QFI one block, and
-        # each row's fidelity pair omega0 and omega0 + delta in another call
-        assert set(depths) == {3, 1, 2}
-        assert depths.count(3) == 2 and depths.count(2) == 2 * 3
+        # each row's fidelity pair omega0 and omega0 + delta one block each,
+        # in a call of its own
+        assert set(depths) == {3, 1}
+        assert depths.count(3) == 2
+        assert evolve_depths == [[1]] * (2 * 2 * 3)
         _, data = read_result_file(path)
         header = data[0].split(",")
         assert header == ["scheme", "T_s", "qfi_s2", "qfi_fidelity_s2",
@@ -778,3 +788,18 @@ class TestBlasThreads:
         seen = self._import_lindmet(OPENBLAS_NUM_THREADS="2")
         assert seen.pop("OPENBLAS_NUM_THREADS") == "2"
         assert set(seen.values()) == {"1"}
+
+
+class TestPackageExports:
+    """Every public name resolves, so a function deleted but left in
+    ``__all__`` fails here."""
+
+    def test_every_exported_name_resolves(self):
+        assert len(set(lindmet.__all__)) == len(lindmet.__all__)
+        missing = [name for name in lindmet.__all__ if not hasattr(lindmet, name)]
+        assert missing == []
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from lindmet import *", namespace)
+        assert set(lindmet.__all__) <= set(namespace)

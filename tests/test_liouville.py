@@ -161,8 +161,11 @@ class TestLindbladian:
 
 class TestNoiseChannel:
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseChannel((SIGMA_Z,), (-1.0,))
+        # NaN and inf too, at construction, before a dissipator or a
+        # propagation sees them
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                NoiseChannel((SIGMA_Z,), (bad,))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lindmet.channels import (SIGMA_Z, EncodingModel, build_scenario,
+from lindmet.channels import (SIGMA_Z, EncodingModel, Site, build_scenario,
                               parallel_dephasing)
 from lindmet.metrology import (MetrologyError, drho_domega, qfi_eigen,
                                qfi_fidelity, sensitivity, uhlmann_fidelity)
@@ -38,8 +38,8 @@ def noiseless_model(omega0=OMEGA0):
 
 class TestDrho:
     def test_parameter_independent_dynamics(self):
-        model = EncodingModel(1, OMEGA0, np.zeros((2, 2)), (SIGMA_Z / 2,),
-                              parallel_dephasing(3.0))
+        model = EncodingModel(OMEGA0, [Site(np.zeros((2, 2)), (SIGMA_Z / 2,),
+                                            parallel_dephasing(3.0))])
         s = ControlSchedule.zero(2, 1, 0.3)
         _, d = drho_domega(SlicedDynamics(model), s, plus_state(1))
         assert np.array_equal(d, np.zeros((2, 2)))
@@ -224,8 +224,10 @@ class TestQfiFidelity:
         assert abs(est - eig) / eig <= 0.01
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            qfi_fidelity(plus_state(1), plus_state(1), 0.0)
+        # unchecked, NaN would return NaN and inf a QFI of 0.0
+        for bad in (0.0, -0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                qfi_fidelity(plus_state(1), plus_state(1), bad)
 
 
 class TestSensitivity:

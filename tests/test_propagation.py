@@ -77,7 +77,7 @@ def one_slice_propagator(dyn, amplitudes, dt):
     """exp(L dt) of a one-slice schedule, column by column from evolve_vectorized."""
     s = ControlSchedule(np.atleast_2d(np.asarray(amplitudes, dtype=float)), dt)
     basis = np.eye(dyn.dim ** 2, dtype=complex)
-    return np.column_stack([dyn.evolve_vectorized(s, e) for e in basis])
+    return np.column_stack([dyn.evolve_vectorized(s, e)[0] for e in basis])
 
 
 class TestSliceBuild:
@@ -131,24 +131,40 @@ class TestEvolve:
         assert np.array_equal(a, b)
         c = dyn.evolve(s, plus_state(1), omega0=OMEGA0 + 0.5)
         assert np.max(np.abs(a - c)) > 1e-6
-        # a sequence of frequencies gives the same states, bit for bit
-        pair = dyn.evolve(s, plus_state(1), (OMEGA0, OMEGA0 + 0.5))
-        assert np.stack(pair).tobytes() == np.stack([a, c]).tobytes()
+        # an override is the model built at that frequency, bit for bit
+        other = SlicedDynamics(model_with(omega0=OMEGA0 + 0.5, gamma=10.0))
+        assert c.tobytes() == other.evolve(s, plus_state(1)).tobytes()
 
     def test_schedules_at_several_times(self):
-        # one amplitude grid at three total times, each at two frequencies
+        # one amplitude grid at three total times, at one frequency
         dyn = dynamics(gamma=10.0)
         amps = np.random.default_rng(4).uniform(-20, 20, (3, 2))
         scheds = [ControlSchedule(amps, T) for T in (0.05, 0.1, 0.4)]
-        omegas = OMEGA0 + np.array([[0.0, 0.5], [0.0, 0.25], [0.1, 0.0]])
         v0 = vectorize(plus_state(1))
-        got = dyn.evolve_vectorized(scheds, v0, omegas)
-        assert got.shape == (3, 2, 4)
-        for s, om, row in zip(scheds, omegas, got):
-            assert row.tobytes() == dyn.evolve_vectorized(s, v0, om).tobytes()
+        states, derivatives = dyn.evolve_vectorized(scheds, v0, OMEGA0 + 0.5)
+        assert states.shape == derivatives.shape == (3, 4)
+        for s, v, dv in zip(scheds, states, derivatives):
+            one, done = dyn.evolve_vectorized(s, v0, OMEGA0 + 0.5)
+            assert v.tobytes() == one.tobytes() and dv.tobytes() == done.tobytes()
         other = ControlSchedule(amps + 1.0, 0.2)
         with pytest.raises(ValueError, match="one amplitude grid"):
-            dyn.evolve_vectorized(scheds + [other], v0, np.full((4, 2), OMEGA0))
+            dyn.evolve_vectorized(scheds + [other], v0)
+
+    @pytest.mark.parametrize("name", ["parallel-dephasing-1q", "parallel-dephasing-2q",
+                                      "ancilla"])
+    def test_state_is_the_qfi_path_state(self, name):
+        # evolve and the QFI take one path: evolve's state is the state half
+        # of drho_domega's, bit for bit
+        from lindmet.metrology import drho_domega
+
+        model = (ancilla_extend(model_with("amplitude-damping")) if name == "ancilla"
+                 else model_with(name))
+        dyn = SlicedDynamics(model)
+        amps = np.random.default_rng(len(name)).uniform(-40, 40, (6, model.n_controls))
+        amps[3] = amps[2]
+        s = ControlSchedule(amps, 0.3)
+        rho0 = plus_state(1) if model.dim == 2 else ghz_state(2)
+        assert dyn.evolve(s, rho0).tobytes() == drho_domega(dyn, s, rho0)[0].tobytes()
 
     def test_field_count_mismatch_rejected(self):
         for s in (ControlSchedule(np.ones((2, 3)), 0.1), ControlSchedule.zero(2, 3, 0.1)):
@@ -528,9 +544,8 @@ class TestSiteFactorisation:
         amps = runs_schedule(np.random.default_rng(len(name)), 20, model.n_controls,
                              len(model.sites[0].control_hams))
         v0 = vectorize(ghz_state(2))
-        omegas = OMEGA0 + np.array([0.0, 1e-3, -1e-3])
-        got = dyn.evolve_vectorized(ControlSchedule(amps, T), v0, omegas)
-        for v, om in zip(got, omegas):
+        for om in OMEGA0 + np.array([0.0, 1e-3, -1e-3]):
+            v, _ = dyn.evolve_vectorized(ControlSchedule(amps, T), v0, om)
             assert np.max(np.abs(v - lindbladian_reference(model, amps, T, v0, om))) <= 1e-12
 
     @pytest.mark.parametrize("name", TWO_SITE_MODELS)
