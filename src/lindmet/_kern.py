@@ -5,38 +5,31 @@ qubits, or a qubit and an idle ancilla. The register's generator is the
 Kronecker sum of its sites', so a slice's propagator is the Kronecker
 product of theirs (Van Loan, "The ubiquitous Kronecker product", J. Comput.
 Appl. Math. 123:85, 2000), and only the sites' own generators are
-exponentiated; an idle site takes none. The kernel does not care what the
-generators are: the package passes real 8x8 Van Loan blocks, a qubit's
-superoperators in a Hermitian operator basis that also carry the frequency
-derivative (see :mod:`lindmet.propagation`), and ``bench/`` passes complex
-16x16 ones. The arithmetic follows the inputs' dtype: real stays real,
-complex stays complex.
+exponentiated; an idle site takes none. The generators may be real, as the
+package's 8x8 Van Loan blocks are (see :mod:`lindmet.propagation`), or
+complex; the arithmetic follows their dtype. ``register_arrays`` checks the
+inputs, and ``propagate_register`` steps them: a prepared probe runs the
+checks once, then only the stepping for each amplitude grid.
 
 A run of R equal consecutive rows of the register's amplitude grid is one
 constant generator, exponentiated once over the run's whole duration, exp(R
-dt A), and applied in one step; a constant schedule, or a model without
-controls, is a single run. Given a stack of W drift generators it
-propagates the same schedule under each, and each may have its own slice
-length, so that one call covers the same schedule at several encoding
-times: the runs are found once, and the W generators of every run of every
-site go through one batched call, ``expm_stack``, whose results are bit for
-bit those of ``scipy.linalg.expm`` on each slice. ``scipy.linalg.expm``
-walks a stack in Python one slice at a time, and on small slices most of
-its time goes to that per-slice dispatch. ``expm_stack`` sorts the slices
-as ``scipy.linalg.expm`` does, by their nonzero entries below and above the
-diagonal. A generic slice, one with entries on both sides, goes through
+dt A), and applied in one step; a constant schedule is a single run. Given
+W drift generators, each with its own slice length, one call propagates the
+same schedule under each, so it covers several encoding times: the W
+generators of every run of every site go through one ``expm_stack`` call,
+bit for bit ``scipy.linalg.expm`` on each slice. ``expm_stack`` sorts the
+slices as scipy does, by their nonzero entries below and above the
+diagonal. A generic slice, as every slice a run exponentiates is, takes
 scipy's own Pade kernels (``pick_pade_structure`` and ``pade_UV_calc`` from
-the private ``scipy.linalg._matfuncs_expm``), one slice at a time in one
-reused buffer, and the slices that share a squaring count are squared as
-one stacked product. Every slice a run exponentiates is generic; a
-diagonal or triangular slice, which scipy treats apart, goes to
-``scipy.linalg.expm`` itself.
+the private ``scipy.linalg._matfuncs_expm``) in its own work block, so
+those two calls are nearly all of its per-slice Python; the slices that
+share a squaring count are squared as one stacked product. A diagonal or
+triangular slice goes to ``scipy.linalg.expm`` itself.
 
-A private module and a copy of scipy's Python branch are no stable
-interface, so a probe at import checks on generic complex and real slices
-(see ``_pade_kernels_match``) that ``expm_stack`` reproduces
-``scipy.linalg.expm`` bit for bit; if it does not, every stack goes whole
-to ``scipy.linalg.expm``.
+A private module is no stable interface, so a probe at import checks on
+generic complex and real slices (see ``_pade_kernels_match``) that
+``expm_stack`` reproduces ``scipy.linalg.expm`` bit for bit; if it does
+not, every stack goes whole to ``scipy.linalg.expm``.
 """
 import functools
 
@@ -63,37 +56,32 @@ def expm_stack(A):
     bit for bit ``scipy.linalg.expm`` applied to each slice."""
     if not _PADE_KERNELS:
         return scipy.linalg.expm(A)
-    out = np.empty(A.shape, dtype=A.dtype)
     # scipy's expm sorts a slice by its strict lower and upper parts: both
     # nonzero is generic, and only a generic slice takes the Pade kernels
     nonzero = A != 0
     lower, upper = _strict_triangles(A.shape[-1])
-    generic = ((nonzero & lower).any(axis=(1, 2)) & (nonzero & upper).any(axis=(1, 2))).tolist()
-
-    special = []
+    generic = (nonzero & lower).any(axis=(1, 2)) & (nonzero & upper).any(axis=(1, 2))
+    # every slice in the first matrix of its own work block, as scipy's is
+    work = np.empty((len(A), 5) + A.shape[1:], dtype=A.dtype)
+    work[:, 0] = A
     groups = {}  # squarings -> slices
-    work = np.empty((5,) + A.shape[1:], dtype=A.dtype)
-    for k, (a, is_generic) in enumerate(zip(A, generic)):
-        if not is_generic:
-            special.append(k)
-            continue
-        work[0] = a
-        order, s = _matfuncs_expm.pick_pade_structure(work)
+    for k in np.flatnonzero(generic).tolist():
+        w = work[k]
+        order, s = _matfuncs_expm.pick_pade_structure(w)
         if order < 0:
             raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
                               f"while trying to compute the Pade structure (error code {order}).")
-        info = _matfuncs_expm.pade_UV_calc(work, order)
+        info = _matfuncs_expm.pade_UV_calc(w, order)
         if info != 0:
             if info <= -11:
                 raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
                                   f"while trying to compute the exponential (error code {info}).")
             raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the "
                                f"exponential computation (error code {info})")
-        out[k] = work[0]
         groups.setdefault(s, []).append(k)
-
-    if special:
-        out[special] = scipy.linalg.expm(A[special])
+    out = work[:, 0].copy()
+    if not generic.all():
+        out[~generic] = scipy.linalg.expm(A[~generic])
     # the squarings of all slices that need the same number, as one stacked product
     for s, group in groups.items():
         if s:
@@ -150,6 +138,30 @@ def _site_arrays(L0, ctrls, amps, dt):
     return drifts, ctrls, amps
 
 
+def register_arrays(L0, ctrls, amps, dt, v0):
+    """The register inputs of :func:`propagate_schedule`, checked against each
+    other, as the arrays :func:`propagate_register` takes: per site a (W, m, m)
+    drift stack (None if idle), controls and (K, L) amplitudes; dt; v0."""
+    if not (len(L0) == len(ctrls) == len(amps) and len(L0) in (1, 2)):
+        raise ValueError("a register has one site or two, with a drift, controls "
+                         "and amplitudes for each")
+    dt = np.asarray(dt, dtype=np.float64)
+    sites = [(None, C, a) if D is None else _site_arrays(D, C, a, dt)
+             for D, C, a in zip(L0, ctrls, amps)]
+    drifts = [D for D, _, _ in sites if D is not None]
+    if not drifts:
+        raise ValueError("a register needs a site that is not idle")
+    # there are at most two sites, so the last must match the first
+    if drifts[-1].shape != drifts[0].shape:
+        raise ValueError("the sites' drift stacks must have one shape")
+    if len(amps[-1]) != len(amps[0]):
+        raise ValueError("the sites' amplitude grids must have one row per slice")
+    v0 = np.asarray(v0)
+    if v0.shape != (drifts[0].shape[-1] ** len(L0),):
+        raise ValueError("state vector length does not match the register")
+    return (*zip(*sites), dt, v0)
+
+
 def propagate_schedule(L0, ctrls, amps, dt, v0):
     """Apply exp((L0 + sum_l amps[k,l]*ctrls[l]) * dt) to v0 for k = 0..K-1
     and return the final vector.
@@ -165,12 +177,20 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     for n sites; a bare ``L0`` is a register of one site. Site s brings its
     drift, or a stack of W, in ``L0[s]`` (None for an idle site, one without
     drift, noise or controls: its propagator is the identity), its control
-    generators ``ctrls[s]`` and its amplitude columns ``amps[s]``. The
-    register's generator is the Kronecker sum of its sites', so a slice's
-    propagator is the Kronecker product P0 (x) P1 of theirs. On two sites
-    ``v0`` is in site-product order, index p0 * m + p1 for the sites' own
-    indices, so that it is an m x m matrix X that a slice maps to
-    P0 X P1^T.
+    generators ``ctrls[s]`` and its amplitude columns ``amps[s]``. On two
+    sites ``v0`` is in site-product order, index p0 * m + p1 for the sites'
+    own indices, so that it is an m x m matrix X that a slice maps to
+    P0 X P1^T, P0 (x) P1 being the slice's propagator.
+    """
+    if not isinstance(L0, tuple):
+        v = propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
+        return v if np.ndim(L0) == 3 else v[0]
+    return propagate_register(*register_arrays(L0, ctrls, amps, dt, v0))
+
+
+def propagate_register(L0, ctrls, amps, dt, v0):
+    """:func:`propagate_schedule` on a register, unchecked: its inputs are
+    what :func:`register_arrays` makes of them.
 
     Every call takes the same steps: the register's runs of equal
     consecutive rows are found once, the first row of each run gives every
@@ -183,26 +203,9 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     batched product with its propagators, and on two sites X U1^T is the
     final state. The result is real when the generators and v0 are.
     """
-    if not isinstance(L0, tuple):
-        v = propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
-        return v if np.ndim(L0) == 3 else v[0]
-    if not (len(L0) == len(ctrls) == len(amps) and len(L0) in (1, 2)):
-        raise ValueError("a register has one site or two, with a drift, controls "
-                         "and amplitudes for each")
-    dt = np.asarray(dt, dtype=np.float64)
-    sites = [_site_arrays(D, C, a, dt) for D, C, a in zip(L0, ctrls, amps) if D is not None]
-    if not sites:
-        raise ValueError("a register needs a site that is not idle")
-    # there are at most two sites, so the last must match the first
+    sites = [(D, C, a) for D, C, a in zip(L0, ctrls, amps) if D is not None]
     W, m = sites[0][0].shape[:2]
-    if sites[-1][0].shape != (W, m, m):
-        raise ValueError("the sites' drift stacks must have one shape")
-    K = len(amps[0])
-    if len(amps[-1]) != K:
-        raise ValueError("the sites' amplitude grids must have one row per slice")
-    v0 = np.asarray(v0)
-    if v0.shape != (m ** len(L0),):
-        raise ValueError("state vector length does not match the register")
+    K = len(sites[0][2])
 
     # the rows that start a run of equal rows on any site, and the runs'
     # lengths; 0.0 == -0.0 here, and the masked add below skips both
@@ -214,20 +217,18 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     R = len(starts)
     lengths = np.append(starts[1:], K) - starts
 
-    # each generator is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order and
-    # skipping zero amplitudes, so it is bitwise a per-slice build
+    # each generator is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order; a
+    # zero amplitude adds -0.0 (-0.0 - 0.0j), which leaves every number as it
+    # is, so it is bitwise a per-slice build that skips zero amplitudes
     dtype = np.result_type(np.float64, *(a for D, C, _ in sites for a in (D, C)))
     A = np.empty((len(sites), W, R, m, m), dtype=dtype)
-    for i, (drifts, site_ctrls, site_amps) in enumerate(sites):
-        site_A = A[i]
+    for site_A, (drifts, site_ctrls, site_amps) in zip(A, sites):
         site_A[:] = drifts[:, None]
         first = site_amps[starts]
+        terms = first[..., None, None] * site_ctrls
+        terms[first == 0.0] = -np.zeros((), terms.dtype)
         for l in range(first.shape[1]):
-            on = first[:, l] != 0.0
-            if on.all():
-                site_A += first[:, l, None, None] * site_ctrls[l]
-            elif on.any():
-                site_A[:, on] += first[on, l, None, None] * site_ctrls[l]
+            site_A += terms[:, l]
     # a run's duration, its length times dt, scales its generator; a
     # generator that overflows here is caught below, not warned about
     duration = dt.reshape(-1, 1) * lengths

@@ -138,6 +138,8 @@ class EncodingModel:
     sites: tuple
 
     def __post_init__(self):
+        if not math.isfinite(self.omega0):
+            raise ValueError(f"omega0 must be finite, got {self.omega0}")
         sites = tuple(self.sites)
         if len(sites) not in (1, 2):
             raise ValueError(f"a register has one site or two, got {len(sites)}")

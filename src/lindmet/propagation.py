@@ -25,6 +25,10 @@ over the run's duration (a fixed scheme's constant schedule is a single
 run), and all of a call's exponentials, over every encoding time and site,
 go through one batched call to scipy's Pade kernels; an idle site, such as
 the ancilla, takes none.
+
+Every propagation runs on a :class:`PreparedProbe`, which holds what does
+not depend on the amplitudes, built once per probe, frequency and set of
+slice lengths (:meth:`SlicedDynamics.prepare`).
 """
 from __future__ import annotations
 
@@ -152,20 +156,14 @@ def _van_loan(A: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
 class SlicedDynamics:
     """Precomputed superoperator pieces of one encoding model.
 
-    Each site's slice generator is assembled as omega0*D + G + sum_l u_l C_l
-    where D is the generator of -i[G_H, .] for the site's frequency
-    generator G_H, G its dissipator and C_l those of its control
-    Hamiltonians: real 4x4 matrices in the basis of ``_COORDINATES``, kept
-    only as their 8x8 Van Loan blocks, built once per model, so that a
-    propagation only combines them. The register's generator is the
-    Kronecker sum of its sites', so a slice's propagator is the Kronecker
-    product of theirs, and every register takes the same kernel call, on
-    the state's coordinates in site-product order (see
-    ``_kern.propagate_schedule``); an idle site takes no exponential.
-    ``drift_super``, ``noise_super``, ``control_supers`` and
-    :meth:`constant_generator` are the same pieces on the whole register,
-    complex d^2 x d^2 matrices on column-stacked states, built on first use
-    for reference: no propagation uses them.
+    Each site's slice generator is omega0*D + G + sum_l u_l C_l, where D
+    generates -i[G_H, .] for the site's frequency generator G_H, G is its
+    dissipator and C_l those of its control Hamiltonians: real 4x4 matrices
+    in the basis of ``_COORDINATES``, kept only as their 8x8 Van Loan
+    blocks, built once per model. ``drift_super``, ``noise_super``,
+    ``control_supers`` and :meth:`constant_generator` are the same pieces
+    on the whole register, complex d^2 x d^2 matrices on column-stacked
+    states, built on first use for reference: no propagation uses them.
     """
 
     def __init__(self, model: EncodingModel):
@@ -210,8 +208,12 @@ class SlicedDynamics:
         om = self.model.omega0 if omega0 is None else omega0
         return om * self.drift_super + self.noise_super
 
+    def prepare(self, v0: np.ndarray, dt: Sequence[float], omega0: float | None = None):
+        """``v0`` ready to propagate over slices of each length in ``dt``."""
+        return PreparedProbe(self, v0, dt, omega0)
+
     def evolve_vectorized(self, schedule: ControlSchedule | Sequence[ControlSchedule],
-                          v0: np.ndarray, omega0: float | None = None):
+                          v0: np.ndarray | PreparedProbe, omega0: float | None = None):
         """The vectorized state after ``schedule`` acts on ``v0`` and its exact
         derivative in omega0, as a pair from one kernel call, at the model's
         frequency or at ``omega0``.
@@ -219,7 +221,8 @@ class SlicedDynamics:
         ``schedule`` may also be a sequence of N schedules on one amplitude
         grid, each with its own total time, such as a fixed scheme's
         schedule at N encoding times: the states and derivatives are then
-        (N, d^2) stacks, each row bit for bit its own call's.
+        (N, d^2) stacks, each row bit for bit its own call's. ``v0`` may be
+        prepared (:meth:`prepare`) for the schedules, at its own frequency.
         """
         single = isinstance(schedule, ControlSchedule)
         schedules = [schedule] if single else list(schedule)
@@ -231,30 +234,12 @@ class SlicedDynamics:
             raise ValueError(
                 f"schedule has {amps.shape[1]} fields but the model has "
                 f"{self.model.n_controls} control Hamiltonians")
-        # one generator per schedule, each with its schedule's slice length
-        om = np.full(len(schedules), float(self.model.omega0 if omega0 is None else omega0))
-        dt = np.array([s.dt for s in schedules])
-        n = len(self._blocks)
-        x = _change_basis(_COORDINATES, np.asarray(v0)[self._order].reshape((4,) * n), n)
-        if not x.imag.any():
-            x = x.real
-        # the state in the first half of every site's axis, and no derivative
-        x0, x = x, np.zeros((8,) * n, dtype=x.dtype)
-        x[(slice(4),) * n] = x0
-        v = _kern.propagate_schedule(
-            tuple(None if idle else om[:, None, None] * D + G
-                  for (D, G, _), idle in zip(self._blocks, self._idle)),
-            tuple(C for _, _, C in self._blocks), tuple(amps[:, cols] for cols in self._columns),
-            dt, x.ravel()).reshape((-1,) + x.shape)
-        if n == 1:
-            v = v.reshape(-1, 2, 4)  # [x; dx]
-        else:
-            # [[U0 X U1^T, U0 X dU1^T], [dU0 X U1^T, dU0 X dU1^T]], one dual number
-            # per site: the two first-order blocks add up to dX, and their
-            # product, the last block, is dropped
-            v = np.stack([v[:, :4, :4], v[:, :4, 4:] + v[:, 4:, :4]], axis=1)
-        v = _change_basis(_OPERATORS, v, n).reshape(len(v), 2, self.dim ** 2)[..., self._unorder]
-        states, derivatives = v[:, 0], v[:, 1]
+        dt = [s.dt for s in schedules]
+        if not isinstance(v0, PreparedProbe):
+            v0 = self.prepare(v0, dt, omega0)
+        elif v0.dyn is not self or v0.dt != dt or omega0 is not None:
+            raise ValueError("the probe was prepared for other dynamics or slice lengths")
+        states, derivatives = v0.propagate(amps)
         return (states[0], derivatives[0]) if single else (states, derivatives)
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray, omega0: float | None = None):
@@ -266,6 +251,45 @@ class SlicedDynamics:
         rho = unvectorize(v)
         check_evolved_state(rho)
         return rho
+
+
+class PreparedProbe:
+    """A probe at one frequency, ready to propagate over W slice lengths: its
+    coordinates in site-product order, zero-padded into the Van Loan
+    blocks' first half, and every site's W blocks of omega0*D + G, checked
+    once against the kernel's shapes."""
+
+    def __init__(self, dyn: SlicedDynamics, v0: np.ndarray, dt: Sequence[float],
+                 omega0: float | None = None):
+        self.dyn, self.dt, n = dyn, list(dt), len(dyn._blocks)
+        x = _change_basis(_COORDINATES, np.asarray(v0)[dyn._order].reshape((4,) * n), n)
+        if not x.imag.any():
+            x = x.real
+        # the state in the first half of every site's axis, and no derivative
+        x0, x = x, np.zeros((8,) * n, dtype=x.dtype)
+        x[(slice(4),) * n] = x0
+        om = np.full(len(self.dt), float(dyn.model.omega0 if omega0 is None else omega0))
+        sites = [(None if idle else om[:, None, None] * D + G, C, np.zeros((1, len(C))))
+                 for (D, G, C), idle in zip(dyn._blocks, dyn._idle)]
+        self._drifts, self._ctrls, _, self._dt, self._x = _kern.register_arrays(
+            *zip(*sites), self.dt, x.ravel())
+
+    def propagate(self, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (W, d^2) stacks of the states and their derivatives in omega0
+        after the float64 (K, L) amplitude grid ``amps`` acts, unchecked."""
+        dyn, n = self.dyn, len(self._drifts)
+        v = _kern.propagate_register(
+            self._drifts, self._ctrls, tuple(amps[:, cols] for cols in dyn._columns),
+            self._dt, self._x).reshape((-1,) + (8,) * n)
+        if n == 1:
+            v = v.reshape(-1, 2, 4)  # [x; dx]
+        else:
+            # [[U0 X U1^T, U0 X dU1^T], [dU0 X U1^T, dU0 X dU1^T]], one dual number
+            # per site: the two first-order blocks add up to dX, and their
+            # product, the last block, is dropped
+            v = np.stack([v[:, :4, :4], v[:, :4, 4:] + v[:, 4:, :4]], axis=1)
+        v = _change_basis(_OPERATORS, v, n).reshape(len(v), 2, dyn.dim ** 2)[..., dyn._unorder]
+        return v[:, 0], v[:, 1]
 
 
 def evolved_state_faults(rho: np.ndarray) -> list[str | None]:

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import EncodingModel, ancilla_extend, build_scenario
+from .liouville import unvectorize, vectorize
 from .metrology import drho_domega, qfi_eigen, sensitivity
 from .optimizer import OptimizerOptions, multi_start
-from .propagation import ControlSchedule, SlicedDynamics
+from .propagation import ControlSchedule, PreparedProbe, SlicedDynamics
 
 SCHEMES = ("standard", "ancilla", "theoretical_optimal", "control_enhanced")
 PROBES = ("default", "plus", "ghz", "bell_with_ancilla", "random_seeded")
@@ -164,17 +165,27 @@ def resolve_probe(config: SchemeConfig, dim: int) -> np.ndarray:
 
 
 def _schedule_qfi(dyn: SlicedDynamics, schedule: ControlSchedule | list[ControlSchedule],
-                  rho0: np.ndarray, checked: bool = True) -> float | np.ndarray:
-    """QFI of the frequency after ``schedule`` acts on ``rho0``, from one
-    kernel call; a list of schedules on one amplitude grid gives an array of
-    their QFIs, each bit for bit its own call's.
-
-    The control search calls this unchecked, once per objective evaluation;
-    reported values are checked, and a failure names the encoding time of the
+                  rho0: np.ndarray | PreparedProbe) -> float | np.ndarray:
+    """Checked QFI of the frequency after ``schedule`` acts on ``rho0``, which
+    may be the probe as ``dyn`` has prepared it, from one kernel call; a list
+    of schedules on one amplitude grid gives an array of their QFIs, each
+    bit for bit its own call's. A failure names the encoding time of the
     first schedule that breaks (see :func:`drho_domega`).
     """
-    rho, drho = drho_domega(dyn, schedule, rho0, checked=checked)
-    return qfi_eigen(rho, drho)
+    return qfi_eigen(*drho_domega(dyn, schedule, rho0))
+
+
+def _objective(probe: PreparedProbe, K: int, L: int):
+    """The search objective on ``probe``, prepared for one T: minus the
+    unchecked QFI of a finite, flat K x L amplitude grid. A NaN state, as
+    from a generator that overflows, scores 0."""
+    def objective(x):
+        amps = np.asarray(x, dtype=float).reshape(K, L)
+        if not np.isfinite(amps).all():
+            raise ValueError("control amplitudes must be finite")
+        v, dv = probe.propagate(amps)
+        return -qfi_eigen(unvectorize(v[0]), unvectorize(dv[0]))
+    return objective
 
 
 def _spawned_seeds(master_seed: int, count: int) -> list[int]:
@@ -217,11 +228,12 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     grids, but it can change which local optimum each point settles in.
     """
     dyn, rho0 = prepare(config)
+    v0 = vectorize(rho0)
     K, L = config.K, dyn.model.n_controls
     amplitude = -config.omega0 if config.scheme == "theoretical_optimal" else 0.0
     amps = np.full((K, L), amplitude)
     fixed = [ControlSchedule(amps, T) for T in config.time_grid]
-    qfis = _schedule_qfi(dyn, fixed, rho0).tolist()
+    qfis = _schedule_qfi(dyn, fixed, dyn.prepare(v0, [s.dt for s in fixed])).tolist()
     sensitivities = [sensitivity(q, T, config.gamma_c) for q, T in zip(qfis, config.time_grid)]
     search = config.scheme == "control_enhanced"
     if search:
@@ -233,16 +245,14 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
                                                   sensitivities)):
         evals, converged = 0, True
         if search:
-            def objective(x, T=T):
-                return -_schedule_qfi(dyn, ControlSchedule(x.reshape(K, L), T), rho0,
-                                      checked=False)
-
+            # the probe prepared for this T serves the search and the reported QFI
+            probe = dyn.prepare(v0, [sched.dt])
             opts = replace(config.optimizer, seed=seeds[i + 1])
             extra = (previous_best,) if config.warm_start and previous_best is not None else ()
-            res = multi_start(objective, np.full(K * L, -u_max), np.full(K * L, u_max),
-                              opts, extra_starts=extra)
+            res = multi_start(_objective(probe, K, L), np.full(K * L, -u_max),
+                              np.full(K * L, u_max), opts, extra_starts=extra)
             sched = ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
-            qfi = _schedule_qfi(dyn, sched, rho0)
+            qfi = _schedule_qfi(dyn, sched, probe)
             sens = sensitivity(qfi, T, config.gamma_c)
             evals, converged = res.evals, res.converged
             previous_best = res.x

@@ -302,6 +302,14 @@ class TestSites:
         # the full-register operators are built once, on first use
         assert m.control_hams is m.control_hams
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_omega0(self, bad):
+        # at construction, not at the first propagation
+        with pytest.raises(ValueError, match="omega0 must be finite"):
+            build_scenario("parallel-dephasing-1q", bad)
+        with pytest.raises(ValueError, match="omega0 must be finite"):
+            EncodingModel(bad, (Site(SIGMA_Z / 2),))
+
     def test_site_is_one_qubit(self):
         with pytest.raises(ValueError, match="one qubit"):
             Site(np.eye(4))

@@ -370,17 +370,23 @@ class TestPythonKernel:
         assert bitwise_equal(got, per_run_reference(L0, ctrls, amps, 0.05, v0))
 
     @pytest.mark.parametrize("m", [4, 16])
-    def test_signed_zero_amplitudes_skipped(self, m):
+    def test_signed_zero_amplitudes_skipped(self, m, monkeypatch):
         L0, ctrls, amps, v0 = self._problem(m, 6, 3, seed=m)
+        L0[0, 0] = complex(-0.0, -0.0)
         amps[0] = 0.0
         amps[1] = -0.0
         amps[2, 1] = -0.0
         amps[3, 0] = amps[3, 2] = 0.0
         got = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
         assert bitwise_equal(got, per_run_reference(L0, ctrls, amps, 0.05, v0))
-        # an all-zero slice evolves under L0 alone
+        # an all-zero slice evolves under L0 alone: its generator is L0 dt bit
+        # for bit, signed zeros included
+        generators = []
+        real = _kern.expm_stack
+        monkeypatch.setattr(_kern, "expm_stack", lambda A: generators.append(A.copy()) or real(A))
         first = _kern.propagate_schedule(L0, ctrls, amps[:1], 0.05, v0)
         assert bitwise_equal(first, scipy.linalg.expm(L0 * 0.05) @ v0)
+        assert bitwise_equal(generators[0][0], L0 * 0.05)
 
     @pytest.mark.parametrize("m", [4, 16])
     def test_runs_of_equal_rows(self, m, monkeypatch):

@@ -3,8 +3,9 @@ import pytest
 
 from lindmet import _kern, schemes
 from lindmet.channels import SCENARIOS
-from lindmet.optimizer import OptimizerOptions
-from lindmet.propagation import ControlSchedule, PropagationError
+from lindmet.liouville import vectorize
+from lindmet.optimizer import OptimizerOptions, multi_start
+from lindmet.propagation import ControlSchedule, PropagationError, SlicedDynamics
 from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
                              haar_random_state, plus_state, prepare, resolve_probe,
                              run_scheme)
@@ -34,7 +35,7 @@ class TestSchemeConfig:
         ("omega0", float("inf")), ("omega0", float("nan")),
         ("time_grid", (0.1, float("nan"))), ("time_grid", (0.1, float("inf"))),
         ("u_max", 0.0), ("u_max", -5.0), ("u_max", float("nan")),
-        ("gamma_c", 0.0), ("gamma_c", -1.0),
+        ("gamma_c", 0.0), ("gamma_c", -1.0), ("omega0", float("-inf")),
     ])
     def test_rejects_non_finite_and_non_positive(self, field, value):
         kw = {"time_grid": (0.1,), field: value}
@@ -274,16 +275,17 @@ class TestOneKernelCallPerQfi:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         """The shapes of each site's drift stack in each later
-        ``propagate_schedule`` call, and the number of generators each
+        ``propagate_register`` call, the kernel's stepping that every
+        propagation reaches, and the number of generators each
         ``expm_stack`` call receives."""
         shapes = []
-        real = _kern.propagate_schedule
+        real = _kern.propagate_register
 
         def spy(L0, *args):
-            shapes.append([np.shape(D) for D in L0] if isinstance(L0, tuple) else [np.shape(L0)])
+            shapes.append([np.shape(D) for D in L0])
             return real(L0, *args)
 
-        monkeypatch.setattr(_kern, "propagate_schedule", spy)
+        monkeypatch.setattr(_kern, "propagate_register", spy)
         return shapes, spy_stack_sizes(monkeypatch)
 
     def _amplitudes(self, n_fields):
@@ -331,6 +333,83 @@ class TestOneKernelCallPerQfi:
         assert shapes == [[(1, 8, 8)] * sites]
         assert sizes == [sites * (self.K - 1)]
 
+    def test_search_prepares_its_probe_once_per_time(self, monkeypatch):
+        prepared = []
+        real = SlicedDynamics.prepare
+
+        def spy(dyn, v0, dt, *args):
+            prepared.append(list(dt))
+            return real(dyn, v0, dt, *args)
+
+        monkeypatch.setattr(SlicedDynamics, "prepare", spy)
+        got = run_scheme(config("control_enhanced", "parallel-dephasing-1q", [0.1, 0.2], K=4,
+                                optimizer=OptimizerOptions(restarts=1, max_evals=30)))
+        # the fixed schedule's whole grid once, then one probe per T that
+        # serves every evaluation of its search and its reported QFI
+        assert prepared == [[0.1 / 4, 0.2 / 4], [0.1 / 4], [0.2 / 4]]
+        assert [r.evaluations for r in got] == [30, 30]
+
+
+class TestPreparedObjective:
+    """The search objective, on the probe prepared once for its T, scores an
+    amplitude grid bit for bit as the checked ``_schedule_qfi`` does on the
+    probe state itself."""
+
+    K, T = 6, 0.3
+    # the search's own registers, and each qubit with its idle ancilla site
+    REGISTERS = [*(("control_enhanced", name) for name in SCENARIOS),
+                 *(("ancilla", name) for name in SCENARIOS if not name.endswith("2q"))]
+
+    def _objective(self, dyn, rho0, T):
+        probe = dyn.prepare(vectorize(rho0), [T / self.K])
+        return schemes._objective(probe, self.K, dyn.model.n_controls)
+
+    @pytest.mark.parametrize("scheme, scenario", REGISTERS)
+    def test_same_bits_as_the_checked_qfi(self, scheme, scenario, monkeypatch):
+        cfg = config(scheme, scenario, [self.T], K=self.K,
+                     optimizer=OptimizerOptions(restarts=1, max_evals=1))
+        dyn, rho0 = prepare(cfg)
+        L = dyn.model.n_controls
+        random = np.random.default_rng(L).uniform(-40, 40, (self.K, L))
+        random[3] = random[2]  # runs of equal rows
+        random[5] = random[4]
+        if scheme == "control_enhanced":
+            # the objective the search itself is handed
+            captured = []
+
+            def capture(f, *args, **kwargs):
+                captured.append(f)
+                return multi_start(f, *args, **kwargs)
+
+            monkeypatch.setattr(schemes, "multi_start", capture)
+            run_scheme(cfg)
+            objective = captured[0]
+        else:
+            objective = self._objective(dyn, rho0, self.T)
+        for amps in (np.zeros((self.K, L)), np.full((self.K, L), 7.5), random):
+            checked = schemes._schedule_qfi(dyn, ControlSchedule(amps, self.T), rho0)
+            assert checked > 0
+            assert (-objective(amps.ravel())).hex() == checked.hex()
+
+    def test_overflowing_generators(self):
+        # the amplitudes times the slice length overflow: the unchecked
+        # objective scores the NaN state 0, the checked QFI names T
+        T = 1e10
+        dyn, rho0 = prepare(config("standard", "parallel-dephasing-1q", [T], K=self.K))
+        amps = np.full((self.K, 2), 1e300)
+        assert self._objective(dyn, rho0, T)(amps.ravel()) == 0
+        with pytest.raises(PropagationError, match=r"^at T=1e\+10 s: .* nan$"):
+            schemes._schedule_qfi(dyn, ControlSchedule(amps, T), rho0)
+
+    def test_amplitudes_must_be_finite_and_fill_the_grid(self):
+        dyn, rho0 = prepare(config("standard", "parallel-dephasing-1q", [self.T], K=self.K))
+        objective = self._objective(dyn, rho0, self.T)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                objective(np.full(2 * self.K, bad))
+        with pytest.raises(ValueError):
+            objective(np.zeros(2 * self.K + 1))
+
 
 # (scheme, scenario) pairs whose fixed schedule is scored over the grid
 FIXED_RUNS = [*(("standard", name) for name in SCENARIOS),
@@ -357,7 +436,7 @@ class TestFixedScheduleBlocks:
 
     def test_kernel_calls_per_grid(self, monkeypatch):
         calls = []
-        real = _kern.propagate_schedule
+        real = _kern.propagate_register
 
         def spy(L0, *args):
             # the system site's drift stack; the idle ancilla passes none
@@ -365,7 +444,7 @@ class TestFixedScheduleBlocks:
             calls.append(len(L0[0]))
             return real(L0, *args)
 
-        monkeypatch.setattr(_kern, "propagate_schedule", spy)
+        monkeypatch.setattr(_kern, "propagate_register", spy)
         run_scheme(config("ancilla", "amplitude-damping", np.linspace(0.5, 40.0, 100), K=4))
         # one Van Loan block per T, all in one call
         assert calls == [100]
