@@ -7,9 +7,9 @@ product of theirs (Van Loan, "The ubiquitous Kronecker product", J. Comput.
 Appl. Math. 123:85, 2000), and only the sites' own generators are
 exponentiated; an idle site takes none. The generators may be real, as the
 package's 8x8 Van Loan blocks are (see :mod:`lindmet.propagation`), or
-complex; the arithmetic follows their dtype. ``register_arrays`` checks the
-inputs, and ``propagate_register`` steps them: a prepared probe runs the
-checks once, then only the stepping for each amplitude grid.
+complex; the arithmetic follows their dtype. A prepared probe builds its
+drifts and state once and then makes one call per amplitude grid, so the
+input checks are all the set-up a call repeats.
 
 A run of R equal consecutive rows of the register's amplitude grid is one
 constant generator, exponentiated once over the run's whole duration, exp(R
@@ -21,10 +21,11 @@ bit for bit ``scipy.linalg.expm`` on each slice. ``expm_stack`` sorts the
 slices as scipy does, by their nonzero entries below and above the
 diagonal. A generic slice, as every slice a run exponentiates is, takes
 scipy's own Pade kernels (``pick_pade_structure`` and ``pade_UV_calc`` from
-the private ``scipy.linalg._matfuncs_expm``) in its own work block, so
-those two calls are nearly all of its per-slice Python; the slices that
-share a squaring count are squared as one stacked product. A diagonal or
-triangular slice goes to ``scipy.linalg.expm`` itself.
+the private ``scipy.linalg._matfuncs_expm``) in its own work block, 64
+slices' blocks filled at a time, so those two calls are nearly all of its
+per-slice Python; the slices that share a squaring count are squared as
+one stacked product. A diagonal or triangular slice goes to
+``scipy.linalg.expm`` itself.
 
 A private module is no stable interface, so a probe at import checks on
 generic complex and real slices (see ``_pade_kernels_match``) that
@@ -61,25 +62,30 @@ def expm_stack(A):
     nonzero = A != 0
     lower, upper = _strict_triangles(A.shape[-1])
     generic = (nonzero & lower).any(axis=(1, 2)) & (nonzero & upper).any(axis=(1, 2))
-    # every slice in the first matrix of its own work block, as scipy's is
-    work = np.empty((len(A), 5) + A.shape[1:], dtype=A.dtype)
-    work[:, 0] = A
+    # 64 slices at a time, each in the first matrix of its own work block as
+    # scipy's is, so the work array has a fixed size
+    work = np.empty((min(len(A), 64), 5) + A.shape[1:], dtype=A.dtype)
+    out = np.empty_like(A)
     groups = {}  # squarings -> slices
-    for k in np.flatnonzero(generic).tolist():
-        w = work[k]
-        order, s = _matfuncs_expm.pick_pade_structure(w)
-        if order < 0:
-            raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
-                              f"while trying to compute the Pade structure (error code {order}).")
-        info = _matfuncs_expm.pade_UV_calc(w, order)
-        if info != 0:
-            if info <= -11:
-                raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
-                                  f"while trying to compute the exponential (error code {info}).")
-            raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the "
-                               f"exponential computation (error code {info})")
-        groups.setdefault(s, []).append(k)
-    out = work[:, 0].copy()
+    for c in range(0, len(A), 64):
+        n = min(64, len(A) - c)
+        work[:n, 0] = A[c:c + n]
+        for k in np.flatnonzero(generic[c:c + n]).tolist():
+            w = work[k]
+            order, s = _matfuncs_expm.pick_pade_structure(w)
+            if order < 0:
+                raise MemoryError("scipy.linalg.expm could not allocate sufficient memory while "
+                                  f"trying to compute the Pade structure (error code {order}).")
+            info = _matfuncs_expm.pade_UV_calc(w, order)
+            if info != 0:
+                if info <= -11:
+                    raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
+                                      "while trying to compute the exponential (error code "
+                                      f"{info}).")
+                raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the "
+                                   f"exponential computation (error code {info})")
+            groups.setdefault(s, []).append(c + k)
+        out[c:c + n] = work[:n, 0]
     if not generic.all():
         out[~generic] = scipy.linalg.expm(A[~generic])
     # the squarings of all slices that need the same number, as one stacked product
@@ -138,30 +144,6 @@ def _site_arrays(L0, ctrls, amps, dt):
     return drifts, ctrls, amps
 
 
-def register_arrays(L0, ctrls, amps, dt, v0):
-    """The register inputs of :func:`propagate_schedule`, checked against each
-    other, as the arrays :func:`propagate_register` takes: per site a (W, m, m)
-    drift stack (None if idle), controls and (K, L) amplitudes; dt; v0."""
-    if not (len(L0) == len(ctrls) == len(amps) and len(L0) in (1, 2)):
-        raise ValueError("a register has one site or two, with a drift, controls "
-                         "and amplitudes for each")
-    dt = np.asarray(dt, dtype=np.float64)
-    sites = [(None, C, a) if D is None else _site_arrays(D, C, a, dt)
-             for D, C, a in zip(L0, ctrls, amps)]
-    drifts = [D for D, _, _ in sites if D is not None]
-    if not drifts:
-        raise ValueError("a register needs a site that is not idle")
-    # there are at most two sites, so the last must match the first
-    if drifts[-1].shape != drifts[0].shape:
-        raise ValueError("the sites' drift stacks must have one shape")
-    if len(amps[-1]) != len(amps[0]):
-        raise ValueError("the sites' amplitude grids must have one row per slice")
-    v0 = np.asarray(v0)
-    if v0.shape != (drifts[0].shape[-1] ** len(L0),):
-        raise ValueError("state vector length does not match the register")
-    return (*zip(*sites), dt, v0)
-
-
 def propagate_schedule(L0, ctrls, amps, dt, v0):
     """Apply exp((L0 + sum_l amps[k,l]*ctrls[l]) * dt) to v0 for k = 0..K-1
     and return the final vector.
@@ -177,20 +159,12 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     for n sites; a bare ``L0`` is a register of one site. Site s brings its
     drift, or a stack of W, in ``L0[s]`` (None for an idle site, one without
     drift, noise or controls: its propagator is the identity), its control
-    generators ``ctrls[s]`` and its amplitude columns ``amps[s]``. On two
-    sites ``v0`` is in site-product order, index p0 * m + p1 for the sites'
-    own indices, so that it is an m x m matrix X that a slice maps to
-    P0 X P1^T, P0 (x) P1 being the slice's propagator.
-    """
-    if not isinstance(L0, tuple):
-        v = propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
-        return v if np.ndim(L0) == 3 else v[0]
-    return propagate_register(*register_arrays(L0, ctrls, amps, dt, v0))
-
-
-def propagate_register(L0, ctrls, amps, dt, v0):
-    """:func:`propagate_schedule` on a register, unchecked: its inputs are
-    what :func:`register_arrays` makes of them.
+    generators ``ctrls[s]`` and its amplitude columns ``amps[s]``. The
+    register's generator is the Kronecker sum of its sites', so a slice's
+    propagator is the Kronecker product P0 (x) P1 of theirs. On two sites
+    ``v0`` is in site-product order, index p0 * m + p1 for the sites' own
+    indices, so that it is an m x m matrix X that a slice maps to
+    P0 X P1^T.
 
     Every call takes the same steps: the register's runs of equal
     consecutive rows are found once, the first row of each run gives every
@@ -203,12 +177,29 @@ def propagate_register(L0, ctrls, amps, dt, v0):
     batched product with its propagators, and on two sites X U1^T is the
     final state. The result is real when the generators and v0 are.
     """
-    sites = [(D, C, a) for D, C, a in zip(L0, ctrls, amps) if D is not None]
+    if not isinstance(L0, tuple):
+        v = propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
+        return v if np.ndim(L0) == 3 else v[0]
+    if not (len(L0) == len(ctrls) == len(amps) and len(L0) in (1, 2)):
+        raise ValueError("a register has one site or two, with a drift, controls "
+                         "and amplitudes for each")
+    dt = np.asarray(dt, dtype=np.float64)
+    sites = [_site_arrays(D, C, a, dt) for D, C, a in zip(L0, ctrls, amps) if D is not None]
+    if not sites:
+        raise ValueError("a register needs a site that is not idle")
+    # there are at most two sites, so the last must match the first
     W, m = sites[0][0].shape[:2]
-    K = len(sites[0][2])
+    if sites[-1][0].shape != (W, m, m):
+        raise ValueError("the sites' drift stacks must have one shape")
+    K = len(amps[0])
+    if len(amps[-1]) != K:
+        raise ValueError("the sites' amplitude grids must have one row per slice")
+    v0 = np.asarray(v0)
+    if v0.shape != (m ** len(L0),):
+        raise ValueError("state vector length does not match the register")
 
     # the rows that start a run of equal rows on any site, and the runs'
-    # lengths; 0.0 == -0.0 here, and the masked add below skips both
+    # lengths; 0.0 == -0.0 here, and a zero amplitude adds nothing below
     new = np.zeros(K, dtype=bool)
     new[:1] = True
     for _, _, site_amps in sites:

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .liouville import unvectorize, vectorize
-from .propagation import (ControlSchedule, PreparedProbe, PropagationError, SlicedDynamics,
+from .propagation import (ControlSchedule, PropagationError, SlicedDynamics,
                           evolved_state_faults)
 
 log = logging.getLogger(__name__)
@@ -32,8 +32,7 @@ class MetrologyError(RuntimeError):
 
 
 def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule | Sequence[ControlSchedule],
-                rho0: np.ndarray | PreparedProbe,
-                checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho(omega0) and its exact derivative d(rho)/d(omega0).
 
     The schedule is held fixed; the state and its derivative come from one
@@ -41,21 +40,18 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule | Sequence[Contro
     may also be a sequence of N schedules on one amplitude grid, such as a
     fixed scheme's schedule at N encoding times: then all of them share that
     one call, and rho and the derivative come back as (N, d, d) stacks, each
-    bit for bit its own call's. With ``checked``, each rho must pass the
-    propagated-state checks and each derivative must be Hermitian and
-    traceless, which a NaN is not; the first schedule in order that fails
-    raises :class:`PropagationError` or :class:`MetrologyError`, and the
-    message names its encoding time. ``rho0`` may be the probe as ``dyn``
-    has prepared it for these schedules (see :meth:`SlicedDynamics.prepare`).
+    bit for bit its own call's. Each rho must pass the propagated-state
+    checks and each derivative must be Hermitian and traceless, which a NaN
+    is not; the first schedule in order that fails raises
+    :class:`PropagationError` or :class:`MetrologyError`, and the message
+    names its encoding time.
     """
     single = isinstance(schedule, ControlSchedule)
     schedules = [schedule] if single else list(schedule)
-    v0 = rho0 if isinstance(rho0, PreparedProbe) else vectorize(np.asarray(rho0, dtype=complex))
-    v, dv = dyn.evolve_vectorized(schedules, v0)
+    v, dv = dyn.evolve_vectorized(schedules, vectorize(np.asarray(rho0, dtype=complex)))
     # unvectorize only reshapes
     rho, drho = unvectorize(v), unvectorize(dv)
-    if checked:
-        _check(schedules, rho, drho)
+    _check(schedules, rho, drho)
     return (rho[0], drho[0]) if single else (rho, drho)
 
 

@@ -28,7 +28,8 @@ the ancilla, takes none.
 
 Every propagation runs on a :class:`PreparedProbe`, which holds what does
 not depend on the amplitudes, built once per probe, frequency and set of
-slice lengths (:meth:`SlicedDynamics.prepare`).
+slice lengths (:meth:`SlicedDynamics.prepare`); the control search
+prepares its probe once per encoding time.
 """
 from __future__ import annotations
 
@@ -213,7 +214,7 @@ class SlicedDynamics:
         return PreparedProbe(self, v0, dt, omega0)
 
     def evolve_vectorized(self, schedule: ControlSchedule | Sequence[ControlSchedule],
-                          v0: np.ndarray | PreparedProbe, omega0: float | None = None):
+                          v0: np.ndarray, omega0: float | None = None):
         """The vectorized state after ``schedule`` acts on ``v0`` and its exact
         derivative in omega0, as a pair from one kernel call, at the model's
         frequency or at ``omega0``.
@@ -221,8 +222,7 @@ class SlicedDynamics:
         ``schedule`` may also be a sequence of N schedules on one amplitude
         grid, each with its own total time, such as a fixed scheme's
         schedule at N encoding times: the states and derivatives are then
-        (N, d^2) stacks, each row bit for bit its own call's. ``v0`` may be
-        prepared (:meth:`prepare`) for the schedules, at its own frequency.
+        (N, d^2) stacks, each row bit for bit its own call's.
         """
         single = isinstance(schedule, ControlSchedule)
         schedules = [schedule] if single else list(schedule)
@@ -234,12 +234,7 @@ class SlicedDynamics:
             raise ValueError(
                 f"schedule has {amps.shape[1]} fields but the model has "
                 f"{self.model.n_controls} control Hamiltonians")
-        dt = [s.dt for s in schedules]
-        if not isinstance(v0, PreparedProbe):
-            v0 = self.prepare(v0, dt, omega0)
-        elif v0.dyn is not self or v0.dt != dt or omega0 is not None:
-            raise ValueError("the probe was prepared for other dynamics or slice lengths")
-        states, derivatives = v0.propagate(amps)
+        states, derivatives = self.prepare(v0, [s.dt for s in schedules], omega0).propagate(amps)
         return (states[0], derivatives[0]) if single else (states, derivatives)
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray, omega0: float | None = None):
@@ -256,29 +251,29 @@ class SlicedDynamics:
 class PreparedProbe:
     """A probe at one frequency, ready to propagate over W slice lengths: its
     coordinates in site-product order, zero-padded into the Van Loan
-    blocks' first half, and every site's W blocks of omega0*D + G, checked
-    once against the kernel's shapes."""
+    blocks' first half, and every site's W blocks of omega0*D + G."""
 
     def __init__(self, dyn: SlicedDynamics, v0: np.ndarray, dt: Sequence[float],
                  omega0: float | None = None):
-        self.dyn, self.dt, n = dyn, list(dt), len(dyn._blocks)
+        self.dyn, n = dyn, len(dyn._blocks)
         x = _change_basis(_COORDINATES, np.asarray(v0)[dyn._order].reshape((4,) * n), n)
         if not x.imag.any():
             x = x.real
         # the state in the first half of every site's axis, and no derivative
         x0, x = x, np.zeros((8,) * n, dtype=x.dtype)
         x[(slice(4),) * n] = x0
-        om = np.full(len(self.dt), float(dyn.model.omega0 if omega0 is None else omega0))
-        sites = [(None if idle else om[:, None, None] * D + G, C, np.zeros((1, len(C))))
-                 for (D, G, C), idle in zip(dyn._blocks, dyn._idle)]
-        self._drifts, self._ctrls, _, self._dt, self._x = _kern.register_arrays(
-            *zip(*sites), self.dt, x.ravel())
+        self._dt, self._x = np.array(dt, dtype=np.float64), x.ravel()
+        om = np.full(len(self._dt), float(dyn.model.omega0 if omega0 is None else omega0))
+        self._drifts = tuple(None if idle else om[:, None, None] * D + G
+                             for (D, G, _), idle in zip(dyn._blocks, dyn._idle))
+        self._ctrls = tuple(C for _, _, C in dyn._blocks)
 
     def propagate(self, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (W, d^2) stacks of the states and their derivatives in omega0
-        after the float64 (K, L) amplitude grid ``amps`` acts, unchecked."""
+        after the float64 (K, L) amplitude grid ``amps`` acts, from one
+        ``_kern.propagate_schedule`` call; the states are not checked."""
         dyn, n = self.dyn, len(self._drifts)
-        v = _kern.propagate_register(
+        v = _kern.propagate_schedule(
             self._drifts, self._ctrls, tuple(amps[:, cols] for cols in dyn._columns),
             self._dt, self._x).reshape((-1,) + (8,) * n)
         if n == 1:

@@ -165,12 +165,12 @@ def resolve_probe(config: SchemeConfig, dim: int) -> np.ndarray:
 
 
 def _schedule_qfi(dyn: SlicedDynamics, schedule: ControlSchedule | list[ControlSchedule],
-                  rho0: np.ndarray | PreparedProbe) -> float | np.ndarray:
-    """Checked QFI of the frequency after ``schedule`` acts on ``rho0``, which
-    may be the probe as ``dyn`` has prepared it, from one kernel call; a list
-    of schedules on one amplitude grid gives an array of their QFIs, each
-    bit for bit its own call's. A failure names the encoding time of the
-    first schedule that breaks (see :func:`drho_domega`).
+                  rho0: np.ndarray) -> float | np.ndarray:
+    """Checked QFI of the frequency after ``schedule`` acts on ``rho0``, from
+    one kernel call; a list of schedules on one amplitude grid gives an
+    array of their QFIs, each bit for bit its own call's. A failure names
+    the encoding time of the first schedule that breaks (see
+    :func:`drho_domega`).
     """
     return qfi_eigen(*drho_domega(dyn, schedule, rho0))
 
@@ -228,12 +228,11 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     grids, but it can change which local optimum each point settles in.
     """
     dyn, rho0 = prepare(config)
-    v0 = vectorize(rho0)
     K, L = config.K, dyn.model.n_controls
     amplitude = -config.omega0 if config.scheme == "theoretical_optimal" else 0.0
     amps = np.full((K, L), amplitude)
     fixed = [ControlSchedule(amps, T) for T in config.time_grid]
-    qfis = _schedule_qfi(dyn, fixed, dyn.prepare(v0, [s.dt for s in fixed])).tolist()
+    qfis = _schedule_qfi(dyn, fixed, rho0).tolist()
     sensitivities = [sensitivity(q, T, config.gamma_c) for q, T in zip(qfis, config.time_grid)]
     search = config.scheme == "control_enhanced"
     if search:
@@ -245,14 +244,13 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
                                                   sensitivities)):
         evals, converged = 0, True
         if search:
-            # the probe prepared for this T serves the search and the reported QFI
-            probe = dyn.prepare(v0, [sched.dt])
+            probe = dyn.prepare(vectorize(rho0), [sched.dt])
             opts = replace(config.optimizer, seed=seeds[i + 1])
             extra = (previous_best,) if config.warm_start and previous_best is not None else ()
             res = multi_start(_objective(probe, K, L), np.full(K * L, -u_max),
                               np.full(K * L, u_max), opts, extra_starts=extra)
             sched = ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
-            qfi = _schedule_qfi(dyn, sched, probe)
+            qfi = _schedule_qfi(dyn, sched, rho0)
             sens = sensitivity(qfi, T, config.gamma_c)
             evals, converged = res.evals, res.converged
             previous_best = res.x

@@ -239,7 +239,7 @@ class TestNmrProtocol:
         from lindmet.propagation import SlicedDynamics
 
         depths, evolve_depths = [], []
-        real, real_evolve = _kern.propagate_register, SlicedDynamics.evolve
+        real, real_evolve = _kern.propagate_schedule, SlicedDynamics.evolve
 
         def spy(L0, *args):
             # the qubit's drift stack; a model passes its sites as a tuple
@@ -252,7 +252,7 @@ class TestNmrProtocol:
             evolve_depths.append(depths[start:])
             return out
 
-        monkeypatch.setattr(_kern, "propagate_register", spy)
+        monkeypatch.setattr(_kern, "propagate_schedule", spy)
         monkeypatch.setattr(SlicedDynamics, "evolve", evolve_spy)
         cfg = self._config()
         path = run_nmr_protocol(cfg, out=tmp_path / "nmr.csv")
@@ -721,7 +721,7 @@ def test_absurd_slice_count_exits_3_without_output(command, text, tmp_path, monk
     def no_kernel(*args):
         raise AssertionError("a propagation ran")
 
-    monkeypatch.setattr(_kern, "propagate_register", no_kernel)
+    monkeypatch.setattr(_kern, "propagate_schedule", no_kernel)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "big.cfg").write_text(text)
     assert main([command, "--config", "big.cfg"]) == 3
@@ -735,9 +735,7 @@ def test_run_reaches_every_layer_the_benchmark_traces(tmp_path, monkeypatch):
     # bench/tracing.py wraps these names where their callers look them up and
     # skips a name that no longer exists, so a layer renamed away goes
     # untraced without an error; bench/micro.py takes the search objective
-    # from schemes.multi_start. The kernel is reached at propagate_register:
-    # bench/tracing.py still wraps the checked entry propagate_schedule,
-    # which a run does not call
+    # from schemes.multi_start
     from lindmet import _kern, cli, optimizer
     from lindmet.propagation import SlicedDynamics
 
@@ -756,7 +754,7 @@ def test_run_reaches_every_layer_the_benchmark_traces(tmp_path, monkeypatch):
 
     for owner, name in ((schemes, "drho_domega"), (schemes, "qfi_eigen"),
                         (schemes, "multi_start"), (schemes, "build_scenario"),
-                        (harness, "run_scheme"), (_kern, "propagate_register"),
+                        (harness, "run_scheme"), (_kern, "propagate_schedule"),
                         (optimizer, "nelder_mead"), (cli, "run_experiment"),
                         (cli, "load_run_config"), (SlicedDynamics, "evolve_vectorized")):
         count(owner, name)

@@ -5,6 +5,7 @@ import pytest
 
 from lindmet.channels import (SIGMA_Z, EncodingModel, Site, build_scenario,
                               parallel_dephasing)
+from lindmet.liouville import vectorize
 from lindmet.metrology import (MetrologyError, drho_domega, qfi_eigen,
                                qfi_fidelity, sensitivity, uhlmann_fidelity)
 from lindmet.propagation import ControlSchedule, PropagationError, SlicedDynamics
@@ -58,7 +59,7 @@ class TestDrho:
         dyn = SlicedDynamics(model)
         for _ in range(10):
             s = ControlSchedule(rng.uniform(-30, 30, (4, 2)), float(rng.uniform(0.05, 0.5)))
-            _, d = drho_domega(dyn, s, plus_state(1), checked=False)
+            _, d = drho_domega(dyn, s, plus_state(1))
             assert abs(np.trace(d)) <= 1e-9
             assert np.max(np.abs(d - d.conj().T)) <= 1e-9
 
@@ -98,7 +99,11 @@ class TestStackedDrho:
             # T reports that
             with pytest.raises(PropagationError, match=r"^at T=0\.1 s: propagated state trace"):
                 drho_domega(dyn, scheds, np.eye(2))
-            drho_domega(dyn, scheds, np.eye(2), checked=False)
+            # the propagation itself warns nothing either: the state that
+            # overflows is NaN, the other is propagated
+            v, dv = dyn.evolve_vectorized(scheds, vectorize(np.eye(2, dtype=complex)))
+            assert np.isfinite(v[0]).all() and np.isfinite(dv[0]).all()
+            assert np.isnan(v[1]).all() and np.isnan(dv[1]).all()
 
 
 class TestQfiEigen:

@@ -697,6 +697,23 @@ class TestExpmStack:
         ref = np.stack([scipy.linalg.expm(a) for a in A])
         assert bitwise_equal(_kern.expm_stack(A), ref)
 
+    def test_long_stack_in_one_fixed_work_array(self, monkeypatch):
+        # more generic slices than the work array holds, shuffled among
+        # special ones: every Pade call works in a block of one 64-slice array
+        A = np.concatenate([self._mixed_stack(4, seed=s) for s in range(12)])
+        A = A[np.random.default_rng(6).permutation(len(A))]
+        ref = np.stack([scipy.linalg.expm(a) for a in A])
+        work = set()
+        real = _kern._matfuncs_expm.pick_pade_structure
+
+        def spy(w):
+            work.add((id(w.base), w.base.shape))
+            return real(w)
+
+        monkeypatch.setattr(_kern._matfuncs_expm, "pick_pade_structure", spy)
+        assert bitwise_equal(_kern.expm_stack(A), ref)
+        assert [shape for _, shape in work] == [(64, 5, 4, 4)]
+
     def test_nan_slice(self):
         A = self._mixed_stack(4, seed=1)
         # the first upper and lower triangular slices that need squaring

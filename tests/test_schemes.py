@@ -275,17 +275,16 @@ class TestOneKernelCallPerQfi:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         """The shapes of each site's drift stack in each later
-        ``propagate_register`` call, the kernel's stepping that every
-        propagation reaches, and the number of generators each
+        ``propagate_schedule`` call, and the number of generators each
         ``expm_stack`` call receives."""
         shapes = []
-        real = _kern.propagate_register
+        real = _kern.propagate_schedule
 
         def spy(L0, *args):
-            shapes.append([np.shape(D) for D in L0])
+            shapes.append([np.shape(D) for D in L0] if isinstance(L0, tuple) else [np.shape(L0)])
             return real(L0, *args)
 
-        monkeypatch.setattr(_kern, "propagate_register", spy)
+        monkeypatch.setattr(_kern, "propagate_schedule", spy)
         return shapes, spy_stack_sizes(monkeypatch)
 
     def _amplitudes(self, n_fields):
@@ -344,9 +343,11 @@ class TestOneKernelCallPerQfi:
         monkeypatch.setattr(SlicedDynamics, "prepare", spy)
         got = run_scheme(config("control_enhanced", "parallel-dephasing-1q", [0.1, 0.2], K=4,
                                 optimizer=OptimizerOptions(restarts=1, max_evals=30)))
-        # the fixed schedule's whole grid once, then one probe per T that
-        # serves every evaluation of its search and its reported QFI
-        assert prepared == [[0.1 / 4, 0.2 / 4], [0.1 / 4], [0.2 / 4]]
+        # the fixed schedule's whole grid once, then per T one probe that
+        # serves every evaluation of its search, and one for the checked
+        # call that reports its best schedule
+        dt = [0.1 / 4, 0.2 / 4]
+        assert prepared == [dt, dt[:1], dt[:1], dt[1:], dt[1:]]
         assert [r.evaluations for r in got] == [30, 30]
 
 
@@ -436,7 +437,7 @@ class TestFixedScheduleBlocks:
 
     def test_kernel_calls_per_grid(self, monkeypatch):
         calls = []
-        real = _kern.propagate_register
+        real = _kern.propagate_schedule
 
         def spy(L0, *args):
             # the system site's drift stack; the idle ancilla passes none
@@ -444,7 +445,7 @@ class TestFixedScheduleBlocks:
             calls.append(len(L0[0]))
             return real(L0, *args)
 
-        monkeypatch.setattr(_kern, "propagate_register", spy)
+        monkeypatch.setattr(_kern, "propagate_schedule", spy)
         run_scheme(config("ancilla", "amplitude-damping", np.linspace(0.5, 40.0, 100), K=4))
         # one Van Loan block per T, all in one call
         assert calls == [100]
