@@ -8,8 +8,8 @@ Appl. Math. 123:85, 2000), and only the sites' own generators are
 exponentiated; an idle site takes none. The generators may be real, as the
 package's 8x8 Van Loan blocks are (see :mod:`lindmet.propagation`), or
 complex; the arithmetic follows their dtype. A prepared probe builds its
-drifts and state once and then makes one call per amplitude grid, so the
-input checks are all the set-up a call repeats.
+drifts and state once and then makes one call per amplitude grid, whose
+runs and generators are found and built once for the whole register.
 
 A run of R equal consecutive rows of the register's amplitude grid is one
 constant generator, exponentiated once over the run's whole duration, exp(R
@@ -47,9 +47,9 @@ _PADE_KERNELS = True  # on while the probe below runs; the probe then decides
 
 @functools.lru_cache(maxsize=None)
 def _strict_triangles(m):
-    """Boolean masks of the strict lower and strict upper part of an m x m matrix."""
+    """The flat indices of an m x m matrix's strict lower and upper parts, as two rows."""
     lower = np.tri(m, k=-1, dtype=bool)
-    return lower, lower.T.copy()
+    return np.stack([np.flatnonzero(lower), np.flatnonzero(lower.T)])
 
 
 def expm_stack(A):
@@ -59,18 +59,18 @@ def expm_stack(A):
         return scipy.linalg.expm(A)
     # scipy's expm sorts a slice by its strict lower and upper parts: both
     # nonzero is generic, and only a generic slice takes the Pade kernels
-    nonzero = A != 0
-    lower, upper = _strict_triangles(A.shape[-1])
-    generic = (nonzero & lower).any(axis=(1, 2)) & (nonzero & upper).any(axis=(1, 2))
+    m = A.shape[-1]
+    generic = A.reshape(-1, m * m).take(_strict_triangles(m), axis=1).any(2).all(1)
+    every = generic.all()
     # 64 slices at a time, each in the first matrix of its own work block as
     # scipy's is, so the work array has a fixed size
     work = np.empty((min(len(A), 64), 5) + A.shape[1:], dtype=A.dtype)
     out = np.empty_like(A)
-    groups = {}  # squarings -> slices
+    groups = {}  # squarings -> the slices that need them
     for c in range(0, len(A), 64):
         n = min(64, len(A) - c)
         work[:n, 0] = A[c:c + n]
-        for k in np.flatnonzero(generic[c:c + n]).tolist():
+        for k in range(n) if every else np.flatnonzero(generic[c:c + n]).tolist():
             w = work[k]
             order, s = _matfuncs_expm.pick_pade_structure(w)
             if order < 0:
@@ -84,17 +84,17 @@ def expm_stack(A):
                                       f"{info}).")
                 raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the "
                                    f"exponential computation (error code {info})")
-            groups.setdefault(s, []).append(c + k)
+            if s:
+                groups.setdefault(s, []).append(c + k)
         out[c:c + n] = work[:n, 0]
-    if not generic.all():
+    if not every:
         out[~generic] = scipy.linalg.expm(A[~generic])
     # the squarings of all slices that need the same number, as one stacked product
     for s, group in groups.items():
-        if s:
-            E = out[group]
-            for _ in range(s):
-                E = E @ E
-            out[group] = E
+        E = out[group]
+        for _ in range(s):
+            E = E @ E
+        out[group] = E
     return out
 
 
@@ -166,16 +166,18 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     indices, so that it is an m x m matrix X that a slice maps to
     P0 X P1^T.
 
-    Every call takes the same steps: the register's runs of equal
-    consecutive rows are found once, the first row of each run gives every
-    active site's generator, which is scaled by the run's duration, and all
-    of them, W per site and run, go through one ``expm_stack`` call. A
-    scaled generator that is not finite is not exponentiated: its
-    propagator, and so its final state, is NaN. The active sites' states are
-    stacked as S: v0 as an m x 1 block on one site; X and the identity on
-    two, so that site 1 accumulates its product U1. Each run steps S by one
-    batched product with its propagators, and on two sites X U1^T is the
-    final state. The result is real when the generators and v0 are.
+    After the input checks, each step is taken once for the whole register:
+    one pass over the active sites' amplitudes, side by side, finds the
+    runs of equal consecutive rows; one assembly builds every active site's
+    generator from each run's first row and scales it by the run's
+    duration; and all of them, W per site and run, go through one
+    ``expm_stack`` call. A scaled generator that is not finite is not
+    exponentiated: its propagator, and so its final state, is NaN. The
+    active sites' states are stacked as S: v0 as an m x 1 block on one
+    site; X and the identity on two, so that site 1 accumulates its product
+    U1. Each run steps S by one batched product with its propagators, and
+    on two sites X U1^T is the final state. The result is real when the
+    generators and v0 are.
     """
     if not isinstance(L0, tuple):
         v = propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
@@ -198,55 +200,61 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     if v0.shape != (m ** len(L0),):
         raise ValueError("state vector length does not match the register")
 
-    # the rows that start a run of equal rows on any site, and the runs'
-    # lengths; 0.0 == -0.0 here, and a zero amplitude adds nothing below
-    new = np.zeros(K, dtype=bool)
-    new[:1] = True
-    for _, _, site_amps in sites:
-        new[1:] |= (site_amps[1:] != site_amps[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
+    # the active sites' fields side by side in one (K, n, L) grid, a site with
+    # fewer fields padded with zero amplitudes, and their controls and drifts
+    n, L = len(sites), max(a.shape[1] for _, _, a in sites)
+    dtype = np.result_type(np.float64, *(a for D, C, _ in sites for a in (D, C)))
+    grid, C, D = np.zeros((K, n, L)), np.zeros((n, L, m, m), dtype), np.empty((n, W, m, m), dtype)
+    for s, (drifts, site_ctrls, site_amps) in enumerate(sites):
+        f = site_amps.shape[1]
+        grid[:, s, :f], C[s, :f], D[s] = site_amps, site_ctrls.reshape(f, m, m), drifts
+
+    # the rows that start a run of equal rows anywhere in the register, and
+    # K after them, so that their differences are the runs' lengths; 0.0 ==
+    # -0.0 here, and a zero amplitude adds nothing below
+    rows = grid.reshape(K, n * L)
+    edges = np.ones(K + 1, dtype=bool)
+    edges[1:K] = (rows[1:] != rows[:-1]).any(axis=1)
+    edges = np.flatnonzero(edges)
+    starts, lengths = edges[:-1], edges[1:] - edges[:-1]
     R = len(starts)
-    lengths = np.append(starts[1:], K) - starts
 
     # each generator is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order; a
     # zero amplitude adds -0.0 (-0.0 - 0.0j), which leaves every number as it
     # is, so it is bitwise a per-slice build that skips zero amplitudes
-    dtype = np.result_type(np.float64, *(a for D, C, _ in sites for a in (D, C)))
-    A = np.empty((len(sites), W, R, m, m), dtype=dtype)
-    for site_A, (drifts, site_ctrls, site_amps) in zip(A, sites):
-        site_A[:] = drifts[:, None]
-        first = site_amps[starts]
-        terms = first[..., None, None] * site_ctrls
-        terms[first == 0.0] = -np.zeros((), terms.dtype)
-        for l in range(first.shape[1]):
-            site_A += terms[:, l]
+    first = grid[starts].swapaxes(0, 1)
+    terms = first[..., None, None] * C[:, None]
+    terms[first == 0.0] = -np.zeros((), dtype)
+    A = np.empty((n, W, R, m, m), dtype=dtype)
+    A[:] = D[:, :, None]
+    for l in range(L):
+        A += terms[:, None, :, l]
     # a run's duration, its length times dt, scales its generator; a
     # generator that overflows here is caught below, not warned about
     duration = dt.reshape(-1, 1) * lengths
     with np.errstate(over="ignore", invalid="ignore"):
         A *= duration.astype(dtype).reshape(-1, R, 1, 1)
     A = A.reshape(-1, m, m)
-    finite = np.isfinite(A).all(axis=(1, 2))
-    if finite.all():
+    if np.isfinite(A).all():
         props = expm_stack(A)
     else:
+        finite = np.isfinite(A).all(axis=(1, 2))
         props = np.full_like(A, np.nan)
         props[finite] = expm_stack(A[finite])
     props = props.reshape(-1, R, m, m)
 
-    if len(L0) == 1:
-        S = np.repeat(v0[None, :, None], W, axis=0)
-    else:
-        X = np.repeat(v0.reshape(1, m, m), W, axis=0)
-        S = np.concatenate([X if s == 0 else np.broadcast_to(np.eye(m), X.shape)
-                            for s in range(2) if L0[s] is not None])
+    cols = 1 if len(L0) == 1 else m
+    S = np.zeros((n * W, m, cols), dtype=np.result_type(v0, np.float64))
+    if len(L0) == 2:
+        S.reshape(-1, m * m)[:, ::m + 1] = 1.0
+    if L0[0] is not None:
+        S[:W] = v0.reshape(m, cols)
     # a batched product is bitwise its separate ones
     for P in props.swapaxes(0, 1):
         S = np.matmul(P, S)
     if len(L0) == 1:
         return S[..., 0]
-    if L0[0] is not None:
-        X = S[:W]
+    X = S[:W] if L0[0] is not None else v0.reshape(m, m)
     if L0[1] is not None:
         X = np.matmul(X, S[-W:].swapaxes(1, 2))
     return X.reshape(W, m * m)

@@ -78,7 +78,8 @@ def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
         F_Q = sum_{lam_p + lam_q > SPECTRAL_CUTOFF} 2 |<p|drho|q>|^2 / (lam_p + lam_q)
 
     Pairs with a NaN eigenvalue sum are dropped, so a non-finite state scores
-    0 in the unchecked search objective; reported states are checked first.
+    0, and a term that overflows is inf, without a warning; a search scores
+    unchecked states, and reported ones are checked first.
     A (N, d, d) stack of states and derivatives gives an array of N QFIs,
     each bit for bit the call on its own pair.
     """
@@ -87,9 +88,10 @@ def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
     lam, vecs = np.linalg.eigh(rho_x)
     M = vecs.conj().swapaxes(-1, -2) @ drho @ vecs
     pair_sums = lam[..., :, None] + lam[..., None, :]
-    mask = pair_sums > SPECTRAL_CUTOFF
-    terms = np.zeros_like(pair_sums)
-    terms[mask] = 2.0 * np.abs(M[mask]) ** 2 / pair_sums[mask]
+    # every pair's term, then 0 for the pairs at or below the cutoff
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = 2.0 * np.abs(M) ** 2 / pair_sums
+    terms = np.where(pair_sums > SPECTRAL_CUTOFF, terms, 0.0)
     qfi = terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
     return float(qfi) if qfi.ndim == 0 else qfi
 
@@ -142,9 +144,9 @@ def qfi_fidelity(rho_exact: np.ndarray, rho_perturbed: np.ndarray,
 def sensitivity(qfi: float, total_time: float, gamma_c: float = 1.0) -> float:
     """Time-normalized precision sqrt(T) / (gamma_c sqrt(F_Q)); lower is better.
 
-    A zero QFI carries no information, reported as infinite sensitivity. A
-    positive QFI whose sensitivity is not finite, as a tiny ``gamma_c`` can
-    make it, raises :class:`MetrologyError` naming the encoding time.
+    A zero QFI carries no information, reported as infinite sensitivity. An
+    infinite QFI, or a sensitivity that is not positive and finite (a tiny or
+    huge ``gamma_c``), raises :class:`MetrologyError` naming the encoding time.
     """
     if total_time <= 0:
         raise ValueError(f"encoding time must be positive, got {total_time}")
@@ -152,9 +154,11 @@ def sensitivity(qfi: float, total_time: float, gamma_c: float = 1.0) -> float:
         raise ValueError(f"transduction parameter must be positive, got {gamma_c}")
     if qfi <= 0:
         return float("inf")
+    if not qfi < math.inf:
+        raise MetrologyError(f"at T={total_time:g} s: the QFI {qfi} is not a finite float")
     denominator = gamma_c * math.sqrt(qfi)
     value = math.sqrt(total_time) / denominator if denominator > 0 else math.inf
-    if not math.isfinite(value):
+    if not 0.0 < value < math.inf:
         raise MetrologyError(f"at T={total_time:g} s: the sensitivity of QFI {qfi:.3e} "
-                             f"with gamma_c={gamma_c:.3e} is not a finite float")
+                             f"with gamma_c={gamma_c:.3e} is not a positive finite float")
     return value

@@ -282,7 +282,9 @@ class PreparedProbe:
             # [[U0 X U1^T, U0 X dU1^T], [dU0 X U1^T, dU0 X dU1^T]], one dual number
             # per site: the two first-order blocks add up to dX, and their
             # product, the last block, is dropped
-            v = np.stack([v[:, :4, :4], v[:, :4, 4:] + v[:, 4:, :4]], axis=1)
+            x, v = v, np.empty((len(v), 2, 4, 4), dtype=v.dtype)
+            v[:, 0] = x[:, :4, :4]
+            np.add(x[:, :4, 4:], x[:, 4:, :4], out=v[:, 1])
         v = _change_basis(_OPERATORS, v, n).reshape(len(v), 2, dyn.dim ** 2)[..., dyn._unorder]
         return v[:, 0], v[:, 1]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import EncodingModel, ancilla_extend, build_scenario
 from .liouville import unvectorize, vectorize
-from .metrology import drho_domega, qfi_eigen, sensitivity
+from .metrology import MetrologyError, drho_domega, qfi_eigen, sensitivity
 from .optimizer import OptimizerOptions, multi_start
 from .propagation import ControlSchedule, PreparedProbe, SlicedDynamics
 
@@ -170,21 +170,27 @@ def _schedule_qfi(dyn: SlicedDynamics, schedule: ControlSchedule | list[ControlS
     one kernel call; a list of schedules on one amplitude grid gives an
     array of their QFIs, each bit for bit its own call's. A failure names
     the encoding time of the first schedule that breaks (see
-    :func:`drho_domega`).
+    :func:`drho_domega`) or whose QFI overflows (:class:`MetrologyError`).
     """
-    return qfi_eigen(*drho_domega(dyn, schedule, rho0))
+    qfi = qfi_eigen(*drho_domega(dyn, schedule, rho0))
+    bad = np.flatnonzero(~np.isfinite(qfi))
+    if bad.size:
+        T = (schedule if isinstance(schedule, ControlSchedule) else schedule[bad[0]]).total_time
+        raise MetrologyError(f"at T={T:g} s: the QFI is not a finite float")
+    return qfi
 
 
 def _objective(probe: PreparedProbe, K: int, L: int):
     """The search objective on ``probe``, prepared for one T: minus the
     unchecked QFI of a finite, flat K x L amplitude grid. A NaN state, as
-    from a generator that overflows, scores 0."""
+    from a generator that overflows, and a QFI that is not finite score 0."""
     def objective(x):
         amps = np.asarray(x, dtype=float).reshape(K, L)
         if not np.isfinite(amps).all():
             raise ValueError("control amplitudes must be finite")
         v, dv = probe.propagate(amps)
-        return -qfi_eigen(unvectorize(v[0]), unvectorize(dv[0]))
+        qfi = qfi_eigen(unvectorize(v[0]), unvectorize(dv[0]))
+        return -qfi if qfi < math.inf else 0.0
     return objective
 
 

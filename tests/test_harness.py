@@ -608,15 +608,15 @@ EDGE_CASES = [(command, section, key, value)
               for value in _EDGE_VALUES[kind]]
 
 
-@pytest.mark.parametrize("command, section, key, value", EDGE_CASES,
-                         ids=[f"{c}-{k}={v}" for c, _, k, v in EDGE_CASES])
-def test_every_numeric_key_at_its_edges(command, section, key, value, tmp_path,
-                                        monkeypatch, capsys):
-    # either the run succeeds with finite rows, a sensitivity of inf only
-    # where the QFI is 0, or it ends as documented: exit 2 or 3, one line on
-    # stderr and no file; never a traceback or a warning
+def _run_at_edges(command, settings, tmp_path, monkeypatch, capsys) -> tuple[int, str]:
+    """Run ``command`` on its edge base config with ``settings``, (section,
+    key) -> value, and return its exit code and stderr. Either the run succeeds with
+    finite rows, a sensitivity of inf only where the QFI is 0, or it ends as
+    documented: exit 2 or 3, one line on stderr and no file; never a
+    traceback or a warning."""
     config = {name: dict(entries) for name, entries in _EDGE_BASE[command].items()}
-    config.setdefault(section, {})[key] = value
+    for (section, key), value in settings.items():
+        config.setdefault(section, {})[key] = value
     monkeypatch.chdir(tmp_path)
     (tmp_path / "edge.cfg").write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
@@ -628,7 +628,7 @@ def test_every_numeric_key_at_its_edges(command, section, key, value, tmp_path,
     if code != 0:
         assert code in (2, 3) and err.count("\n") == 1, err
         assert [p.name for p in tmp_path.iterdir()] == ["edge.cfg"]
-        return
+        return code, err
     assert err == ""
     _, data = read_result_file(tmp_path / "out.csv")
     header = data[0].split(",")
@@ -638,6 +638,62 @@ def test_every_numeric_key_at_its_edges(command, section, key, value, tmp_path,
         assert all(math.isfinite(x) for x in numbers), row
         sens = float(cells["sensitivity"])
         assert math.isfinite(sens) or (sens == math.inf and float(cells["qfi_s2"]) == 0), row
+    return code, err
+
+
+@pytest.mark.parametrize("command, section, key, value", EDGE_CASES,
+                         ids=[f"{c}-{k}={v}" for c, _, k, v in EDGE_CASES])
+def test_every_numeric_key_at_its_edges(command, section, key, value, tmp_path,
+                                        monkeypatch, capsys):
+    _run_at_edges(command, {(section, key): value}, tmp_path, monkeypatch, capsys)
+
+
+# keys that meet at their edges: (command, settings, and the stderr line of
+# an exit 3 where it is pinned). The first two overflow the QFI itself, a frequency derivative
+# that grows with T on a noiseless qubit, or with T2 at a tiny linewidth;
+# they once wrote a QFI of inf and a sensitivity of 0, or failed later
+# without naming T
+EDGE_PAIRS = {
+    "run-omega0=5e-324,gamma=0,grid=1e100..1e300": (
+        "run", {("run", "schemes"): "standard", ("run", "omega0"): "5e-324",
+                ("channel", "gamma"): "0", ("time_grid", "start"): "1e100",
+                ("time_grid", "stop"): "1e300"},
+        "numerical failure: at T=1e+300 s: the QFI is not a finite float\n"),
+    "nmr-linewidth_hz=1e-300,omega0=5e-324": (
+        "nmr", {("nmr", "linewidth_hz"): "1e-300", ("nmr", "omega0"): "5e-324"},
+        "numerical failure: at T=3.97887e+299 s: the QFI is not a finite float\n"),
+    # a huge rate, or a tiny one, on a long grid
+    "run-gamma=1e300,stop=1e300": (
+        "run", {("channel", "gamma"): "1e300", ("time_grid", "stop"): "1e300"}, None),
+    "run-gamma=1e-300,stop=1e300": (
+        "run", {("channel", "gamma"): "1e-300", ("time_grid", "stop"): "1e300"}, None),
+    "run-omega0=1e300,u_max=1e300": (
+        "run", {("run", "omega0"): "1e300", ("control", "u_max"): "1e300"}, None),
+    "run-gamma_c=1e-300,omega0=1e-300": (
+        "run", {("run", "gamma_c"): "1e-300", ("run", "omega0"): "1e-300"}, None),
+    "run-start=5e-324,stop=1e-300": (
+        "run", {("time_grid", "start"): "5e-324", ("time_grid", "stop"): "1e-300"}, None),
+    "nmr-linewidth_hz=1e300,t2_factor_max=1e300": (
+        "nmr", {("nmr", "linewidth_hz"): "1e300", ("nmr", "t2_factor_max"): "1e300"}, None),
+    # gamma_c sqrt(F) overflows for a noiseless qubit's QFI at 1e9 s, which
+    # once wrote a sensitivity of 0
+    "run-gamma_c=1e300,gamma=0,grid=1e8..1e9": (
+        "run", {("run", "schemes"): "standard", ("run", "gamma_c"): "1e300",
+                ("channel", "gamma"): "0", ("time_grid", "start"): "1e8",
+                ("time_grid", "stop"): "1e9"},
+        "numerical failure: at T=1e+09 s: the sensitivity of QFI 1.000e+18 with "
+        "gamma_c=1.000e+300 is not a positive finite float\n"),
+    "nmr-gamma_c=1e300,linewidth_hz=1e-300": (
+        "nmr", {("nmr", "gamma_c"): "1e300", ("nmr", "linewidth_hz"): "1e-300"}, None),
+}
+
+
+@pytest.mark.parametrize("command, settings, pinned", EDGE_PAIRS.values(),
+                         ids=EDGE_PAIRS.keys())
+def test_pairs_of_keys_at_their_edges(command, settings, pinned, tmp_path, monkeypatch,
+                                      capsys):
+    code, err = _run_at_edges(command, settings, tmp_path, monkeypatch, capsys)
+    assert pinned is None or (code, err) == (3, pinned)
 
 
 @pytest.mark.parametrize("schemes_line", ["standard", "standard, control_enhanced"])
@@ -766,6 +822,53 @@ def test_run_reaches_every_layer_the_benchmark_traces(tmp_path, monkeypatch):
     assert calls["lindmet.harness.run_scheme"] == 2
     assert calls["lindmet.schemes.multi_start"] == 2
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("scenario", ["parallel-dephasing-1q", "parallel-dephasing-2q"])
+def test_each_search_evaluation_enters_the_traced_kernel_and_qfi_once(scenario, tmp_path,
+                                                                      monkeypatch):
+    # bench/tracing.py times the kernel and the QFI at these two names, so an
+    # evaluation that reached either another way, or twice, would go untraced
+    # or be counted wrong
+    from lindmet import _kern
+
+    entered = {"kernel": 0, "qfi": 0}
+
+    def count(owner, name, key):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            entered[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(_kern, "propagate_schedule", "kernel")
+    count(schemes, "qfi_eigen", "qfi")
+    per_evaluation = []
+    search = schemes.multi_start
+
+    def counted_search(objective, *args, **kwargs):
+        def evaluation(x):
+            before = dict(entered)
+            value = objective(x)
+            per_evaluation.append((entered["kernel"] - before["kernel"],
+                                   entered["qfi"] - before["qfi"]))
+            return value
+
+        return search(evaluation, *args, **kwargs)
+
+    monkeypatch.setattr(schemes, "multi_start", counted_search)
+    (tmp_path / "run.cfg").write_text(
+        f"[run]\nscenario = {scenario}\nschemes = control_enhanced\n\n"
+        "[time_grid]\nstart = 0.1\nstop = 0.2\npoints = 2\n\n"
+        "[control]\nK = 3\n\n[optimizer]\nrestarts = 2\nmax_evals = 15\n")
+    assert main(["run", "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(tmp_path / "res.csv")]) == 0
+    _, data = read_result_file(tmp_path / "res.csv")
+    evaluations = sum(int(row.split(",")[4]) for row in data[1:])
+    assert evaluations >= 2 * 2 * 15  # two times, each with two starts of 15
+    assert per_evaluation == [(1, 1)] * evaluations
 
 
 class TestBlasThreads:

@@ -1,8 +1,11 @@
 """Property tests on random registers, one site or two, either site idle but
 not both, with runs of equal rows (signed zeros included) in the amplitude
 grid: ``_kern.propagate_schedule`` on W drift generators with their own slice
-lengths, and the state and exact frequency derivative of random models from
-``SlicedDynamics.evolve_vectorized``."""
+lengths, the state and exact frequency derivative of random models from
+``SlicedDynamics.evolve_vectorized``, and the search objective on the
+package's own registers against the checked QFI."""
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,11 +13,12 @@ import scipy.linalg
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from lindmet import _kern  # noqa: E402
+from lindmet import _kern, schemes  # noqa: E402
 from lindmet.channels import EncodingModel, Site  # noqa: E402
 from lindmet.liouville import NoiseChannel, lindbladian, vectorize  # noqa: E402
 from lindmet.propagation import ControlSchedule, SlicedDynamics  # noqa: E402
 from test_propagation import bitwise_equal, per_run_reference  # noqa: E402
+import test_schemes  # noqa: E402
 
 M = 4  # a qubit's superoperators are 4x4
 
@@ -135,3 +139,48 @@ def test_derivative_matches_chained_frechet(case):
     ref, dref = frechet_reference(model, schedule, v0)
     assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.max(np.abs(dv - dref)) <= 1e-10 * np.max(np.abs(dref))
+
+
+T = 0.3
+
+
+@functools.lru_cache(maxsize=None)
+def search_register(scheme, scenario, K):
+    """The dynamics, probe state, search objective and amplitude bound of a
+    register's search at (T, K), the objective on the probe prepared for T
+    as ``run_scheme`` prepares it."""
+    cfg = test_schemes.config(scheme, scenario, [T], K=K)
+    dyn, rho0 = schemes.prepare(cfg)
+    probe = dyn.prepare(vectorize(rho0), [T / K])
+    return dyn, rho0, schemes._objective(probe, K, dyn.model.n_controls), cfg.resolved_u_max
+
+
+@st.composite
+def search_grids(draw):
+    """(register, K, amplitude grid) for every register a search runs on, and
+    each one-qubit scenario with its idle ancilla. Rows are spelled by
+    letters: A and B are random rows inside +-u_max, U is row A pushed to the
+    bounds with its signs, Z and z are row A with 0.0 and -0.0 in its first
+    field, and 0 is a row of zeros with random signs."""
+    register = draw(st.sampled_from(test_schemes.TestPreparedObjective.REGISTERS))
+    K = draw(st.integers(1, 8))
+    pattern = draw(st.text("ABUZz0", min_size=K, max_size=K))
+    dyn, _, _, u_max = search_register(*register, K)
+    L = dyn.model.n_controls
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = {"A": rng.uniform(-u_max, u_max, L), "B": rng.uniform(-u_max, u_max, L),
+            "0": np.copysign(0.0, rng.uniform(-1, 1, L))}
+    rows["U"] = np.copysign(u_max, rows["A"])
+    rows["Z"], rows["z"] = rows["A"].copy(), rows["A"].copy()
+    rows["Z"][0], rows["z"][0] = 0.0, -0.0
+    return register, K, np.array([rows[c] for c in pattern])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(search_grids())
+def test_search_objective_is_the_checked_qfi(case):
+    # on a two-qubit register a random row drives both sites
+    register, K, amps = case
+    dyn, rho0, objective, _ = search_register(*register, K)
+    checked = schemes._schedule_qfi(dyn, ControlSchedule(amps, T), rho0)
+    assert (-objective(amps.ravel())).hex() == checked.hex()

@@ -151,6 +151,12 @@ class TestQfiEigen:
         nan_state = np.full((2, 2), np.nan, dtype=complex)
         assert qfi_eigen(nan_state, nan_state) == 0.0
 
+    def test_overflowing_term_is_inf_without_a_warning(self):
+        huge = np.array([[0.0, 1e300], [1e300, 0.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qfi_eigen(plus_state(1), huge) == np.inf
+
 
 class TestUhlmannFidelity:
     def test_self_fidelity(self):
@@ -253,6 +259,16 @@ class TestSensitivity:
 
     def test_zero_information(self):
         assert sensitivity(0.0, 1.0) == float("inf")
+
+    def test_rejects_an_infinite_qfi(self):
+        # sqrt(T) / sqrt(inf) would report a sensitivity of 0
+        with pytest.raises(MetrologyError, match=r"^at T=2 s: the QFI inf is not a finite"):
+            sensitivity(np.inf, 2.0)
+
+    def test_rejects_a_sensitivity_that_underflows(self):
+        # gamma_c sqrt(F) overflows for a finite QFI: the quotient would be 0
+        with pytest.raises(MetrologyError, match="is not a positive finite float"):
+            sensitivity(1e18, 1.0, 1e300)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

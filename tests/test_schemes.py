@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lindmet import _kern, schemes
 from lindmet.channels import SCENARIOS
 from lindmet.liouville import vectorize
+from lindmet.metrology import MetrologyError
 from lindmet.optimizer import OptimizerOptions, multi_start
 from lindmet.propagation import ControlSchedule, PropagationError, SlicedDynamics
 from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
@@ -401,6 +404,21 @@ class TestPreparedObjective:
         assert self._objective(dyn, rho0, T)(amps.ravel()) == 0
         with pytest.raises(PropagationError, match=r"^at T=1e\+10 s: .* nan$"):
             schemes._schedule_qfi(dyn, ControlSchedule(amps, T), rho0)
+
+    def test_overflowing_qfi(self):
+        # a noiseless qubit's frequency derivative grows with T, and at a
+        # subnormal omega0 its state stays finite while the QFI overflows:
+        # the unchecked objective scores it 0 and the checked QFI names T,
+        # neither with a warning
+        T = 1e300
+        dyn, rho0 = prepare(config("standard", "parallel-dephasing-1q", [T], K=self.K,
+                                   omega0=5e-324, rates=(("gamma", 0.0),)))
+        amps = np.zeros((self.K, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._objective(dyn, rho0, T)(amps.ravel()) == 0
+            with pytest.raises(MetrologyError, match=r"^at T=1e\+300 s: the QFI is not a finite"):
+                schemes._schedule_qfi(dyn, ControlSchedule(amps, T), rho0)
 
     def test_amplitudes_must_be_finite_and_fill_the_grid(self):
         dyn, rho0 = prepare(config("standard", "parallel-dephasing-1q", [self.T], K=self.K))
