@@ -14,6 +14,7 @@ from .channels import t2_from_linewidth
 from .config import (ConfigError, NmrConfig, RunConfig, dump_nmr_config, dump_run_config,
                      format_float)
 from .metrology import qfi_fidelity
+from .propagation import PropagationError
 from .schemes import MetrologyResult, prepare, run_scheme
 
 CSV_HEADER = "scheme,T_s,qfi_s2,sensitivity,evals,seed,converged"
@@ -115,8 +116,12 @@ def run_nmr_protocol(config: NmrConfig, out: str | None = None) -> Path:
             f"probe_{scheme} = " + " ".join(format(z, ".17g")
                                             for z in probe.reshape(-1)))
         for r in run_scheme(scheme_cfg):
-            rho = dyn.evolve(r.schedule, probe)
-            rho_pert = dyn.evolve(r.schedule, probe, scheme_cfg.omega0 + delta)
+            try:
+                rho = dyn.evolve(r.schedule, probe)
+                rho_pert = dyn.evolve(r.schedule, probe, scheme_cfg.omega0 + delta)
+            except PropagationError as exc:
+                # named by its encoding time, as drho_domega names a failure
+                raise PropagationError(f"at T={r.T:g} s: {exc}") from exc
             rows.append(_result_row(scheme, r, qfi_fidelity(rho, rho_pert, delta)))
     _write_result_file(path, dump_nmr_config(config), NMR_CSV_HEADER, rows,
                        metadata=metadata)

@@ -85,14 +85,24 @@ def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
     """
     rho_x = np.asarray(rho_x, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
-    lam, vecs = np.linalg.eigh(rho_x)
+    try:
+        lam, vecs = np.linalg.eigh(rho_x)
+    except np.linalg.LinAlgError:
+        # eigh need not converge on a state that is not finite; such a state
+        # takes NaN eigenvalues, as eigh gives it when it does converge
+        bad = ~np.isfinite(rho_x).all(axis=(-2, -1))
+        if not bad.any():
+            raise
+        lam, vecs = np.linalg.eigh(np.where(bad[..., None, None], np.eye(rho_x.shape[-1]),
+                                            rho_x))
+        lam[bad] = np.nan
     M = vecs.conj().swapaxes(-1, -2) @ drho @ vecs
     pair_sums = lam[..., :, None] + lam[..., None, :]
     # every pair's term, then 0 for the pairs at or below the cutoff
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         terms = 2.0 * np.abs(M) ** 2 / pair_sums
-    terms = np.where(pair_sums > SPECTRAL_CUTOFF, terms, 0.0)
-    qfi = terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+    np.copyto(terms, 0.0, where=~(pair_sums > SPECTRAL_CUTOFF))
+    qfi = np.add.reduce(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
     return float(qfi) if qfi.ndim == 0 else qfi
 
 

@@ -5,6 +5,11 @@ expansion, outside/inside contraction, and shrinkage, with greedy expansion
 acceptance. Ties on equal objective values are broken by vertex order, and the
 random restarts derive from a single master seed, so runs are reproducible
 bit-for-bit.
+
+An objective maps an (N, n) stack of points to their N values. The points
+of a batch do not depend on each other's values, so the search hands each
+batch over in one call: the initial simplex's n+1 vertices, and a shrink's n
+new ones; a reflection, expansion or contraction is a stack of one point.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ INITIAL_STEP = 0.05
 class OptimizerOptions:
     """Budget and restart settings for the simplex search.
 
-    ``max_evals`` counts objective evaluations per start; ``None`` resolves
+    ``max_evals`` counts evaluated points per start; ``None`` resolves
     to 200*n for n variables. It is checked once per simplex iteration, and
     nothing is cut short: the n+1 vertices of the initial simplex are always
     evaluated, and so are an iteration's reflection, expansion or contraction
@@ -63,10 +68,24 @@ def _resolve(options: OptimizerOptions, n: int) -> OptimizerOptions:
     return replace(options, max_evals=200 * n)
 
 
-def nelder_mead(objective: Callable[[np.ndarray], float], x0: Sequence[float],
+def _values(objective: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """The objective's values at an (N, n) stack of points, from one call."""
+    values = np.asarray(objective(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"the objective must map {len(points)} points to as many values, "
+                         f"got shape {values.shape}")
+    return values
+
+
+def nelder_mead(objective: Callable[[np.ndarray], np.ndarray], x0: Sequence[float],
                 options: OptimizerOptions = OptimizerOptions(),
                 scale: float | None = None) -> SearchResult:
     """Minimize ``objective`` from ``x0``.
+
+    ``objective`` maps an (N, n) stack of points to their N values. It gets
+    the initial simplex, n+1 points, in one call, each shrink's n new points
+    in one call, and each reflection, expansion or contraction as a stack of
+    one. ``evals`` counts the points evaluated, not the calls.
 
     ``scale`` sets the initial simplex step and the diameter tolerance
     (:data:`INITIAL_STEP` and :data:`X_TOL` times it); it defaults to
@@ -87,11 +106,8 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0: Sequence[float],
     verts = np.tile(x0, (n + 1, 1))
     for i in range(n):
         verts[i + 1, i] += step
-    fvals = np.empty(n + 1)
-    evals = 0
-    for i in range(n + 1):
-        fvals[i] = objective(verts[i])
-        evals += 1
+    fvals = _values(objective, verts)
+    evals = n + 1
     if not np.all(np.isfinite(fvals)):
         raise ValueError("objective is not finite on the initial simplex")
 
@@ -112,11 +128,11 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0: Sequence[float],
 
         centroid = verts[:-1].mean(axis=0)
         xr = centroid + alpha * (centroid - verts[-1])
-        fr = objective(xr)
+        fr = _values(objective, xr[None])[0]
         evals += 1
         if fr < fvals[0]:
             xe = centroid + alpha * chi * (centroid - verts[-1])
-            fe = objective(xe)
+            fe = _values(objective, xe[None])[0]
             evals += 1
             if fe < fr:
                 verts[-1], fvals[-1] = xe, fe
@@ -127,36 +143,37 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0: Sequence[float],
         else:
             if fr < fvals[-1]:
                 xc = centroid + psi * alpha * (centroid - verts[-1])
-                fc = objective(xc)
+                fc = _values(objective, xc[None])[0]
                 accept = fc <= fr
             else:
                 xc = centroid - psi * (centroid - verts[-1])
-                fc = objective(xc)
+                fc = _values(objective, xc[None])[0]
                 accept = fc < fvals[-1]
             evals += 1
             if accept:
                 verts[-1], fvals[-1] = xc, fc
             else:
-                for i in range(1, n + 1):
-                    verts[i] = verts[0] + sigma * (verts[i] - verts[0])
-                    fvals[i] = objective(verts[i])
-                    evals += 1
+                verts[1:] = verts[0] + sigma * (verts[1:] - verts[0])
+                fvals[1:] = _values(objective, verts[1:])
+                evals += n
 
     best = int(np.argmin(fvals))  # argmin returns the lowest index on ties
     return SearchResult(verts[best].copy(), float(fvals[best]), evals, converged)
 
 
-def multi_start(objective: Callable[[np.ndarray], float],
+def multi_start(objective: Callable[[np.ndarray], np.ndarray],
                 lower: Sequence[float], upper: Sequence[float],
                 options: OptimizerOptions = OptimizerOptions(),
                 extra_starts: Sequence = ()) -> SearchResult:
     """Best of ``options.restarts`` seeded simplex runs inside a box.
 
-    The first start is the zero vector when it lies inside the box; the rest
-    are drawn uniformly. ``extra_starts`` run in addition to (and before) the
-    standard set, e.g. to warm-start from a neighbouring solution. Candidate
-    points are clamped to the box before evaluation, which keeps every
-    reported point feasible.
+    ``objective`` maps an (N, n) stack of points to their N values, as in
+    :func:`nelder_mead`. The first start is the zero vector when it lies
+    inside the box; the rest are drawn uniformly. ``extra_starts`` run in
+    addition to (and before) the standard set, e.g. to warm-start from a
+    neighbouring solution. Each stack of candidate points is clamped to the
+    box before evaluation, which keeps every reported point feasible. The
+    result's ``evals`` is the points evaluated over all starts.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -166,8 +183,8 @@ def multi_start(objective: Callable[[np.ndarray], float],
     scale = float(np.max((upper - lower) / 2.0))
     opt = _resolve(options, n)
 
-    def clamped(x):
-        return objective(np.clip(x, lower, upper))
+    def clamped(points):
+        return objective(np.clip(points, lower, upper))
 
     rng = np.random.default_rng(opt.seed)
     starts = [np.clip(np.asarray(x, dtype=float), lower, upper)

@@ -29,7 +29,8 @@ the ancilla, takes none.
 Every propagation runs on a :class:`PreparedProbe`, which holds what does
 not depend on the amplitudes, built once per probe, frequency and set of
 slice lengths (:meth:`SlicedDynamics.prepare`); the control search
-prepares its probe once per encoding time.
+prepares its probe once per encoding time, and propagates a batch of
+amplitude grids, such as its initial simplex, in one kernel call.
 """
 from __future__ import annotations
 
@@ -270,23 +271,26 @@ class PreparedProbe:
 
     def propagate(self, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (W, d^2) stacks of the states and their derivatives in omega0
-        after the float64 (K, L) amplitude grid ``amps`` acts, from one
+        after the float64 (K, L) amplitude grid ``amps`` acts, or the
+        (N, W, d^2) stacks after each grid of an (N, K, L) stack, from one
         ``_kern.propagate_schedule`` call; the states are not checked."""
         dyn, n = self.dyn, len(self._drifts)
         v = _kern.propagate_schedule(
-            self._drifts, self._ctrls, tuple(amps[:, cols] for cols in dyn._columns),
-            self._dt, self._x).reshape((-1,) + (8,) * n)
+            self._drifts, self._ctrls, tuple(amps[..., cols] for cols in dyn._columns),
+            self._dt, self._x)
+        lead = v.shape[:-1]
         if n == 1:
             v = v.reshape(-1, 2, 4)  # [x; dx]
         else:
             # [[U0 X U1^T, U0 X dU1^T], [dU0 X U1^T, dU0 X dU1^T]], one dual number
             # per site: the two first-order blocks add up to dX, and their
             # product, the last block, is dropped
-            x, v = v, np.empty((len(v), 2, 4, 4), dtype=v.dtype)
+            x = v.reshape(-1, 8, 8)
+            v = np.empty((len(x), 2, 4, 4), dtype=v.dtype)
             v[:, 0] = x[:, :4, :4]
             np.add(x[:, :4, 4:], x[:, 4:, :4], out=v[:, 1])
-        v = _change_basis(_OPERATORS, v, n).reshape(len(v), 2, dyn.dim ** 2)[..., dyn._unorder]
-        return v[:, 0], v[:, 1]
+        v = _change_basis(_OPERATORS, v, n).reshape(lead + (2, dyn.dim ** 2))[..., dyn._unorder]
+        return v[..., 0, :], v[..., 1, :]
 
 
 def evolved_state_faults(rho: np.ndarray) -> list[str | None]:

@@ -181,16 +181,26 @@ def _schedule_qfi(dyn: SlicedDynamics, schedule: ControlSchedule | list[ControlS
 
 
 def _objective(probe: PreparedProbe, K: int, L: int):
-    """The search objective on ``probe``, prepared for one T: minus the
-    unchecked QFI of a finite, flat K x L amplitude grid. A NaN state, as
-    from a generator that overflows, and a QFI that is not finite score 0."""
+    """The search objective on ``probe``, prepared for one T: an (N, K*L)
+    stack of flat K x L amplitude grids, which must be finite, to the N
+    values minus their unchecked QFIs, from one kernel call; a flat grid
+    alone gives one value. A NaN state, as from a generator that overflows,
+    and a QFI that is not finite score 0."""
     def objective(x):
-        amps = np.asarray(x, dtype=float).reshape(K, L)
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != K * L:
+            raise ValueError(f"points must be flat K x L = {K * L} amplitude grids, "
+                             f"got shape {x.shape}")
+        amps = x.reshape(-1, K, L)
         if not np.isfinite(amps).all():
             raise ValueError("control amplitudes must be finite")
         v, dv = probe.propagate(amps)
-        qfi = qfi_eigen(unvectorize(v[0]), unvectorize(dv[0]))
-        return -qfi if qfi < math.inf else 0.0
+        qfi = qfi_eigen(unvectorize(v[:, 0]), unvectorize(dv[:, 0]))
+        # a NaN state has no pairs to sum, so it scores -0.0; a NaN among the
+        # QFIs makes their maximum NaN too
+        if not np.maximum.reduce(qfi) < math.inf:
+            qfi = np.where(qfi < math.inf, qfi, -0.0)
+        return -qfi if x.ndim > 1 else -qfi[0]
     return objective
 
 

@@ -225,11 +225,13 @@ def test_criterion_7_physicality_suite():
 def test_criterion_8_optimizer_sanity():
     """Rosenbrock, brute-force-checked multimodal search, and determinism."""
     t0 = time.time()
-    rosen = lambda x: float((1 - x[0])**2 + 100 * (x[1] - x[0]**2)**2)
+    # the objectives map a stack of points to their values, one row at a time
+    rows = lambda f: lambda points: np.array([f(x) for x in points])
+    rosen = rows(lambda x: float((1 - x[0])**2 + 100 * (x[1] - x[0]**2)**2))
     r = nelder_mead(rosen, np.array([-1.2, 1.0]))
     ok_rosen = np.max(np.abs(r.x - 1.0)) <= 1e-4
 
-    f = lambda x: float(np.sin(5 * x[0]) + 0.1 * x[0]**2)
+    f = rows(lambda x: float(np.sin(5 * x[0]) + 0.1 * x[0]**2))
     xs = np.arange(-10, 10, 1e-4)
     brute = xs[np.argmin(np.sin(5 * xs) + 0.1 * xs**2)]
     m = multi_start(f, [-10.0], [10.0], OptimizerOptions(restarts=20, seed=3))

@@ -685,6 +685,12 @@ EDGE_PAIRS = {
         "gamma_c=1.000e+300 is not a positive finite float\n"),
     "nmr-gamma_c=1e300,linewidth_hz=1e-300": (
         "nmr", {("nmr", "gamma_c"): "1e300", ("nmr", "linewidth_hz"): "1e-300"}, None),
+    # the fidelity pair's state at omega0 + delta fails its checks after every
+    # search has run; it once failed without naming T
+    "nmr-linewidth_hz=1e-150,omega0=1e-300,delta_omega_fidelity=1e150": (
+        "nmr", {("nmr", "linewidth_hz"): "1e-150", ("nmr", "omega0"): "1e-300",
+                ("nmr", "delta_omega_fidelity"): "1e150"},
+        "numerical failure: at T=3.97887e+149 s: propagated state trace deviates from 1 by nan\n"),
 }
 
 
@@ -828,8 +834,8 @@ def test_run_reaches_every_layer_the_benchmark_traces(tmp_path, monkeypatch):
 def test_each_search_evaluation_enters_the_traced_kernel_and_qfi_once(scenario, tmp_path,
                                                                       monkeypatch):
     # bench/tracing.py times the kernel and the QFI at these two names, so an
-    # evaluation that reached either another way, or twice, would go untraced
-    # or be counted wrong
+    # objective call that reached either another way, or twice, would go
+    # untraced or be counted wrong
     from lindmet import _kern
 
     entered = {"kernel": 0, "qfi": 0}
@@ -845,16 +851,16 @@ def test_each_search_evaluation_enters_the_traced_kernel_and_qfi_once(scenario, 
 
     count(_kern, "propagate_schedule", "kernel")
     count(schemes, "qfi_eigen", "qfi")
-    per_evaluation = []
+    per_call = []
     search = schemes.multi_start
 
     def counted_search(objective, *args, **kwargs):
-        def evaluation(x):
+        def evaluation(points):
             before = dict(entered)
-            value = objective(x)
-            per_evaluation.append((entered["kernel"] - before["kernel"],
-                                   entered["qfi"] - before["qfi"]))
-            return value
+            values = objective(points)
+            per_call.append((len(points), entered["kernel"] - before["kernel"],
+                             entered["qfi"] - before["qfi"]))
+            return values
 
         return search(evaluation, *args, **kwargs)
 
@@ -868,7 +874,13 @@ def test_each_search_evaluation_enters_the_traced_kernel_and_qfi_once(scenario, 
     _, data = read_result_file(tmp_path / "res.csv")
     evaluations = sum(int(row.split(",")[4]) for row in data[1:])
     assert evaluations >= 2 * 2 * 15  # two times, each with two starts of 15
-    assert per_evaluation == [(1, 1)] * evaluations
+    # each call, a batch of points or one, enters each once, and the points
+    # of all calls are the evaluations the file reports
+    assert [(kernel, qfi) for _, kernel, qfi in per_call] == [(1, 1)] * len(per_call)
+    assert sum(points for points, _, _ in per_call) == evaluations
+    # every start's initial simplex, K x L + 1 points, is one call
+    simplex = 3 * {"parallel-dephasing-1q": 2, "parallel-dephasing-2q": 4}[scenario] + 1
+    assert [points for points, _, _ in per_call].count(simplex) >= 2 * 2
 
 
 class TestBlasThreads:

@@ -4,10 +4,17 @@ import pytest
 from lindmet.optimizer import OptimizerOptions, multi_start, nelder_mead
 
 
+def rows(f):
+    """A function of one point as an objective: its value at each row of a stack."""
+    return lambda points: np.array([f(x) for x in points])
+
+
+@rows
 def sphere(x):
     return float(np.sum(x * x))
 
 
+@rows
 def rosenbrock(x):
     return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
 
@@ -22,16 +29,18 @@ class TestNelderMead:
         assert np.max(np.abs(res.x - 1.0)) <= 1e-4
 
     def test_nonsmooth_absolute_value(self):
-        res = nelder_mead(lambda x: float(abs(x[0] - 3)), np.array([0.0]))
+        res = nelder_mead(rows(lambda x: float(abs(x[0] - 3))), np.array([0.0]))
         assert abs(res.x[0] - 3.0) <= 1e-6
 
     def test_eval_accounting_exact(self):
         calls = [0]
 
+        @rows
         def counted(x):
             calls[0] += 1
-            return sphere(x)
+            return float(np.sum(x * x))
 
+        # evals counts points, not calls
         res = nelder_mead(counted, np.ones(3))
         assert res.evals == calls[0]
 
@@ -45,7 +54,7 @@ class TestNelderMead:
         assert nelder_mead(sphere, np.zeros(10), OptimizerOptions(max_evals=3)).evals == 11
         # nor is a shrink, so a start can end n + 1 evaluations past the budget
         rng = np.random.default_rng(0)
-        noise = lambda x: float(rng.random())
+        noise = rows(lambda x: float(rng.random()))
         over = [nelder_mead(noise, np.zeros(3), OptimizerOptions(max_evals=b)).evals - b
                 for b in range(5, 60)]
         assert max(over) == 3 + 1
@@ -54,20 +63,24 @@ class TestNelderMead:
         # the reported value is the best the search ever evaluated
         values = []
 
-        def logged(x):
-            values.append(rosenbrock(x))
-            return values[-1]
+        def logged(points):
+            values.extend(rosenbrock(points))
+            return values[-len(points):]
 
         res = nelder_mead(logged, np.array([-1.2, 1.0]), OptimizerOptions(max_evals=400))
         assert res.fun == min(values)
 
     def test_non_finite_initial_simplex_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            nelder_mead(lambda x: float("nan"), np.zeros(2))
+            nelder_mead(rows(lambda x: float("nan")), np.zeros(2))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             nelder_mead(sphere, np.array([]))
+
+    def test_one_value_per_point_required(self):
+        with pytest.raises(ValueError, match="as many values"):
+            nelder_mead(lambda points: float(np.sum(points)), np.zeros(2))
 
 
 class TestGoldenTrace:
@@ -83,18 +96,38 @@ class TestGoldenTrace:
     """
 
     def test_three_iterations(self):
-        points = []
+        calls = []
 
-        def recorded(x):
-            points.append(x.copy())
-            return sphere(x)
+        def recorded(points):
+            calls.append(points.copy())
+            return sphere(points)
 
         res = nelder_mead(recorded, np.array([1.0, 1.0]),
                           OptimizerOptions(max_evals=7), scale=10.0)
-        assert np.array_equal(points, [[1.0, 1.0], [1.5, 1.0], [1.0, 1.5], [1.5, 0.5],
-                                       [1.0, 0.5], [0.75, 0.25], [0.25, 0.75]])
+        # the initial simplex in one call, then one point per call
+        assert [len(c) for c in calls] == [3, 1, 1, 1, 1]
+        assert np.array_equal(np.concatenate(calls),
+                              [[1.0, 1.0], [1.5, 1.0], [1.0, 1.5], [1.5, 0.5],
+                               [1.0, 0.5], [0.75, 0.25], [0.25, 0.75]])
         assert np.array_equal(res.x, [0.75, 0.25])
         assert (res.fun, res.evals, res.converged) == (0.625, 7, False)
+
+    def test_shrink_is_one_call(self):
+        # 0 at the origin and 1 elsewhere: from the simplex (0, 0), (0.5, 0),
+        # (0, 0.5) the reflection (0.5, -0.5) and the inside contraction
+        # (0.125, 0.25) both score 1, so the simplex shrinks towards the origin
+        calls = []
+
+        def recorded(points):
+            calls.append(points.copy())
+            return np.any(points != 0, axis=1).astype(float)
+
+        res = nelder_mead(recorded, np.zeros(2), OptimizerOptions(max_evals=7), scale=10.0)
+        assert [len(c) for c in calls] == [3, 1, 1, 2]
+        assert np.array_equal(np.concatenate(calls),
+                              [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, -0.5],
+                               [0.125, 0.25], [0.25, 0.0], [0.0, 0.25]])
+        assert (res.fun, res.evals, res.converged) == (0.0, 7, False)
 
 
 class TestOptions:
@@ -120,6 +153,7 @@ class TestMultiStart:
         assert a.fun == b.fun
 
     def test_multimodal_against_brute_force(self):
+        @rows
         def f(x):
             return float(np.sin(5 * x[0]) + 0.1 * x[0] ** 2)
 
@@ -129,6 +163,7 @@ class TestMultiStart:
         assert abs(res.x[0] - brute) <= 1e-3
 
     def test_seeded_determinism_bitwise(self):
+        @rows
         def f(x):
             return float(np.sum((x - 0.7) ** 2) + np.sin(x[0] * 9))
 
@@ -139,7 +174,7 @@ class TestMultiStart:
         assert a.fun == b.fun and a.evals == b.evals
 
     def test_respects_bounds(self):
-        res = multi_start(lambda x: float(-np.sum(x)), np.zeros(2), np.ones(2),
+        res = multi_start(rows(lambda x: float(-np.sum(x))), np.zeros(2), np.ones(2),
                           OptimizerOptions(restarts=4, seed=0))
         assert np.all(res.x >= 0.0) and np.all(res.x <= 1.0)
         assert res.fun >= -2.0 - 1e-12
@@ -147,9 +182,10 @@ class TestMultiStart:
     def test_total_evals_accumulate(self):
         calls = [0]
 
+        @rows
         def counted(x):
             calls[0] += 1
-            return sphere(x)
+            return float(np.sum(x * x))
 
         res = multi_start(counted, -np.ones(2), np.ones(2),
                           OptimizerOptions(restarts=3, seed=5, max_evals=50))
@@ -161,7 +197,7 @@ class TestMultiStart:
 
     def test_zero_outside_box_skipped(self):
         # when the box excludes the origin all starts are uniform draws
-        res = multi_start(lambda x: float((x[0] - 1.5) ** 2),
+        res = multi_start(rows(lambda x: float((x[0] - 1.5) ** 2)),
                           np.array([1.0]), np.array([2.0]),
                           OptimizerOptions(restarts=3, seed=8))
         assert abs(res.x[0] - 1.5) <= 1e-5
@@ -170,9 +206,10 @@ class TestMultiStart:
     def test_extra_starts_run_in_addition(self):
         calls = [0]
 
+        @rows
         def counted(x):
             calls[0] += 1
-            return sphere(x)
+            return float(np.sum(x * x))
 
         opts = OptimizerOptions(restarts=2, seed=5, max_evals=40)
         plain = multi_start(counted, -np.ones(2), np.ones(2), opts)

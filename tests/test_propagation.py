@@ -437,6 +437,21 @@ class TestPythonKernel:
         got = _kern.propagate_schedule(drifts, ctrls, amps, dts, v0)
         assert sizes == [3 * runs]
         assert bitwise_equal(got, np.stack(one_by_one))
+        # a stack of N grids under W drifts: row (i, w) is bit for bit the
+        # call with grid i and drift w; the grids have other run counts, and
+        # one repeats another
+        K = len(amps)
+        grids = np.stack([amps, amps[::-1], np.zeros_like(amps), amps, np.tile(amps[:1], (K, 1)),
+                          np.where(np.arange(K)[:, None] % 2, amps[::-1], -amps)])
+        one_by_one = [[_kern.propagate_schedule(D, ctrls, a, dt, v0) for D, dt in zip(drifts, dts)]
+                      for a in grids]
+        sizes.clear()
+        got = _kern.propagate_schedule(drifts, ctrls, grids, dts, v0)
+        assert len(sizes) == 1
+        assert bitwise_equal(got, np.array(one_by_one))
+        assert bitwise_equal(_kern.propagate_schedule(L0, ctrls, grids, 0.05, v0),
+                             np.stack([_kern.propagate_schedule(L0, ctrls, a, 0.05, v0)
+                                       for a in grids]))
 
     @pytest.mark.parametrize("m", [4, 16])
     def test_no_controls_is_one_run(self, m, monkeypatch):
@@ -482,6 +497,10 @@ class TestPythonKernel:
             ("dt must be", (stack, ctrls, amps, np.full(2, 0.05), v0)),
             ("dt must be", (stack, ctrls, amps, np.full((3, 1), 0.05), v0)),
             ("dt must be", (L0, ctrls, amps, np.full(3, 0.05), v0)),
+            # a grid needs a slice, and a stack a grid
+            ("amps must be", (L0, ctrls, amps[:0], 0.05, v0)),
+            ("amps must be", (L0, ctrls, amps[None, :0], 0.05, v0)),
+            ("amps must be", (L0, ctrls, amps[None][:0], 0.05, v0)),
         ]
         for message, args in cases:
             with pytest.raises(ValueError, match=message):
@@ -638,6 +657,21 @@ class TestTwoSiteKernel:
             ref = self._reference(drifts, ctrls, amps, dt, v0, w)
             assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("idle", [(), (0,), (1,)])
+    def test_stack_of_grids_is_separate_calls(self, idle):
+        drifts, ctrls, amps, v0 = self._sites(seed=11 + len(idle) + 3 * sum(idle))
+        drifts = tuple(None if s in idle else D for s, D in enumerate(drifts))
+        dts = np.array([0.05, 0.02, 0.1])
+        # each site's grids: the random one, with runs, reversed, zero, and repeated
+        amps[0][3:5] = amps[0][2]
+        amps[1][5] = amps[1][4]
+        grids = tuple(np.stack([a, a[::-1], np.zeros_like(a), a]) for a in amps)
+        got = _kern.propagate_schedule(drifts, ctrls, grids, dts, v0)
+        assert got.shape == (4, 3, 16)
+        for i in range(4):
+            one = _kern.propagate_schedule(drifts, ctrls, tuple(g[i] for g in grids), dts, v0)
+            assert bitwise_equal(got[i], one)
+
     def test_one_site_is_the_bare_call(self):
         drifts, ctrls, amps, v0 = self._sites(seed=5, fields=(2,))
         amps[0][3:5] = amps[0][2]
@@ -662,6 +696,10 @@ class TestTwoSiteKernel:
             ("state vector length", (drifts, ctrls, amps, v0[:4])),
             ("field count", (drifts, ctrls, (amps[0], amps[0]), v0)),
             ("dt must be", (drifts, ctrls, amps, v0, np.full(2, 0.05))),
+            # stacks of grids: as many on each site, and each a grid
+            ("as many grids", (drifts, ctrls, (amps[0][None], amps[1]), v0)),
+            ("as many grids", (drifts, ctrls, (amps[0][None], np.stack([amps[1]] * 2)), v0)),
+            ("amps must be", (drifts, ctrls, (amps[0][None, None], amps[1][None, None]), v0)),
         ]
         for message, args in cases:
             D, C, A, v = args[:4]

@@ -316,6 +316,23 @@ class TestOneKernelCallPerQfi:
         sites = {4: 1, 16: 2}[m]
         assert shapes == [[(1, 8, 8)] * sites]
         assert sizes == [sites * (self.K - 1)]
+        # a grid and its initial simplex are one call, which exponentiates
+        # each distinct generator once: a site's amplitudes in a run's first
+        # row and the run's length, over every run of every grid
+        base = self._amplitudes(n_fields).ravel()
+        simplex = base + np.vstack([np.zeros(base.size), 2.0 * np.eye(base.size)])
+        shapes.clear()
+        sizes.clear()
+        captured[0](simplex)
+        columns = np.array_split(np.arange(n_fields), sites)
+        distinct = set()
+        for amps in simplex.reshape(-1, self.K, n_fields):
+            starts = [0] + [k for k in range(1, self.K) if (amps[k] != amps[k - 1]).any()]
+            for a, b in zip(starts, starts[1:] + [self.K]):
+                distinct |= {(s, tuple(amps[a, cols]), b - a) for s, cols in enumerate(columns)}
+        assert shapes == [[(1, 8, 8)] * sites]
+        assert sizes == [len(distinct)]
+        assert len(distinct) < len(simplex) * sites * (self.K - 1) / 4
 
     @pytest.mark.parametrize("scenario, m", [("parallel-dephasing-1q", 4),
                                              ("parallel-dephasing-2q", 16)])
@@ -420,6 +437,29 @@ class TestPreparedObjective:
             with pytest.raises(MetrologyError, match=r"^at T=1e\+300 s: the QFI is not a finite"):
                 schemes._schedule_qfi(dyn, ControlSchedule(amps, T), rho0)
 
+    @pytest.mark.parametrize("scheme, scenario", [("control_enhanced", "parallel-dephasing-1q"),
+                                                  ("control_enhanced", "parallel-dephasing-2q"),
+                                                  ("ancilla", "parallel-dephasing-1q")])
+    def test_a_batch_is_its_rows_bit_for_bit(self, scheme, scenario):
+        # the ancilla register has an idle site
+        cfg = config(scheme, scenario, [self.T], K=self.K)
+        dyn, rho0 = prepare(cfg)
+        objective = self._objective(dyn, rho0, self.T)
+        L = dyn.model.n_controls
+        n = self.K * L
+        random = np.random.default_rng(L).uniform(-40, 40, (self.K, L))
+        random[3] = random[2]  # 5 runs
+        simplex = random.ravel() + np.vstack([np.zeros(n), 0.05 * cfg.resolved_u_max * np.eye(n)])
+        pairs = np.repeat(random[::2], 2, axis=0)  # 3 runs
+        batch = np.vstack([np.zeros(n), random.ravel(), simplex, random.ravel(),
+                           np.full(n, 7.5), pairs.ravel(), np.full(n, 1e300)])
+        values = objective(batch)
+        one_by_one = np.array([objective(x) for x in batch])
+        assert values.shape == (len(batch),)
+        assert np.array_equal(values.view(np.uint64), one_by_one.view(np.uint64))
+        # the overflowing grid scores 0, every other a negative QFI
+        assert values[-1] == 0 and (values[:-1] < 0).all()
+
     def test_amplitudes_must_be_finite_and_fill_the_grid(self):
         dyn, rho0 = prepare(config("standard", "parallel-dephasing-1q", [self.T], K=self.K))
         objective = self._objective(dyn, rho0, self.T)
@@ -428,6 +468,14 @@ class TestPreparedObjective:
                 objective(np.full(2 * self.K, bad))
         with pytest.raises(ValueError):
             objective(np.zeros(2 * self.K + 1))
+        # a stack is checked as a whole, and must be flat points
+        points = np.zeros((3, 2 * self.K))
+        points[1, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            objective(points)
+        for bad in (np.zeros((3, 2 * self.K + 1)), np.zeros((1, 3, 2 * self.K))):
+            with pytest.raises(ValueError, match="flat"):
+                objective(bad)
 
 
 # (scheme, scenario) pairs whose fixed schedule is scored over the grid
