@@ -9,30 +9,33 @@ exponentiated; an idle site takes none. The generators may be real, as the
 package's 8x8 Van Loan blocks are (see :mod:`lindmet.propagation`), or
 complex; the arithmetic follows their dtype. A prepared probe builds its
 drifts and state once and then makes one call per amplitude grid, or per
-stack of N grids such as a simplex's points, whose runs and generators are
-found and built once for the whole register and every grid.
+stack of N grids such as a round of a control search's points, whose runs
+and generators are found and built once for the whole register and every
+grid.
 
 A run of R equal consecutive rows of the register's amplitude grid is one
 constant generator, exponentiated once over the run's whole duration, exp(R
-dt A), and applied in one step; a constant schedule is a single run. Given
-W drift generators, each with its own slice length, one call propagates the
-same schedule under each, so it covers several encoding times: the W
-generators of every run of every site go through one ``expm_stack`` call,
-bit for bit ``scipy.linalg.expm`` on each slice. Given N grids, one pass
-finds every grid's runs; a site's generator depends only on its amplitudes
-in the run's first row and the run's length, so runs of several grids that
-share them, as a simplex's points share all but one row, share one
-generator, built and exponentiated once. The grids are then stepped
-together, one batched product per run index over every grid that has a
-run there, and each grid's states are bit for bit its own call's. ``expm_stack`` sorts the
-slices as scipy does, by their nonzero entries below and above the
-diagonal. A generic slice, as every slice a run exponentiates is, takes
-scipy's own Pade kernels (``pick_pade_structure`` and ``pade_UV_calc`` from
-the private ``scipy.linalg._matfuncs_expm``) in its own work block, 64
-slices' blocks filled at a time, so those two calls are nearly all of its
-per-slice Python; the slices that share a squaring count are squared as
-one stacked product. A diagonal or triangular slice goes to
-``scipy.linalg.expm`` itself.
+dt A), and applied in one step; a constant schedule is a single run. Each
+site has one drift. Given W slice lengths, one call propagates one grid
+over each, so it covers several encoding times: the W scaled generators of
+every run of every site go through one ``expm_stack`` call, bit for bit
+``scipy.linalg.expm`` on each slice. Given N grids, each with its own slice
+length, one pass finds every grid's runs; a site's generator depends only
+on its amplitudes in the run's first row and the run's duration, so runs
+of several grids that share them, as a simplex's points share all but one
+row, share one generator, built and exponentiated once. The grids are
+then stepped together, one batched product per run index over every grid
+that has a run there, and each grid's state is bit for bit its own
+call's.
+
+``expm_stack`` sorts the slices as scipy does, by their nonzero entries
+below and above the diagonal. A generic slice, as every slice a run
+exponentiates is, takes scipy's own Pade kernels (``pick_pade_structure``
+and ``pade_UV_calc`` from the private ``scipy.linalg._matfuncs_expm``) in
+its own work block, 64 slices' blocks filled at a time, so those two calls
+are nearly all of its per-slice Python; the slices that share a squaring
+count are squared as one stacked product. A diagonal or triangular slice
+goes to ``scipy.linalg.expm`` itself.
 
 A private module is no stable interface, so a probe at import checks on
 generic complex and real slices (see ``_pade_kernels_match``) that
@@ -137,106 +140,132 @@ def expm(a):
     return expm_stack(a[None])[0]
 
 
-def _distinct(keys):
-    """For the columns of a 2-D uint64 array: the index of one column of each
-    distinct value, and each column's position in that list.
+@functools.lru_cache(maxsize=None)
+def _hash_weights(c):
+    """Odd weights for keys of c words: a key's hash is the sum of its words
+    times these, modulo 2**64."""
+    return (np.arange(c, dtype=np.uint64) * 2 + 1) * np.uint64(0x9E3779B97F4A7C15)
 
-    The columns are sorted by a hash of their bits, and a column that differs
-    from the one before it starts a new value, so two columns share a value
-    only when they are equal; two equal columns that a hash collision
+
+def _distinct(keys, sites):
+    """For an (R, c) uint64 array of R keys of c words, the keys of
+    ``sites`` sites one after another, R / sites each: the index of one key
+    of each distinct value, a site's values before the next site's, and
+    each key's position in that list.
+
+    The keys are sorted by a hash of their bits, whose top bit is their
+    site's, and a key that differs from the one before it, or belongs to
+    another site, starts a new value, so two keys share a value only when
+    they are equal and on one site; two equal keys that a hash collision
     separates merely keep two entries."""
-    mix = (np.arange(len(keys), dtype=np.uint64) * 2 + 1) * np.uint64(0x9E3779B97F4A7C15)
-    order = np.argsort(mix @ keys)
-    ordered = keys[:, order]
+    h = (keys @ _hash_weights(keys.shape[1])) >> np.uint64(1)
+    if sites > 1:
+        h[len(h) // 2:] |= np.uint64(1 << 63)
+    order = np.argsort(h)
+    ordered, h = keys[order], h[order]
     new = np.empty(len(order), dtype=bool)
     new[0] = True
-    new[1:] = np.logical_or.reduce(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    np.logical_or(h[1:] != h[:-1], np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1),
+                  out=new[1:])
     position = np.empty(len(order), dtype=np.intp)
     position[order] = np.cumsum(new) - 1
     return order[new], position
 
 
-def _site_arrays(L0, ctrls, amps, dt):
+def _add_controls(A, u, C):
+    """Add u_1 C_1 + u_2 C_2 + ... to the generators A (..., m, m), for the
+    amplitudes u (..., L) and controls C (..., L, m, m) broadcast against it.
+
+    The terms are added in field order; a zero amplitude adds -0.0
+    (-0.0 - 0.0j), which leaves every number as it is, so each generator is
+    bitwise a per-slice build that skips zero amplitudes."""
+    terms = u[..., None, None] * C
+    np.copyto(terms, complex(-0.0, -0.0) if A.dtype.kind == "c" else -0.0,
+              where=(u == 0.0)[..., None, None])
+    for l in range(u.shape[-1]):
+        A += terms[..., l, :, :]
+
+
+def _site_arrays(L0, ctrls, amps):
     """The inputs of one site as arrays, checked against each other: the
-    drift stack (W, m, m), the controls, the (K, L) amplitudes or a stack of
-    N such grids, and dt."""
+    drift (m, m), the controls, and the (K, L) amplitudes or a stack of N
+    such grids."""
     L0, ctrls = np.asarray(L0), np.asarray(ctrls)
     amps = np.asarray(amps, dtype=np.float64)
-    drifts = L0 if L0.ndim == 3 else L0[None]
-    W, m = drifts.shape[0], drifts.shape[-1]
-    if drifts.ndim != 3 or drifts.shape[1:] != (m, m):
-        raise ValueError("L0 must be square, or a stack of square generators")
+    if L0.ndim != 2 or L0.shape[0] != L0.shape[1]:
+        raise ValueError("L0 must be square, one (m, m) drift per site")
     if amps.ndim not in (2, 3) or 0 in amps.shape[:-1]:
         raise ValueError("amps must be a (K, L) grid with K >= 1, or a stack of one or more")
     if ctrls.shape[0] != amps.shape[-1]:
         raise ValueError("amps field count does not match control generators")
-    if amps.shape[-1] > 0 and ctrls.shape[1:] != (m, m):
+    if amps.shape[-1] > 0 and ctrls.shape[1:] != L0.shape:
         raise ValueError("control generators must match L0 shape")
-    if dt.ndim and dt.shape != (W,):
-        raise ValueError("dt must be one slice length, or one per drift generator")
-    return drifts, ctrls, amps
+    return L0, ctrls, amps
 
 
 def propagate_schedule(L0, ctrls, amps, dt, v0):
     """Apply exp((L0 + sum_l amps[k,l]*ctrls[l]) * dt) to v0 for k = 0..K-1
     and return the final vector.
 
-    ``L0`` may also be a (W, m, m) stack of drift generators: the schedule
-    then propagates v0 under each of them and the result is (W, m), row w
-    bit for bit the call with ``L0[w]`` alone. ``dt`` is one slice length for
-    all of them or W lengths, one per generator: row w is then bit for bit
-    the call with ``L0[w]`` and ``dt[w]``. ``amps`` may also be an (N, K, L)
-    stack of N grids: the result then has a leading axis of N, and its row
-    (i, w) is bit for bit the call with ``amps[i]`` and ``L0[w]``.
+    ``dt`` is one slice length, or for one (K, L) grid a 1-D array of W
+    lengths: the result is then (W, m), row w bit for bit the call with
+    ``dt[w]``, as a schedule at several encoding times needs. ``amps`` may
+    also be an (N, K, L) stack of N grids, and ``dt`` then one length for
+    all of them or N lengths, one per grid: the result is (N, m), row i bit
+    for bit the call with ``amps[i]`` and its own length.
 
     A register passes ``L0``, ``ctrls`` and ``amps`` as tuples with one entry
-    per site, one site or two, and the result is always a (W, m**n) stack
-    for n sites, or (N, W, m**n) for N grids; a bare ``L0`` is a register of
-    one site. Site s brings its drift, or a stack of W, in ``L0[s]`` (None
-    for an idle site, one without drift, noise or controls: its propagator
-    is the identity), its control generators ``ctrls[s]`` and its amplitude
-    columns ``amps[s]``, a grid or a stack of N. The register's generator is
-    the Kronecker sum of its sites', so a slice's propagator is the
-    Kronecker product P0 (x) P1 of theirs. On two sites ``v0`` is in
-    site-product order, index p0 * m + p1 for the sites' own indices, so
-    that it is an m x m matrix X that a slice maps to P0 X P1^T.
+    per site, one site or two, and the state is then m**n long for n sites;
+    a bare ``L0`` is a register of one site. Site s brings its (m, m) drift
+    in ``L0[s]`` (None for an idle site, one without drift, noise or
+    controls: its propagator is the identity), its control generators
+    ``ctrls[s]`` and its amplitude columns ``amps[s]``, a grid or a stack
+    of N. The register's generator is the Kronecker sum of its sites', so a
+    slice's propagator is the Kronecker product P0 (x) P1 of theirs. On two
+    sites ``v0`` is in site-product order, index p0 * m + p1 for the sites'
+    own indices, so that it is an m x m matrix X that a slice maps to
+    P0 X P1^T.
 
     After the input checks, each step is taken once for the whole call:
     one pass over the active sites' amplitudes, side by side, finds every
     grid's runs of equal consecutive rows; one assembly builds every active
     site's generator from a run's first row and scales it by the run's
-    duration; and all of them, W per site and run, go through one
-    ``expm_stack`` call. Of N > 1 grids, such as a simplex's points, the runs
-    that give one site the same amplitudes (bit for bit) and length share
-    one generator, exponentiated once; one grid alone skips that search. A
-    scaled generator that is not finite is not exponentiated: its
-    propagator, and so its final state, is NaN. The active sites' states are
-    stacked as S: v0 as an m x 1 block on one site; X and the identity on
-    two, so that site 1 accumulates its product U1. Run index r steps S by
-    one batched product with the r-th runs' propagators of every grid that
-    has more than r runs, the grids with the most runs first, and on two
-    sites X U1^T is the final state. The result is real when the generators
-    and v0 are.
+    duration, its length times its grid's slice length; and all of them go
+    through one ``expm_stack`` call. One grid takes each of its runs' W
+    durations. Of N > 1 grids, such as a round of simplex points, the runs
+    that give one site the same amplitudes and the same duration (bit for
+    bit) share one generator, exponentiated once: a simplex's points share
+    all but one row, and one grid repeated at one length shares them all,
+    while equal grids at two lengths share none. A scaled generator that is
+    not finite is not exponentiated: its propagator, and so its final
+    state, is NaN. The active sites' states are stacked as S: v0 as an
+    m x 1 block on one site; X and the identity on two, so that site 1
+    accumulates its product U1. Run index r steps S by one batched product
+    with the r-th runs' propagators of every grid that has more than r runs,
+    the grids with the most runs first, and on two sites X U1^T is the final
+    state. The result is real when the generators and v0 are.
     """
     if not isinstance(L0, tuple):
-        v = propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
-        return v if np.ndim(L0) == 3 else v[..., 0, :]
+        return propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
     if not (len(L0) == len(ctrls) == len(amps) and len(L0) in (1, 2)):
         raise ValueError("a register has one site or two, with a drift, controls "
                          "and amplitudes for each")
-    dt = np.asarray(dt, dtype=np.float64)
-    sites = [_site_arrays(D, C, a, dt) for D, C, a in zip(L0, ctrls, amps) if D is not None]
+    sites = [_site_arrays(D, C, a) for D, C, a in zip(L0, ctrls, amps) if D is not None]
     if not sites:
         raise ValueError("a register needs a site that is not idle")
     # there are at most two sites, so the last must match the first
-    W, m = sites[0][0].shape[:2]
-    if sites[-1][0].shape != (W, m, m):
-        raise ValueError("the sites' drift stacks must have one shape")
+    m = len(sites[0][0])
+    if sites[-1][0].shape != (m, m):
+        raise ValueError("the sites' drifts must have one shape")
     lead = np.shape(amps[0])[:-1]
     if np.shape(amps[-1])[:-1] != lead:
         raise ValueError("the sites' amplitude grids must have one row per slice, "
                          "and as many grids")
     N, K = lead if len(lead) == 2 else (1,) + lead
+    dt = np.asarray(dt, dtype=np.float64)
+    if dt.ndim > 1 or (len(lead) == 2 and dt.ndim and dt.shape != (N,)):
+        raise ValueError("dt must be one slice length, W of them for one grid, "
+                         "or one per grid of a stack")
     v0 = np.asarray(v0)
     if v0.shape != (m ** len(L0),):
         raise ValueError("state vector length does not match the register")
@@ -251,58 +280,53 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
         f = site_amps.shape[-1]
         grid[..., s, :f], C[s, :f] = site_amps, site_ctrls.reshape(f, m, m)
 
-    # the rows that start a run of equal rows anywhere in the register, and
-    # K after them, so that their differences are the runs' lengths, at flat
-    # positions g * (K + 1) + k for row k of grid g; 0.0 == -0.0 here, and a
-    # zero amplitude adds nothing below
+    # the rows that start a run of equal rows anywhere in the register, at
+    # flat positions g * K + k for row k of grid g; every grid's first row
+    # starts one, so a run ends where the next one starts. 0.0 == -0.0 here,
+    # and a zero amplitude adds nothing to a generator
     rows = grid.reshape(N, K, n * L)
-    edges = np.empty((N, K + 1), dtype=bool)
-    edges[:, ::K] = True
-    edges[:, 1:K] = np.logical_or.reduce(rows[:, 1:] != rows[:, :-1], axis=2)
-    edges = edges.ravel().nonzero()[0]
-    starts, lengths = edges[:-1], edges[1:] - edges[:-1]
+    edges = np.empty((N, K), dtype=bool)
+    edges[:, 0] = True
+    edges[:, 1:] = np.logical_or.reduce(rows[:, 1:] != rows[:, :-1], axis=2)
+    starts = edges.ravel().nonzero()[0]
+    lengths = np.empty_like(starts)
+    lengths[:-1] = starts[1:] - starts[:-1]
+    lengths[-1] = N * K - starts[-1]
+    first = grid.reshape(N * K, n, L)[starts]
+    # a run's duration, its length times the slice length, scales its
+    # generator; a generator that overflows here is caught below, not warned
+    # about
     if N == 1:
-        # a generator per site and run: each site's amplitudes in the run's
-        # first row, (n, R, L), and the runs' lengths
-        first, lengths = grid[0, starts].swapaxes(0, 1), lengths[None]
+        # per site and run a generator, from the site's amplitudes in the
+        # run's first row, scaled by each of the W durations: (n, W, R)
+        W = dt.size
+        A = np.empty((n, len(starts), m, m), dtype=dtype)
+        for s, (drift, _, _) in enumerate(sites):
+            A[s] = drift
+        _add_controls(A, first.swapaxes(0, 1), C[:, None])
+        duration = dt.reshape(-1, 1) * lengths
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = A[:, None] * duration.astype(dtype)[..., None, None]
     else:
-        # every grid's runs, g and k their grid and first row, and per site
-        # one generator for each distinct pair of its run's amplitudes (their
-        # bits) and length; the sites' lists are padded to one length by
-        # repeating entries, which are built but not exponentiated
-        keep = starts % (K + 1) < K
-        starts, lengths = starts[keep], lengths[keep]
-        g, k = np.divmod(starts, K + 1)
-        first = grid[g, k].swapaxes(0, 1)
-        bits = np.empty((n, L + 1, len(starts)), dtype=np.uint64)
-        bits[:, 0], bits[:, 1:] = lengths, first.view(np.uint64).swapaxes(1, 2)
-        distinct = [_distinct(b) for b in bits]
-        sizes = np.array([len(i) for i, _ in distinct])
-        pick = np.array([np.resize(i, sizes.max()) for i, _ in distinct])
-        first = np.take_along_axis(first, pick[..., None], axis=1)
-        lengths = lengths[pick]
-
-    # each generator is L0 + u_1 C_1 + u_2 C_2 + ..., added in field order; a
-    # zero amplitude adds -0.0 (-0.0 - 0.0j), which leaves every number as it
-    # is, so it is bitwise a per-slice build that skips zero amplitudes
-    U = first.shape[1]
-    terms = first[..., None, None] * C[:, None]
-    np.copyto(terms, complex(-0.0, -0.0) if dtype.kind == "c" else -0.0,
-              where=(first == 0.0)[..., None, None])
-    A = np.empty((n, W, U, m, m), dtype=dtype)
-    for s, (drifts, _, _) in enumerate(sites):
-        A[s] = drifts[:, None]
-    for l in range(L):
-        A += terms[:, None, :, l]
-    # a run's duration, its length times dt, scales its generator; a
-    # generator that overflows here is caught below, not warned about
-    duration = dt.reshape(-1, 1) * lengths[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        A *= duration.astype(dtype)[..., None, None]
-    if N == 1:
-        A = A.reshape(-1, m, m)
-    else:  # each site's distinct generators, in site order
-        A = A.swapaxes(1, 2)[np.arange(U) < sizes[:, None]].reshape(-1, m, m)
+        # per site one generator for each distinct pair of a run's
+        # amplitudes and its duration (their bits), over every run of every
+        # grid, g being the run's grid; the sites' generators in site order
+        W = 1
+        g = starts // K
+        duration = (dt[g] if dt.ndim else dt) * lengths
+        keys = np.empty((n, len(starts), L + 1), dtype=np.uint64)
+        keys[..., 0], keys[..., 1:] = duration.view(np.uint64), first.view(np.uint64).swapaxes(0, 1)
+        pick, position = _distinct(keys.reshape(-1, L + 1), n)
+        site, run = np.divmod(pick, len(starts))
+        A = np.empty((len(pick), m, m), dtype=dtype)
+        bounds = np.searchsorted(site, np.arange(n + 1)).tolist()
+        for s, (drift, _, _) in enumerate(sites):
+            a, b = bounds[s], bounds[s + 1]
+            A[a:b] = drift
+            _add_controls(A[a:b], first[run[a:b], s], C[s])
+        with np.errstate(over="ignore", invalid="ignore"):
+            A *= duration[run].astype(dtype)[:, None, None]
+    A = A.reshape(-1, m, m)
     if np.isfinite(A).all():
         props = expm_stack(A)
     else:
@@ -313,20 +337,20 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     # the propagators of each run index r, n * W per grid that has a run r:
     # the grids are stepped with the most runs first, so those are a prefix
     if N == 1:
-        steps, rank = props.reshape(n * W, U, m, m).swapaxes(0, 1), None
+        steps, rank = props.reshape(n * W, -1, m, m).swapaxes(0, 1), None
     else:
-        counts = np.bincount(g, minlength=N)
+        runs = np.cumsum(edges, axis=1)
+        counts = runs[:, -1]
         order = np.argsort(-counts, kind="stable")
         rank = np.empty(N, dtype=np.intp)
         rank[order] = np.arange(N)
-        R = counts.max()
-        r = np.arange(len(g)) - (np.cumsum(counts) - counts)[g]
+        R = counts[order[0]]
         index = np.zeros((R, N, n), dtype=np.intp)
-        index[r, rank[g]] = np.array([inverse.ravel() for _, inverse in distinct]).T
-        index += np.cumsum(sizes) - sizes
+        index[runs.ravel()[starts] - 1, rank[g]] = position.reshape(n, -1).T
         active = (counts[:, None] > np.arange(R)).sum(axis=0).tolist()
-        props = props.reshape(-1, W, m, m)
-        steps = (props[i[:a]].reshape(-1, m, m) for i, a in zip(index, active))
+        # one gather of every step's propagators
+        props = props[index].reshape(R, N * n, m, m)
+        steps = (P[:a * n] for P, a in zip(props, active))
 
     cols = 1 if len(L0) == 1 else m
     S = np.zeros((N, n, W, m, cols), dtype=np.result_type(v0, _FLOAT))
@@ -350,5 +374,5 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
             X = np.matmul(X, S[:, -1].swapaxes(-1, -2))
         X = X.reshape(N, W, m * m)
     if len(lead) == 1:
-        return X[0]
-    return X if rank is None else X[rank]
+        return X[0] if dt.ndim else X[0, 0]
+    return X[:, 0] if rank is None else X[rank, 0]

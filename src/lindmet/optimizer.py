@@ -10,6 +10,13 @@ An objective maps an (N, n) stack of points to their N values. The points
 of a batch do not depend on each other's values, so the search hands each
 batch over in one call: the initial simplex's n+1 vertices, and a shrink's n
 new ones; a reflection, expansion or contraction is a stack of one point.
+
+A search is a coroutine that yields its batches and is sent their values,
+and :func:`lockstep` advances any number of them together: each round
+stacks the pending batch of every search into one objective call. Neither
+search sees the other's values, so each takes the steps it takes alone,
+bit for bit. :func:`multi_start` runs all its starts this way, over one
+problem or several, such as a control search's encoding times.
 """
 from __future__ import annotations
 
@@ -68,45 +75,18 @@ def _resolve(options: OptimizerOptions, n: int) -> OptimizerOptions:
     return replace(options, max_evals=200 * n)
 
 
-def _values(objective: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    """The objective's values at an (N, n) stack of points, from one call."""
-    values = np.asarray(objective(points), dtype=float)
-    if values.shape != (len(points),):
-        raise ValueError(f"the objective must map {len(points)} points to as many values, "
-                         f"got shape {values.shape}")
-    return values
-
-
-def nelder_mead(objective: Callable[[np.ndarray], np.ndarray], x0: Sequence[float],
-                options: OptimizerOptions = OptimizerOptions(),
-                scale: float | None = None) -> SearchResult:
-    """Minimize ``objective`` from ``x0``.
-
-    ``objective`` maps an (N, n) stack of points to their N values. It gets
-    the initial simplex, n+1 points, in one call, each shrink's n new points
-    in one call, and each reflection, expansion or contraction as a stack of
-    one. ``evals`` counts the points evaluated, not the calls.
-
-    ``scale`` sets the initial simplex step and the diameter tolerance
-    (:data:`INITIAL_STEP` and :data:`X_TOL` times it); it defaults to
-    max(1, max|x0|). Terminates when the simplex diameter and the relative
-    objective spread are both below tolerance, or when the evaluation budget
-    is exhausted (reported via ``converged=False``).
-    """
-    x0 = np.asarray(x0, dtype=float)
+def _simplex(x0: np.ndarray, opt: OptimizerOptions, scale: float):
+    """Nelder-Mead from ``x0`` as a coroutine: it yields each batch of points
+    as an (N, n) stack, is sent their N values, and returns its
+    :class:`SearchResult` (see :func:`nelder_mead`)."""
     n = x0.size
-    if n < 1:
-        raise ValueError("objective must have at least one variable")
-    if scale is None:
-        scale = max(1.0, float(np.max(np.abs(x0), initial=0.0)))
-    opt = _resolve(options, n)
     x_tol = X_TOL * scale
     step = INITIAL_STEP * scale
 
     verts = np.tile(x0, (n + 1, 1))
     for i in range(n):
         verts[i + 1, i] += step
-    fvals = _values(objective, verts)
+    fvals = yield verts
     evals = n + 1
     if not np.all(np.isfinite(fvals)):
         raise ValueError("objective is not finite on the initial simplex")
@@ -128,11 +108,11 @@ def nelder_mead(objective: Callable[[np.ndarray], np.ndarray], x0: Sequence[floa
 
         centroid = verts[:-1].mean(axis=0)
         xr = centroid + alpha * (centroid - verts[-1])
-        fr = _values(objective, xr[None])[0]
+        fr = (yield xr[None])[0]
         evals += 1
         if fr < fvals[0]:
             xe = centroid + alpha * chi * (centroid - verts[-1])
-            fe = _values(objective, xe[None])[0]
+            fe = (yield xe[None])[0]
             evals += 1
             if fe < fr:
                 verts[-1], fvals[-1] = xe, fe
@@ -143,28 +123,87 @@ def nelder_mead(objective: Callable[[np.ndarray], np.ndarray], x0: Sequence[floa
         else:
             if fr < fvals[-1]:
                 xc = centroid + psi * alpha * (centroid - verts[-1])
-                fc = _values(objective, xc[None])[0]
+                fc = (yield xc[None])[0]
                 accept = fc <= fr
             else:
                 xc = centroid - psi * (centroid - verts[-1])
-                fc = _values(objective, xc[None])[0]
+                fc = (yield xc[None])[0]
                 accept = fc < fvals[-1]
             evals += 1
             if accept:
                 verts[-1], fvals[-1] = xc, fc
             else:
                 verts[1:] = verts[0] + sigma * (verts[1:] - verts[0])
-                fvals[1:] = _values(objective, verts[1:])
+                fvals[1:] = yield verts[1:]
                 evals += n
 
     best = int(np.argmin(fvals))  # argmin returns the lowest index on ties
     return SearchResult(verts[best].copy(), float(fvals[best]), evals, converged)
 
 
-def multi_start(objective: Callable[[np.ndarray], np.ndarray],
-                lower: Sequence[float], upper: Sequence[float],
+def lockstep(searches: Sequence, evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+             ) -> list:
+    """Advance ``searches``, coroutines that each yield (N, n) stacks of
+    points and are sent their values, together, and return their results.
+
+    Each round stacks the pending points of every unfinished search, in
+    search order, and scores them in one call, ``evaluate(points, owner)``,
+    where ``owner[j]`` is the index of the search that row j belongs to. A
+    search's points do not depend on the other searches' values, so every
+    search takes the steps it takes alone.
+    """
+    results = [None] * len(searches)
+    pending = [(i, next(s)) for i, s in enumerate(searches)]
+    while pending:
+        sizes = [len(points) for _, points in pending]
+        points = np.concatenate([points for _, points in pending])
+        owner = np.repeat([i for i, _ in pending], sizes)
+        values = np.asarray(evaluate(points, owner), dtype=float)
+        if values.shape != (len(points),):
+            raise ValueError(f"the objective must map {len(points)} points to as many values, "
+                             f"got shape {values.shape}")
+        advanced, end = [], 0
+        for (i, _), size in zip(pending, sizes):
+            try:
+                advanced.append((i, searches[i].send(values[end:end + size])))
+            except StopIteration as done:
+                results[i] = done.value
+            end += size
+        pending = advanced
+    return results
+
+
+def nelder_mead(objective: Callable[[np.ndarray], np.ndarray], x0: Sequence[float],
                 options: OptimizerOptions = OptimizerOptions(),
-                extra_starts: Sequence = ()) -> SearchResult:
+                scale: float | None = None) -> SearchResult:
+    """Minimize ``objective`` from ``x0``.
+
+    ``objective`` maps an (N, n) stack of points to their N values. It gets
+    the initial simplex, n+1 points, in one call, each shrink's n new points
+    in one call, and each reflection, expansion or contraction as a stack of
+    one. ``evals`` counts the points evaluated, not the calls. The search is
+    one coroutine, which :func:`lockstep` drives; :func:`multi_start` drives
+    many of them at once.
+
+    ``scale`` sets the initial simplex step and the diameter tolerance
+    (:data:`INITIAL_STEP` and :data:`X_TOL` times it); it defaults to
+    max(1, max|x0|). Terminates when the simplex diameter and the relative
+    objective spread are both below tolerance, or when the evaluation budget
+    is exhausted (reported via ``converged=False``).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size < 1:
+        raise ValueError("objective must have at least one variable")
+    if scale is None:
+        scale = max(1.0, float(np.max(np.abs(x0), initial=0.0)))
+    search = _simplex(x0, _resolve(options, x0.size), scale)
+    return lockstep([search], lambda points, owner: objective(points))[0]
+
+
+def multi_start(objective: Callable[..., np.ndarray],
+                lower: Sequence[float], upper: Sequence[float],
+                options: OptimizerOptions | Sequence[OptimizerOptions] = OptimizerOptions(),
+                extra_starts: Sequence = ()) -> SearchResult | list[SearchResult]:
     """Best of ``options.restarts`` seeded simplex runs inside a box.
 
     ``objective`` maps an (N, n) stack of points to their N values, as in
@@ -174,6 +213,16 @@ def multi_start(objective: Callable[[np.ndarray], np.ndarray],
     neighbouring solution. Each stack of candidate points is clamped to the
     box before evaluation, which keeps every reported point feasible. The
     result's ``evals`` is the points evaluated over all starts.
+
+    ``options`` may also be a sequence of P options, one per problem: P
+    searches in one box, such as one per encoding time, each with its own
+    budget, seed and restarts, and with ``extra_starts`` then P sequences of
+    extra starts (or none). The result is a list of P results, each as one
+    call on its problem would give it, and the objective is called as
+    ``objective(points, problem)``, ``problem`` the (N,) problem index of each
+    row. Either way every start of every problem advances in lockstep
+    (:func:`lockstep`): each round's points, at most one batch per start, are
+    one objective call.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -181,26 +230,35 @@ def multi_start(objective: Callable[[np.ndarray], np.ndarray],
         raise ValueError("box bounds must satisfy lower < upper elementwise")
     n = lower.size
     scale = float(np.max((upper - lower) / 2.0))
-    opt = _resolve(options, n)
+    single = isinstance(options, OptimizerOptions)
+    problems = [options] if single else list(options)
+    extras = [extra_starts] if single else list(extra_starts) or [()] * len(problems)
+    if len(extras) != len(problems):
+        raise ValueError("extra_starts must hold one sequence of starts per problem")
 
-    def clamped(points):
-        return objective(np.clip(points, lower, upper))
+    searches, problem = [], []
+    for p, (opt, extra) in enumerate(zip(problems, extras)):
+        opt = _resolve(opt, n)
+        rng = np.random.default_rng(opt.seed)
+        starts = [np.clip(np.asarray(x, dtype=float), lower, upper) for x in extra]
+        zero = np.zeros(n)
+        if np.all(zero >= lower) and np.all(zero <= upper):
+            starts.append(zero)
+        while len(starts) < opt.restarts + len(extra):
+            starts.append(rng.uniform(lower, upper))
+        searches += [_simplex(x0, opt, scale) for x0 in starts]
+        problem += [p] * len(starts)
+    problem = np.array(problem)
 
-    rng = np.random.default_rng(opt.seed)
-    starts = [np.clip(np.asarray(x, dtype=float), lower, upper)
-              for x in extra_starts]
-    zero = np.zeros(n)
-    if np.all(zero >= lower) and np.all(zero <= upper):
-        starts.append(zero)
-    while len(starts) < opt.restarts + len(extra_starts):
-        starts.append(rng.uniform(lower, upper))
+    def evaluate(points, owner):
+        points = np.clip(points, lower, upper)
+        return objective(points) if single else objective(points, problem[owner])
 
-    best: SearchResult | None = None
-    total_evals = 0
-    for x0 in starts:
-        res = nelder_mead(clamped, x0, opt, scale=scale)
-        total_evals += res.evals
-        if best is None or res.fun < best.fun:
-            best = SearchResult(np.clip(res.x, lower, upper), res.fun,
-                                res.evals, res.converged)
-    return SearchResult(best.x, best.fun, total_evals, best.converged)
+    found = lockstep(searches, evaluate)
+    out = []
+    for p in range(len(problems)):
+        runs = [res for res, q in zip(found, problem) if q == p]
+        best = min(runs, key=lambda res: res.fun)  # the first of equal values
+        out.append(SearchResult(np.clip(best.x, lower, upper), best.fun,
+                                sum(res.evals for res in runs), best.converged))
+    return out[0] if single else out

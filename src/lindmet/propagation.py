@@ -28,9 +28,10 @@ the ancilla, takes none.
 
 Every propagation runs on a :class:`PreparedProbe`, which holds what does
 not depend on the amplitudes, built once per probe, frequency and set of
-slice lengths (:meth:`SlicedDynamics.prepare`); the control search
-prepares its probe once per encoding time, and propagates a batch of
-amplitude grids, such as its initial simplex, in one kernel call.
+slice lengths (:meth:`SlicedDynamics.prepare`), and one drift block per
+site that serves every slice length; the control search prepares its
+probe once for its whole time grid, and propagates each round of amplitude
+grids, each at its own encoding time's slice length, in one kernel call.
 """
 from __future__ import annotations
 
@@ -252,7 +253,8 @@ class SlicedDynamics:
 class PreparedProbe:
     """A probe at one frequency, ready to propagate over W slice lengths: its
     coordinates in site-product order, zero-padded into the Van Loan
-    blocks' first half, and every site's W blocks of omega0*D + G."""
+    blocks' first half, and every active site's one block of omega0*D + G,
+    which serves every slice length."""
 
     def __init__(self, dyn: SlicedDynamics, v0: np.ndarray, dt: Sequence[float],
                  omega0: float | None = None):
@@ -264,20 +266,22 @@ class PreparedProbe:
         x0, x = x, np.zeros((8,) * n, dtype=x.dtype)
         x[(slice(4),) * n] = x0
         self._dt, self._x = np.array(dt, dtype=np.float64), x.ravel()
-        om = np.full(len(self._dt), float(dyn.model.omega0 if omega0 is None else omega0))
-        self._drifts = tuple(None if idle else om[:, None, None] * D + G
+        om = float(dyn.model.omega0 if omega0 is None else omega0)
+        self._drifts = tuple(None if idle else om * D + G
                              for (D, G, _), idle in zip(dyn._blocks, dyn._idle))
         self._ctrls = tuple(C for _, _, C in dyn._blocks)
 
-    def propagate(self, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def propagate(self, amps: np.ndarray, at=0) -> tuple[np.ndarray, np.ndarray]:
         """The (W, d^2) stacks of the states and their derivatives in omega0
-        after the float64 (K, L) amplitude grid ``amps`` acts, or the
-        (N, W, d^2) stacks after each grid of an (N, K, L) stack, from one
+        after the float64 (K, L) amplitude grid ``amps`` acts, one row per
+        slice length; or the (N, d^2) stacks after each grid of an (N, K, L)
+        stack acts, grid i at slice length ``dt[at[i]]``, ``at`` being an
+        index or N of them. Either comes from one
         ``_kern.propagate_schedule`` call; the states are not checked."""
         dyn, n = self.dyn, len(self._drifts)
         v = _kern.propagate_schedule(
             self._drifts, self._ctrls, tuple(amps[..., cols] for cols in dyn._columns),
-            self._dt, self._x)
+            self._dt if amps.ndim == 2 else self._dt[at], self._x)
         lead = v.shape[:-1]
         if n == 1:
             v = v.reshape(-1, 2, 4)  # [x; dx]

@@ -4,7 +4,7 @@ Each scheme maps a time grid to per-time records of QFI, sensitivity and the
 schedule that produced them. :func:`prepare` builds the dynamics and probe
 once per run; :func:`run_scheme` then takes the checked QFI of the scheme's
 fixed schedule at every T, the whole grid in one kernel call, and only then
-runs the control search, one T at a time, which replaces it:
+runs the control search, every T's starts in lockstep, which replaces it:
 
   standard             fixed probe (|+> or GHZ), zero schedule
   ancilla              Bell probe on system + noiseless ancilla, zero schedule
@@ -28,6 +28,16 @@ from .propagation import ControlSchedule, PreparedProbe, SlicedDynamics
 
 SCHEMES = ("standard", "ancilla", "theoretical_optimal", "control_enhanced")
 PROBES = ("default", "plus", "ghz", "bell_with_ancilla", "random_seeded")
+
+
+# The most amplitude grids the search objective propagates in one kernel
+# call. A search round holds a batch of points from every start at every
+# encoding time, and the first, every start's initial simplex, is 24,600
+# grids on the parallel-dephasing-1q preset: as one call, its generators
+# and propagators took that run's peak RSS (at max_evals = 100) from 62 to
+# 422 MB. Calls of 128 grids keep it under 90 MB, and already share nearly
+# all of a call's fixed cost.
+ROUND_GRIDS = 128
 
 
 def default_u_max(omega0: float) -> float:
@@ -180,13 +190,18 @@ def _schedule_qfi(dyn: SlicedDynamics, schedule: ControlSchedule | list[ControlS
     return qfi
 
 
-def _objective(probe: PreparedProbe, K: int, L: int):
-    """The search objective on ``probe``, prepared for one T: an (N, K*L)
-    stack of flat K x L amplitude grids, which must be finite, to the N
-    values minus their unchecked QFIs, from one kernel call; a flat grid
-    alone gives one value. A NaN state, as from a generator that overflows,
-    and a QFI that is not finite score 0."""
-    def objective(x):
+def _objective(probe: PreparedProbe, K: int, L: int, times=(0,)):
+    """The search objective on ``probe`` for the encoding times whose slice
+    lengths are ``probe``'s at indexes ``times``, one problem each: an
+    (N, K*L) stack of flat K x L amplitude grids, which must be finite, and
+    the problem of each row, an index into ``times`` or N of them (default
+    the first), to the N values minus their unchecked QFIs, from one kernel
+    call per :data:`ROUND_GRIDS` grids; a flat grid alone gives one value. A
+    NaN state, as from a generator that overflows, and a QFI that is not
+    finite score 0."""
+    times = np.asarray(times)
+
+    def objective(x, problem=0):
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != K * L:
             raise ValueError(f"points must be flat K x L = {K * L} amplitude grids, "
@@ -194,8 +209,12 @@ def _objective(probe: PreparedProbe, K: int, L: int):
         amps = x.reshape(-1, K, L)
         if not np.isfinite(amps).all():
             raise ValueError("control amplitudes must be finite")
-        v, dv = probe.propagate(amps)
-        qfi = qfi_eigen(unvectorize(v[:, 0]), unvectorize(dv[:, 0]))
+        at = np.broadcast_to(times[problem], len(amps))
+        parts = []
+        for c in range(0, len(amps), ROUND_GRIDS):
+            v, dv = probe.propagate(amps[c:c + ROUND_GRIDS], at[c:c + ROUND_GRIDS])
+            parts.append(qfi_eigen(unvectorize(v), unvectorize(dv)))
+        qfi = np.concatenate(parts)
         # a NaN state has no pairs to sum, so it scores -0.0; a NaN among the
         # QFIs makes their maximum NaN too
         if not np.maximum.reduce(qfi) < math.inf:
@@ -235,13 +254,19 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     positive QFI (see :func:`sensitivity`).
 
     ``control_enhanced`` then replaces the zero schedule by a multi-start
-    simplex maximization of the QFI over the K x L amplitude grid, one T at a
-    time. The zero schedule is always among the starts, so the optimized QFI
-    cannot fall below the same-probe uncontrolled value, and because every T
-    was checked first, a grid point whose checks must fail stops the run
-    before any search spends its budget. With ``warm_start`` the previous
-    grid point's best schedule joins the starts as well; faster on dense
-    grids, but it can change which local optimum each point settles in.
+    simplex maximization of the QFI over the K x L amplitude grid at each T,
+    each T with its own seed. The starts of every T advance in lockstep on
+    one probe prepared for the whole grid: each round's points, at every T,
+    are one objective call, in kernel calls of at most :data:`ROUND_GRIDS`
+    grids, and each start's search is bit for bit the one it would run
+    alone. The zero schedule is always among the starts, so the optimized
+    QFI cannot fall below the same-probe uncontrolled value, and because
+    every T was checked first, a grid point whose checks must fail stops the
+    run before any search spends its budget. With ``warm_start`` the
+    previous grid point's best schedule joins the starts as well, so the T's
+    are searched one after another, each T's starts in lockstep; faster on
+    dense grids, but it can change which local optimum each point settles
+    in.
     """
     dyn, rho0 = prepare(config)
     K, L = config.K, dyn.model.n_controls
@@ -250,26 +275,27 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     fixed = [ControlSchedule(amps, T) for T in config.time_grid]
     qfis = _schedule_qfi(dyn, fixed, rho0).tolist()
     sensitivities = [sensitivity(q, T, config.gamma_c) for q, T in zip(qfis, config.time_grid)]
-    search = config.scheme == "control_enhanced"
-    if search:
-        u_max = config.resolved_u_max
-        seeds = _spawned_seeds(config.optimizer.seed, len(config.time_grid))
+    if config.scheme != "control_enhanced":
+        return [MetrologyResult(T, qfi, sens, sched, 0, config.optimizer.seed, True)
+                for T, sched, qfi, sens in zip(config.time_grid, fixed, qfis, sensitivities)]
+
+    u_max = config.resolved_u_max
+    seeds = _spawned_seeds(config.optimizer.seed, len(config.time_grid))
+    options = [replace(config.optimizer, seed=seed) for seed in seeds[1:]]
+    probe = dyn.prepare(vectorize(rho0), [sched.dt for sched in fixed])
+    box = np.full(K * L, -u_max), np.full(K * L, u_max)
+    # every T's starts in one lockstep search; with warm_start a T's extra
+    # start is the best of the T before it, so the T's go one at a time
+    times = range(len(fixed))
+    found = []
+    for group in ([[i] for i in times] if config.warm_start else [list(times)]):
+        extra = [[found[-1].x]] if config.warm_start and found else ()
+        found += multi_start(_objective(probe, K, L, group), *box,
+                             [options[i] for i in group], extra)
     out = []
-    previous_best = None
-    for i, (T, sched, qfi, sens) in enumerate(zip(config.time_grid, fixed, qfis,
-                                                  sensitivities)):
-        evals, converged = 0, True
-        if search:
-            probe = dyn.prepare(vectorize(rho0), [sched.dt])
-            opts = replace(config.optimizer, seed=seeds[i + 1])
-            extra = (previous_best,) if config.warm_start and previous_best is not None else ()
-            res = multi_start(_objective(probe, K, L), np.full(K * L, -u_max),
-                              np.full(K * L, u_max), opts, extra_starts=extra)
-            sched = ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
-            qfi = _schedule_qfi(dyn, sched, rho0)
-            sens = sensitivity(qfi, T, config.gamma_c)
-            evals, converged = res.evals, res.converged
-            previous_best = res.x
-        out.append(MetrologyResult(T, qfi, sens, sched, evals, config.optimizer.seed,
-                                   converged))
+    for T, res in zip(config.time_grid, found):
+        sched = ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
+        qfi = _schedule_qfi(dyn, sched, rho0)
+        out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c), sched,
+                                   res.evals, config.optimizer.seed, res.converged))
     return out

@@ -241,10 +241,11 @@ class TestNmrProtocol:
         depths, evolve_depths = [], []
         real, real_evolve = _kern.propagate_schedule, SlicedDynamics.evolve
 
-        def spy(L0, *args):
-            # the qubit's drift stack; a model passes its sites as a tuple
-            depths.append(len(L0[0]))
-            return real(L0, *args)
+        def spy(L0, ctrls, amps, dt, v0):
+            # the slice lengths of one grid; a stack of grids, as a search
+            # round is, takes one length per grid
+            depths.append(np.size(dt) if np.ndim(amps[0]) == 2 else "round")
+            return real(L0, ctrls, amps, dt, v0)
 
         def evolve_spy(*args, **kwargs):
             start = len(depths)
@@ -257,10 +258,10 @@ class TestNmrProtocol:
         cfg = self._config()
         path = run_nmr_protocol(cfg, out=tmp_path / "nmr.csv")
         # each scheme's fixed schedule propagates one Van Loan block per
-        # encoding time, all 3 in one call, each searched QFI one block, and
-        # each row's fidelity pair omega0 and omega0 + delta one block each,
-        # in a call of its own
-        assert set(depths) == {3, 1}
+        # encoding time, all 3 in one call, the search propagates rounds of
+        # grids, each checked searched QFI one block, and each row's fidelity
+        # pair omega0 and omega0 + delta one block each, in a call of its own
+        assert set(depths) == {3, 1, "round"}
         assert depths.count(3) == 2
         assert evolve_depths == [[1]] * (2 * 2 * 3)
         _, data = read_result_file(path)
@@ -797,7 +798,8 @@ def test_run_reaches_every_layer_the_benchmark_traces(tmp_path, monkeypatch):
     # bench/tracing.py wraps these names where their callers look them up and
     # skips a name that no longer exists, so a layer renamed away goes
     # untraced without an error; bench/micro.py takes the search objective
-    # from schemes.multi_start
+    # from schemes.multi_start. optimizer.nelder_mead is traced too, but a
+    # run's starts advance in lockstep inside multi_start and never call it
     from lindmet import _kern, cli, optimizer
     from lindmet.propagation import SlicedDynamics
 
@@ -826,7 +828,9 @@ def test_run_reaches_every_layer_the_benchmark_traces(tmp_path, monkeypatch):
     assert main(["run", "--config", str(tmp_path / "run.cfg"),
                  "--out", str(tmp_path / "res.csv")]) == 0
     assert calls["lindmet.harness.run_scheme"] == 2
-    assert calls["lindmet.schemes.multi_start"] == 2
+    # both T's of the search in one lockstep call
+    assert calls["lindmet.schemes.multi_start"] == 1
+    assert calls.pop("lindmet.optimizer.nelder_mead") == 0
     assert all(calls.values()), calls
 
 
@@ -855,9 +859,9 @@ def test_each_search_evaluation_enters_the_traced_kernel_and_qfi_once(scenario, 
     search = schemes.multi_start
 
     def counted_search(objective, *args, **kwargs):
-        def evaluation(points):
+        def evaluation(points, *problem):
             before = dict(entered)
-            values = objective(points)
+            values = objective(points, *problem)
             per_call.append((len(points), entered["kernel"] - before["kernel"],
                              entered["qfi"] - before["qfi"]))
             return values
@@ -878,9 +882,10 @@ def test_each_search_evaluation_enters_the_traced_kernel_and_qfi_once(scenario, 
     # of all calls are the evaluations the file reports
     assert [(kernel, qfi) for _, kernel, qfi in per_call] == [(1, 1)] * len(per_call)
     assert sum(points for points, _, _ in per_call) == evaluations
-    # every start's initial simplex, K x L + 1 points, is one call
+    # every start's initial simplex, K x L + 1 points, at every T is the
+    # first call
     simplex = 3 * {"parallel-dephasing-1q": 2, "parallel-dephasing-2q": 4}[scenario] + 1
-    assert [points for points, _, _ in per_call].count(simplex) >= 2 * 2
+    assert per_call[0][0] == 2 * 2 * simplex
 
 
 class TestBlasThreads:

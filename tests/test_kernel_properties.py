@@ -1,8 +1,8 @@
 """Property tests on random registers, one site or two, either site idle but
 not both, with runs of equal rows (signed zeros included) in the amplitude
-grid: ``_kern.propagate_schedule`` on W drift generators with their own slice
-lengths, the state and exact frequency derivative of random models from
-``SlicedDynamics.evolve_vectorized``, and the search objective on the
+grid: ``_kern.propagate_schedule`` over W slice lengths, and over a stack
+of grids with one length each, the state and exact frequency derivative of
+random models from ``SlicedDynamics.evolve_vectorized``, and the search objective on the
 package's own registers against the checked QFI."""
 import functools
 
@@ -40,7 +40,7 @@ def registers(draw):
 
     drifts, ctrls, amps = [], [], []
     for s, (L, pattern) in enumerate(zip(fields, patterns)):
-        drifts.append(None if s == idle else cplx(W, M, M))
+        drifts.append(None if s == idle else cplx(M, M))
         ctrls.append(cplx(L, M, M))
         rows = {"A": rng.uniform(-3, 3, L), "B": rng.uniform(-3, 3, L)}
         rows["Z"], rows["z"] = rows["A"].copy(), rows["A"].copy()
@@ -50,14 +50,14 @@ def registers(draw):
     return tuple(drifts), tuple(ctrls), tuple(amps), rng.uniform(0.01, 0.2, W), cplx(M ** n)
 
 
-def kronecker_sum_reference(drifts, ctrls, amps, dt, v0, w):
+def kronecker_sum_reference(drifts, ctrls, amps, dt, v0):
     """Per-slice ``scipy.linalg.expm`` of the sites' Kronecker sum, in
     site-product order, an idle site's generator zero."""
     v = np.array(v0)
     for k in range(len(amps[0])):
         full = np.zeros((1, 1))
         for D, C, a in zip(drifts, ctrls, amps):
-            g = np.zeros((M, M)) if D is None else D[w] + np.tensordot(a[k], C, 1)
+            g = np.zeros((M, M)) if D is None else D + np.tensordot(a[k], C, 1)
             full = np.kron(full, np.eye(M)) + np.kron(np.eye(len(full)), g)
         v = scipy.linalg.expm(full * dt) @ v
     return v
@@ -70,12 +70,17 @@ def test_register_matches_the_kronecker_sum(register):
     got = _kern.propagate_schedule(drifts, ctrls, amps, dt, v0)
     assert got.shape == (len(dt), len(v0))
     for w in range(len(dt)):
-        ref = kronecker_sum_reference(drifts, ctrls, amps, dt[w], v0, w)
+        ref = kronecker_sum_reference(drifts, ctrls, amps, dt[w], v0)
         assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
         if len(drifts) == 1:
             # one site: bit for bit a loop of per-slice exponentials
-            assert bitwise_equal(got[w], per_run_reference(drifts[0][w], ctrls[0], amps[0],
+            assert bitwise_equal(got[w], per_run_reference(drifts[0], ctrls[0], amps[0],
                                                              dt[w], v0))
+    # W copies of the grid, one at each length, take the stacked path: equal
+    # runs of two copies share a generator only at equal lengths
+    stacked = _kern.propagate_schedule(drifts, ctrls, tuple(np.stack([a] * len(dt)) for a in amps),
+                                       dt, v0)
+    assert bitwise_equal(stacked, got)
 
 
 @st.composite

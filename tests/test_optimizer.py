@@ -219,3 +219,50 @@ class TestMultiStart:
                              extra_starts=[np.array([0.5, -0.5])])
         assert calls[0] > n_plain
         assert seeded.fun <= plain.fun + 1e-12
+
+
+class TestLockstep:
+    """Several problems' starts advance together, each round one objective
+    call, and each problem's result is bit for bit its own call's."""
+
+    @staticmethod
+    def shifted(points, problem):
+        # problem p is the Rosenbrock function moved by p along each axis
+        return np.array([float((1 - x[0] + p) ** 2 + 100 * (x[1] - p - (x[0] - p) ** 2) ** 2)
+                         for x, p in zip(points, problem)])
+
+    def test_problems_equal_separate_calls(self):
+        options = [OptimizerOptions(restarts=3, seed=s, max_evals=m)
+                   for s, m in ((1, 40), (2, 90), (3, 25))]
+        extras = [[], [np.array([0.5, 0.5])], []]
+        calls = []
+
+        def recorded(points, problem):
+            calls.append(problem.copy())
+            return self.shifted(points, problem)
+
+        got = multi_start(recorded, -2 * np.ones(2), 2 * np.ones(2), options, extras)
+        for p, (opts, extra) in enumerate(zip(options, extras)):
+            alone = multi_start(lambda points: self.shifted(points, [p] * len(points)),
+                                -2 * np.ones(2), 2 * np.ones(2), opts, extra)
+            assert got[p].x.tobytes() == alone.x.tobytes()
+            assert (got[p].fun, got[p].evals, got[p].converged) == (
+                alone.fun, alone.evals, alone.converged)
+        # the first round holds every start's initial simplex, in order, and
+        # each later round at most one batch per start
+        assert calls[0].tolist() == [0] * 9 + [1] * 12 + [2] * 9
+        assert sum(len(c) for c in calls) == sum(r.evals for r in got)
+        assert len(calls) < sum(r.evals for r in got) / 3
+
+    def test_one_problem_in_a_list_is_the_plain_call(self):
+        opts = OptimizerOptions(restarts=2, seed=4, max_evals=50)
+        [got] = multi_start(lambda points, problem: sphere(points), -np.ones(3), np.ones(3),
+                            [opts])
+        plain = multi_start(sphere, -np.ones(3), np.ones(3), opts)
+        assert got.x.tobytes() == plain.x.tobytes()
+        assert (got.fun, got.evals, got.converged) == (plain.fun, plain.evals, plain.converged)
+
+    def test_extra_starts_per_problem(self):
+        with pytest.raises(ValueError, match="one sequence of starts per problem"):
+            multi_start(lambda points, problem: sphere(points), -np.ones(2), np.ones(2),
+                        [OptimizerOptions(restarts=1)] * 2, [[np.zeros(2)]])

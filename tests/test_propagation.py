@@ -418,40 +418,60 @@ class TestPythonKernel:
     @pytest.mark.parametrize("pattern, runs", RUN_PATTERNS)
     @pytest.mark.parametrize("m", [4, 16])
     def test_stack_of_drifts_is_separate_calls(self, m, pattern, runs, monkeypatch):
+        # the drift over W slice lengths, as a schedule at several encoding
+        # times has: row w is bit for bit the call with length w
         L0, ctrls, amps, v0 = self._pattern_problem(m, pattern)
-        # three drifts that differ in every entry, as omega0 and omega0 +- delta do
-        drifts = np.stack([L0, L0 + 1e-3 * ctrls[0], L0 - 1e-3 * ctrls[1]])
-        one_by_one = [_kern.propagate_schedule(D, ctrls, amps, 0.05, v0) for D in drifts]
-        sizes = spy_stack_sizes(monkeypatch)
-        got = _kern.propagate_schedule(drifts, ctrls, amps, 0.05, v0)
-        assert sizes == [3 * runs]
-        assert bitwise_equal(got, np.stack(one_by_one))
-        # a stack of one is the unstacked call with a leading axis
-        assert bitwise_equal(_kern.propagate_schedule(L0[None], ctrls, amps, 0.05, v0),
-                             one_by_one[0][None])
-        # one slice length per generator, as a schedule at several encoding times has
         dts = np.array([0.05, 0.013, 0.3])
-        one_by_one = [_kern.propagate_schedule(D, ctrls, amps, dt, v0)
-                      for D, dt in zip(drifts, dts)]
-        sizes.clear()
-        got = _kern.propagate_schedule(drifts, ctrls, amps, dts, v0)
+        one_by_one = [_kern.propagate_schedule(L0, ctrls, amps, dt, v0) for dt in dts]
+        sizes = spy_stack_sizes(monkeypatch)
+        got = _kern.propagate_schedule(L0, ctrls, amps, dts, v0)
         assert sizes == [3 * runs]
         assert bitwise_equal(got, np.stack(one_by_one))
-        # a stack of N grids under W drifts: row (i, w) is bit for bit the
-        # call with grid i and drift w; the grids have other run counts, and
-        # one repeats another
+        # a stack of one length is the call with that length, with a leading axis
+        assert bitwise_equal(_kern.propagate_schedule(L0, ctrls, amps, dts[:1], v0),
+                             one_by_one[0][None])
+        # a stack of N grids with one slice length per grid: row i is bit for
+        # bit the call with grid i and its length; the grids have other run
+        # counts, grid 3 repeats grid 0 at its length and grid 6 is grid 0 at
+        # another
         K = len(amps)
         grids = np.stack([amps, amps[::-1], np.zeros_like(amps), amps, np.tile(amps[:1], (K, 1)),
-                          np.where(np.arange(K)[:, None] % 2, amps[::-1], -amps)])
-        one_by_one = [[_kern.propagate_schedule(D, ctrls, a, dt, v0) for D, dt in zip(drifts, dts)]
-                      for a in grids]
+                          np.where(np.arange(K)[:, None] % 2, amps[::-1], -amps), amps])
+        lengths = np.array([0.05, 0.013, 0.3, 0.05, 0.013, 0.3, 0.3])
+        one_by_one = [_kern.propagate_schedule(L0, ctrls, a, dt, v0)
+                      for a, dt in zip(grids, lengths)]
         sizes.clear()
-        got = _kern.propagate_schedule(drifts, ctrls, grids, dts, v0)
+        got = _kern.propagate_schedule(L0, ctrls, grids, lengths, v0)
         assert len(sizes) == 1
         assert bitwise_equal(got, np.array(one_by_one))
+        # or one length for every grid
         assert bitwise_equal(_kern.propagate_schedule(L0, ctrls, grids, 0.05, v0),
                              np.stack([_kern.propagate_schedule(L0, ctrls, a, 0.05, v0)
                                        for a in grids]))
+
+    @pytest.mark.parametrize("pattern, runs", RUN_PATTERNS)
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_grids_share_generators_at_one_slice_length_only(self, m, pattern, runs,
+                                                              monkeypatch):
+        # a generator scales by the run's duration, so a grid repeated at its
+        # slice length shares every one, and at another length none
+        L0, ctrls, amps, v0 = self._pattern_problem(m, pattern)
+        # a stack's runs share a generator when their first rows have the
+        # same bits and their lengths match, within a grid too
+        K = len(amps)
+        starts = [k for k in range(K) if k == 0 or (amps[k] != amps[k - 1]).any()]
+        distinct = len({(amps[a].tobytes(), b - a) for a, b in zip(starts, starts[1:] + [K])})
+        assert len(starts) == runs
+        one = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
+        sizes = spy_stack_sizes(monkeypatch)
+        got = _kern.propagate_schedule(L0, ctrls, np.stack([amps, amps]), [0.05, 0.05], v0)
+        assert sizes == [distinct]
+        assert bitwise_equal(got, np.stack([one, one]))
+        sizes.clear()
+        got = _kern.propagate_schedule(L0, ctrls, np.stack([amps, amps]), [0.05, 0.3], v0)
+        assert sizes == [2 * distinct]
+        assert bitwise_equal(got, np.stack([one, _kern.propagate_schedule(L0, ctrls, amps, 0.3,
+                                                                           v0)]))
 
     @pytest.mark.parametrize("m", [4, 16])
     def test_no_controls_is_one_run(self, m, monkeypatch):
@@ -481,22 +501,26 @@ class TestPythonKernel:
 
     def test_shape_errors(self):
         L0, ctrls, amps, v0 = self._problem(4, 3, 2, seed=9)
-        stack = np.stack([L0] * 3)
+        grids = np.stack([amps] * 3)
         cases = [
             ("L0 must be square", (L0[:, :3], ctrls, amps, 0.05, v0)),
             ("field count", (L0, ctrls[:1], amps, 0.05, v0)),
             ("control generators must match", (L0, ctrls[:, :3, :3], amps, 0.05, v0)),
             ("state vector length", (L0, ctrls, amps, 0.05, np.zeros(5, dtype=complex))),
-            # a stack of drifts is checked the same way
-            ("L0 must be square", (stack[:, :, :3], ctrls, amps, 0.05, v0)),
-            ("L0 must be square", (stack[None], ctrls, amps, 0.05, v0)),
-            ("field count", (stack, ctrls[:1], amps, 0.05, v0)),
-            ("control generators must match", (stack, ctrls[:, :3, :3], amps, 0.05, v0)),
-            ("state vector length", (stack, ctrls, amps, 0.05, np.zeros((3, 4), dtype=complex))),
-            # a slice length per generator needs exactly one per generator
-            ("dt must be", (stack, ctrls, amps, np.full(2, 0.05), v0)),
-            ("dt must be", (stack, ctrls, amps, np.full((3, 1), 0.05), v0)),
-            ("dt must be", (L0, ctrls, amps, np.full(3, 0.05), v0)),
+            # a drift is one square generator, checked the same way with a
+            # stack of grids
+            ("L0 must be square", (np.stack([L0] * 3), ctrls, amps, 0.05, v0)),
+            ("L0 must be square", (L0[:, :3], ctrls, grids, np.full(3, 0.05), v0)),
+            ("field count", (L0, ctrls[:1], grids, np.full(3, 0.05), v0)),
+            ("control generators must match",
+             (L0, ctrls[:, :3, :3], grids, np.full(3, 0.05), v0)),
+            ("state vector length", (L0, ctrls, grids, np.full(3, 0.05),
+                                     np.zeros((3, 4), dtype=complex))),
+            # a stack of grids takes one slice length, or exactly one per grid,
+            # and one grid a length or a 1-D array of them
+            ("dt must be", (L0, ctrls, grids, np.full(2, 0.05), v0)),
+            ("dt must be", (L0, ctrls, grids, np.full((3, 1), 0.05), v0)),
+            ("dt must be", (L0, ctrls, amps, np.full((3, 1), 0.05), v0)),
             # a grid needs a slice, and a stack a grid
             ("amps must be", (L0, ctrls, amps[:0], 0.05, v0)),
             ("amps must be", (L0, ctrls, amps[None, :0], 0.05, v0)),
@@ -619,26 +643,41 @@ class TestTwoSiteKernel:
     """``propagate_schedule`` on a register of two sites against per-slice
     exponentials of the Kronecker sum of their generators."""
 
-    def _sites(self, seed, K=7, fields=(2, 1), W=3):
+    def _sites(self, seed, K=7, fields=(2, 1)):
         rng = np.random.default_rng(seed)
         cplx = lambda *shape: 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        drifts = tuple(cplx(W, 4, 4) for _ in fields)
+        drifts = tuple(cplx(4, 4) for _ in fields)
         ctrls = tuple(cplx(n, 4, 4) for n in fields)
         amps = tuple(rng.uniform(-3, 3, (K, n)) for n in fields)
         return drifts, ctrls, amps, cplx(16)
 
     @staticmethod
-    def _reference(drifts, ctrls, amps, dt, v0, w):
+    def _reference(drifts, ctrls, amps, dt, v0):
         """Per-slice expm of L0 (x) I + I (x) L1 in site-product order, an idle
         site's generator zero."""
         v = np.array(v0)
         eye = np.eye(4)
         for k in range(len(amps[0])):
             gens = [np.zeros((4, 4)) if D is None
-                    else D[w] + np.tensordot(a[k], C, 1) if len(C) else D[w]
+                    else D + np.tensordot(a[k], C, 1) if len(C) else D
                     for D, C, a in zip(drifts, ctrls, amps)]
             v = scipy.linalg.expm((np.kron(gens[0], eye) + np.kron(eye, gens[1])) * dt) @ v
         return v
+
+    @staticmethod
+    def _distinct_generators(drifts, grids, lengths):
+        """The generators a stack of grids takes: per active site, the
+        distinct bits of a register run's first row on the site and of its
+        duration, the run's length times its grid's slice length."""
+        keys = set()
+        for i, dt in enumerate(lengths):
+            rows = np.concatenate([g[i] for g in grids], axis=1)
+            K = len(rows)
+            starts = [k for k in range(K) if k == 0 or (rows[k] != rows[k - 1]).any()]
+            keys |= {(s, g[i][a].tobytes(), (dt * (b - a)).hex())
+                     for a, b in zip(starts, starts[1:] + [K])
+                     for s, (D, g) in enumerate(zip(drifts, grids)) if D is not None}
+        return len(keys)
 
     @pytest.mark.parametrize("idle", [(), (0,), (1,)])
     def test_matches_the_kronecker_sum(self, idle, monkeypatch):
@@ -654,22 +693,34 @@ class TestTwoSiteKernel:
         runs = {(): 7, (0,): 6, (1,): 5}[idle]
         assert sizes == [3 * runs * (2 - len(idle))]
         for w, dt in enumerate(dts):
-            ref = self._reference(drifts, ctrls, amps, dt, v0, w)
+            ref = self._reference(drifts, ctrls, amps, dt, v0)
             assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("idle", [(), (0,), (1,)])
-    def test_stack_of_grids_is_separate_calls(self, idle):
+    def test_stack_of_grids_is_separate_calls(self, idle, monkeypatch):
         drifts, ctrls, amps, v0 = self._sites(seed=11 + len(idle) + 3 * sum(idle))
         drifts = tuple(None if s in idle else D for s, D in enumerate(drifts))
-        dts = np.array([0.05, 0.02, 0.1])
-        # each site's grids: the random one, with runs, reversed, zero, and repeated
+        # each site's grids: the random one, with runs, reversed, zero, the
+        # random one again at its slice length, which shares its generators,
+        # and at another, which shares none
         amps[0][3:5] = amps[0][2]
         amps[1][5] = amps[1][4]
-        grids = tuple(np.stack([a, a[::-1], np.zeros_like(a), a]) for a in amps)
-        got = _kern.propagate_schedule(drifts, ctrls, grids, dts, v0)
-        assert got.shape == (4, 3, 16)
-        for i in range(4):
-            one = _kern.propagate_schedule(drifts, ctrls, tuple(g[i] for g in grids), dts, v0)
+        grids = tuple(np.stack([a, a[::-1], np.zeros_like(a), a, a]) for a in amps)
+        lengths = np.array([0.05, 0.02, 0.1, 0.05, 0.1])
+        sizes = spy_stack_sizes(monkeypatch)
+        got = _kern.propagate_schedule(drifts, ctrls, grids, lengths, v0)
+        assert got.shape == (5, 16)
+        distinct = self._distinct_generators(drifts, grids, lengths)
+        assert sizes == [distinct]
+        assert distinct == self._distinct_generators(drifts, grids, lengths[:3]) + (
+            self._distinct_generators(drifts, grids, lengths[:1]))
+        for i, dt in enumerate(lengths):
+            one = _kern.propagate_schedule(drifts, ctrls, tuple(g[i] for g in grids), dt, v0)
+            assert bitwise_equal(got[i], one)
+        # one slice length for every grid
+        got = _kern.propagate_schedule(drifts, ctrls, grids, 0.05, v0)
+        for i in range(5):
+            one = _kern.propagate_schedule(drifts, ctrls, tuple(g[i] for g in grids), 0.05, v0)
             assert bitwise_equal(got[i], one)
 
     def test_one_site_is_the_bare_call(self):
@@ -680,22 +731,28 @@ class TestTwoSiteKernel:
         got = _kern.propagate_schedule(drifts, ctrls, amps, dts, v0)
         assert got.shape == (3, 4)
         assert bitwise_equal(got, _kern.propagate_schedule(drifts[0], ctrls[0], amps[0], dts, v0))
-        # one drift without a stack axis is a stack of one
-        got = _kern.propagate_schedule((drifts[0][1],), ctrls, amps, 0.02, v0)
-        assert bitwise_equal(got, _kern.propagate_schedule(drifts[0][1], ctrls[0], amps[0],
-                                                           0.02, v0)[None])
+        # one slice length alone gives the state, and an array of one a stack of one
+        got = _kern.propagate_schedule(drifts, ctrls, amps, 0.02, v0)
+        assert bitwise_equal(got, _kern.propagate_schedule(drifts[0], ctrls[0], amps[0],
+                                                           0.02, v0))
+        assert bitwise_equal(_kern.propagate_schedule(drifts, ctrls, amps, dts[1:2], v0),
+                             got[None])
 
     def test_shape_errors(self):
         drifts, ctrls, amps, v0 = self._sites(seed=9)
+        grids = tuple(np.stack([a] * 2) for a in amps)
         cases = [
             ("one site or two", (drifts + drifts[:1], ctrls + ctrls[:1], amps + amps[:1], v0)),
             ("one site or two", (drifts, ctrls[:1], amps, v0)),
             ("a site that is not idle", ((None, None), ctrls, amps, v0)),
-            ("drift stacks must have one shape", ((drifts[0], drifts[1][:2]), ctrls, amps, v0)),
+            ("drifts must have one shape",
+             ((drifts[0], np.zeros((8, 8))), (ctrls[0], np.zeros((0, 8, 8))),
+              (amps[0], amps[1][:, :0]), v0)),
             ("one row per slice", (drifts, ctrls, (amps[0], amps[1][:-1]), v0)),
             ("state vector length", (drifts, ctrls, amps, v0[:4])),
             ("field count", (drifts, ctrls, (amps[0], amps[0]), v0)),
-            ("dt must be", (drifts, ctrls, amps, v0, np.full(2, 0.05))),
+            ("dt must be", (drifts, ctrls, amps, v0, np.full((2, 1), 0.05))),
+            ("dt must be", (drifts, ctrls, grids, v0, np.full(3, 0.05))),
             # stacks of grids: as many on each site, and each a grid
             ("as many grids", (drifts, ctrls, (amps[0][None], amps[1]), v0)),
             ("as many grids", (drifts, ctrls, (amps[0][None], np.stack([amps[1]] * 2)), v0)),

@@ -7,7 +7,7 @@ from lindmet import _kern, schemes
 from lindmet.channels import SCENARIOS
 from lindmet.liouville import vectorize
 from lindmet.metrology import MetrologyError
-from lindmet.optimizer import OptimizerOptions, multi_start
+from lindmet.optimizer import OptimizerOptions, multi_start, nelder_mead
 from lindmet.propagation import ControlSchedule, PropagationError, SlicedDynamics
 from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
                              haar_random_state, plus_state, prepare, resolve_probe,
@@ -268,6 +268,73 @@ class TestControlEnhanced:
             assert a.qfi == b.qfi
 
 
+def start_by_start(cfg):
+    """``control_enhanced`` one T after another and one start after another:
+    a ``nelder_mead`` call per start, from the starts ``multi_start`` draws,
+    on the objective prepared for that T alone. Per T the reported QFI, the
+    schedule's bytes, the evaluations and whether the best start converged."""
+    dyn, rho0 = prepare(cfg)
+    K, L = cfg.K, dyn.model.n_controls
+    u_max = cfg.resolved_u_max
+    lower, upper = np.full(K * L, -u_max), np.full(K * L, u_max)
+    seeds = schemes._spawned_seeds(cfg.optimizer.seed, len(cfg.time_grid))
+    out, previous = [], None
+    for i, T in enumerate(cfg.time_grid):
+        objective = schemes._objective(dyn.prepare(vectorize(rho0), [T / K]), K, L)
+        opt = OptimizerOptions(cfg.optimizer.max_evals or 200 * K * L,
+                               cfg.optimizer.restarts, seeds[i + 1])
+        rng = np.random.default_rng(opt.seed)
+        starts = [previous] if cfg.warm_start and previous is not None else []
+        extra = len(starts)
+        starts.append(np.zeros(K * L))
+        while len(starts) < opt.restarts + extra:
+            starts.append(rng.uniform(lower, upper))
+        best, evals = None, 0
+        for x0 in starts:
+            res = nelder_mead(lambda p: objective(np.clip(p, lower, upper)), x0, opt,
+                              scale=u_max)
+            evals += res.evals
+            if best is None or res.fun < best.fun:
+                best = res
+        previous = np.clip(best.x, lower, upper)
+        sched = ControlSchedule(previous.reshape(K, L), T, u_max=u_max)
+        out.append((schemes._schedule_qfi(dyn, sched, rho0).hex(),
+                    sched.amplitudes.tobytes(), evals, best.converged))
+    return out
+
+
+class TestLockstepSearch:
+    """Every start at every T advances in lockstep, bit for bit the search
+    run start by start and T by T."""
+
+    @pytest.mark.parametrize("warm_start", [False, True])
+    @pytest.mark.parametrize("scenario", ["parallel-dephasing-1q", "parallel-dephasing-2q",
+                                          "transverse-dephasing"])
+    def test_records_equal_the_start_by_start_search(self, scenario, warm_start,
+                                                     monkeypatch):
+        cfg = config("control_enhanced", scenario, [0.1, 0.2, 0.35], K=3,
+                     warm_start=warm_start,
+                     optimizer=OptimizerOptions(restarts=2, max_evals=60, seed=5))
+        calls = []
+        real = schemes.multi_start
+
+        def capture(objective, *args, **kwargs):
+            def recorded(points, problem):
+                calls.append((len(calls), len(points)))
+                return objective(points, problem)
+            return real(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(schemes, "multi_start", capture)
+        got = run_scheme(cfg)
+        assert [(r.qfi.hex(), r.schedule.amplitudes.tobytes(), r.evaluations, r.converged)
+                for r in got] == start_by_start(cfg)
+        assert all(r.evaluations >= 2 * 60 for r in got)
+        # the first call holds the initial simplex, K x L + 1 points, of every
+        # start at every T; with warm_start, of every start at the first T
+        n = 3 * prepare(cfg)[0].model.n_controls
+        assert calls[0][1] == (1 if warm_start else 3) * 2 * (n + 1)
+
+
 class TestOneKernelCallPerQfi:
     """A QFI is one propagation of Van Loan blocks, which carry the state and
     its frequency derivative together; a two-qubit register (m = 16) as two
@@ -277,15 +344,16 @@ class TestOneKernelCallPerQfi:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """The shapes of each site's drift stack in each later
-        ``propagate_schedule`` call, and the number of generators each
+        """The shapes of each site's drift and of the slice lengths in each
+        later ``propagate_schedule`` call, and the number of generators each
         ``expm_stack`` call receives."""
         shapes = []
         real = _kern.propagate_schedule
 
-        def spy(L0, *args):
-            shapes.append([np.shape(D) for D in L0] if isinstance(L0, tuple) else [np.shape(L0)])
-            return real(L0, *args)
+        def spy(L0, ctrls, amps, dt, v0):
+            drifts = L0 if isinstance(L0, tuple) else (L0,)
+            shapes.append(([np.shape(D) for D in drifts], np.shape(dt)))
+            return real(L0, ctrls, amps, dt, v0)
 
         monkeypatch.setattr(_kern, "propagate_schedule", spy)
         return shapes, spy_stack_sizes(monkeypatch)
@@ -314,7 +382,8 @@ class TestOneKernelCallPerQfi:
         sizes.clear()
         captured[0](self._amplitudes(n_fields).ravel())
         sites = {4: 1, 16: 2}[m]
-        assert shapes == [[(1, 8, 8)] * sites]
+        # one drift per site, a stack of one grid at its slice length
+        assert shapes == [([(8, 8)] * sites, (1,))]
         assert sizes == [sites * (self.K - 1)]
         # a grid and its initial simplex are one call, which exponentiates
         # each distinct generator once: a site's amplitudes in a run's first
@@ -330,7 +399,7 @@ class TestOneKernelCallPerQfi:
             starts = [0] + [k for k in range(1, self.K) if (amps[k] != amps[k - 1]).any()]
             for a, b in zip(starts, starts[1:] + [self.K]):
                 distinct |= {(s, tuple(amps[a, cols]), b - a) for s, cols in enumerate(columns)}
-        assert shapes == [[(1, 8, 8)] * sites]
+        assert shapes == [([(8, 8)] * sites, (len(simplex),))]
         assert sizes == [len(distinct)]
         assert len(distinct) < len(simplex) * sites * (self.K - 1) / 4
 
@@ -343,16 +412,16 @@ class TestOneKernelCallPerQfi:
         sites = {4: 1, 16: 2}[m]
         # both encoding times in one call; the zero schedule is one run per site
         run_scheme(cfg)
-        assert shapes == [[(2, 8, 8)] * sites]
+        assert shapes == [([(8, 8)] * sites, (2,))]
         assert sizes == [sites * 2]
         shapes.clear()
         sizes.clear()
         sched = ControlSchedule(self._amplitudes(dyn.model.n_controls), 0.3)
         assert schemes._schedule_qfi(dyn, sched, rho0) > 0
-        assert shapes == [[(1, 8, 8)] * sites]
+        assert shapes == [([(8, 8)] * sites, (1,))]
         assert sizes == [sites * (self.K - 1)]
 
-    def test_search_prepares_its_probe_once_per_time(self, monkeypatch):
+    def test_search_prepares_its_probe_once(self, monkeypatch):
         prepared = []
         real = SlicedDynamics.prepare
 
@@ -363,11 +432,11 @@ class TestOneKernelCallPerQfi:
         monkeypatch.setattr(SlicedDynamics, "prepare", spy)
         got = run_scheme(config("control_enhanced", "parallel-dephasing-1q", [0.1, 0.2], K=4,
                                 optimizer=OptimizerOptions(restarts=1, max_evals=30)))
-        # the fixed schedule's whole grid once, then per T one probe that
-        # serves every evaluation of its search, and one for the checked
-        # call that reports its best schedule
+        # the fixed schedule's whole grid once, then one probe over the
+        # whole grid that serves every evaluation of the search at every T,
+        # and per T one for the checked call that reports its best schedule
         dt = [0.1 / 4, 0.2 / 4]
-        assert prepared == [dt, dt[:1], dt[:1], dt[1:], dt[1:]]
+        assert prepared == [dt, dt, dt[:1], dt[1:]]
         assert [r.evaluations for r in got] == [30, 30]
 
 
@@ -505,11 +574,12 @@ class TestFixedScheduleBlocks:
         calls = []
         real = _kern.propagate_schedule
 
-        def spy(L0, *args):
-            # the system site's drift stack; the idle ancilla passes none
-            assert isinstance(L0, tuple) and L0[1] is None
-            calls.append(len(L0[0]))
-            return real(L0, *args)
+        def spy(L0, ctrls, amps, dt, v0):
+            # the system site's drift, over one slice length per T; the idle
+            # ancilla passes none
+            assert isinstance(L0, tuple) and L0[1] is None and np.shape(L0[0]) == (8, 8)
+            calls.append(len(dt))
+            return real(L0, ctrls, amps, dt, v0)
 
         monkeypatch.setattr(_kern, "propagate_schedule", spy)
         run_scheme(config("ancilla", "amplitude-damping", np.linspace(0.5, 40.0, 100), K=4))
