@@ -17,16 +17,18 @@ A run of R equal consecutive rows of the register's amplitude grid is one
 constant generator, exponentiated once over the run's whole duration, exp(R
 dt A), and applied in one step; a constant schedule is a single run. Each
 site has one drift. Given W slice lengths, one call propagates one grid
-over each, so it covers several encoding times: the W scaled generators of
-every run of every site go through one ``expm_stack`` call, bit for bit
-``scipy.linalg.expm`` on each slice. Given N grids, each with its own slice
-length, one pass finds every grid's runs; a site's generator depends only
-on its amplitudes in the run's first row and the run's duration, so runs
-of several grids that share them, as a simplex's points share all but one
-row, share one generator, built and exponentiated once. The grids are
-then stepped together, one batched product per run index over every grid
-that has a run there, and each grid's state is bit for bit its own
-call's.
+over each, as W copies of it, so it covers several encoding times. Given N
+grids, each with its own slice length, one pass finds every grid's runs;
+a site's generator depends only on its amplitudes in the run's first row
+and the run's duration, so runs of several grids that share them, as a
+simplex's points share all but one row, share one generator, built and
+exponentiated once. The generators are built in step order, run r of
+every grid before run r + 1 of any, on only the entries that a control or
+the drift can change, and go through one ``expm_stack`` call, bit for bit
+``scipy.linalg.expm`` on each slice. The grids are then stepped together,
+one batched product per run index over every grid that has a run there,
+on a slice of the exponentials, and each grid's state is bit for bit its
+own call's; nothing is kept between calls.
 
 ``expm_stack`` sorts the slices as scipy does, by their nonzero entries
 below and above the diagonal. A generic slice, as every slice a run
@@ -148,42 +150,64 @@ def _hash_weights(c):
 
 
 def _distinct(keys, sites):
-    """For an (R, c) uint64 array of R keys of c words, the keys of
-    ``sites`` sites one after another, R / sites each: the index of one key
-    of each distinct value, a site's values before the next site's, and
-    each key's position in that list.
+    """For a (c, R) uint64 array of R keys of c words, one per column, the
+    keys of ``sites`` sites one after another, R / sites each: None when no
+    two keys share a value, else the index of one key of each distinct
+    value, a site's values before the next site's, and each key's position
+    in that list.
 
     The keys are sorted by a hash of their bits, whose top bit is their
-    site's, and a key that differs from the one before it, or belongs to
-    another site, starts a new value, so two keys share a value only when
-    they are equal and on one site; two equal keys that a hash collision
-    separates merely keep two entries."""
-    h = (keys @ _hash_weights(keys.shape[1])) >> np.uint64(1)
+    site's, and only keys whose hashes tie are compared: a key that differs
+    from the one before it starts a new value, so two keys share a value
+    only when they are equal and on one site; two equal keys that a hash
+    collision separates merely keep two entries."""
+    h = (_hash_weights(len(keys)) @ keys) >> np.uint64(1)
     if sites > 1:
         h[len(h) // 2:] |= np.uint64(1 << 63)
+    ordered = np.sort(h)
+    if not np.logical_or.reduce(ordered[1:] == ordered[:-1]):
+        return None
     order = np.argsort(h)
-    ordered, h = keys[order], h[order]
-    new = np.empty(len(order), dtype=bool)
-    new[0] = True
-    np.logical_or(h[1:] != h[:-1], np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1),
-                  out=new[1:])
+    h = h[order]
+    tied = np.flatnonzero(h[1:] == h[:-1])
+    new = np.ones(len(order), dtype=bool)
+    new[tied + 1] = np.logical_or.reduce(keys[:, order[tied + 1]] != keys[:, order[tied]],
+                                         axis=0)
     position = np.empty(len(order), dtype=np.intp)
     position[order] = np.cumsum(new) - 1
     return order[new], position
 
 
-def _add_controls(A, u, C):
-    """Add u_1 C_1 + u_2 C_2 + ... to the generators A (..., m, m), for the
-    amplitudes u (..., L) and controls C (..., L, m, m) broadcast against it.
+def _assemble(out, drift, ctrls, u, duration, positive):
+    """Write (drift + u[0, i] ctrls[0] + u[1, i] ctrls[1] + ...) * duration[i]
+    to out[i], flat, for the (L, R) amplitudes u, one column per generator,
+    and the (R,) durations; drift and ctrls have out's dtype, and out is
+    zero.
 
-    The terms are added in field order; a zero amplitude adds -0.0
-    (-0.0 - 0.0j), which leaves every number as it is, so each generator is
-    bitwise a per-slice build that skips zero amplitudes."""
-    terms = u[..., None, None] * C
-    np.copyto(terms, complex(-0.0, -0.0) if A.dtype.kind == "c" else -0.0,
-              where=(u == 0.0)[..., None, None])
-    for l in range(u.shape[-1]):
-        A += terms[..., l, :, :]
+    Bit for bit, this is a build per generator that adds the terms in
+    field order, skips zero amplitudes and then scales: a zero amplitude
+    adds -0.0 (-0.0 - 0.0j), which leaves every number as it is. The sum is
+    taken only on the entries where a control or the drift has a bit set
+    (a -0.0 counts): on every other entry each term is +-0.0 and the sum
+    +0.0, which a duration keeps when every duration is ``positive``. When
+    one is not, or no entry has a bit set, every entry takes the sum, so a
+    signed zero, or a non-finite amplitude or duration, comes out as the
+    per-generator build makes it."""
+    mm = out.shape[-1]
+    drift, ctrls = drift.reshape(mm), ctrls.reshape(-1, mm)
+    bits = np.concatenate([ctrls, drift[None]]).view(np.uint64).reshape(len(ctrls) + 1, mm, -1)
+    live = np.flatnonzero(np.logical_or.reduce(bits != 0, axis=(0, 2)))
+    if not (positive and len(live)):
+        live = slice(None)
+    terms = ctrls[:, live, None] * u[:, None, :]
+    zero = u == 0.0
+    if zero.any():
+        np.copyto(terms, complex(-0.0, -0.0) if out.dtype.kind == "c" else -0.0,
+                  where=zero[:, None, :])
+    total = drift[live, None]
+    for term in terms:
+        total = total + term
+    out[:, live] = (total * duration).T
 
 
 def _site_arrays(L0, ctrls, amps):
@@ -226,24 +250,27 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     own indices, so that it is an m x m matrix X that a slice maps to
     P0 X P1^T.
 
-    After the input checks, each step is taken once for the whole call:
-    one pass over the active sites' amplitudes, side by side, finds every
-    grid's runs of equal consecutive rows; one assembly builds every active
-    site's generator from a run's first row and scales it by the run's
-    duration, its length times its grid's slice length; and all of them go
-    through one ``expm_stack`` call. One grid takes each of its runs' W
-    durations. Of N > 1 grids, such as a round of simplex points, the runs
-    that give one site the same amplitudes and the same duration (bit for
-    bit) share one generator, exponentiated once: a simplex's points share
-    all but one row, and one grid repeated at one length shares them all,
-    while equal grids at two lengths share none. A scaled generator that is
-    not finite is not exponentiated: its propagator, and so its final
-    state, is NaN. The active sites' states are stacked as S: v0 as an
-    m x 1 block on one site; X and the identity on two, so that site 1
-    accumulates its product U1. Run index r steps S by one batched product
-    with the r-th runs' propagators of every grid that has more than r runs,
-    the grids with the most runs first, and on two sites X U1^T is the final
-    state. The result is real when the generators and v0 are.
+    After the input checks, W lengths of one grid are W copies of it, copy
+    w at length w, and each step is taken once for the whole call: one pass
+    over the active sites' amplitudes, side by side, finds every grid's
+    runs of equal consecutive rows, and the runs are laid out in step
+    order, run r of every grid that has one before run r + 1 of any, the
+    grids with the most runs first. Per active site, each run's generator
+    is built from its first row and scaled by its duration, its length
+    times its grid's slice length (see ``_assemble``), and all of them go
+    through one ``expm_stack`` call. Of a stack of N > 1 grids, such as a
+    round of simplex points, the runs that give one site the same
+    amplitudes and the same duration (bit for bit) share one generator,
+    exponentiated once: a simplex's points share all but one row, and one
+    grid repeated at one length shares them all, while equal grids at two
+    lengths share none. A scaled generator that is not finite is not
+    exponentiated: its propagator, and so its final state, is NaN. The
+    active sites' states are stacked as S: v0 as an m x 1 block on one
+    site; X and the identity on two, so that site 1 accumulates its
+    product U1. Run index r steps S by one batched product with the
+    propagators of step r, a slice of the exponentials when no generator
+    is shared, and on two sites X U1^T is the final state. The result is
+    real when the generators and v0 are.
     """
     if not isinstance(L0, tuple):
         return propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
@@ -261,71 +288,76 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     if np.shape(amps[-1])[:-1] != lead:
         raise ValueError("the sites' amplitude grids must have one row per slice, "
                          "and as many grids")
-    N, K = lead if len(lead) == 2 else (1,) + lead
+    stacked = len(lead) == 2
     dt = np.asarray(dt, dtype=np.float64)
-    if dt.ndim > 1 or (len(lead) == 2 and dt.ndim and dt.shape != (N,)):
+    if dt.ndim > 1 or not dt.size or (stacked and dt.ndim and dt.shape != lead[:1]):
         raise ValueError("dt must be one slice length, W of them for one grid, "
                          "or one per grid of a stack")
     v0 = np.asarray(v0)
     if v0.shape != (m ** len(L0),):
         raise ValueError("state vector length does not match the register")
 
-    # the active sites' fields side by side in one (N, K, n, L) stack of
-    # grids, a site with fewer fields padded with zero amplitudes, and their
-    # controls
+    # each active site's rows, (N * K, L_s), grid g's row k at g * K + k
+    N, K = lead if stacked else (dt.size, lead[0])
     n, L = len(sites), max(a.shape[-1] for _, _, a in sites)
-    dtype = np.result_type(_FLOAT, *(a for D, C, _ in sites for a in (D, C)))
-    grid, C = np.zeros((N, K, n, L)), np.zeros((n, L, m, m), dtype)
-    for s, (_, site_ctrls, site_amps) in enumerate(sites):
-        f = site_amps.shape[-1]
-        grid[..., s, :f], C[s, :f] = site_amps, site_ctrls.reshape(f, m, m)
-
-    # the rows that start a run of equal rows anywhere in the register, at
-    # flat positions g * K + k for row k of grid g; every grid's first row
-    # starts one, so a run ends where the next one starts. 0.0 == -0.0 here,
-    # and a zero amplitude adds nothing to a generator
-    rows = grid.reshape(N, K, n * L)
+    rows = [a.reshape(N * K, -1) if stacked else np.tile(a, (N, 1)) for _, _, a in sites]
+    # the rows that start a run of equal rows anywhere in the register: every
+    # grid's first row starts one, so a run ends where the next one starts.
+    # 0.0 == -0.0 here, and a zero amplitude adds nothing to a generator
+    register = (rows[0] if n == 1 else np.concatenate(rows, axis=1)).reshape(N, K, -1)
     edges = np.empty((N, K), dtype=bool)
     edges[:, 0] = True
-    edges[:, 1:] = np.logical_or.reduce(rows[:, 1:] != rows[:, :-1], axis=2)
+    np.logical_or.reduce(register[:, 1:] != register[:, :-1], axis=2, out=edges[:, 1:])
     starts = edges.ravel().nonzero()[0]
     lengths = np.empty_like(starts)
     lengths[:-1] = starts[1:] - starts[:-1]
     lengths[-1] = N * K - starts[-1]
-    first = grid.reshape(N * K, n, L)[starts]
-    # a run's duration, its length times the slice length, scales its
-    # generator; a generator that overflows here is caught below, not warned
-    # about
-    if N == 1:
-        # per site and run a generator, from the site's amplitudes in the
-        # run's first row, scaled by each of the W durations: (n, W, R)
-        W = dt.size
-        A = np.empty((n, len(starts), m, m), dtype=dtype)
-        for s, (drift, _, _) in enumerate(sites):
-            A[s] = drift
-        _add_controls(A, first.swapaxes(0, 1), C[:, None])
-        duration = dt.reshape(-1, 1) * lengths
-        with np.errstate(over="ignore", invalid="ignore"):
-            A = A[:, None] * duration.astype(dtype)[..., None, None]
+    # step order: step r takes run r of each grid that has more than r runs,
+    # the grids with the most runs first, so those are a prefix
+    counts = np.add.reduce(edges, axis=1)
+    R = int(np.maximum.reduce(counts))
+    if np.minimum.reduce(counts) == R:
+        order, rank, active = np.arange(N * R).reshape(N, R).T.ravel(), None, [N] * R
     else:
-        # per site one generator for each distinct pair of a run's
-        # amplitudes and its duration (their bits), over every run of every
-        # grid, g being the run's grid; the sites' generators in site order
-        W = 1
+        rank = np.empty(N, dtype=np.intp)
+        rank[np.argsort(-counts, kind="stable")] = np.arange(N)
         g = starts // K
-        duration = (dt[g] if dt.ndim else dt) * lengths
-        keys = np.empty((n, len(starts), L + 1), dtype=np.uint64)
-        keys[..., 0], keys[..., 1:] = duration.view(np.uint64), first.view(np.uint64).swapaxes(0, 1)
-        pick, position = _distinct(keys.reshape(-1, L + 1), n)
-        site, run = np.divmod(pick, len(starts))
-        A = np.empty((len(pick), m, m), dtype=dtype)
-        bounds = np.searchsorted(site, np.arange(n + 1)).tolist()
-        for s, (drift, _, _) in enumerate(sites):
+        run = np.arange(len(starts)) - (np.cumsum(counts) - counts)[g]
+        active = np.add.reduce(counts > np.arange(R)[:, None], axis=1)
+        # run r of the grid ranked i is the i-th of step r
+        order = np.empty_like(starts)
+        order[(np.cumsum(active) - active)[run] + rank[g]] = np.arange(len(starts))
+        active = active.tolist()
+    starts, lengths = starts[order], lengths[order]
+
+    # per active site and run, in step order, a column: the run's duration,
+    # its length times its grid's slice length, which scales its generator,
+    # then the site's amplitudes in its first row, a site with fewer fields
+    # padded with zeros
+    runs = np.zeros((L + 1, n, len(starts)))
+    runs[0] = (dt[starts // K] if dt.ndim else dt) * lengths
+    for s, site_rows in enumerate(rows):
+        runs[1:1 + site_rows.shape[1], s] = site_rows[starts].T
+    runs = runs.reshape(L + 1, -1)
+    # of N > 1 grids, the runs of one site whose durations and amplitudes
+    # have the same bits share one generator
+    shared = _distinct(runs.view(np.uint64), n) if stacked and N > 1 else None
+    split = len(starts)
+    if shared is not None:
+        pick, position = shared
+        runs, split = runs[:, pick], int(np.count_nonzero(pick < split))
+    bounds = [0, split, runs.shape[1]]
+    # the sites' generators in site order; one that overflows here is caught
+    # below, not warned about
+    dtype = np.result_type(_FLOAT, *(x for D, C, _ in sites for x in (D, C)))
+    A = np.zeros((runs.shape[1], m * m), dtype=dtype)
+    positive = bool(np.logical_and.reduce(runs[0] > 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, (drift, site_ctrls, site_amps) in enumerate(sites):
             a, b = bounds[s], bounds[s + 1]
-            A[a:b] = drift
-            _add_controls(A[a:b], first[run[a:b], s], C[s])
-        with np.errstate(over="ignore", invalid="ignore"):
-            A *= duration[run].astype(dtype)[:, None, None]
+            _assemble(A[a:b], drift.astype(dtype, copy=False),
+                      site_ctrls.astype(dtype, copy=False),
+                      runs[1:1 + site_amps.shape[-1], a:b], runs[0, a:b], positive)
     A = A.reshape(-1, m, m)
     if np.isfinite(A).all():
         props = expm_stack(A)
@@ -333,46 +365,35 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
         finite = np.isfinite(A).all(axis=(1, 2))
         props = np.full_like(A, np.nan)
         props[finite] = expm_stack(A[finite])
-
-    # the propagators of each run index r, n * W per grid that has a run r:
-    # the grids are stepped with the most runs first, so those are a prefix
-    if N == 1:
-        steps, rank = props.reshape(n * W, -1, m, m).swapaxes(0, 1), None
+    # each step's propagators, per site: a slice of the exponentials, or of
+    # the shared ones, gathered a step at a time
+    if shared is None:
+        props = props.reshape(n, -1, m, m)
     else:
-        runs = np.cumsum(edges, axis=1)
-        counts = runs[:, -1]
-        order = np.argsort(-counts, kind="stable")
-        rank = np.empty(N, dtype=np.intp)
-        rank[order] = np.arange(N)
-        R = counts[order[0]]
-        index = np.zeros((R, N, n), dtype=np.intp)
-        index[runs.ravel()[starts] - 1, rank[g]] = position.reshape(n, -1).T
-        active = (counts[:, None] > np.arange(R)).sum(axis=0).tolist()
-        # one gather of every step's propagators
-        props = props[index].reshape(R, N * n, m, m)
-        steps = (P[:a * n] for P, a in zip(props, active))
+        position = position.reshape(n, -1)
 
     cols = 1 if len(L0) == 1 else m
-    S = np.zeros((N, n, W, m, cols), dtype=np.result_type(v0, _FLOAT))
+    S = np.zeros((n, N, m, cols), dtype=np.result_type(v0, dtype))
     if len(L0) == 2:
         S.reshape(-1, m * m)[:, ::m + 1] = 1.0
     if L0[0] is not None:
-        S[:, 0] = v0.reshape(m, cols)
-    S = S.reshape(-1, m, cols)
+        S[0] = v0.reshape(m, cols)
     # a batched product is bitwise its separate ones
-    for P in steps:
-        if len(P) == len(S):
+    end = 0
+    for a in active:
+        P = props[:, end:end + a] if shared is None else props[position[:, end:end + a]]
+        end += a
+        if a == N:
             S = np.matmul(P, S)
         else:
-            S[:len(P)] = np.matmul(P, S[:len(P)])
-    S = S.reshape(N, n, W, m, cols)
+            S[:, :a] = np.matmul(P, S[:, :a])
     if len(L0) == 1:
-        X = S[:, 0, ..., 0]
+        X = S[0, ..., 0]
     else:
-        X = S[:, 0] if L0[0] is not None else v0.reshape(m, m)
+        X = S[0] if L0[0] is not None else v0.reshape(m, m)
         if L0[1] is not None:
-            X = np.matmul(X, S[:, -1].swapaxes(-1, -2))
-        X = X.reshape(N, W, m * m)
-    if len(lead) == 1:
-        return X[0] if dt.ndim else X[0, 0]
-    return X[:, 0] if rank is None else X[rank, 0]
+            X = np.matmul(X, S[-1].swapaxes(-1, -2))
+        X = X.reshape(N, m * m)
+    if rank is not None:
+        X = X[rank]
+    return X if stacked or dt.ndim else X[0]

@@ -79,7 +79,8 @@ def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
 
     Pairs with a NaN eigenvalue sum are dropped, so a non-finite state scores
     0, and a term that overflows is inf, without a warning; a search scores
-    unchecked states, and reported ones are checked first.
+    unchecked states, and reported ones are checked first. Only the kept
+    pairs are divided; a dropped pair's term is 0 without one.
     A (N, d, d) stack of states and derivatives gives an array of N QFIs,
     each bit for bit the call on its own pair.
     """
@@ -98,10 +99,13 @@ def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
         lam[bad] = np.nan
     M = vecs.conj().swapaxes(-1, -2) @ drho @ vecs
     pair_sums = lam[..., :, None] + lam[..., None, :]
-    # every pair's term, then 0 for the pairs at or below the cutoff
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        terms = 2.0 * np.abs(M) ** 2 / pair_sums
-    np.copyto(terms, 0.0, where=~(pair_sums > SPECTRAL_CUTOFF))
+    # each pair's term above the cutoff, 0 for the others
+    weights = np.abs(M)
+    terms = np.zeros_like(weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.square(weights, out=weights)
+        np.multiply(weights, 2.0, out=weights)
+        np.divide(weights, pair_sums, out=terms, where=pair_sums > SPECTRAL_CUTOFF)
     qfi = np.add.reduce(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
     return float(qfi) if qfi.ndim == 0 else qfi
 

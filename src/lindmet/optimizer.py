@@ -4,7 +4,11 @@ The simplex update follows the classic fminsearch variant: reflection,
 expansion, outside/inside contraction, and shrinkage, with greedy expansion
 acceptance. Ties on equal objective values are broken by vertex order, and the
 random restarts derive from a single master seed, so runs are reproducible
-bit-for-bit.
+bit-for-bit. The vertices stay in the order a stable sort of their values
+gives: an iteration that replaces the worst vertex inserts the new one
+where that sort would put it, and only a shrink, or a NaN value, sorts
+them all again; the simplex diameter is computed only once the values'
+spread has met its tolerance.
 
 An objective maps an (N, n) stack of points to their N values. The points
 of a batch do not depend on each other's values, so the search hands each
@@ -16,7 +20,8 @@ and :func:`lockstep` advances any number of them together: each round
 stacks the pending batch of every search into one objective call. Neither
 search sees the other's values, so each takes the steps it takes alone,
 bit for bit. :func:`multi_start` runs all its starts this way, over one
-problem or several, such as a control search's encoding times.
+problem or several, such as a control search's encoding times, and clamps
+each round's freshly stacked points to its box in place.
 """
 from __future__ import annotations
 
@@ -93,25 +98,39 @@ def _simplex(x0: np.ndarray, opt: OptimizerOptions, scale: float):
 
     alpha, chi, psi, sigma = REFLECTION, EXPANSION, CONTRACTION, SHRINK
     converged = False
+    sort = True
     while True:
-        order = np.argsort(fvals, kind="stable")
-        verts = verts[order]
-        fvals = fvals[order]
+        # the vertices in the order of a stable argsort of their values:
+        # after a shrink, or when the new value is NaN, by that sort; else
+        # only the last vertex is new, and it goes where the sort puts it,
+        # after the values it does not undercut
+        if sort or fvals[-1] != fvals[-1]:
+            order = np.argsort(fvals, kind="stable")
+            verts, fvals = verts[order], fvals[order]
+        else:
+            k = int(np.searchsorted(fvals[:-1], fvals[-1], side="right"))
+            if k < n:
+                x, f = verts[-1].copy(), fvals[-1]
+                verts[k + 1:], fvals[k + 1:] = verts[k:-1], fvals[k:-1]
+                verts[k], fvals[k] = x, f
 
-        diam = np.max(np.abs(verts[1:] - verts[0])) if n > 0 else 0.0
+        # the spread first: the diameter is needed only when it is small
         spread = fvals[-1] - fvals[0]
-        if diam <= x_tol and spread <= F_TOL * max(abs(fvals[0]), abs(fvals[-1]), 1e-300):
+        if spread <= F_TOL * max(abs(fvals[0]), abs(fvals[-1]), 1e-300) and (
+                np.max(np.abs(verts[1:] - verts[0])) <= x_tol):
             converged = True
             break
         if evals >= opt.max_evals:
             break
 
-        centroid = verts[:-1].mean(axis=0)
-        xr = centroid + alpha * (centroid - verts[-1])
+        centroid = np.add.reduce(verts[:-1], axis=0) / n
+        direction = centroid - verts[-1]
+        xr = centroid + alpha * direction
         fr = (yield xr[None])[0]
         evals += 1
+        sort = False
         if fr < fvals[0]:
-            xe = centroid + alpha * chi * (centroid - verts[-1])
+            xe = centroid + alpha * chi * direction
             fe = (yield xe[None])[0]
             evals += 1
             if fe < fr:
@@ -122,11 +141,11 @@ def _simplex(x0: np.ndarray, opt: OptimizerOptions, scale: float):
             verts[-1], fvals[-1] = xr, fr
         else:
             if fr < fvals[-1]:
-                xc = centroid + psi * alpha * (centroid - verts[-1])
+                xc = centroid + psi * alpha * direction
                 fc = (yield xc[None])[0]
                 accept = fc <= fr
             else:
-                xc = centroid - psi * (centroid - verts[-1])
+                xc = centroid - psi * direction
                 fc = (yield xc[None])[0]
                 accept = fc < fvals[-1]
             evals += 1
@@ -136,6 +155,7 @@ def _simplex(x0: np.ndarray, opt: OptimizerOptions, scale: float):
                 verts[1:] = verts[0] + sigma * (verts[1:] - verts[0])
                 fvals[1:] = yield verts[1:]
                 evals += n
+                sort = True
 
     best = int(np.argmin(fvals))  # argmin returns the lowest index on ties
     return SearchResult(verts[best].copy(), float(fvals[best]), evals, converged)
@@ -155,9 +175,10 @@ def lockstep(searches: Sequence, evaluate: Callable[[np.ndarray, np.ndarray], np
     results = [None] * len(searches)
     pending = [(i, next(s)) for i, s in enumerate(searches)]
     while pending:
+        ids = [i for i, _ in pending]
         sizes = [len(points) for _, points in pending]
         points = np.concatenate([points for _, points in pending])
-        owner = np.repeat([i for i, _ in pending], sizes)
+        owner = np.array(ids) if len(points) == len(ids) else np.repeat(ids, sizes)
         values = np.asarray(evaluate(points, owner), dtype=float)
         if values.shape != (len(points),):
             raise ValueError(f"the objective must map {len(points)} points to as many values, "
@@ -229,6 +250,8 @@ def multi_start(objective: Callable[..., np.ndarray],
     if lower.shape != upper.shape or np.any(lower >= upper):
         raise ValueError("box bounds must satisfy lower < upper elementwise")
     n = lower.size
+    if n < 1:
+        raise ValueError("objective must have at least one variable")
     scale = float(np.max((upper - lower) / 2.0))
     single = isinstance(options, OptimizerOptions)
     problems = [options] if single else list(options)
@@ -251,7 +274,8 @@ def multi_start(objective: Callable[..., np.ndarray],
     problem = np.array(problem)
 
     def evaluate(points, owner):
-        points = np.clip(points, lower, upper)
+        # lockstep stacks every round's points afresh, so they clip in place
+        points.clip(lower, upper, out=points)
         return objective(points) if single else objective(points, problem[owner])
 
     found = lockstep(searches, evaluate)

@@ -209,12 +209,14 @@ def _objective(probe: PreparedProbe, K: int, L: int, times=(0,)):
         amps = x.reshape(-1, K, L)
         if not np.isfinite(amps).all():
             raise ValueError("control amplitudes must be finite")
-        at = np.broadcast_to(times[problem], len(amps))
+        at = times[problem]
+        if not at.ndim:  # one index for every grid
+            at = np.full(len(amps), at)
         parts = []
         for c in range(0, len(amps), ROUND_GRIDS):
             v, dv = probe.propagate(amps[c:c + ROUND_GRIDS], at[c:c + ROUND_GRIDS])
             parts.append(qfi_eigen(unvectorize(v), unvectorize(dv)))
-        qfi = np.concatenate(parts)
+        qfi = parts[0] if len(parts) == 1 else np.concatenate(parts)
         # a NaN state has no pairs to sum, so it scores -0.0; a NaN among the
         # QFIs makes their maximum NaN too
         if not np.maximum.reduce(qfi) < math.inf:

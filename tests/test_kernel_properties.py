@@ -1,7 +1,8 @@
 """Property tests on random registers, one site or two, either site idle but
 not both, with runs of equal rows (signed zeros included) in the amplitude
 grid: ``_kern.propagate_schedule`` over W slice lengths, and over a stack
-of grids with one length each, the state and exact frequency derivative of
+of grids with one length each, on complex generators and on the package's
+own real Van Loan blocks, the state and exact frequency derivative of
 random models from ``SlicedDynamics.evolve_vectorized``, and the search objective on the
 package's own registers against the checked QFI."""
 import functools
@@ -81,6 +82,76 @@ def test_register_matches_the_kronecker_sum(register):
     stacked = _kern.propagate_schedule(drifts, ctrls, tuple(np.stack([a] * len(dt)) for a in amps),
                                        dt, v0)
     assert bitwise_equal(stacked, got)
+
+
+@st.composite
+def van_loan_stacks(draw):
+    """(drift, ctrls, grids, lengths, v0): one random site's real 8x8 Van
+    Loan blocks as a prepared probe holds them, the drift omega0*D + G with
+    its structural zeros (some turned to -0.0) and the control blocks, and
+    a stack of N > 1 grids, each at its own slice length (one may be
+    negative). Rows are spelled by letters as in :func:`registers`, and 0
+    is a row of zeros with random signs; a grid may repeat an earlier one,
+    at its length or at another."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    herm = lambda: (lambda a: (a + a.conj().T) / 2)(cplx(2, 2))
+    ops = tuple(cplx(2, 2) for _ in range(draw(st.integers(0, 2))))
+    site = Site(herm(), tuple(herm() for _ in range(draw(st.integers(1, 3)))),
+                NoiseChannel(ops, tuple(rng.uniform(0.1, 3.0, len(ops)))))
+    omega0 = float(rng.uniform(-5, 5))
+    probe = SlicedDynamics(EncodingModel(omega0, [site])).prepare(np.eye(2).ravel() / 2, [1.0])
+    drift, ctrls = probe._drifts[0].copy(), probe._ctrls[0]
+    if draw(st.booleans()):
+        zeros = np.flatnonzero(drift == 0)
+        drift.flat[zeros[rng.random(len(zeros)) < 0.5]] = -0.0
+    N, K, L = draw(st.integers(2, 5)), draw(st.integers(1, 6)), len(ctrls)
+    grids, lengths = [], []
+    for i in range(N):
+        repeat = draw(st.sampled_from([None, "same", "other"])) if i else None
+        if repeat:
+            j = draw(st.integers(0, i - 1))
+            grids.append(grids[j])
+            lengths.append(lengths[j] if repeat == "same" else float(rng.uniform(0.01, 0.2)))
+            continue
+        rows = {"A": rng.uniform(-40, 40, L), "B": rng.uniform(-40, 40, L),
+                "0": np.copysign(0.0, rng.uniform(-1, 1, L))}
+        rows["Z"], rows["z"] = rows["A"].copy(), rows["A"].copy()
+        rows["Z"][0], rows["z"][0] = 0.0, -0.0
+        grids.append(np.array([rows[c] for c in draw(st.text("ABZz0", min_size=K, max_size=K))]))
+        lengths.append(float(rng.uniform(0.01, 0.2)) * draw(st.sampled_from([1, 1, 1, -1])))
+    return drift, ctrls, np.stack(grids), np.array(lengths), rng.standard_normal(8)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(van_loan_stacks())
+def test_stack_of_van_loan_blocks_matches_per_run_exponentials(case):
+    # each grid of the stack bit for bit a loop of one scipy.linalg.expm per
+    # run, which shares no code with the kernel's assembly; and the kernel
+    # exponentiates exactly the generators that loop builds, signed zeros
+    # included, which a final state seldom shows
+    drift, ctrls, grids, lengths, v0 = case
+    generators, real = [], _kern.expm_stack
+    _kern.expm_stack = lambda A: generators.append(A.copy()) or real(A)
+    try:
+        got = _kern.propagate_schedule(drift, ctrls, grids, lengths, v0)
+    finally:
+        _kern.expm_stack = real
+    built = set()
+    for i, (grid, dt) in enumerate(zip(grids, lengths)):
+        assert bitwise_equal(got[i], per_run_reference(drift, ctrls, grid, dt, v0))
+        k = 0
+        while k < len(grid):
+            n = 1
+            while k + n < len(grid) and np.array_equal(grid[k + n], grid[k]):
+                n += 1
+            A = drift.copy()
+            for u, C in zip(grid[k], ctrls):
+                if u != 0.0:
+                    A += u * C
+            built.add((A * (dt * n)).tobytes())
+            k += n
+    assert {A.tobytes() for A in np.concatenate(generators)} == built
 
 
 @st.composite

@@ -195,6 +195,14 @@ class TestMultiStart:
         with pytest.raises(ValueError):
             multi_start(sphere, np.ones(2), np.ones(2))
 
+    def test_empty_box_rejected(self):
+        # as nelder_mead rejects an empty start, before any work
+        calls = []
+        for options in (OptimizerOptions(), [OptimizerOptions()] * 2):
+            with pytest.raises(ValueError, match="at least one variable"):
+                multi_start(lambda *args: calls.append(args), [], [], options)
+        assert calls == []
+
     def test_zero_outside_box_skipped(self):
         # when the box excludes the origin all starts are uniform draws
         res = multi_start(rows(lambda x: float((x[0] - 1.5) ** 2)),
