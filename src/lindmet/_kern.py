@@ -7,28 +7,26 @@ product of theirs (Van Loan, "The ubiquitous Kronecker product", J. Comput.
 Appl. Math. 123:85, 2000), and only the sites' own generators are
 exponentiated; an idle site takes none. The generators may be real, as the
 package's 8x8 Van Loan blocks are (see :mod:`lindmet.propagation`), or
-complex; the arithmetic follows their dtype. A prepared probe builds its
-drifts and state once and then makes one call per amplitude grid, or per
-stack of N grids such as a round of a control search's points, whose runs
-and generators are found and built once for the whole register and every
-grid.
+complex; the arithmetic follows their dtype. A call takes one amplitude
+grid at one slice length, or a stack of N grids with one slice length per
+grid, which covers several encoding times: a fixed scheme's grid at each
+of them, or a round of a control search's points. A prepared probe builds
+its drifts and state once and then makes one call per stack.
 
 A run of R equal consecutive rows of the register's amplitude grid is one
 constant generator, exponentiated once over the run's whole duration, exp(R
 dt A), and applied in one step; a constant schedule is a single run. Each
-site has one drift. Given W slice lengths, one call propagates one grid
-over each, as W copies of it, so it covers several encoding times. Given N
-grids, each with its own slice length, one pass finds every grid's runs;
-a site's generator depends only on its amplitudes in the run's first row
-and the run's duration, so runs of several grids that share them, as a
-simplex's points share all but one row, share one generator, built and
-exponentiated once. The generators are built in step order, run r of
-every grid before run r + 1 of any, on only the entries that a control or
-the drift can change, and go through one ``expm_stack`` call, bit for bit
-``scipy.linalg.expm`` on each slice. The grids are then stepped together,
-one batched product per run index over every grid that has a run there,
-on a slice of the exponentials, and each grid's state is bit for bit its
-own call's; nothing is kept between calls.
+site has one drift. One pass finds every grid's runs; a site's generator
+depends only on its amplitudes in the run's first row and the run's
+duration, so runs of several grids that share them, as a simplex's points
+share all but one row, share one generator, built and exponentiated once.
+The generators are built in step order, run r of every grid before run
+r + 1 of any, on only the entries that a control or the drift can change,
+and go through one ``expm_stack`` call, bit for bit ``scipy.linalg.expm``
+on each slice. The grids are then stepped together, one batched product
+per run index over every grid that has a run there, on a slice of the
+exponentials, and each grid's state is bit for bit its own call's; nothing
+is kept between calls.
 
 ``expm_stack`` sorts the slices as scipy does, by their nonzero entries
 below and above the diagonal. A generic slice, as every slice a run
@@ -231,12 +229,10 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     """Apply exp((L0 + sum_l amps[k,l]*ctrls[l]) * dt) to v0 for k = 0..K-1
     and return the final vector.
 
-    ``dt`` is one slice length, or for one (K, L) grid a 1-D array of W
-    lengths: the result is then (W, m), row w bit for bit the call with
-    ``dt[w]``, as a schedule at several encoding times needs. ``amps`` may
-    also be an (N, K, L) stack of N grids, and ``dt`` then one length for
-    all of them or N lengths, one per grid: the result is (N, m), row i bit
-    for bit the call with ``amps[i]`` and its own length.
+    ``amps`` may also be an (N, K, L) stack of N grids, and ``dt`` then N
+    slice lengths, one per grid: the result is (N, m), row i bit for bit
+    the call with ``amps[i]`` and ``dt[i]``. Several encoding times are
+    such a stack, a grid's copy at each time's slice length.
 
     A register passes ``L0``, ``ctrls`` and ``amps`` as tuples with one entry
     per site, one site or two, and the state is then m**n long for n sites;
@@ -250,15 +246,14 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     own indices, so that it is an m x m matrix X that a slice maps to
     P0 X P1^T.
 
-    After the input checks, W lengths of one grid are W copies of it, copy
-    w at length w, and each step is taken once for the whole call: one pass
-    over the active sites' amplitudes, side by side, finds every grid's
-    runs of equal consecutive rows, and the runs are laid out in step
-    order, run r of every grid that has one before run r + 1 of any, the
-    grids with the most runs first. Per active site, each run's generator
-    is built from its first row and scaled by its duration, its length
-    times its grid's slice length (see ``_assemble``), and all of them go
-    through one ``expm_stack`` call. Of a stack of N > 1 grids, such as a
+    After the input checks, a grid is a stack of one, and each step is
+    taken once for the whole call: one pass over the active sites'
+    amplitudes, side by side, finds every grid's runs of equal consecutive
+    rows, and the runs are laid out in step order, run r of every grid that
+    has one before run r + 1 of any, the grids with the most runs first.
+    Per active site, each run's generator is built from its first row and
+    scaled by its duration, its length times its grid's slice length (see
+    ``_assemble``), and all of them go through one ``expm_stack`` call. Of a stack of N > 1 grids, such as a
     round of simplex points, the runs that give one site the same
     amplitudes and the same duration (bit for bit) share one generator,
     exponentiated once: a simplex's points share all but one row, and one
@@ -288,19 +283,17 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     if np.shape(amps[-1])[:-1] != lead:
         raise ValueError("the sites' amplitude grids must have one row per slice, "
                          "and as many grids")
-    stacked = len(lead) == 2
     dt = np.asarray(dt, dtype=np.float64)
-    if dt.ndim > 1 or not dt.size or (stacked and dt.ndim and dt.shape != lead[:1]):
-        raise ValueError("dt must be one slice length, W of them for one grid, "
-                         "or one per grid of a stack")
+    if dt.shape != lead[:-1]:
+        raise ValueError("dt must be one slice length for a grid, or one per grid of a stack")
     v0 = np.asarray(v0)
     if v0.shape != (m ** len(L0),):
         raise ValueError("state vector length does not match the register")
 
     # each active site's rows, (N * K, L_s), grid g's row k at g * K + k
-    N, K = lead if stacked else (dt.size, lead[0])
+    N, K = dt.size, lead[-1]
     n, L = len(sites), max(a.shape[-1] for _, _, a in sites)
-    rows = [a.reshape(N * K, -1) if stacked else np.tile(a, (N, 1)) for _, _, a in sites]
+    rows = [a.reshape(N * K, a.shape[-1]) for _, _, a in sites]
     # the rows that start a run of equal rows anywhere in the register: every
     # grid's first row starts one, so a run ends where the next one starts.
     # 0.0 == -0.0 here, and a zero amplitude adds nothing to a generator
@@ -335,13 +328,13 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     # then the site's amplitudes in its first row, a site with fewer fields
     # padded with zeros
     runs = np.zeros((L + 1, n, len(starts)))
-    runs[0] = (dt[starts // K] if dt.ndim else dt) * lengths
+    runs[0] = dt.reshape(N)[starts // K] * lengths
     for s, site_rows in enumerate(rows):
         runs[1:1 + site_rows.shape[1], s] = site_rows[starts].T
     runs = runs.reshape(L + 1, -1)
     # of N > 1 grids, the runs of one site whose durations and amplitudes
     # have the same bits share one generator
-    shared = _distinct(runs.view(np.uint64), n) if stacked and N > 1 else None
+    shared = _distinct(runs.view(np.uint64), n) if N > 1 else None
     split = len(starts)
     if shared is not None:
         pick, position = shared
@@ -396,4 +389,4 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
         X = X.reshape(N, m * m)
     if rank is not None:
         X = X[rank]
-    return X if stacked or dt.ndim else X[0]
+    return X if dt.ndim else X[0]

@@ -4,8 +4,8 @@ time-normalized sensitivity figure of merit.
 The frequency derivative of the evolved state is exact: the state and its
 derivative come from one propagation of Van Loan blocks (see
 :mod:`lindmet.propagation`), one kernel call. Derivatives and QFIs also come
-as stacks, for one amplitude grid at several encoding times, each entry bit
-for bit its own call's.
+as stacks, for N schedules of one K x L shape at several encoding times,
+each entry bit for bit its own call's.
 """
 from __future__ import annotations
 
@@ -37,14 +37,14 @@ def drho_domega(dyn: SlicedDynamics, schedule: ControlSchedule | Sequence[Contro
 
     The schedule is held fixed; the state and its derivative come from one
     kernel call (see :meth:`SlicedDynamics.evolve_vectorized`). ``schedule``
-    may also be a sequence of N schedules on one amplitude grid, such as a
-    fixed scheme's schedule at N encoding times: then all of them share that
-    one call, and rho and the derivative come back as (N, d, d) stacks, each
-    bit for bit its own call's. Each rho must pass the propagated-state
-    checks and each derivative must be Hermitian and traceless, which a NaN
-    is not; the first schedule in order that fails raises
-    :class:`PropagationError` or :class:`MetrologyError`, and the message
-    names its encoding time.
+    may also be a sequence of N schedules of one K x L shape, each with its
+    own amplitudes and total time, such as a scheme's schedules at N
+    encoding times: then all of them share that one call, and rho and the
+    derivative come back as (N, d, d) stacks, each bit for bit its own
+    call's. Each rho must pass the propagated-state checks and each
+    derivative must be Hermitian and traceless, which a NaN is not; the
+    first schedule in order that fails raises :class:`PropagationError` or
+    :class:`MetrologyError`, and the message names its encoding time.
     """
     single = isinstance(schedule, ControlSchedule)
     schedules = [schedule] if single else list(schedule)

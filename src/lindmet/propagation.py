@@ -29,9 +29,10 @@ the ancilla, takes none.
 Every propagation runs on a :class:`PreparedProbe`, which holds what does
 not depend on the amplitudes, built once per probe, frequency and set of
 slice lengths (:meth:`SlicedDynamics.prepare`), and one drift block per
-site that serves every slice length; the control search prepares its
-probe once for its whole time grid, and propagates each round of amplitude
-grids, each at its own encoding time's slice length, in one kernel call.
+site that serves every slice length. It propagates a stack of amplitude
+grids, each at its own encoding time's slice length, in one kernel call:
+N schedules of one K x L shape, or a round of a control search's points,
+whose probe is prepared once for its whole time grid.
 """
 from __future__ import annotations
 
@@ -221,22 +222,22 @@ class SlicedDynamics:
         derivative in omega0, as a pair from one kernel call, at the model's
         frequency or at ``omega0``.
 
-        ``schedule`` may also be a sequence of N schedules on one amplitude
-        grid, each with its own total time, such as a fixed scheme's
-        schedule at N encoding times: the states and derivatives are then
-        (N, d^2) stacks, each row bit for bit its own call's.
+        ``schedule`` may also be a sequence of N schedules of one K x L
+        shape, each with its own amplitudes and total time, such as a
+        scheme's schedules at N encoding times: the states and derivatives
+        are then (N, d^2) stacks, each row bit for bit its own call's.
         """
         single = isinstance(schedule, ControlSchedule)
         schedules = [schedule] if single else list(schedule)
-        amps = schedules[0].amplitudes
-        if any(s.amplitudes is not amps and not np.array_equal(s.amplitudes, amps)
-               for s in schedules[1:]):
-            raise ValueError("a stack of schedules must share one amplitude grid")
-        if amps.shape[1] != self.model.n_controls:
+        if len({s.amplitudes.shape for s in schedules}) != 1:
+            raise ValueError("the schedules must have one K x L shape")
+        amps = np.stack([s.amplitudes for s in schedules])
+        if amps.shape[2] != self.model.n_controls:
             raise ValueError(
-                f"schedule has {amps.shape[1]} fields but the model has "
+                f"schedule has {amps.shape[2]} fields but the model has "
                 f"{self.model.n_controls} control Hamiltonians")
-        states, derivatives = self.prepare(v0, [s.dt for s in schedules], omega0).propagate(amps)
+        probe = self.prepare(v0, [s.dt for s in schedules], omega0)
+        states, derivatives = probe.propagate(amps, np.arange(len(schedules)))
         return (states[0], derivatives[0]) if single else (states, derivatives)
 
     def evolve(self, schedule: ControlSchedule, rho0: np.ndarray, omega0: float | None = None):
@@ -251,7 +252,7 @@ class SlicedDynamics:
 
 
 class PreparedProbe:
-    """A probe at one frequency, ready to propagate over W slice lengths: its
+    """A probe at one frequency, ready to propagate over its slice lengths: its
     coordinates in site-product order, zero-padded into the Van Loan
     blocks' first half, and every active site's one block of omega0*D + G,
     which serves every slice length."""
@@ -271,18 +272,15 @@ class PreparedProbe:
                              for (D, G, _), idle in zip(dyn._blocks, dyn._idle))
         self._ctrls = tuple(C for _, _, C in dyn._blocks)
 
-    def propagate(self, amps: np.ndarray, at=0) -> tuple[np.ndarray, np.ndarray]:
-        """The (W, d^2) stacks of the states and their derivatives in omega0
-        after the float64 (K, L) amplitude grid ``amps`` acts, one row per
-        slice length; or the (N, d^2) stacks after each grid of an (N, K, L)
-        stack acts, grid i at slice length ``dt[at[i]]``, ``at`` being an
-        index or N of them. Either comes from one
-        ``_kern.propagate_schedule`` call; the states are not checked."""
+    def propagate(self, amps: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (N, d^2) stacks of the states and their derivatives in omega0
+        after each grid of the float64 (N, K, L) stack ``amps`` acts, grid i
+        at slice length ``dt[at[i]]``, from one ``_kern.propagate_schedule``
+        call; the states are not checked."""
         dyn, n = self.dyn, len(self._drifts)
         v = _kern.propagate_schedule(
             self._drifts, self._ctrls, tuple(amps[..., cols] for cols in dyn._columns),
-            self._dt if amps.ndim == 2 else self._dt[at], self._x)
-        lead = v.shape[:-1]
+            self._dt[at], self._x)
         if n == 1:
             v = v.reshape(-1, 2, 4)  # [x; dx]
         else:
@@ -293,8 +291,8 @@ class PreparedProbe:
             v = np.empty((len(x), 2, 4, 4), dtype=v.dtype)
             v[:, 0] = x[:, :4, :4]
             np.add(x[:, :4, 4:], x[:, 4:, :4], out=v[:, 1])
-        v = _change_basis(_OPERATORS, v, n).reshape(lead + (2, dyn.dim ** 2))[..., dyn._unorder]
-        return v[..., 0, :], v[..., 1, :]
+        v = _change_basis(_OPERATORS, v, n).reshape(-1, 2, dyn.dim ** 2)[..., dyn._unorder]
+        return v[:, 0], v[:, 1]
 
 
 def evolved_state_faults(rho: np.ndarray) -> list[str | None]:

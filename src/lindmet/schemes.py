@@ -174,23 +174,23 @@ def resolve_probe(config: SchemeConfig, dim: int) -> np.ndarray:
     return haar_random_state(dim, rng)
 
 
-def _schedule_qfi(dyn: SlicedDynamics, schedule: ControlSchedule | list[ControlSchedule],
-                  rho0: np.ndarray) -> float | np.ndarray:
-    """Checked QFI of the frequency after ``schedule`` acts on ``rho0``, from
-    one kernel call; a list of schedules on one amplitude grid gives an
-    array of their QFIs, each bit for bit its own call's. A failure names
-    the encoding time of the first schedule that breaks (see
-    :func:`drho_domega`) or whose QFI overflows (:class:`MetrologyError`).
+def _schedule_qfi(dyn: SlicedDynamics, schedules: list[ControlSchedule],
+                  rho0: np.ndarray) -> np.ndarray:
+    """Checked QFIs of the frequency after each of ``schedules``, N of one
+    K x L shape, acts on ``rho0``, from one kernel call, each bit for bit
+    its own call's. A failure names the encoding time of the first schedule
+    that breaks (see :func:`drho_domega`) or whose QFI overflows
+    (:class:`MetrologyError`).
     """
-    qfi = qfi_eigen(*drho_domega(dyn, schedule, rho0))
+    qfi = qfi_eigen(*drho_domega(dyn, schedules, rho0))
     bad = np.flatnonzero(~np.isfinite(qfi))
     if bad.size:
-        T = (schedule if isinstance(schedule, ControlSchedule) else schedule[bad[0]]).total_time
-        raise MetrologyError(f"at T={T:g} s: the QFI is not a finite float")
+        raise MetrologyError(f"at T={schedules[bad[0]].total_time:g} s: "
+                             "the QFI is not a finite float")
     return qfi
 
 
-def _objective(probe: PreparedProbe, K: int, L: int, times=(0,)):
+def _objective(probe: PreparedProbe, K: int, L: int, times):
     """The search objective on ``probe`` for the encoding times whose slice
     lengths are ``probe``'s at indexes ``times``, one problem each: an
     (N, K*L) stack of flat K x L amplitude grids, which must be finite, and
@@ -268,7 +268,7 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
     previous grid point's best schedule joins the starts as well, so the T's
     are searched one after another, each T's starts in lockstep; faster on
     dense grids, but it can change which local optimum each point settles
-    in.
+    in. Every T's best schedule is then scored, checked, in one kernel call.
     """
     dyn, rho0 = prepare(config)
     K, L = config.K, dyn.model.n_controls
@@ -294,10 +294,9 @@ def run_scheme(config: SchemeConfig) -> list[MetrologyResult]:
         extra = [[found[-1].x]] if config.warm_start and found else ()
         found += multi_start(_objective(probe, K, L, group), *box,
                              [options[i] for i in group], extra)
-    out = []
-    for T, res in zip(config.time_grid, found):
-        sched = ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
-        qfi = _schedule_qfi(dyn, sched, rho0)
-        out.append(MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c), sched,
-                                   res.evals, config.optimizer.seed, res.converged))
-    return out
+    best = [ControlSchedule(res.x.reshape(K, L), T, u_max=u_max)
+            for T, res in zip(config.time_grid, found)]
+    qfis = _schedule_qfi(dyn, best, rho0).tolist()
+    return [MetrologyResult(T, qfi, sensitivity(qfi, T, config.gamma_c), sched,
+                            res.evals, config.optimizer.seed, res.converged)
+            for T, sched, qfi, res in zip(config.time_grid, best, qfis, found)]

@@ -235,17 +235,28 @@ class TestNmrProtocol:
         return load_nmr_config(NMR_TEXT, is_path=False)
 
     def test_file_schema_and_grid(self, tmp_path, monkeypatch):
-        from lindmet import _kern
+        from lindmet import _kern, schemes
         from lindmet.propagation import SlicedDynamics
 
-        depths, evolve_depths = [], []
+        depths, evolve_depths, searching = [], [], []
         real, real_evolve = _kern.propagate_schedule, SlicedDynamics.evolve
+        real_search = schemes.multi_start
 
         def spy(L0, ctrls, amps, dt, v0):
-            # the slice lengths of one grid; a stack of grids, as a search
-            # round is, takes one length per grid
-            depths.append(np.size(dt) if np.ndim(amps[0]) == 2 else "round")
+            # every call is a stack of grids, one slice length per grid; a
+            # search round's are counted apart
+            assert np.ndim(amps[0]) == 3 and np.shape(dt) == np.shape(amps[0])[:1]
+            depths.append("round" if searching else np.size(dt))
             return real(L0, ctrls, amps, dt, v0)
+
+        def search(objective, *args, **kwargs):
+            def inside(*a, **k):
+                searching.append(True)
+                try:
+                    return objective(*a, **k)
+                finally:
+                    searching.pop()
+            return real_search(inside, *args, **kwargs)
 
         def evolve_spy(*args, **kwargs):
             start = len(depths)
@@ -255,14 +266,17 @@ class TestNmrProtocol:
 
         monkeypatch.setattr(_kern, "propagate_schedule", spy)
         monkeypatch.setattr(SlicedDynamics, "evolve", evolve_spy)
+        monkeypatch.setattr(schemes, "multi_start", search)
         cfg = self._config()
         path = run_nmr_protocol(cfg, out=tmp_path / "nmr.csv")
         # each scheme's fixed schedule propagates one Van Loan block per
         # encoding time, all 3 in one call, the search propagates rounds of
-        # grids, each checked searched QFI one block, and each row's fidelity
-        # pair omega0 and omega0 + delta one block each, in a call of its own
+        # grids, the checked searched QFIs one block per time, all 3 in one
+        # call, and each row's fidelity pair omega0 and omega0 + delta one
+        # block each, in a call of its own
         assert set(depths) == {3, 1, "round"}
-        assert depths.count(3) == 2
+        assert depths.count(3) == 3
+        assert depths.count(1) == 2 * 2 * 3
         assert evolve_depths == [[1]] * (2 * 2 * 3)
         _, data = read_result_file(path)
         header = data[0].split(",")

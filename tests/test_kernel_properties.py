@@ -1,7 +1,7 @@
 """Property tests on random registers, one site or two, either site idle but
 not both, with runs of equal rows (signed zeros included) in the amplitude
-grid: ``_kern.propagate_schedule`` over W slice lengths, and over a stack
-of grids with one length each, on complex generators and on the package's
+grid: ``_kern.propagate_schedule`` over W copies of a grid at W slice
+lengths, and over a stack of grids with one length each, on complex generators and on the package's
 own real Van Loan blocks, the state and exact frequency derivative of
 random models from ``SlicedDynamics.evolve_vectorized``, and the search objective on the
 package's own registers against the checked QFI."""
@@ -68,7 +68,10 @@ def kronecker_sum_reference(drifts, ctrls, amps, dt, v0):
 @given(registers())
 def test_register_matches_the_kronecker_sum(register):
     drifts, ctrls, amps, dt, v0 = register
-    got = _kern.propagate_schedule(drifts, ctrls, amps, dt, v0)
+    # W copies of the grid, one at each length: equal runs of two copies
+    # share a generator only at equal lengths
+    got = _kern.propagate_schedule(drifts, ctrls, tuple(np.stack([a] * len(dt)) for a in amps),
+                                   dt, v0)
     assert got.shape == (len(dt), len(v0))
     for w in range(len(dt)):
         ref = kronecker_sum_reference(drifts, ctrls, amps, dt[w], v0)
@@ -77,11 +80,8 @@ def test_register_matches_the_kronecker_sum(register):
             # one site: bit for bit a loop of per-slice exponentials
             assert bitwise_equal(got[w], per_run_reference(drifts[0], ctrls[0], amps[0],
                                                              dt[w], v0))
-    # W copies of the grid, one at each length, take the stacked path: equal
-    # runs of two copies share a generator only at equal lengths
-    stacked = _kern.propagate_schedule(drifts, ctrls, tuple(np.stack([a] * len(dt)) for a in amps),
-                                       dt, v0)
-    assert bitwise_equal(stacked, got)
+        # each copy is bit for bit the grid's own call at its length
+        assert bitwise_equal(got[w], _kern.propagate_schedule(drifts, ctrls, amps, dt[w], v0))
 
 
 @st.composite
@@ -228,7 +228,7 @@ def search_register(scheme, scenario, K):
     cfg = test_schemes.config(scheme, scenario, [T], K=K)
     dyn, rho0 = schemes.prepare(cfg)
     probe = dyn.prepare(vectorize(rho0), [T / K])
-    return dyn, rho0, schemes._objective(probe, K, dyn.model.n_controls), cfg.resolved_u_max
+    return dyn, rho0, schemes._objective(probe, K, dyn.model.n_controls, [0]), cfg.resolved_u_max
 
 
 @st.composite
@@ -258,5 +258,5 @@ def test_search_objective_is_the_checked_qfi(case):
     # on a two-qubit register a random row drives both sites
     register, K, amps = case
     dyn, rho0, objective, _ = search_register(*register, K)
-    checked = schemes._schedule_qfi(dyn, ControlSchedule(amps, T), rho0)
+    checked, = schemes._schedule_qfi(dyn, [ControlSchedule(amps, T)], rho0)
     assert (-objective(amps.ravel())).hex() == checked.hex()

@@ -146,9 +146,51 @@ class TestEvolve:
         for s, v, dv in zip(scheds, states, derivatives):
             one, done = dyn.evolve_vectorized(s, v0, OMEGA0 + 0.5)
             assert v.tobytes() == one.tobytes() and dv.tobytes() == done.tobytes()
+        # a schedule on another grid of the same shape joins the stack, and
+        # one of another K or L does not
         other = ControlSchedule(amps + 1.0, 0.2)
-        with pytest.raises(ValueError, match="one amplitude grid"):
-            dyn.evolve_vectorized(scheds + [other], v0)
+        states, derivatives = dyn.evolve_vectorized(scheds + [other], v0, OMEGA0 + 0.5)
+        one, done = dyn.evolve_vectorized(other, v0, OMEGA0 + 0.5)
+        assert states[3].tobytes() == one.tobytes() and derivatives[3].tobytes() == done.tobytes()
+        for shape in ((4, 2), (3, 3)):
+            with pytest.raises(ValueError, match="one K x L shape"):
+                dyn.evolve_vectorized(scheds + [ControlSchedule(np.zeros(shape), 0.2)], v0)
+
+    @pytest.mark.parametrize("name", ["parallel-dephasing-1q", "parallel-dephasing-2q",
+                                      "ancilla"])
+    def test_schedules_on_several_grids(self, name):
+        # N schedules of one K x L shape, each with its own grid and time, as
+        # a search's reported optima are: each state and derivative bit for
+        # bit its own call's, from evolve_vectorized and from drho_domega
+        from lindmet.metrology import drho_domega
+
+        model = (ancilla_extend(model_with("amplitude-damping")) if name == "ancilla"
+                 else model_with(name))
+        dyn = SlicedDynamics(model)
+        rng = np.random.default_rng(len(name))
+        K, L = 5, model.n_controls
+        grids = [rng.uniform(-40, 40, (K, L)), np.zeros((K, L)), np.full((K, L), 7.5),
+                 rng.uniform(-40, 40, (K, L))]
+        grids[3][2] = grids[3][1]
+        scheds = [ControlSchedule(a, T) for a, T in zip(grids, (0.3, 0.05, 0.3, 1.2))]
+        rho0 = plus_state(1) if model.dim == 2 else ghz_state(2)
+        v0 = vectorize(rho0)
+        states, derivatives = dyn.evolve_vectorized(scheds, v0)
+        rho, drho = drho_domega(dyn, scheds, rho0)
+        assert states.shape == (4, model.dim ** 2) and rho.shape == (4,) + rho0.shape
+        for i, s in enumerate(scheds):
+            one, done = dyn.evolve_vectorized(s, v0)
+            assert states[i].tobytes() == one.tobytes()
+            assert derivatives[i].tobytes() == done.tobytes()
+            r, d = drho_domega(dyn, s, rho0)
+            assert rho[i].tobytes() == r.tobytes() and drho[i].tobytes() == d.tobytes()
+        # schedules of different K or L are not one stack
+        for shape in ((K + 1, L), (K, L + 1)):
+            bad = scheds + [ControlSchedule(np.zeros(shape), 0.3)]
+            with pytest.raises(ValueError, match="one K x L shape"):
+                dyn.evolve_vectorized(bad, v0)
+            with pytest.raises(ValueError, match="one K x L shape"):
+                drho_domega(dyn, bad, rho0)
 
     @pytest.mark.parametrize("name", ["parallel-dephasing-1q", "parallel-dephasing-2q",
                                       "ancilla"])
@@ -418,23 +460,27 @@ class TestPythonKernel:
     @pytest.mark.parametrize("pattern, runs", RUN_PATTERNS)
     @pytest.mark.parametrize("m", [4, 16])
     def test_stack_of_drifts_is_separate_calls(self, m, pattern, runs, monkeypatch):
-        # the drift over W slice lengths, as a schedule at several encoding
-        # times has: row w is bit for bit the call with length w
+        # the grid at W slice lengths, as a schedule at several encoding
+        # times is, W copies of it: row w is bit for bit the call with
+        # length w, and a copy's runs share a generator only within it
         L0, ctrls, amps, v0 = self._pattern_problem(m, pattern)
+        K = len(amps)
+        starts = [k for k in range(K) if k == 0 or (amps[k] != amps[k - 1]).any()]
+        distinct = len({(amps[a].tobytes(), b - a) for a, b in zip(starts, starts[1:] + [K])})
+        assert len(starts) == runs
         dts = np.array([0.05, 0.013, 0.3])
         one_by_one = [_kern.propagate_schedule(L0, ctrls, amps, dt, v0) for dt in dts]
         sizes = spy_stack_sizes(monkeypatch)
-        got = _kern.propagate_schedule(L0, ctrls, amps, dts, v0)
-        assert sizes == [3 * runs]
+        got = _kern.propagate_schedule(L0, ctrls, np.stack([amps] * 3), dts, v0)
+        assert sizes == [3 * distinct]
         assert bitwise_equal(got, np.stack(one_by_one))
-        # a stack of one length is the call with that length, with a leading axis
-        assert bitwise_equal(_kern.propagate_schedule(L0, ctrls, amps, dts[:1], v0),
+        # a stack of one is the call with its length, with a leading axis
+        assert bitwise_equal(_kern.propagate_schedule(L0, ctrls, amps[None], dts[:1], v0),
                              one_by_one[0][None])
         # a stack of N grids with one slice length per grid: row i is bit for
         # bit the call with grid i and its length; the grids have other run
         # counts, grid 3 repeats grid 0 at its length and grid 6 is grid 0 at
         # another
-        K = len(amps)
         grids = np.stack([amps, amps[::-1], np.zeros_like(amps), amps, np.tile(amps[:1], (K, 1)),
                           np.where(np.arange(K)[:, None] % 2, amps[::-1], -amps), amps])
         lengths = np.array([0.05, 0.013, 0.3, 0.05, 0.013, 0.3, 0.3])
@@ -444,8 +490,8 @@ class TestPythonKernel:
         got = _kern.propagate_schedule(L0, ctrls, grids, lengths, v0)
         assert len(sizes) == 1
         assert bitwise_equal(got, np.array(one_by_one))
-        # or one length for every grid
-        assert bitwise_equal(_kern.propagate_schedule(L0, ctrls, grids, 0.05, v0),
+        # or one length, given per grid, for every grid
+        assert bitwise_equal(_kern.propagate_schedule(L0, ctrls, grids, np.full(7, 0.05), v0),
                              np.stack([_kern.propagate_schedule(L0, ctrls, a, 0.05, v0)
                                        for a in grids]))
 
@@ -516,11 +562,13 @@ class TestPythonKernel:
              (L0, ctrls[:, :3, :3], grids, np.full(3, 0.05), v0)),
             ("state vector length", (L0, ctrls, grids, np.full(3, 0.05),
                                      np.zeros((3, 4), dtype=complex))),
-            # a stack of grids takes one slice length, or exactly one per grid,
-            # and one grid a length or a 1-D array of them
+            # a stack of grids takes exactly one slice length per grid, and
+            # one grid one length
             ("dt must be", (L0, ctrls, grids, np.full(2, 0.05), v0)),
             ("dt must be", (L0, ctrls, grids, np.full((3, 1), 0.05), v0)),
+            ("dt must be", (L0, ctrls, grids, 0.05, v0)),
             ("dt must be", (L0, ctrls, amps, np.full((3, 1), 0.05), v0)),
+            ("dt must be", (L0, ctrls, amps, np.full(3, 0.05), v0)),
             # a grid needs a slice, and a stack a grid
             ("amps must be", (L0, ctrls, amps[:0], 0.05, v0)),
             ("amps must be", (L0, ctrls, amps[None, :0], 0.05, v0)),
@@ -610,7 +658,7 @@ class TestSiteFactorisation:
         rho, drho = (unvectorize(v) for v in
                      lindbladian_derivative_reference(model, amps, T, vectorize(rho0)))
         ref = qfi_eigen(rho, drho)
-        got = _schedule_qfi(SlicedDynamics(model), ControlSchedule(amps, T), rho0)
+        got, = _schedule_qfi(SlicedDynamics(model), [ControlSchedule(amps, T)], rho0)
         # an exact oracle: the two differ by roundoff only, up to 3e-15 relative
         # (measured)
         assert ref > 0 and abs(got - ref) <= 1e-12 * ref
@@ -687,11 +735,15 @@ class TestTwoSiteKernel:
         amps[0][3:5] = amps[0][2]
         amps[1][5] = amps[1][4]
         drifts = tuple(None if s in idle else D for s, D in enumerate(drifts))
+        # the grid at three slice lengths, as three copies of it: the runs of
+        # a copy that give a site the same row share its generator
         dts = np.array([0.05, 0.02, 0.1])
+        grids = tuple(np.stack([a] * 3) for a in amps)
         sizes = spy_stack_sizes(monkeypatch)
-        got = _kern.propagate_schedule(drifts, ctrls, amps, dts, v0)
-        runs = {(): 7, (0,): 6, (1,): 5}[idle]
-        assert sizes == [3 * runs * (2 - len(idle))]
+        got = _kern.propagate_schedule(drifts, ctrls, grids, dts, v0)
+        shared = {(): 3, (0,): 1, (1,): 2}[idle]
+        assert sizes == [3 * (7 * (2 - len(idle)) - shared)]
+        assert sizes == [self._distinct_generators(drifts, grids, dts)]
         for w, dt in enumerate(dts):
             ref = self._reference(drifts, ctrls, amps, dt, v0)
             assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -717,8 +769,8 @@ class TestTwoSiteKernel:
         for i, dt in enumerate(lengths):
             one = _kern.propagate_schedule(drifts, ctrls, tuple(g[i] for g in grids), dt, v0)
             assert bitwise_equal(got[i], one)
-        # one slice length for every grid
-        got = _kern.propagate_schedule(drifts, ctrls, grids, 0.05, v0)
+        # one slice length, given per grid, for every grid
+        got = _kern.propagate_schedule(drifts, ctrls, grids, np.full(5, 0.05), v0)
         for i in range(5):
             one = _kern.propagate_schedule(drifts, ctrls, tuple(g[i] for g in grids), 0.05, v0)
             assert bitwise_equal(got[i], one)
@@ -728,14 +780,16 @@ class TestTwoSiteKernel:
         amps[0][3:5] = amps[0][2]
         v0 = v0[:4]
         dts = np.array([0.05, 0.02, 0.1])
-        got = _kern.propagate_schedule(drifts, ctrls, amps, dts, v0)
+        grids = tuple(np.stack([a] * 3) for a in amps)
+        got = _kern.propagate_schedule(drifts, ctrls, grids, dts, v0)
         assert got.shape == (3, 4)
-        assert bitwise_equal(got, _kern.propagate_schedule(drifts[0], ctrls[0], amps[0], dts, v0))
-        # one slice length alone gives the state, and an array of one a stack of one
+        assert bitwise_equal(got, _kern.propagate_schedule(drifts[0], ctrls[0], grids[0], dts, v0))
+        # a grid at one slice length gives the state, and a stack of one a stack of one
         got = _kern.propagate_schedule(drifts, ctrls, amps, 0.02, v0)
         assert bitwise_equal(got, _kern.propagate_schedule(drifts[0], ctrls[0], amps[0],
                                                            0.02, v0))
-        assert bitwise_equal(_kern.propagate_schedule(drifts, ctrls, amps, dts[1:2], v0),
+        assert bitwise_equal(_kern.propagate_schedule(drifts, ctrls, tuple(a[None] for a in amps),
+                                                      dts[1:2], v0),
                              got[None])
 
     def test_shape_errors(self):

@@ -280,7 +280,7 @@ def start_by_start(cfg):
     seeds = schemes._spawned_seeds(cfg.optimizer.seed, len(cfg.time_grid))
     out, previous = [], None
     for i, T in enumerate(cfg.time_grid):
-        objective = schemes._objective(dyn.prepare(vectorize(rho0), [T / K]), K, L)
+        objective = schemes._objective(dyn.prepare(vectorize(rho0), [T / K]), K, L, [0])
         opt = OptimizerOptions(cfg.optimizer.max_evals or 200 * K * L,
                                cfg.optimizer.restarts, seeds[i + 1])
         rng = np.random.default_rng(opt.seed)
@@ -298,7 +298,7 @@ def start_by_start(cfg):
                 best = res
         previous = np.clip(best.x, lower, upper)
         sched = ControlSchedule(previous.reshape(K, L), T, u_max=u_max)
-        out.append((schemes._schedule_qfi(dyn, sched, rho0).hex(),
+        out.append((schemes._schedule_qfi(dyn, [sched], rho0)[0].hex(),
                     sched.amplitudes.tobytes(), evals, best.converged))
     return out
 
@@ -417,7 +417,7 @@ class TestOneKernelCallPerQfi:
         shapes.clear()
         sizes.clear()
         sched = ControlSchedule(self._amplitudes(dyn.model.n_controls), 0.3)
-        assert schemes._schedule_qfi(dyn, sched, rho0) > 0
+        assert schemes._schedule_qfi(dyn, [sched], rho0)[0] > 0
         assert shapes == [([(8, 8)] * sites, (1,))]
         assert sizes == [sites * (self.K - 1)]
 
@@ -434,10 +434,40 @@ class TestOneKernelCallPerQfi:
                                 optimizer=OptimizerOptions(restarts=1, max_evals=30)))
         # the fixed schedule's whole grid once, then one probe over the
         # whole grid that serves every evaluation of the search at every T,
-        # and per T one for the checked call that reports its best schedule
+        # and one for the checked call that reports every T's best schedule
         dt = [0.1 / 4, 0.2 / 4]
-        assert prepared == [dt, dt, dt[:1], dt[1:]]
+        assert prepared == [dt, dt, dt]
         assert [r.evaluations for r in got] == [30, 30]
+
+    def test_search_run_makes_two_checked_calls(self, monkeypatch):
+        # outside its objective, a control_enhanced run propagates twice: the
+        # fixed schedule and the reported optima, each a stack of one grid
+        # per T at that T's slice length
+        grid = [0.1, 0.2, 0.35]
+        calls, searching = [], []
+        real, real_search = _kern.propagate_schedule, schemes.multi_start
+
+        def spy(L0, ctrls, amps, dt, v0):
+            if not searching:
+                calls.append((np.shape(amps[0]), np.asarray(dt).tolist()))
+            return real(L0, ctrls, amps, dt, v0)
+
+        def search(objective, *args, **kwargs):
+            def inside(*a, **k):
+                searching.append(True)
+                try:
+                    return objective(*a, **k)
+                finally:
+                    searching.pop()
+            return real_search(inside, *args, **kwargs)
+
+        monkeypatch.setattr(_kern, "propagate_schedule", spy)
+        monkeypatch.setattr(schemes, "multi_start", search)
+        got = run_scheme(config("control_enhanced", "parallel-dephasing-1q", grid, K=self.K,
+                                optimizer=OptimizerOptions(restarts=2, max_evals=40)))
+        dt = [T / self.K for T in grid]
+        assert calls == [((3, self.K, 2), dt)] * 2
+        assert [r.T for r in got] == grid
 
 
 class TestPreparedObjective:
@@ -452,7 +482,7 @@ class TestPreparedObjective:
 
     def _objective(self, dyn, rho0, T):
         probe = dyn.prepare(vectorize(rho0), [T / self.K])
-        return schemes._objective(probe, self.K, dyn.model.n_controls)
+        return schemes._objective(probe, self.K, dyn.model.n_controls, [0])
 
     @pytest.mark.parametrize("scheme, scenario", REGISTERS)
     def test_same_bits_as_the_checked_qfi(self, scheme, scenario, monkeypatch):
@@ -477,7 +507,7 @@ class TestPreparedObjective:
         else:
             objective = self._objective(dyn, rho0, self.T)
         for amps in (np.zeros((self.K, L)), np.full((self.K, L), 7.5), random):
-            checked = schemes._schedule_qfi(dyn, ControlSchedule(amps, self.T), rho0)
+            checked, = schemes._schedule_qfi(dyn, [ControlSchedule(amps, self.T)], rho0)
             assert checked > 0
             assert (-objective(amps.ravel())).hex() == checked.hex()
 
@@ -489,7 +519,7 @@ class TestPreparedObjective:
         amps = np.full((self.K, 2), 1e300)
         assert self._objective(dyn, rho0, T)(amps.ravel()) == 0
         with pytest.raises(PropagationError, match=r"^at T=1e\+10 s: .* nan$"):
-            schemes._schedule_qfi(dyn, ControlSchedule(amps, T), rho0)
+            schemes._schedule_qfi(dyn, [ControlSchedule(amps, T)], rho0)
 
     def test_overflowing_qfi(self):
         # a noiseless qubit's frequency derivative grows with T, and at a
@@ -504,7 +534,7 @@ class TestPreparedObjective:
             warnings.simplefilter("error")
             assert self._objective(dyn, rho0, T)(amps.ravel()) == 0
             with pytest.raises(MetrologyError, match=r"^at T=1e\+300 s: the QFI is not a finite"):
-                schemes._schedule_qfi(dyn, ControlSchedule(amps, T), rho0)
+                schemes._schedule_qfi(dyn, [ControlSchedule(amps, T)], rho0)
 
     @pytest.mark.parametrize("scheme, scenario", [("control_enhanced", "parallel-dephasing-1q"),
                                                   ("control_enhanced", "parallel-dephasing-2q"),
@@ -563,7 +593,7 @@ class TestFixedScheduleBlocks:
         dyn, rho0 = prepare(cfg)
         amplitude = -OMEGA0 if scheme == "theoretical_optimal" else 0.0
         sched = lambda T: ControlSchedule(np.full((5, dyn.model.n_controls), amplitude), T)
-        per_time = [schemes._schedule_qfi(dyn, sched(T), rho0) for T in cfg.time_grid]
+        per_time = [schemes._schedule_qfi(dyn, [sched(T)], rho0)[0] for T in cfg.time_grid]
         got = run_scheme(cfg)
         assert [r.qfi for r in got] == per_time
         assert all(type(r.qfi) is float for r in got)
