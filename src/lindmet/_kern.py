@@ -22,31 +22,27 @@ duration, so runs of several grids that share them, as a simplex's points
 share all but one row, share one generator, built and exponentiated once.
 The generators are built in step order, run r of every grid before run
 r + 1 of any, on only the entries that a control or the drift can change,
-and go through one ``expm_stack`` call, bit for bit ``scipy.linalg.expm``
-on each slice. The grids are then stepped together, one batched product
-per run index over every grid that has a run there, on a slice of the
-exponentials, and each grid's state is bit for bit its own call's; nothing
-is kept between calls.
+and go through one ``expm_stack`` call. The grids are then stepped
+together, one batched product per run index over every grid that has a run
+there, on a slice of the exponentials, and each grid's state is bit for bit
+its own call's; nothing is kept between calls.
 
-``expm_stack`` sorts the slices as scipy does, by their nonzero entries
-below and above the diagonal. A generic slice, as every slice a run
-exponentiates is, takes scipy's own Pade kernels (``pick_pade_structure``
-and ``pade_UV_calc`` from the private ``scipy.linalg._matfuncs_expm``) in
-its own work block, 64 slices' blocks filled at a time, so those two calls
-are nearly all of its per-slice Python; the slices that share a squaring
-count are squared as one stacked product. A diagonal or triangular slice
-goes to ``scipy.linalg.expm`` itself.
-
-A private module is no stable interface, so a probe at import checks on
-generic complex and real slices (see ``_pade_kernels_match``) that
-``expm_stack`` reproduces ``scipy.linalg.expm`` bit for bit; if it does
-not, every stack goes whole to ``scipy.linalg.expm``.
+``expm_stack`` is numpy only: a scaling-and-squaring Taylor exponential
+of degree 18. Each slice A is scaled by 2^-s until ||A/2^s||_1 <= 1.09,
+the degree-18 bound for a backward error below double precision
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009; Bader, Blanes &
+Casas, Mathematics 7:1174, 2019), the polynomial is evaluated in
+Paterson-Stockmeyer blocks of six powers, seven batched products, and the
+result is squared s times. Slices are taken 64 at a time, sorted by their
+squaring count so that the slices that need another squaring are a prefix,
+and each product is one batched ``matmul``; a batched product is bitwise
+its separate ones, so every slice's exponential is bit for bit the one a
+stack of that slice alone gives.
 """
 import functools
+import math
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import _matfuncs_expm
 
 # The kernel's name, which every result file records as its "## kernel" line.
 # It is fixed: older result files and their readers expect the line.
@@ -55,81 +51,76 @@ BACKEND = "python"
 # np.result_type converts a dtype much faster than the scalar type
 _FLOAT = np.dtype(np.float64)
 
-_PADE_KERNELS = True  # on while the probe below runs; the probe then decides
-
-
-@functools.lru_cache(maxsize=None)
-def _strict_triangles(m):
-    """The flat indices of an m x m matrix's strict lower and upper parts, as two rows."""
-    lower = np.tri(m, k=-1, dtype=bool)
-    return np.stack([np.flatnonzero(lower), np.flatnonzero(lower.T)])
+# the 1-norm up to which the degree-18 Taylor polynomial needs no squaring
+_THETA_18 = 1.09
+# the Taylor coefficients 1/k!, k = 0..18, as Paterson-Stockmeyer blocks:
+# row j holds those of X^0..X^5 in the factor of X^6j, and the last row
+# also that of X^18 = X^6 X^6 X^6
+_TAYLOR_BLOCKS = np.zeros((3, 7))
+for _k in range(19):
+    _TAYLOR_BLOCKS[min(_k // 6, 2), _k - 6 * min(_k // 6, 2)] = 1 / math.factorial(_k)
+_CHUNK = 64
+# the most squarings a slice takes. Each can double a rounding error that the
+# dynamics does not damp, as a noiseless rotation's is not, and 2**33 times
+# the unit roundoff is 9.5e-7: a slice that needs more is NaN, not silently
+# wrong past its sixth digit
+_MAX_SQUARINGS = 33
 
 
 def expm_stack(A):
-    """exp(A[k]) for every slice of a (K, m, m) float64 or complex128 stack,
-    bit for bit ``scipy.linalg.expm`` applied to each slice."""
-    if not _PADE_KERNELS:
-        return scipy.linalg.expm(A)
-    # scipy's expm sorts a slice by its strict lower and upper parts: both
-    # nonzero is generic, and only a generic slice takes the Pade kernels
+    """exp(A[k]) for every slice of a (K, m, m) float64 or complex128 stack.
+
+    Each slice is its own: the result's slice k is bit for bit
+    ``expm_stack(A[k:k + 1])[0]``. A slice whose 1-norm needs more than
+    ``_MAX_SQUARINGS`` squarings (1.09 * 2**33, about 9.4e9, or more) or is not
+    a finite float, such as one with a NaN or infinite entry, is NaN. A
+    result overflows to inf or NaN where its exponential does, and no
+    floating-point warning escapes."""
+    A = np.asarray(A)
+    out = np.empty(A.shape, dtype=A.dtype)
     m = A.shape[-1]
-    generic = np.logical_and.reduce(np.logical_or.reduce(
-        A.reshape(-1, m * m).take(_strict_triangles(m), axis=1), axis=2), axis=1)
-    every = np.logical_and.reduce(generic)
-    # 64 slices at a time, each in the first matrix of its own work block as
-    # scipy's is, so the work array has a fixed size
-    work = np.empty((min(len(A), 64), 5) + A.shape[1:], dtype=A.dtype)
-    out = np.empty_like(A)
-    groups = {}  # squarings -> the slices that need them
-    for c in range(0, len(A), 64):
-        n = min(64, len(A) - c)
-        work[:n, 0] = A[c:c + n]
-        for k in range(n) if every else np.flatnonzero(generic[c:c + n]).tolist():
-            w = work[k]
-            order, s = _matfuncs_expm.pick_pade_structure(w)
-            if order < 0:
-                raise MemoryError("scipy.linalg.expm could not allocate sufficient memory while "
-                                  f"trying to compute the Pade structure (error code {order}).")
-            info = _matfuncs_expm.pade_UV_calc(w, order)
-            if info != 0:
-                if info <= -11:
-                    raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
-                                      "while trying to compute the exponential (error code "
-                                      f"{info}).")
-                raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the "
-                                   f"exponential computation (error code {info})")
-            if s:
-                groups.setdefault(s, []).append(c + k)
-        out[c:c + n] = work[:n, 0]
-    if not every:
-        out[~generic] = scipy.linalg.expm(A[~generic])
-    # the squarings of all slices that need the same number, as one stacked product
-    for s, group in groups.items():
-        E = out[group]
-        for _ in range(s):
-            E = E @ E
-        out[group] = E
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.maximum.reduce(np.add.reduce(np.abs(A), axis=1), axis=1) / _THETA_18
+        # a slice needs the fewest squarings s with ||A / 2^s||_1 < _THETA_18;
+        # one that needs more than _MAX_SQUARINGS, or whose 1-norm is not
+        # finite, is NaN
+        taken = x < 2.0 ** _MAX_SQUARINGS
+        out[~taken] = np.nan
+        s = np.maximum(np.frexp(np.where(taken, x, 0.0))[1], 0)
+        # the slices to exponentiate, those that need the most squarings first
+        order = np.argsort(np.where(taken, -s, 1), kind="stable")[:np.count_nonzero(taken)]
+        s = s[order]
+        scale = np.ldexp(1.0, -s)[:, None, None]
+        blocks = _TAYLOR_BLOCKS.astype(A.dtype)
+        # a piece's identities, then its X, X^2, ..., X^6, each a stack
+        work = np.empty((7, min(len(order), _CHUNK), m, m), dtype=A.dtype)
+        work[0] = np.eye(m)
+        for c in range(0, len(order), _CHUNK):
+            pick, sc = order[c:c + _CHUNK], s[c:c + _CHUNK]
+            powers = work[:, :len(pick)]
+            _, X, X2, X3, X4, X5, X6 = powers
+            np.multiply(A[pick], scale[c:c + _CHUNK], out=X)
+            np.matmul(X, X, out=X2)
+            np.matmul(X2, X, out=X3)
+            np.matmul(X2, X2, out=X4)
+            np.matmul(X4, X, out=X5)
+            np.matmul(X3, X3, out=X6)
+            # the three blocks' polynomials in X, one product per slice, then
+            # Horner in X^6
+            P = np.matmul(blocks, powers.reshape(7, -1, m * m).swapaxes(0, 1))
+            P = P.reshape(-1, 3, m, m)
+            np.matmul(X6, P[:, 2], out=X2)
+            X2 += P[:, 1]
+            E, spare = X3, X4
+            np.matmul(X6, X2, out=E)
+            E += P[:, 0]
+            # the slices that need a j-th squaring lead the piece
+            for j in range(1, int(sc[0]) + 1):
+                k = int(np.count_nonzero(sc >= j))
+                np.matmul(E[:k], E[:k], out=spare[:k])
+                E[:k] = spare[:k]
+            out[pick] = E
     return out
-
-
-def _pade_kernels_match():
-    """Whether scipy's private Pade kernels take the calls ``expm_stack`` makes
-    and reproduce ``scipy.linalg.expm`` bit for bit on generic slices, with
-    and without squaring: complex 4x4 ones, and real 8x8 Van Loan blocks
-    [[a, 0], [d, a]]."""
-    base = np.arange(16.0).reshape(4, 4) + 1j * np.arange(16.0)[::-1].reshape(4, 4)
-    a = np.arange(16.0).reshape(4, 4) % 5 - 2
-    block = np.block([[a, np.zeros((4, 4))], [np.eye(4), a]])
-    probes = [np.stack([1e-3 * base, 0.5 * base]), np.stack([1e-3 * block, 2.0 * block])]
-    try:
-        got = [expm_stack(p) for p in probes]
-    except (TypeError, ValueError):  # a changed signature or buffer layout
-        return False
-    return all(np.array_equal(g.view(np.uint64), scipy.linalg.expm(p).view(np.uint64))
-               for g, p in zip(got, probes))
-
-
-_PADE_KERNELS = _pade_kernels_match()
 
 
 def expm(a):
@@ -340,8 +331,8 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
         pick, position = shared
         runs, split = runs[:, pick], int(np.count_nonzero(pick < split))
     bounds = [0, split, runs.shape[1]]
-    # the sites' generators in site order; one that overflows here is caught
-    # below, not warned about
+    # the sites' generators in site order; one that overflows here is not
+    # warned about, and expm_stack makes its exponential NaN
     dtype = np.result_type(_FLOAT, *(x for D, C, _ in sites for x in (D, C)))
     A = np.zeros((runs.shape[1], m * m), dtype=dtype)
     positive = bool(np.logical_and.reduce(runs[0] > 0))
@@ -351,13 +342,7 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
             _assemble(A[a:b], drift.astype(dtype, copy=False),
                       site_ctrls.astype(dtype, copy=False),
                       runs[1:1 + site_amps.shape[-1], a:b], runs[0, a:b], positive)
-    A = A.reshape(-1, m, m)
-    if np.isfinite(A).all():
-        props = expm_stack(A)
-    else:
-        finite = np.isfinite(A).all(axis=(1, 2))
-        props = np.full_like(A, np.nan)
-        props[finite] = expm_stack(A[finite])
+    props = expm_stack(A.reshape(-1, m, m))
     # each step's propagators, per site: a slice of the exponentials, or of
     # the shared ones, gathered a step at a time
     if shared is None:

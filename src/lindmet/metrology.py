@@ -110,9 +110,16 @@ def qfi_eigen(rho_x: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
     return float(qfi) if qfi.ndim == 0 else qfi
 
 
+def _floor(lam: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a d x d PSD matrix with each one at or below
+    d eps lam_max set to 0: on a rank-deficient state that is roundoff, whose
+    square root (3e-9 for 1e-17) would otherwise enter the fidelity."""
+    return np.where(lam > len(lam) * np.finfo(np.float64).eps * lam[-1], lam, 0.0)
+
+
 def _psd_sqrt(rho: np.ndarray, label: str) -> np.ndarray:
     lam, vecs = np.linalg.eigh(rho)
-    clamped = np.clip(lam, 0.0, None)
+    clamped = _floor(lam)
     worst = float(lam[0])
     if not worst >= -1e-10:
         raise MetrologyError(f"{label} is not positive semidefinite "
@@ -133,8 +140,7 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
             raise MetrologyError(f"{label} is not Hermitian within tolerance")
     s = _psd_sqrt(rho, "rho")
     inner = s @ sigma @ s
-    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    lam = np.clip(lam, 0.0, None)
+    lam = _floor(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0))
     return float(min(np.sqrt(lam).sum(), 1.0))
 
 

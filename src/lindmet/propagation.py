@@ -23,8 +23,8 @@ exponentiates to [[exp(A t), 0], [d/domega0 exp(A t), exp(A t)]] (Van Loan
 Each run of equal consecutive rows of the amplitude grid is one exponential
 over the run's duration (a fixed scheme's constant schedule is a single
 run), and all of a call's exponentials, over every encoding time and site,
-go through one batched call to scipy's Pade kernels; an idle site, such as
-the ancilla, takes none.
+go through one batched call to the kernel's numpy-only Taylor exponential;
+an idle site, such as the ancilla, takes none.
 
 Every propagation runs on a :class:`PreparedProbe`, which holds what does
 not depend on the amplitudes, built once per probe, frequency and set of

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -464,8 +465,9 @@ class TestCli:
         assert not out.exists()
 
     def test_non_finite_state_exit_code(self, tmp_path, capsys):
-        # scipy's expm returns NaN for this slice without raising; the all-NaN
-        # state must fail the propagated-state check, not be written as QFI 0
+        # the kernel returns NaN for this slice without raising, as its 1-norm
+        # needs more squarings than it takes; the all-NaN state must fail the
+        # propagated-state check, not be written as QFI 0
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("[run]\nscenario = amplitude-damping\n\n"
                             "[channel]\ngamma_minus = 1e40\n\n"
@@ -664,19 +666,21 @@ def test_every_numeric_key_at_its_edges(command, section, key, value, tmp_path,
 
 
 # keys that meet at their edges: (command, settings, and the stderr line of
-# an exit 3 where it is pinned). The first two overflow the QFI itself, a frequency derivative
-# that grows with T on a noiseless qubit, or with T2 at a tiny linewidth;
-# they once wrote a QFI of inf and a sensitivity of 0, or failed later
-# without naming T
+# an exit 3 where it is pinned). The first two would overflow the QFI itself,
+# a frequency derivative that grows with T on a noiseless qubit, or with T2
+# at a tiny linewidth; they once wrote a QFI of inf and a sensitivity of 0,
+# or failed later without naming T. Their slices need more squarings than
+# the kernel takes, so their first T's state is NaN
 EDGE_PAIRS = {
     "run-omega0=5e-324,gamma=0,grid=1e100..1e300": (
         "run", {("run", "schemes"): "standard", ("run", "omega0"): "5e-324",
                 ("channel", "gamma"): "0", ("time_grid", "start"): "1e100",
                 ("time_grid", "stop"): "1e300"},
-        "numerical failure: at T=1e+300 s: the QFI is not a finite float\n"),
+        "numerical failure: at T=1e+100 s: propagated state trace deviates from 1 by nan\n"),
     "nmr-linewidth_hz=1e-300,omega0=5e-324": (
         "nmr", {("nmr", "linewidth_hz"): "1e-300", ("nmr", "omega0"): "5e-324"},
-        "numerical failure: at T=3.97887e+299 s: the QFI is not a finite float\n"),
+        "numerical failure: at T=3.97887e+299 s: propagated state trace deviates from 1 by "
+        "nan\n"),
     # a huge rate, or a tiny one, on a long grid
     "run-gamma=1e300,stop=1e300": (
         "run", {("channel", "gamma"): "1e300", ("time_grid", "stop"): "1e300"}, None),
@@ -690,14 +694,14 @@ EDGE_PAIRS = {
         "run", {("time_grid", "start"): "5e-324", ("time_grid", "stop"): "1e-300"}, None),
     "nmr-linewidth_hz=1e300,t2_factor_max=1e300": (
         "nmr", {("nmr", "linewidth_hz"): "1e300", ("nmr", "t2_factor_max"): "1e300"}, None),
-    # gamma_c sqrt(F) overflows for a noiseless qubit's QFI at 1e9 s, which
+    # gamma_c sqrt(F) overflows for a noiseless qubit's QFI T^2 at 10 s, which
     # once wrote a sensitivity of 0
-    "run-gamma_c=1e300,gamma=0,grid=1e8..1e9": (
-        "run", {("run", "schemes"): "standard", ("run", "gamma_c"): "1e300",
-                ("channel", "gamma"): "0", ("time_grid", "start"): "1e8",
-                ("time_grid", "stop"): "1e9"},
-        "numerical failure: at T=1e+09 s: the sensitivity of QFI 1.000e+18 with "
-        "gamma_c=1.000e+300 is not a positive finite float\n"),
+    "run-gamma_c=1e308,gamma=0,grid=10..100": (
+        "run", {("run", "schemes"): "standard", ("run", "gamma_c"): "1e308",
+                ("channel", "gamma"): "0", ("time_grid", "start"): "10",
+                ("time_grid", "stop"): "100"},
+        "numerical failure: at T=10 s: the sensitivity of QFI 1.000e+02 with "
+        "gamma_c=1.000e+308 is not a positive finite float\n"),
     "nmr-gamma_c=1e300,linewidth_hz=1e-300": (
         "nmr", {("nmr", "gamma_c"): "1e300", ("nmr", "linewidth_hz"): "1e-300"}, None),
     # the fidelity pair's state at omega0 + delta fails its checks after every
@@ -923,6 +927,27 @@ class TestBlasThreads:
         seen = self._import_lindmet(OPENBLAS_NUM_THREADS="2")
         assert seen.pop("OPENBLAS_NUM_THREADS") == "2"
         assert set(seen.values()) == {"1"}
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    # the package and a run, a control search's included, import numpy only;
+    # scipy is a test dependency
+    package = Path(lindmet.__file__).parent
+    for module in package.glob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+scipy", module.read_text(), re.M), module
+    (tmp_path / "run.cfg").write_text(
+        TINY_RUN.replace("standard, ancilla", "standard, ancilla, control_enhanced")
+        + "\n[control]\nK = 2\n\n[optimizer]\nrestarts = 2\nmax_evals = 20\n")
+    code = ("import sys, lindmet; from lindmet.cli import main; "
+            "code = main(['run', '--config', 'run.cfg', '--out', 'x.csv']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(package.parent)},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "x.csv").is_file()
 
 
 class TestPackageExports:

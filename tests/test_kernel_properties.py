@@ -1,10 +1,12 @@
 """Property tests on random registers, one site or two, either site idle but
 not both, with runs of equal rows (signed zeros included) in the amplitude
-grid: ``_kern.propagate_schedule`` over W copies of a grid at W slice
-lengths, and over a stack of grids with one length each, on complex generators and on the package's
-own real Van Loan blocks, the state and exact frequency derivative of
-random models from ``SlicedDynamics.evolve_vectorized``, and the search objective on the
-package's own registers against the checked QFI."""
+grid: ``_kern.expm_stack`` slice for slice against its one-slice calls,
+``_kern.propagate_schedule`` over W copies of a grid at W slice lengths,
+and over a stack of grids with one length each, on complex generators and
+on the package's own real Van Loan blocks, the state and exact frequency
+derivative of random models from ``SlicedDynamics.evolve_vectorized``, and
+the search objective on the package's own registers against the checked
+QFI."""
 import functools
 
 import numpy as np
@@ -18,10 +20,43 @@ from lindmet import _kern, schemes  # noqa: E402
 from lindmet.channels import EncodingModel, Site  # noqa: E402
 from lindmet.liouville import NoiseChannel, lindbladian, vectorize  # noqa: E402
 from lindmet.propagation import ControlSchedule, SlicedDynamics  # noqa: E402
-from test_propagation import bitwise_equal, per_run_reference  # noqa: E402
+from test_propagation import (bitwise_equal, close_to_scipy, equal_but_nan,  # noqa: E402
+                              per_run_reference)
 import test_schemes  # noqa: E402
 
 M = 4  # a qubit's superoperators are 4x4
+
+
+@st.composite
+def exponential_stacks(draw):
+    """A stack of 1 to 150 slices, more than two of the kernel's 64-slice
+    pieces: complex 4x4 or 16x16, or real 8x8 as the Van Loan blocks are,
+    each at its own scale from 1e-3 to 1e3, some with a NaN or infinite
+    entry, some with an entry of 1e200, past the squaring cap, and some
+    repeated."""
+    m, dtype = draw(st.sampled_from([(4, np.complex128), (8, np.float64), (16, np.complex128)]))
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, m, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1)) / m
+    if dtype is np.complex128:
+        A = A + 1j * rng.standard_normal((n, m, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1)) / m
+    for value in (np.nan, np.inf, 1e200):
+        hit = rng.random(n) < 0.05
+        A[hit, 0, -1] = value
+    repeat = rng.random(n) < 0.2
+    A[repeat] = A[rng.integers(0, n, np.count_nonzero(repeat))]
+    return A
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(exponential_stacks())
+def test_each_slice_is_its_own(A):
+    # sharing generators between grids, deduplicating runs and rerunning a
+    # search byte for byte all rest on this
+    got = _kern.expm_stack(A)
+    assert got.shape == A.shape and got.dtype == A.dtype
+    for k in range(len(A)):
+        assert equal_but_nan(got[k], _kern.expm_stack(A[k:k + 1])[0])
 
 
 @st.composite
@@ -77,7 +112,7 @@ def test_register_matches_the_kronecker_sum(register):
         ref = kronecker_sum_reference(drifts, ctrls, amps, dt[w], v0)
         assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
         if len(drifts) == 1:
-            # one site: bit for bit a loop of per-slice exponentials
+            # one site: bit for bit a loop of the kernel's one-slice exponentials
             assert bitwise_equal(got[w], per_run_reference(drifts[0], ctrls[0], amps[0],
                                                              dt[w], v0))
         # each copy is bit for bit the grid's own call at its length
@@ -126,8 +161,9 @@ def van_loan_stacks(draw):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(van_loan_stacks())
 def test_stack_of_van_loan_blocks_matches_per_run_exponentials(case):
-    # each grid of the stack bit for bit a loop of one scipy.linalg.expm per
-    # run, which shares no code with the kernel's assembly; and the kernel
+    # each grid of the stack bit for bit a loop of the kernel's exponential
+    # of one slice per run, which shares no code with the kernel's assembly,
+    # and close to the same loop on scipy.linalg.expm; and the kernel
     # exponentiates exactly the generators that loop builds, signed zeros
     # included, which a final state seldom shows
     drift, ctrls, grids, lengths, v0 = case
@@ -140,6 +176,8 @@ def test_stack_of_van_loan_blocks_matches_per_run_exponentials(case):
     built = set()
     for i, (grid, dt) in enumerate(zip(grids, lengths)):
         assert bitwise_equal(got[i], per_run_reference(drift, ctrls, grid, dt, v0))
+        assert close_to_scipy(got[i], per_run_reference(drift, ctrls, grid, dt, v0,
+                                                        scipy.linalg.expm))
         k = 0
         while k < len(grid):
             n = 1

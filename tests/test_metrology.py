@@ -218,6 +218,20 @@ class TestUhlmannFidelity:
             assert 0.0 <= f <= 1.0
 
 
+    def test_roundoff_on_a_null_eigenvalue_is_ignored(self):
+        # a rank-2 state and its copy with +1e-17 on a null eigenvalue, against
+        # a full-rank state, a rank-2 one and itself: the square root of that
+        # roundoff, 3e-9, once moved the fidelity by 1e-9
+        rho = np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex)
+        perturbed = np.diag([0.7, 0.3, 1e-17, 0.0]).astype(complex)
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for B in (A, A[:, :2], np.eye(4)[:, :2]):
+            sigma = B @ B.conj().T / np.trace(B @ B.conj().T)
+            assert abs(uhlmann_fidelity(rho, sigma) - uhlmann_fidelity(perturbed, sigma)) <= 1e-15
+            assert abs(uhlmann_fidelity(sigma, rho) - uhlmann_fidelity(sigma, perturbed)) <= 1e-15
+
+
 class TestQfiFidelity:
     def test_identical_states(self):
         assert qfi_fidelity(plus_state(1), plus_state(1), 0.1) <= 1e-9

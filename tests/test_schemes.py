@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lindmet import _kern, schemes
 from lindmet.channels import SCENARIOS
@@ -13,7 +14,7 @@ from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
                              haar_random_state, plus_state, prepare, resolve_probe,
                              run_scheme)
 
-from test_propagation import refuse_scipy_expm, spy_stack_sizes
+from test_propagation import per_slice_expm_stack, refuse_scipy_expm, spy_stack_sizes
 
 OMEGA0 = 2 * np.pi
 SMALL_OPT = OptimizerOptions(restarts=3, max_evals=400, seed=11)
@@ -521,11 +522,12 @@ class TestPreparedObjective:
         with pytest.raises(PropagationError, match=r"^at T=1e\+10 s: .* nan$"):
             schemes._schedule_qfi(dyn, [ControlSchedule(amps, T)], rho0)
 
-    def test_overflowing_qfi(self):
+    def test_overflowing_qfi(self, monkeypatch):
         # a noiseless qubit's frequency derivative grows with T, and at a
-        # subnormal omega0 its state stays finite while the QFI overflows:
-        # the unchecked objective scores it 0 and the checked QFI names T,
-        # neither with a warning
+        # subnormal omega0 its QFI T^2 would overflow; its slices need more
+        # squarings than the kernel takes, so their state is NaN: the
+        # unchecked objective scores it 0 and the checked path names T,
+        # neither with a warning. A QFI that overflows is named the same way
         T = 1e300
         dyn, rho0 = prepare(config("standard", "parallel-dephasing-1q", [T], K=self.K,
                                    omega0=5e-324, rates=(("gamma", 0.0),)))
@@ -533,8 +535,11 @@ class TestPreparedObjective:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert self._objective(dyn, rho0, T)(amps.ravel()) == 0
-            with pytest.raises(MetrologyError, match=r"^at T=1e\+300 s: the QFI is not a finite"):
+            with pytest.raises(PropagationError, match=r"^at T=1e\+300 s: propagated state"):
                 schemes._schedule_qfi(dyn, [ControlSchedule(amps, T)], rho0)
+            monkeypatch.setattr(schemes, "qfi_eigen", lambda rho, drho: np.full(len(rho), np.inf))
+            with pytest.raises(MetrologyError, match=r"^at T=0\.3 s: the QFI is not a finite"):
+                schemes._schedule_qfi(dyn, [ControlSchedule(amps, 0.3)], rho0)
 
     @pytest.mark.parametrize("scheme, scenario", [("control_enhanced", "parallel-dephasing-1q"),
                                                   ("control_enhanced", "parallel-dephasing-2q"),
@@ -646,10 +651,10 @@ SWEEP_SPECIAL_SLICES = [
 
 
 class TestSpecialSlicesOnSweepGrids:
-    """In the basis the dynamics run in, every Van Loan block of these runs
-    is generic, so the kernel never hands a slice to ``scipy.linalg.expm``,
-    and every QFI is bit for bit the run whose exponentials all come from
-    ``scipy.linalg.expm``."""
+    """Every QFI of these runs is bit for bit the run whose exponentials all
+    come one slice at a time from ``_kern.expm_stack``, and close to the run
+    whose exponentials all come from ``scipy.linalg.expm``, whose diagonal
+    and triangular slices take their own branches."""
 
     @pytest.mark.parametrize("scheme, scenario, rates, grid", SWEEP_SPECIAL_SLICES,
                              ids=[f"{s}-{c}" for s, c, *_ in SWEEP_SPECIAL_SLICES])
@@ -657,9 +662,11 @@ class TestSpecialSlicesOnSweepGrids:
                                              monkeypatch):
         cfg = config(scheme, scenario, grid, rates=rates)
         with monkeypatch.context() as patch:
-            # every stack goes whole to scipy.linalg.expm
-            patch.setattr(_kern, "_PADE_KERNELS", False)
+            patch.setattr(_kern, "expm_stack", per_slice_expm_stack)
             ref = [r.qfi for r in run_scheme(cfg)]
+        with monkeypatch.context() as patch:
+            patch.setattr(_kern, "expm_stack", scipy.linalg.expm)
+            scipy_ref = np.array([r.qfi for r in run_scheme(cfg)])
         shapes = []
         real = _kern.expm_stack
 
@@ -669,7 +676,9 @@ class TestSpecialSlicesOnSweepGrids:
 
         monkeypatch.setattr(_kern, "expm_stack", spy)
         refuse_scipy_expm(monkeypatch)
-        assert [r.qfi for r in run_scheme(cfg)] == ref
+        got = [r.qfi for r in run_scheme(cfg)]
+        assert got == ref
+        assert np.max(np.abs(np.array(got) - scipy_ref) / scipy_ref) <= 1e-11
         # one call, one 8x8 block per T and site
         sites = 2 if scenario.endswith("2q") else 1
         assert shapes == [(sites * len(grid), 8, 8)]
