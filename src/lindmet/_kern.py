@@ -16,16 +16,14 @@ its drifts and state once and then makes one call per stack.
 A run of R equal consecutive rows of the register's amplitude grid is one
 constant generator, exponentiated once over the run's whole duration, exp(R
 dt A), and applied in one step; a constant schedule is a single run. Each
-site has one drift. One pass finds every grid's runs; a site's generator
-depends only on its amplitudes in the run's first row and the run's
-duration, so runs of several grids that share them, as a simplex's points
-share all but one row, share one generator, built and exponentiated once.
-The generators are built in step order, run r of every grid before run
-r + 1 of any, on only the entries that a control or the drift can change,
-and go through one ``expm_stack`` call. The grids are then stepped
-together, one batched product per run index over every grid that has a run
-there, on a slice of the exponentials, and each grid's state is bit for bit
-its own call's; nothing is kept between calls.
+site has one drift. One pass finds every grid's runs and lays them out in
+step order, run r of every grid before run r + 1 of any. Each active site
+builds one generator per run, in that order and on only the entries that a
+control or the drift can change, and all of them go through one
+``expm_stack`` call. The grids are then stepped together, one batched
+product per run index over every grid that has a run there, on a slice of
+the exponentials, and each grid's state is bit for bit its own call's;
+nothing is kept between calls.
 
 ``expm_stack`` is numpy only: a scaling-and-squaring Taylor exponential
 of degree 18. Each slice A is scaled by 2^-s until ||A/2^s||_1 <= 1.09,
@@ -39,7 +37,6 @@ and each product is one batched ``matmul``; a batched product is bitwise
 its separate ones, so every slice's exponential is bit for bit the one a
 stack of that slice alone gives.
 """
-import functools
 import math
 
 import numpy as np
@@ -131,42 +128,6 @@ def expm(a):
     return expm_stack(a[None])[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _hash_weights(c):
-    """Odd weights for keys of c words: a key's hash is the sum of its words
-    times these, modulo 2**64."""
-    return (np.arange(c, dtype=np.uint64) * 2 + 1) * np.uint64(0x9E3779B97F4A7C15)
-
-
-def _distinct(keys, sites):
-    """For a (c, R) uint64 array of R keys of c words, one per column, the
-    keys of ``sites`` sites one after another, R / sites each: None when no
-    two keys share a value, else the index of one key of each distinct
-    value, a site's values before the next site's, and each key's position
-    in that list.
-
-    The keys are sorted by a hash of their bits, whose top bit is their
-    site's, and only keys whose hashes tie are compared: a key that differs
-    from the one before it starts a new value, so two keys share a value
-    only when they are equal and on one site; two equal keys that a hash
-    collision separates merely keep two entries."""
-    h = (_hash_weights(len(keys)) @ keys) >> np.uint64(1)
-    if sites > 1:
-        h[len(h) // 2:] |= np.uint64(1 << 63)
-    ordered = np.sort(h)
-    if not np.logical_or.reduce(ordered[1:] == ordered[:-1]):
-        return None
-    order = np.argsort(h)
-    h = h[order]
-    tied = np.flatnonzero(h[1:] == h[:-1])
-    new = np.ones(len(order), dtype=bool)
-    new[tied + 1] = np.logical_or.reduce(keys[:, order[tied + 1]] != keys[:, order[tied]],
-                                         axis=0)
-    position = np.empty(len(order), dtype=np.intp)
-    position[order] = np.cumsum(new) - 1
-    return order[new], position
-
-
 def _assemble(out, drift, ctrls, u, duration, positive):
     """Write (drift + u[0, i] ctrls[0] + u[1, i] ctrls[1] + ...) * duration[i]
     to out[i], flat, for the (L, R) amplitudes u, one column per generator,
@@ -237,26 +198,9 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     own indices, so that it is an m x m matrix X that a slice maps to
     P0 X P1^T.
 
-    After the input checks, a grid is a stack of one, and each step is
-    taken once for the whole call: one pass over the active sites'
-    amplitudes, side by side, finds every grid's runs of equal consecutive
-    rows, and the runs are laid out in step order, run r of every grid that
-    has one before run r + 1 of any, the grids with the most runs first.
-    Per active site, each run's generator is built from its first row and
-    scaled by its duration, its length times its grid's slice length (see
-    ``_assemble``), and all of them go through one ``expm_stack`` call. Of a stack of N > 1 grids, such as a
-    round of simplex points, the runs that give one site the same
-    amplitudes and the same duration (bit for bit) share one generator,
-    exponentiated once: a simplex's points share all but one row, and one
-    grid repeated at one length shares them all, while equal grids at two
-    lengths share none. A scaled generator that is not finite is not
-    exponentiated: its propagator, and so its final state, is NaN. The
-    active sites' states are stacked as S: v0 as an m x 1 block on one
-    site; X and the identity on two, so that site 1 accumulates its
-    product U1. Run index r steps S by one batched product with the
-    propagators of step r, a slice of the exponentials when no generator
-    is shared, and on two sites X U1^T is the final state. The result is
-    real when the generators and v0 are.
+    A scaled generator that is not finite is not exponentiated: its
+    propagator, and so its grid's final state, is NaN. The result is real
+    when the generators and v0 are.
     """
     if not isinstance(L0, tuple):
         return propagate_schedule((L0,), (ctrls,), (amps,), dt, v0)
@@ -283,7 +227,7 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
 
     # each active site's rows, (N * K, L_s), grid g's row k at g * K + k
     N, K = dt.size, lead[-1]
-    n, L = len(sites), max(a.shape[-1] for _, _, a in sites)
+    n = len(sites)
     rows = [a.reshape(N * K, a.shape[-1]) for _, _, a in sites]
     # the rows that start a run of equal rows anywhere in the register: every
     # grid's first row starts one, so a run ends where the next one starts.
@@ -314,42 +258,23 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
         active = active.tolist()
     starts, lengths = starts[order], lengths[order]
 
-    # per active site and run, in step order, a column: the run's duration,
-    # its length times its grid's slice length, which scales its generator,
-    # then the site's amplitudes in its first row, a site with fewer fields
-    # padded with zeros
-    runs = np.zeros((L + 1, n, len(starts)))
-    runs[0] = dt.reshape(N)[starts // K] * lengths
-    for s, site_rows in enumerate(rows):
-        runs[1:1 + site_rows.shape[1], s] = site_rows[starts].T
-    runs = runs.reshape(L + 1, -1)
-    # of N > 1 grids, the runs of one site whose durations and amplitudes
-    # have the same bits share one generator
-    shared = _distinct(runs.view(np.uint64), n) if N > 1 else None
-    split = len(starts)
-    if shared is not None:
-        pick, position = shared
-        runs, split = runs[:, pick], int(np.count_nonzero(pick < split))
-    bounds = [0, split, runs.shape[1]]
-    # the sites' generators in site order; one that overflows here is not
-    # warned about, and expm_stack makes its exponential NaN
+    # per active site, each run's generator in step order from its first
+    # row, scaled by its duration, its length times its grid's slice length;
+    # one that overflows here is not warned about, and expm_stack makes its
+    # exponential NaN
+    duration = dt.reshape(N)[starts // K] * lengths
     dtype = np.result_type(_FLOAT, *(x for D, C, _ in sites for x in (D, C)))
-    A = np.zeros((runs.shape[1], m * m), dtype=dtype)
-    positive = bool(np.logical_and.reduce(runs[0] > 0))
+    A = np.zeros((n, len(starts), m * m), dtype=dtype)
+    positive = bool(np.logical_and.reduce(duration > 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, (drift, site_ctrls, site_amps) in enumerate(sites):
-            a, b = bounds[s], bounds[s + 1]
-            _assemble(A[a:b], drift.astype(dtype, copy=False),
-                      site_ctrls.astype(dtype, copy=False),
-                      runs[1:1 + site_amps.shape[-1], a:b], runs[0, a:b], positive)
-    props = expm_stack(A.reshape(-1, m, m))
-    # each step's propagators, per site: a slice of the exponentials, or of
-    # the shared ones, gathered a step at a time
-    if shared is None:
-        props = props.reshape(n, -1, m, m)
-    else:
-        position = position.reshape(n, -1)
+        for s, ((drift, site_ctrls, _), site_rows) in enumerate(zip(sites, rows)):
+            _assemble(A[s], drift.astype(dtype, copy=False), site_ctrls.astype(dtype, copy=False),
+                      site_rows[starts].T, duration, positive)
+    props = expm_stack(A.reshape(-1, m, m)).reshape(n, -1, m, m)
 
+    # the active sites' states: v0 as an m x 1 block on one site; on two, X
+    # and the identity, so that site 1 accumulates its product U1 and X U1^T
+    # is the final state
     cols = 1 if len(L0) == 1 else m
     S = np.zeros((n, N, m, cols), dtype=np.result_type(v0, dtype))
     if len(L0) == 2:
@@ -359,7 +284,7 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     # a batched product is bitwise its separate ones
     end = 0
     for a in active:
-        P = props[:, end:end + a] if shared is None else props[position[:, end:end + a]]
+        P = props[:, end:end + a]
         end += a
         if a == N:
             S = np.matmul(P, S)

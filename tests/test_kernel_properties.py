@@ -7,6 +7,7 @@ on the package's own real Van Loan blocks, the state and exact frequency
 derivative of random models from ``SlicedDynamics.evolve_vectorized``, and
 the search objective on the package's own registers against the checked
 QFI."""
+import collections
 import functools
 
 import numpy as np
@@ -51,8 +52,8 @@ def exponential_stacks(draw):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(exponential_stacks())
 def test_each_slice_is_its_own(A):
-    # sharing generators between grids, deduplicating runs and rerunning a
-    # search byte for byte all rest on this
+    # a stack of grids giving each grid's own state bit for bit, and rerunning
+    # a search byte for byte, rest on this
     got = _kern.expm_stack(A)
     assert got.shape == A.shape and got.dtype == A.dtype
     for k in range(len(A)):
@@ -103,8 +104,8 @@ def kronecker_sum_reference(drifts, ctrls, amps, dt, v0):
 @given(registers())
 def test_register_matches_the_kronecker_sum(register):
     drifts, ctrls, amps, dt, v0 = register
-    # W copies of the grid, one at each length: equal runs of two copies
-    # share a generator only at equal lengths
+    # W copies of the grid, one at each length, each of which takes its own
+    # generators
     got = _kern.propagate_schedule(drifts, ctrls, tuple(np.stack([a] * len(dt)) for a in amps),
                                    dt, v0)
     assert got.shape == (len(dt), len(v0))
@@ -164,8 +165,9 @@ def test_stack_of_van_loan_blocks_matches_per_run_exponentials(case):
     # each grid of the stack bit for bit a loop of the kernel's exponential
     # of one slice per run, which shares no code with the kernel's assembly,
     # and close to the same loop on scipy.linalg.expm; and the kernel
-    # exponentiates exactly the generators that loop builds, signed zeros
-    # included, which a final state seldom shows
+    # exponentiates exactly the generators that loop builds, each as often,
+    # one per run of every grid, signed zeros included, which a final state
+    # seldom shows
     drift, ctrls, grids, lengths, v0 = case
     generators, real = [], _kern.expm_stack
     _kern.expm_stack = lambda A: generators.append(A.copy()) or real(A)
@@ -173,7 +175,7 @@ def test_stack_of_van_loan_blocks_matches_per_run_exponentials(case):
         got = _kern.propagate_schedule(drift, ctrls, grids, lengths, v0)
     finally:
         _kern.expm_stack = real
-    built = set()
+    built = collections.Counter()
     for i, (grid, dt) in enumerate(zip(grids, lengths)):
         assert bitwise_equal(got[i], per_run_reference(drift, ctrls, grid, dt, v0))
         assert close_to_scipy(got[i], per_run_reference(drift, ctrls, grid, dt, v0,
@@ -187,9 +189,9 @@ def test_stack_of_van_loan_blocks_matches_per_run_exponentials(case):
             for u, C in zip(grid[k], ctrls):
                 if u != 0.0:
                     A += u * C
-            built.add((A * (dt * n)).tobytes())
+            built[(A * (dt * n)).tobytes()] += 1
             k += n
-    assert {A.tobytes() for A in np.concatenate(generators)} == built
+    assert collections.Counter(A.tobytes() for A in np.concatenate(generators)) == built
 
 
 @st.composite

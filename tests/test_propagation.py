@@ -426,6 +426,13 @@ def spy_stack_sizes(monkeypatch):
     return sizes
 
 
+def runs_of(grids):
+    """The runs of equal consecutive rows (0.0 and -0.0 equal) in a stack of
+    (K, L) grids, summed over the grids: the kernel takes one exponential per
+    active site for each."""
+    return sum(1 + int(np.count_nonzero((g[1:] != g[:-1]).any(axis=1))) for g in grids)
+
+
 # (amplitude rows by letter, number of runs); see _pattern_problem
 RUN_PATTERNS = [("A", 1), ("AAAAAAA", 1), ("AABBA", 3), ("ABABABA", 7), ("Zz", 1),
                 ("zZZzA", 2)]
@@ -500,17 +507,15 @@ class TestPythonKernel:
     def test_stack_of_drifts_is_separate_calls(self, m, pattern, runs, monkeypatch):
         # the grid at W slice lengths, as a schedule at several encoding
         # times is, W copies of it: row w is bit for bit the call with
-        # length w, and a copy's runs share a generator only within it
+        # length w, and every copy takes one exponential per run
         L0, ctrls, amps, v0 = self._pattern_problem(m, pattern)
         K = len(amps)
-        starts = [k for k in range(K) if k == 0 or (amps[k] != amps[k - 1]).any()]
-        distinct = len({(amps[a].tobytes(), b - a) for a, b in zip(starts, starts[1:] + [K])})
-        assert len(starts) == runs
+        assert runs_of([amps]) == runs
         dts = np.array([0.05, 0.013, 0.3])
         one_by_one = [_kern.propagate_schedule(L0, ctrls, amps, dt, v0) for dt in dts]
         sizes = spy_stack_sizes(monkeypatch)
         got = _kern.propagate_schedule(L0, ctrls, np.stack([amps] * 3), dts, v0)
-        assert sizes == [3 * distinct]
+        assert sizes == [3 * runs]
         assert bitwise_equal(got, np.stack(one_by_one))
         # a stack of one is the call with its length, with a leading axis
         assert bitwise_equal(_kern.propagate_schedule(L0, ctrls, amps[None], dts[:1], v0),
@@ -526,36 +531,12 @@ class TestPythonKernel:
                       for a, dt in zip(grids, lengths)]
         sizes.clear()
         got = _kern.propagate_schedule(L0, ctrls, grids, lengths, v0)
-        assert len(sizes) == 1
+        assert sizes == [runs_of(grids)]
         assert bitwise_equal(got, np.array(one_by_one))
         # or one length, given per grid, for every grid
         assert bitwise_equal(_kern.propagate_schedule(L0, ctrls, grids, np.full(7, 0.05), v0),
                              np.stack([_kern.propagate_schedule(L0, ctrls, a, 0.05, v0)
                                        for a in grids]))
-
-    @pytest.mark.parametrize("pattern, runs", RUN_PATTERNS)
-    @pytest.mark.parametrize("m", [4, 16])
-    def test_grids_share_generators_at_one_slice_length_only(self, m, pattern, runs,
-                                                              monkeypatch):
-        # a generator scales by the run's duration, so a grid repeated at its
-        # slice length shares every one, and at another length none
-        L0, ctrls, amps, v0 = self._pattern_problem(m, pattern)
-        # a stack's runs share a generator when their first rows have the
-        # same bits and their lengths match, within a grid too
-        K = len(amps)
-        starts = [k for k in range(K) if k == 0 or (amps[k] != amps[k - 1]).any()]
-        distinct = len({(amps[a].tobytes(), b - a) for a, b in zip(starts, starts[1:] + [K])})
-        assert len(starts) == runs
-        one = _kern.propagate_schedule(L0, ctrls, amps, 0.05, v0)
-        sizes = spy_stack_sizes(monkeypatch)
-        got = _kern.propagate_schedule(L0, ctrls, np.stack([amps, amps]), [0.05, 0.05], v0)
-        assert sizes == [distinct]
-        assert bitwise_equal(got, np.stack([one, one]))
-        sizes.clear()
-        got = _kern.propagate_schedule(L0, ctrls, np.stack([amps, amps]), [0.05, 0.3], v0)
-        assert sizes == [2 * distinct]
-        assert bitwise_equal(got, np.stack([one, _kern.propagate_schedule(L0, ctrls, amps, 0.3,
-                                                                           v0)]))
 
     @pytest.mark.parametrize("m", [4, 16])
     def test_no_controls_is_one_run(self, m, monkeypatch):
@@ -751,37 +732,31 @@ class TestTwoSiteKernel:
         return v
 
     @staticmethod
-    def _distinct_generators(drifts, grids, lengths):
-        """The generators a stack of grids takes: per active site, the
-        distinct bits of a register run's first row on the site and of its
-        duration, the run's length times its grid's slice length."""
-        keys = set()
-        for i, dt in enumerate(lengths):
-            rows = np.concatenate([g[i] for g in grids], axis=1)
-            K = len(rows)
-            starts = [k for k in range(K) if k == 0 or (rows[k] != rows[k - 1]).any()]
-            keys |= {(s, g[i][a].tobytes(), (dt * (b - a)).hex())
-                     for a, b in zip(starts, starts[1:] + [K])
-                     for s, (D, g) in enumerate(zip(drifts, grids)) if D is not None}
-        return len(keys)
+    def _generators(drifts, grids):
+        """The generators a stack of grids takes: one per active site for
+        each run of equal consecutive rows of the active sites' fields, in
+        every grid."""
+        active = [g for D, g in zip(drifts, grids) if D is not None]
+        return len(active) * runs_of(np.concatenate(active, axis=2))
 
     @pytest.mark.parametrize("idle", [(), (0,), (1,)])
     def test_matches_the_kronecker_sum(self, idle, monkeypatch):
         drifts, ctrls, amps, v0 = self._sites(seed=len(idle) + 3 * sum(idle))
         # rows 2-4 equal on site 0, rows 4-5 on site 1: 5 and 6 runs of each
-        # site's own rows, and 7 of the register's, which every active site takes
+        # site's own rows, and 7 of the register's, which every active site
+        # takes; an idle site's rows do not count
         amps[0][3:5] = amps[0][2]
         amps[1][5] = amps[1][4]
         drifts = tuple(None if s in idle else D for s, D in enumerate(drifts))
-        # the grid at three slice lengths, as three copies of it: the runs of
-        # a copy that give a site the same row share its generator
+        # the grid at three slice lengths, as three copies of it, each of
+        # which takes its own generators
         dts = np.array([0.05, 0.02, 0.1])
         grids = tuple(np.stack([a] * 3) for a in amps)
         sizes = spy_stack_sizes(monkeypatch)
         got = _kern.propagate_schedule(drifts, ctrls, grids, dts, v0)
-        shared = {(): 3, (0,): 1, (1,): 2}[idle]
-        assert sizes == [3 * (7 * (2 - len(idle)) - shared)]
-        assert sizes == [self._distinct_generators(drifts, grids, dts)]
+        runs = {(): 7, (0,): 6, (1,): 5}[idle]
+        assert sizes == [3 * runs * (2 - len(idle))]
+        assert sizes == [self._generators(drifts, grids)]
         for w, dt in enumerate(dts):
             ref = self._reference(drifts, ctrls, amps, dt, v0)
             assert np.max(np.abs(got[w] - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -790,9 +765,9 @@ class TestTwoSiteKernel:
     def test_stack_of_grids_is_separate_calls(self, idle, monkeypatch):
         drifts, ctrls, amps, v0 = self._sites(seed=11 + len(idle) + 3 * sum(idle))
         drifts = tuple(None if s in idle else D for s, D in enumerate(drifts))
-        # each site's grids: the random one, with runs, reversed, zero, the
-        # random one again at its slice length, which shares its generators,
-        # and at another, which shares none
+        # each site's grids: the random one, with runs, reversed, zero, and
+        # the random one again at its slice length and at another, each of
+        # which takes the random one's count of generators
         amps[0][3:5] = amps[0][2]
         amps[1][5] = amps[1][4]
         grids = tuple(np.stack([a, a[::-1], np.zeros_like(a), a, a]) for a in amps)
@@ -800,10 +775,9 @@ class TestTwoSiteKernel:
         sizes = spy_stack_sizes(monkeypatch)
         got = _kern.propagate_schedule(drifts, ctrls, grids, lengths, v0)
         assert got.shape == (5, 16)
-        distinct = self._distinct_generators(drifts, grids, lengths)
-        assert sizes == [distinct]
-        assert distinct == self._distinct_generators(drifts, grids, lengths[:3]) + (
-            self._distinct_generators(drifts, grids, lengths[:1]))
+        assert sizes == [self._generators(drifts, grids)]
+        assert sizes == [self._generators(drifts, tuple(g[:3] for g in grids))
+                         + 2 * self._generators(drifts, tuple(g[:1] for g in grids))]
         for i, dt in enumerate(lengths):
             one = _kern.propagate_schedule(drifts, ctrls, tuple(g[i] for g in grids), dt, v0)
             assert bitwise_equal(got[i], one)

@@ -14,7 +14,7 @@ from lindmet.schemes import (MetrologyResult, SchemeConfig, ghz_state,
                              haar_random_state, plus_state, prepare, resolve_probe,
                              run_scheme)
 
-from test_propagation import per_slice_expm_stack, refuse_scipy_expm, spy_stack_sizes
+from test_propagation import per_slice_expm_stack, refuse_scipy_expm, runs_of, spy_stack_sizes
 
 OMEGA0 = 2 * np.pi
 SMALL_OPT = OptimizerOptions(restarts=3, max_evals=400, seed=11)
@@ -387,22 +387,14 @@ class TestOneKernelCallPerQfi:
         assert shapes == [([(8, 8)] * sites, (1,))]
         assert sizes == [sites * (self.K - 1)]
         # a grid and its initial simplex are one call, which exponentiates
-        # each distinct generator once: a site's amplitudes in a run's first
-        # row and the run's length, over every run of every grid
+        # one generator per site for each run of equal rows of every grid
         base = self._amplitudes(n_fields).ravel()
         simplex = base + np.vstack([np.zeros(base.size), 2.0 * np.eye(base.size)])
         shapes.clear()
         sizes.clear()
         captured[0](simplex)
-        columns = np.array_split(np.arange(n_fields), sites)
-        distinct = set()
-        for amps in simplex.reshape(-1, self.K, n_fields):
-            starts = [0] + [k for k in range(1, self.K) if (amps[k] != amps[k - 1]).any()]
-            for a, b in zip(starts, starts[1:] + [self.K]):
-                distinct |= {(s, tuple(amps[a, cols]), b - a) for s, cols in enumerate(columns)}
         assert shapes == [([(8, 8)] * sites, (len(simplex),))]
-        assert sizes == [len(distinct)]
-        assert len(distinct) < len(simplex) * sites * (self.K - 1) / 4
+        assert sizes == [sites * runs_of(simplex.reshape(-1, self.K, n_fields))]
 
     @pytest.mark.parametrize("scenario, m", [("parallel-dephasing-1q", 4),
                                              ("parallel-dephasing-2q", 16)])
