@@ -17,13 +17,14 @@ A run of R equal consecutive rows of the register's amplitude grid is one
 constant generator, exponentiated once over the run's whole duration, exp(R
 dt A), and applied in one step; a constant schedule is a single run. Each
 site has one drift. One pass finds every grid's runs and lays them out in
-step order, run r of every grid before run r + 1 of any. Each active site
-builds one generator per run, in that order and on only the entries that a
-control or the drift can change, and all of them go through one
-``expm_stack`` call. The grids are then stepped together, one batched
-product per run index over every grid that has a run there, on a slice of
-the exponentials, and each grid's state is bit for bit its own call's;
-nothing is kept between calls.
+step order with one stable sort by their index in their grid: run r of
+every grid, in grid order, before run r + 1 of any. Each active site builds
+one generator per run, in that order, one field at a time on every entry,
+and all of them go through one ``expm_stack`` call. The grids are then
+stepped together, one batched product per run index on a slice of the
+exponentials: every grid while each has a run there, then the grids that
+still have one. Each grid's state is bit for bit its own call's; nothing is
+kept between calls.
 
 ``expm_stack`` is numpy only: a scaling-and-squaring Taylor exponential
 of degree 18. Each slice A is scaled by 2^-s until ||A/2^s||_1 <= 1.09,
@@ -128,36 +129,27 @@ def expm(a):
     return expm_stack(a[None])[0]
 
 
-def _assemble(out, drift, ctrls, u, duration, positive):
+def _assemble(out, drift, ctrls, u, duration):
     """Write (drift + u[0, i] ctrls[0] + u[1, i] ctrls[1] + ...) * duration[i]
     to out[i], flat, for the (L, R) amplitudes u, one column per generator,
-    and the (R,) durations; drift and ctrls have out's dtype, and out is
-    zero.
+    and the (R,) durations; drift and ctrls have out's dtype.
 
     Bit for bit, this is a build per generator that adds the terms in
-    field order, skips zero amplitudes and then scales: a zero amplitude
-    adds -0.0 (-0.0 - 0.0j), which leaves every number as it is. The sum is
-    taken only on the entries where a control or the drift has a bit set
-    (a -0.0 counts): on every other entry each term is +-0.0 and the sum
-    +0.0, which a duration keeps when every duration is ``positive``. When
-    one is not, or no entry has a bit set, every entry takes the sum, so a
-    signed zero, or a non-finite amplitude or duration, comes out as the
-    per-generator build makes it."""
+    field order, skips zero amplitudes and then scales: every entry of out
+    takes the sum in place, one field at a time, and a zero amplitude adds
+    -0.0 (-0.0 - 0.0j), which leaves every number as it is, so a signed
+    zero, or a non-finite amplitude or duration, comes out as that build
+    makes it."""
     mm = out.shape[-1]
-    drift, ctrls = drift.reshape(mm), ctrls.reshape(-1, mm)
-    bits = np.concatenate([ctrls, drift[None]]).view(np.uint64).reshape(len(ctrls) + 1, mm, -1)
-    live = np.flatnonzero(np.logical_or.reduce(bits != 0, axis=(0, 2)))
-    if not (positive and len(live)):
-        live = slice(None)
-    terms = ctrls[:, live, None] * u[:, None, :]
-    zero = u == 0.0
-    if zero.any():
-        np.copyto(terms, complex(-0.0, -0.0) if out.dtype.kind == "c" else -0.0,
-                  where=zero[:, None, :])
-    total = drift[live, None]
-    for term in terms:
-        total = total + term
-    out[:, live] = (total * duration).T
+    out[...] = drift.reshape(mm)
+    term = np.empty_like(out)
+    for C, a in zip(ctrls.reshape(-1, mm), u):
+        np.multiply(C, a[:, None], out=term)
+        zero = a == 0.0
+        if zero.any():
+            term[zero] = complex(-0.0, -0.0) if out.dtype.kind == "c" else -0.0
+        out += term
+    out *= duration[:, None]
 
 
 def _site_arrays(L0, ctrls, amps):
@@ -241,35 +233,23 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
     lengths[:-1] = starts[1:] - starts[:-1]
     lengths[-1] = N * K - starts[-1]
     # step order: step r takes run r of each grid that has more than r runs,
-    # the grids with the most runs first, so those are a prefix
+    # in grid order
     counts = np.add.reduce(edges, axis=1)
-    R = int(np.maximum.reduce(counts))
-    if np.minimum.reduce(counts) == R:
-        order, rank, active = np.arange(N * R).reshape(N, R).T.ravel(), None, [N] * R
-    else:
-        rank = np.empty(N, dtype=np.intp)
-        rank[np.argsort(-counts, kind="stable")] = np.arange(N)
-        g = starts // K
-        run = np.arange(len(starts)) - (np.cumsum(counts) - counts)[g]
-        active = np.add.reduce(counts > np.arange(R)[:, None], axis=1)
-        # run r of the grid ranked i is the i-th of step r
-        order = np.empty_like(starts)
-        order[(np.cumsum(active) - active)[run] + rank[g]] = np.arange(len(starts))
-        active = active.tolist()
+    order = np.argsort(np.arange(len(starts)) - np.repeat(np.cumsum(counts) - counts, counts),
+                       kind="stable")
     starts, lengths = starts[order], lengths[order]
 
     # per active site, each run's generator in step order from its first
     # row, scaled by its duration, its length times its grid's slice length;
     # one that overflows here is not warned about, and expm_stack makes its
     # exponential NaN
-    duration = dt.reshape(N)[starts // K] * lengths
     dtype = np.result_type(_FLOAT, *(x for D, C, _ in sites for x in (D, C)))
-    A = np.zeros((n, len(starts), m * m), dtype=dtype)
-    positive = bool(np.logical_and.reduce(duration > 0))
+    A = np.empty((n, len(starts), m * m), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
+        duration = dt.reshape(N)[starts // K] * lengths
         for s, ((drift, site_ctrls, _), site_rows) in enumerate(zip(sites, rows)):
             _assemble(A[s], drift.astype(dtype, copy=False), site_ctrls.astype(dtype, copy=False),
-                      site_rows[starts].T, duration, positive)
+                      site_rows[starts].T, duration)
     props = expm_stack(A.reshape(-1, m, m)).reshape(n, -1, m, m)
 
     # the active sites' states: v0 as an m x 1 block on one site; on two, X
@@ -281,15 +261,17 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
         S.reshape(-1, m * m)[:, ::m + 1] = 1.0
     if L0[0] is not None:
         S[0] = v0.reshape(m, cols)
-    # a batched product is bitwise its separate ones
-    end = 0
-    for a in active:
-        P = props[:, end:end + a]
-        end += a
-        if a == N:
-            S = np.matmul(P, S)
+    # a batched product is bitwise its separate ones; every grid has a run
+    # at each step r below the fewest runs, and after that only some do
+    end, few = 0, int(np.minimum.reduce(counts))
+    for r in range(int(np.maximum.reduce(counts))):
+        if r < few:
+            S = np.matmul(props[:, end:end + N], S)
+            end += N
         else:
-            S[:, :a] = np.matmul(P, S[:, :a])
+            grids = np.flatnonzero(counts > r)
+            S[:, grids] = np.matmul(props[:, end:end + len(grids)], S[:, grids])
+            end += len(grids)
     if len(L0) == 1:
         X = S[0, ..., 0]
     else:
@@ -297,6 +279,4 @@ def propagate_schedule(L0, ctrls, amps, dt, v0):
         if L0[1] is not None:
             X = np.matmul(X, S[-1].swapaxes(-1, -2))
         X = X.reshape(N, m * m)
-    if rank is not None:
-        X = X[rank]
     return X if dt.ndim else X[0]

@@ -4,10 +4,8 @@ The simplex update follows the classic fminsearch variant: reflection,
 expansion, outside/inside contraction, and shrinkage, with greedy expansion
 acceptance. Ties on equal objective values are broken by vertex order, and the
 random restarts derive from a single master seed, so runs are reproducible
-bit-for-bit. The vertices stay in the order a stable sort of their values
-gives: an iteration that replaces the worst vertex inserts the new one
-where that sort would put it, and only a shrink, or a NaN value, sorts
-them all again; the simplex diameter is computed only once the values'
+bit-for-bit. Every iteration orders the vertices by a stable argsort of
+their values, and computes the simplex diameter only once the values'
 spread has met its tolerance.
 
 An objective maps an (N, n) stack of points to their N values. The points
@@ -98,21 +96,9 @@ def _simplex(x0: np.ndarray, opt: OptimizerOptions, scale: float):
 
     alpha, chi, psi, sigma = REFLECTION, EXPANSION, CONTRACTION, SHRINK
     converged = False
-    sort = True
     while True:
-        # the vertices in the order of a stable argsort of their values:
-        # after a shrink, or when the new value is NaN, by that sort; else
-        # only the last vertex is new, and it goes where the sort puts it,
-        # after the values it does not undercut
-        if sort or fvals[-1] != fvals[-1]:
-            order = np.argsort(fvals, kind="stable")
-            verts, fvals = verts[order], fvals[order]
-        else:
-            k = int(np.searchsorted(fvals[:-1], fvals[-1], side="right"))
-            if k < n:
-                x, f = verts[-1].copy(), fvals[-1]
-                verts[k + 1:], fvals[k + 1:] = verts[k:-1], fvals[k:-1]
-                verts[k], fvals[k] = x, f
+        order = np.argsort(fvals, kind="stable")
+        verts, fvals = verts[order], fvals[order]
 
         # the spread first: the diameter is needed only when it is small
         spread = fvals[-1] - fvals[0]
@@ -128,7 +114,6 @@ def _simplex(x0: np.ndarray, opt: OptimizerOptions, scale: float):
         xr = centroid + alpha * direction
         fr = (yield xr[None])[0]
         evals += 1
-        sort = False
         if fr < fvals[0]:
             xe = centroid + alpha * chi * direction
             fe = (yield xe[None])[0]
@@ -155,7 +140,6 @@ def _simplex(x0: np.ndarray, opt: OptimizerOptions, scale: float):
                 verts[1:] = verts[0] + sigma * (verts[1:] - verts[0])
                 fvals[1:] = yield verts[1:]
                 evals += n
-                sort = True
 
     best = int(np.argmin(fvals))  # argmin returns the lowest index on ties
     return SearchResult(verts[best].copy(), float(fvals[best]), evals, converged)

@@ -34,9 +34,9 @@ PROBES = ("default", "plus", "ghz", "bell_with_ancilla", "random_seeded")
 # call. A search round holds a batch of points from every start at every
 # encoding time, and the first, every start's initial simplex, is 24,600
 # grids on the parallel-dephasing-1q preset: as one call, its generators
-# and propagators took that run's peak RSS (at max_evals = 100) from 62 to
-# 422 MB. Calls of 128 grids keep it under 90 MB, and already share nearly
-# all of a call's fixed cost.
+# and propagators took that run's peak RSS (at max_evals = 100) from 64 to
+# 563 MB. Calls of 128 grids keep it at 64 MB, and already share nearly all
+# of a call's fixed cost.
 ROUND_GRIDS = 128
 
 

@@ -125,10 +125,12 @@ def van_loan_stacks(draw):
     """(drift, ctrls, grids, lengths, v0): one random site's real 8x8 Van
     Loan blocks as a prepared probe holds them, the drift omega0*D + G with
     its structural zeros (some turned to -0.0) and the control blocks, and
-    a stack of N > 1 grids, each at its own slice length (one may be
-    negative). Rows are spelled by letters as in :func:`registers`, and 0
-    is a row of zeros with random signs; a grid may repeat an earlier one,
-    at its length or at another."""
+    a stack of N > 1 grids, each at its own slice length. A length may be
+    negative or an edge: 0.0, the least subnormal 5e-324, or 1e308 on a
+    grid that starts with a run of 2, whose duration overflows. Rows are
+    spelled by letters as in :func:`registers`, and 0 is a row of zeros with
+    random signs; a grid may repeat an earlier one, at its length or at
+    another."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     herm = lambda: (lambda a: (a + a.conj().T) / 2)(cplx(2, 2))
@@ -154,8 +156,15 @@ def van_loan_stacks(draw):
                 "0": np.copysign(0.0, rng.uniform(-1, 1, L))}
         rows["Z"], rows["z"] = rows["A"].copy(), rows["A"].copy()
         rows["Z"][0], rows["z"][0] = 0.0, -0.0
-        grids.append(np.array([rows[c] for c in draw(st.text("ABZz0", min_size=K, max_size=K))]))
-        lengths.append(float(rng.uniform(0.01, 0.2)) * draw(st.sampled_from([1, 1, 1, -1])))
+        letters = draw(st.text("ABZz0", min_size=K, max_size=K))
+        length = draw(st.sampled_from([1.0, 1.0, 1.0, -1.0, 0.0, 5e-324]
+                                      + ([1e308] if K > 1 else [])))
+        if length == 1e308:
+            letters = letters[0] + letters[0] + letters[2:]
+        elif abs(length) == 1.0:
+            length *= float(rng.uniform(0.01, 0.2))
+        grids.append(np.array([rows[c] for c in letters]))
+        lengths.append(length)
     return drift, ctrls, np.stack(grids), np.array(lengths), rng.standard_normal(8)
 
 
@@ -164,10 +173,11 @@ def van_loan_stacks(draw):
 def test_stack_of_van_loan_blocks_matches_per_run_exponentials(case):
     # each grid of the stack bit for bit a loop of the kernel's exponential
     # of one slice per run, which shares no code with the kernel's assembly,
-    # and close to the same loop on scipy.linalg.expm; and the kernel
-    # exponentiates exactly the generators that loop builds, each as often,
-    # one per run of every grid, signed zeros included, which a final state
-    # seldom shows
+    # and, where that state is finite, close to the same loop on
+    # scipy.linalg.expm; and the kernel exponentiates exactly the generators
+    # that loop builds, each as often, one per run of every grid, signed
+    # zeros and the NaN of an overflowing duration included, which a final
+    # state seldom shows
     drift, ctrls, grids, lengths, v0 = case
     generators, real = [], _kern.expm_stack
     _kern.expm_stack = lambda A: generators.append(A.copy()) or real(A)
@@ -176,21 +186,26 @@ def test_stack_of_van_loan_blocks_matches_per_run_exponentials(case):
     finally:
         _kern.expm_stack = real
     built = collections.Counter()
-    for i, (grid, dt) in enumerate(zip(grids, lengths)):
-        assert bitwise_equal(got[i], per_run_reference(drift, ctrls, grid, dt, v0))
-        assert close_to_scipy(got[i], per_run_reference(drift, ctrls, grid, dt, v0,
-                                                        scipy.linalg.expm))
-        k = 0
-        while k < len(grid):
-            n = 1
-            while k + n < len(grid) and np.array_equal(grid[k + n], grid[k]):
-                n += 1
-            A = drift.copy()
-            for u, C in zip(grid[k], ctrls):
-                if u != 0.0:
-                    A += u * C
-            built[(A * (dt * n)).tobytes()] += 1
-            k += n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (grid, dt) in enumerate(zip(grids, lengths)):
+            ref = per_run_reference(drift, ctrls, grid, dt, v0)
+            assert bitwise_equal(got[i], ref)
+            if np.isfinite(ref).all():
+                assert close_to_scipy(got[i], per_run_reference(drift, ctrls, grid, dt, v0,
+                                                                scipy.linalg.expm))
+            else:
+                assert np.isnan(ref).all()
+            k = 0
+            while k < len(grid):
+                n = 1
+                while k + n < len(grid) and np.array_equal(grid[k + n], grid[k]):
+                    n += 1
+                A = drift.copy()
+                for u, C in zip(grid[k], ctrls):
+                    if u != 0.0:
+                        A += u * C
+                built[(A * (dt * n)).tobytes()] += 1
+                k += n
     assert collections.Counter(A.tobytes() for A in np.concatenate(generators)) == built
 
 
